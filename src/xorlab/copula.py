@@ -12,6 +12,7 @@ expm1 terms are negative and the quotient is positive).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -143,6 +144,44 @@ def _frank_raw(s: float, x: float, y: float) -> float:
         return x * y
     q = math.expm1(x * L) * math.expm1(y * L) / math.expm1(L)
     return math.log1p(q) / L
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_axis(axis: "tuple[float, ...]") -> "tuple[float, ...]":
+    return tuple(_unit(v) for v in axis)
+
+
+def xor_f_lattice(s: CopulaParam, axis) -> "list[float]":
+    """F_s over the lattice axis x axis, flat and row-major.
+
+    Entry i * len(axis) + j equals float(xor_f(s, axis[i], axis[j])) bit
+    for bit: the same limit dispatch, the same closed form in the same
+    operation order, and the UnitValue window applied inline.  expm1(x L)
+    is computed once per axis value instead of once per lattice point.
+    """
+    xs = _unit_axis(tuple(axis))
+    kind, L = s.kind, 0.0
+    if kind == "finite":
+        # the dispatch of _frank_raw
+        if s.s < ZERO_DISPATCH:
+            kind = "zero"
+        elif s.s > INF_DISPATCH:
+            kind = "inf"
+        else:
+            L = math.log(s.s)
+            if L == 0.0:
+                kind = "one"
+    if kind == "finite":
+        ex = [math.expm1(x * L) for x in xs]
+        dL = math.expm1(L)
+        log1p = math.log1p
+        fs = [x + y - 2.0 * (log1p(ei * ej / dL) / L)
+              for x, ei in zip(xs, ex) for y, ej in zip(xs, ex)]
+    else:
+        limit = CopulaParam(kind)
+        fs = [x + y - 2.0 * _and_value(limit, x, y) for x in xs for y in xs]
+    # the UnitValue window; values already inside [0, 1] need no clamp
+    return [f if 0.0 <= f <= 1.0 else UnitValue(f).v for f in fs]
 
 
 def _and_value(s: CopulaParam, x: float, y: float) -> float:

@@ -8,11 +8,13 @@ trainer owns validation, Network packing, and divergence reporting.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from . import kernels
-from .copula import CopulaParam, xor_f
+from .copula import CopulaParam, xor_f_lattice
 from .datasets import Dataset
 from .errors import DivergenceError, DomainError, ShapeError
 from .linalg import Matrix
@@ -58,7 +60,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
-    final_net: Network
+    final_net: "Network | None"      # None only for a non-finite divergence
     iterations: int
     final_sse: float
     converged: bool
@@ -117,7 +119,8 @@ def train(topology, data: Dataset, cfg: TrainConfig) -> TrainResult:
     """One seeded run; deterministic given (topology, data, cfg).
 
     Raises DivergenceError (carrying iteration, SSE, and the state) when
-    the loss exceeds the blowup bound or goes non-finite.
+    the loss exceeds the blowup bound or goes non-finite; a non-finite
+    state carries net=None.
     """
     topo = _as_topology(topology)
     pairs = data.single()
@@ -136,11 +139,15 @@ def train(topology, data: Dataset, cfg: TrainConfig) -> TrainResult:
         cfg.max_iters, cfg.tol, 1 if cfg.mode == "per_sample" else 0,
         cfg.seed & _MASK64, cfg.init_range,
         1 if cfg.record_trajectory else 0)
-    net = _net_from_flat(topo, w)
-    if status >= 2:
-        reason = "SSE blowup" if status == 2 else "non-finite state"
+    if status == 3:
+        # a NaN or inf weight cannot be packed into a Matrix
         raise DivergenceError(
-            f"training diverged ({reason}) at iteration {iters}, "
+            f"training diverged (non-finite state) at iteration {iters}, "
+            f"sse={final_sse!r}", iters, final_sse, None)
+    net = _net_from_flat(topo, w)
+    if status == 2:
+        raise DivergenceError(
+            f"training diverged (SSE blowup) at iteration {iters}, "
             f"sse={final_sse!r}", iters, final_sse, net)
     trajectory = tuple(traj) if cfg.record_trajectory else None
     return TrainResult(net, iters, final_sse, status == 0, trajectory)
@@ -179,14 +186,59 @@ def _as_fn(net):
     return net
 
 
-def _fs_deviation(pts, outs, t: float) -> float:
-    param = CopulaParam.finite(t / (1.0 - t))
-    worst = 0.0
-    for (x, y), o in zip(pts, outs):
-        d = abs(o - float(xor_f(param, x, y)))
-        if d > worst:
-            worst = d
-    return worst
+@dataclass(frozen=True)
+class _Lattice:
+    """Outputs of one function over the grid x grid lattice on [0,1]^2,
+    row-major: outs[i * grid + j] is the value at (i/step, j/step)."""
+
+    grid: int
+    outs: "list[float]"
+
+
+def _lattice(net, grid: int) -> _Lattice:
+    """Evaluate a network or callable once over the lattice.  Outputs that
+    sweep already evaluated pass through, at the grid they were made on."""
+    if isinstance(net, _Lattice):
+        return net
+    if grid < 2:
+        raise DomainError(f"grid must be at least 2, got {grid}")
+    fn = _as_fn(net)
+    axis = _axis(grid)
+    return _Lattice(grid, [float(fn(x, y)) for x in axis for y in axis])
+
+
+@functools.lru_cache(maxsize=8)
+def _axis(grid: int) -> "tuple[float, ...]":
+    step = grid - 1
+    return tuple(i / step for i in range(grid))
+
+
+@functools.lru_cache(maxsize=32)
+def _shape_lattice(shape, grid: int) -> "tuple[float, ...]":
+    axis = _axis(grid)
+    return tuple(shape(x, y) for x in axis for y in axis)
+
+
+@functools.lru_cache(maxsize=8)
+def _step_interior(grid: int) -> "tuple[int, ...]":
+    """Flat indices where the step surface is compared: the open interior,
+    more than one lattice step (index-space Chebyshev, so the exclusion is
+    exact) away from either zero corner."""
+    step = grid - 1
+    return tuple(i * grid + j
+                 for i in range(1, grid - 1) for j in range(1, grid - 1)
+                 if max(i, j) > 1 and max(step - i, step - j) > 1)
+
+
+def _max_abs_diff(outs, ref) -> float:
+    """Largest |out - ref| over the lattice; outs must be finite, since
+    max() keeps or skips a NaN depending on where it sits."""
+    return max(map(abs, map(operator.sub, outs, ref)))
+
+
+def _fs_deviation(outs, grid: int, t: float) -> float:
+    fs = xor_f_lattice(CopulaParam.finite(t / (1.0 - t)), _axis(grid))
+    return _max_abs_diff(outs, fs)
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 40):
@@ -217,28 +269,21 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
     more than one lattice step (Chebyshev) away from either zero corner.
     When no fixed candidate fits within tol, a finite s is fitted by 1-D
     search and Fs(s) is returned if it fits; otherwise Unclassified,
-    carrying the best deviation seen.
+    carrying the best deviation seen.  A non-finite output anywhere on the
+    lattice gives Unclassified with deviation inf, as for a diverged run.
+
+    net is a 2-in 1-out Network or a callable f(x, y); sweep passes the
+    network's lattice outputs, evaluated once for classify and
+    envelope_check together.
     """
-    if grid < 2:
-        raise DomainError(f"grid must be at least 2, got {grid}")
-    fn = _as_fn(net)
-    step = grid - 1
-    pts = [(i / step, j / step) for i in range(grid) for j in range(grid)]
-    outs = [float(fn(x, y)) for x, y in pts]
+    lat = _lattice(net, grid)
+    outs, grid = lat.outs, lat.grid
+    if not all(map(math.isfinite, outs)):
+        return FunctionLabel("Unclassified", math.inf)
 
-    scored = []
-    for kind, cand in _FIXED_CANDIDATES:
-        worst = 0.0
-        for (x, y), o in zip(pts, outs):
-            d = abs(o - cand(x, y))
-            if d > worst:
-                worst = d
-        scored.append((worst, kind))
-
-    # index-space Chebyshev keeps the corner exclusion exact on the lattice
-    interior = [abs(outs[i * grid + j] - 1.0)
-                for i in range(1, grid - 1) for j in range(1, grid - 1)
-                if max(i, j) > 1 and max(step - i, step - j) > 1]
+    scored = [(_max_abs_diff(outs, _shape_lattice(cand, grid)), kind)
+              for kind, cand in _FIXED_CANDIDATES]
+    interior = [abs(outs[k] - 1.0) for k in _step_interior(grid)]
     scored.append((max(interior) if interior else math.inf, "StepAbs"))
 
     best_dev, best_kind = min(scored, key=lambda sc: sc[0])
@@ -247,11 +292,11 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
 
     # fall back to fitting a finite parameter on t = s/(1+s)
     ts = [k / 50.0 for k in range(1, 50)]
-    devs = [_fs_deviation(pts, outs, t) for t in ts]
+    devs = [_fs_deviation(outs, grid, t) for t in ts]
     k = devs.index(min(devs))
     lo = ts[k - 1] if k > 0 else 0.02 / 2.0
     hi = ts[k + 1] if k < len(ts) - 1 else (0.98 + 1.0) / 2.0
-    t_star, fit_dev = _golden_min(lambda t: _fs_deviation(pts, outs, t),
+    t_star, fit_dev = _golden_min(lambda t: _fs_deviation(outs, grid, t),
                                   lo, hi)
     if fit_dev <= tol:
         return FunctionLabel("Fs", fit_dev, s=t_star / (1.0 - t_star))
@@ -259,15 +304,13 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
 
 
 def envelope_check(net, tol: float = 0.05, grid: int = 21) -> bool:
-    """F_0 - tol <= out <= F_inf + tol over the whole lattice."""
-    fn = _as_fn(net)
-    step = grid - 1
-    for i in range(grid):
-        for j in range(grid):
-            x, y = i / step, j / step
-            o = float(fn(x, y))
-            if o < _f0(x, y) - tol or o > _finf(x, y) + tol:
-                return False
+    """F_0 - tol <= out <= F_inf + tol over the whole lattice; a
+    non-finite output fails."""
+    lat = _lattice(net, grid)
+    for o, lo, hi in zip(lat.outs, _shape_lattice(_f0, lat.grid),
+                         _shape_lattice(_finf, lat.grid)):
+        if not (lo - tol <= o <= hi + tol):
+            return False
     return True
 
 
@@ -277,7 +320,8 @@ def sweep(topology, data: Dataset, cfg: TrainConfig, restarts: int,
     """Restart train at seeds seed, seed+1, ... and label every run.
 
     Diverged runs are recorded (Unclassified, not converged), never fatal.
-    Order is by seed.
+    Order is by seed.  Each trained network is evaluated once over the
+    lattice; classify and envelope_check share those outputs.
     """
     if restarts < 1:
         raise DomainError(f"restarts must be at least 1, got {restarts}")
@@ -295,10 +339,9 @@ def sweep(topology, data: Dataset, cfg: TrainConfig, restarts: int,
                                       FunctionLabel("Unclassified", math.inf),
                                       None))
             continue
-        label = classify(result.final_net, tol=classify_tol,
-                         grid=classify_grid)
-        env = (envelope_check(result.final_net, tol=classify_tol,
-                              grid=classify_grid)
+        lat = _lattice(result.final_net, classify_grid)
+        label = classify(lat, tol=classify_tol, grid=classify_grid)
+        env = (envelope_check(lat, tol=classify_tol, grid=classify_grid)
                if result.converged else None)
         entries.append(SweepEntry(run_cfg.seed, result, label, env))
     return entries

@@ -243,6 +243,22 @@ def test_sweep_csv(tmp_path, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
 
 
+def test_sweep_nonfinite_divergence_is_recorded(tmp_path, capsys):
+    # lr 1e200 drives the tanh-id net to a NaN state in one iteration
+    out = tmp_path / "runs.csv"
+    code, _, err = run(capsys, "sweep", "--spec", "2-2-1/inp-tanh-id",
+                       "--data", "boolean_xor", "--lr", "1e200",
+                       "--restarts", "2", "--max-iters", "50", "--seed", "0",
+                       "--out", str(out))
+    assert code == 0, err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["0", "1"]
+    for r in rows:
+        # converged, diverged, label, max_deviation, envelope_ok
+        assert (r[1], r[2], r[5], r[6], r[7]) == \
+            ("false", "true", "Unclassified", "inf", "")
+
+
 # -- surface -------------------------------------------------------------------
 
 def test_surface_grid_files(linear_model, tmp_path, capsys):

@@ -1,16 +1,20 @@
 """Training driver, function classification, sweeps."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorlab import kernels
-from xorlab.copula import CopulaParam, xor_f
+from xorlab.copula import CopulaParam, xor_f, xor_f_lattice
 from xorlab.datasets import Dataset, builtin
 from xorlab.errors import DivergenceError, DomainError, ShapeError
 from xorlab.linalg import Matrix, least_squares
-from xorlab.network import collapse_linear, forward
-from xorlab.trainer import (FunctionLabel, TrainConfig, classify,
+from xorlab.network import Network, collapse_linear, forward, parse_spec
+from xorlab.trainer import (_FIXED_CANDIDATES, FunctionLabel, TrainConfig,
+                            _fs_deviation, _golden_min, classify,
                             envelope_check, label_histogram, run_metadata,
                             sse, sweep, train)
 
@@ -88,6 +92,29 @@ def test_train_divergence_carries_state():
     assert err.sse > kernels.SSE_BLOWUP or not math.isfinite(err.sse)
     assert err.iteration >= 1
     assert err.net is not None
+
+
+# lr 1e200 overflows the first id-layer update to inf and then NaN
+NAN_STATE = dict(seed=0, learning_rate=1e200, max_iters=50)
+
+
+def test_train_nonfinite_state_diverges_without_net():
+    with pytest.raises(DivergenceError) as exc:
+        train("2-2-1/inp-tanh-id", XOR, TrainConfig(**NAN_STATE))
+    err = exc.value
+    assert "non-finite state" in str(err)
+    assert not math.isfinite(err.sse)
+    assert err.net is None
+
+
+def test_sweep_records_nonfinite_divergence():
+    entries = sweep("2-2-1/inp-tanh-id", XOR, TrainConfig(**NAN_STATE), 2)
+    assert [e.seed for e in entries] == [0, 1]
+    for e in entries:
+        assert e.result.diverged and not e.result.converged
+        assert e.result.final_net is None
+        assert e.label == FunctionLabel("Unclassified", math.inf)
+        assert e.envelope_ok is None
 
 
 def test_train_shape_checks():
@@ -169,12 +196,183 @@ def test_classify_validation():
         classify(Network(topo, mats))
 
 
+def test_classify_nonfinite_output_is_unclassified():
+    nan_at_centre = lambda x, y: (math.nan if (x, y) == (0.5, 0.5)
+                                  else abs(x - y))
+    for fn in (lambda x, y: math.nan, lambda x, y: math.inf,
+               lambda x, y: -math.inf, nan_at_centre):
+        assert classify(fn) == FunctionLabel("Unclassified", math.inf)
+        assert classify(fn, tol=10.0, grid=5).max_deviation == math.inf
+
+
 def test_envelope_check():
     assert envelope_check(lambda x, y: abs(x - y))
     assert envelope_check(
         lambda x, y: min(x + y, 1.0) - max(x + y - 1.0, 0.0))
     assert not envelope_check(lambda x, y: 1.2)
     assert not envelope_check(lambda x, y: 0.5)  # breaches F0 at corners
+
+
+def test_envelope_check_nonfinite_output_fails():
+    assert not envelope_check(lambda x, y: math.nan)
+    assert not envelope_check(lambda x, y: math.nan, tol=math.inf)
+    assert not envelope_check(
+        lambda x, y: math.nan if (x, y) == (0.5, 0.5) else abs(x - y))
+
+
+def test_envelope_check_validates_grid():
+    for grid in (1, 0, -3):
+        with pytest.raises(DomainError):
+            envelope_check(lambda x, y: abs(x - y), grid=grid)
+    assert envelope_check(lambda x, y: abs(x - y), grid=2)
+
+
+# -- the lattice F_s fit against the point-wise reference --------------------
+
+def _ref_fs_deviation(pts, outs, t):
+    """The point-wise fit: one validated xor_f call per lattice point."""
+    param = CopulaParam.finite(t / (1.0 - t))
+    worst = 0.0
+    for (x, y), o in zip(pts, outs):
+        d = abs(o - float(xor_f(param, x, y)))
+        if d > worst:
+            worst = d
+    return worst
+
+
+def _ref_classify(fn, tol=0.05, grid=21):
+    """classify as written before the lattice fit (finite outputs only)."""
+    step = grid - 1
+    pts = [(i / step, j / step) for i in range(grid) for j in range(grid)]
+    outs = [float(fn(x, y)) for x, y in pts]
+    scored = []
+    for kind, cand in _FIXED_CANDIDATES:
+        worst = 0.0
+        for (x, y), o in zip(pts, outs):
+            d = abs(o - cand(x, y))
+            if d > worst:
+                worst = d
+        scored.append((worst, kind))
+    interior = [abs(outs[i * grid + j] - 1.0)
+                for i in range(1, grid - 1) for j in range(1, grid - 1)
+                if max(i, j) > 1 and max(step - i, step - j) > 1]
+    scored.append((max(interior) if interior else math.inf, "StepAbs"))
+    best_dev, best_kind = min(scored, key=lambda sc: sc[0])
+    if best_dev <= tol:
+        return FunctionLabel(best_kind, best_dev)
+    ts = [k / 50.0 for k in range(1, 50)]
+    devs = [_ref_fs_deviation(pts, outs, t) for t in ts]
+    k = devs.index(min(devs))
+    lo = ts[k - 1] if k > 0 else 0.02 / 2.0
+    hi = ts[k + 1] if k < len(ts) - 1 else (0.98 + 1.0) / 2.0
+    t_star, fit_dev = _golden_min(lambda t: _ref_fs_deviation(pts, outs, t),
+                                  lo, hi)
+    if fit_dev <= tol:
+        return FunctionLabel("Fs", fit_dev, s=t_star / (1.0 - t_star))
+    return FunctionLabel("Unclassified", min(best_dev, fit_dev))
+
+
+def _outcome(fn, *args):
+    """repr of the result, or the type and message of the error raised."""
+    try:
+        return repr(fn(*args))
+    except DomainError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _same_label(a, b):
+    return (a.kind, repr(a.max_deviation), repr(a.s)) == \
+        (b.kind, repr(b.max_deviation), repr(b.s))
+
+
+# scan values, the One window |t - 1/2| <= 2.5e-7 and its edges, and both
+# dispatch thresholds (s = 1e-8 at t ~ 1e-8, s = 1e8 at t ~ 1 - 1e-8).
+# Just above s = 1e-8 the closed form leaves the UnitValue window and
+# xor_f raises DomainError; the lattice must raise the same error.
+PARITY_TS = ([k / 50.0 for k in range(1, 50)]
+             + [0.5 + d for d in (0.0, 1e-9, -1e-7, 2.4e-7, -2.5e-7, 2.5e-7,
+                                  2.6e-7, -2.6e-7, 3e-7, 1e-6)]
+             + [5e-9, 1e-8 / (1.0 + 1e-8), 1e-8, 2e-8, 1e-12, 0.01, 0.99,
+                1.0 - 5e-9, 1e8 / (1.0 + 1e8), 1.0 - 1e-8, 1.0 - 2e-8,
+                1.0 - 1e-12])
+
+
+def _parity_outputs(grid):
+    step = grid - 1
+    pts = [(i / step, j / step) for i in range(grid) for j in range(grid)]
+    rng = random.Random(11)
+    tanh_net = lambda x, y: math.tanh(2.0 * x - 1.7 * y + 0.3) ** 2
+    return pts, [
+        [tanh_net(x, y) for x, y in pts],
+        [rng.uniform(-0.2, 1.2) for _ in pts],
+        [float(xor_f(CopulaParam.finite(3.0), x, y)) for x, y in pts],
+        [abs(x - y) for x, y in pts],
+    ]
+
+
+@pytest.mark.parametrize("grid", [21, 11, 2])
+def test_fs_deviation_matches_pointwise_fit_exactly(grid):
+    pts, cases = _parity_outputs(grid)
+    for outs in cases:
+        for t in PARITY_TS:
+            assert _outcome(_fs_deviation, outs, grid, t) == \
+                _outcome(_ref_fs_deviation, pts, outs, t), t
+
+
+def test_xor_f_lattice_matches_xor_f_bitwise():
+    axis = [i / 20.0 for i in range(21)] + [1e-300, 0.3 + 1e-16]
+    params = [CopulaParam.zero(), CopulaParam.one(), CopulaParam.infinity()]
+    params += [CopulaParam.finite(t / (1.0 - t)) for t in PARITY_TS]
+    params += [CopulaParam.finite(s) for s in (1e-9, 0.003, 0.2, 1.7, 40.0,
+                                               5e3, 1e9)]
+    for p in params:
+        want = lambda: [float(xor_f(p, x, y)) for x in axis for y in axis]
+        assert _outcome(xor_f_lattice, p, axis) == _outcome(want), p
+
+
+def test_xor_f_lattice_validates_axis():
+    with pytest.raises(DomainError):
+        xor_f_lattice(CopulaParam.finite(2.0), [0.0, 1.5])
+    # inside the UnitValue window: clamped, as xor_f clamps
+    assert xor_f_lattice(CopulaParam.one(), [-1e-13, 1.0 + 1e-13]) == \
+        [float(xor_f(CopulaParam.one(), x, y))
+         for x in (0.0, 1.0) for y in (0.0, 1.0)]
+
+
+def test_classify_matches_pointwise_reference_on_every_label():
+    fs = lambda s: (lambda x, y: float(xor_f(CopulaParam.finite(s), x, y)))
+    cases = [
+        (lambda x, y: abs(x - y), 0.05, 21, "F0"),
+        (lambda x, y: x + y - 2 * x * y, 0.05, 21, "F1"),
+        (lambda x, y: min(x + y, 1.0) - max(x + y - 1.0, 0.0), 0.05, 21,
+         "Finf"),
+        (lambda x, y: 0.5, 0.05, 21, "ConstHalf"),
+        (lambda x, y: 0.0 if (x, y) in ((0.0, 0.0), (1.0, 1.0)) else 1.0,
+         0.05, 21, "StepAbs"),
+        (fs(3.0), 0.05, 21, "Fs"),
+        (fs(0.2), 0.01, 11, "Fs"),
+        (fs(40.0), 0.001, 21, "Fs"),
+        (fs(1.0 + 5e-7), 0.001, 21, "F1"),
+        (lambda x, y: 0.5 + 0.4 * math.sin(9 * x * y), 0.05, 21,
+         "Unclassified"),
+    ]
+    for fn, tol, grid, kind in cases:
+        got = classify(fn, tol=tol, grid=grid)
+        assert got.kind == kind
+        assert _same_label(got, _ref_classify(fn, tol=tol, grid=grid))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.floats(-4.0, 4.0), min_size=9, max_size=9),
+       st.sampled_from(["2-2-1/inp-tanh-tanh", "2-2-1/inp-relu-relu",
+                        "2-2-1/inp-sigmoid-sigmoid"]),
+       st.sampled_from([0.05, 0.1, 0.3]))
+def test_classify_matches_pointwise_reference_on_random_nets(w, spec, tol):
+    topo = parse_spec(spec)
+    net = Network(topo, (Matrix(2, 3, tuple(w[:6])),
+                         Matrix(1, 3, tuple(w[6:]))))
+    fn = lambda x, y: forward(net, (x, y)).output
+    assert _same_label(classify(net, tol=tol), _ref_classify(fn, tol=tol))
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -205,6 +403,15 @@ def test_sweep_absorbs_divergence():
         assert not e.result.converged
         assert e.label.kind == "Unclassified"
         assert e.envelope_ok is None
+
+
+def test_sweep_labels_match_classify_and_envelope_check():
+    cfg = TrainConfig(seed=3, learning_rate=0.5, max_iters=2000)
+    for e in sweep("2-2-1/inp-tanh-tanh", XOR, cfg, 3, classify_tol=0.1):
+        net = e.result.final_net
+        assert _same_label(e.label, classify(net, tol=0.1))
+        if e.result.converged:
+            assert e.envelope_ok is envelope_check(net, tol=0.1)
 
 
 def test_sweep_validation():
