@@ -1,9 +1,11 @@
 """Pure-Python training and projection kernels.
 
-Reference implementation of the hot loops.  The compiled twin in _ckern
-mirrors this file operation for operation (same accumulation order, same
-constants) so the two backends produce bit-identical floats; keep them in
-lockstep when editing either.
+Reference implementation of the hot loops.  The compiled twin, kern.c
+(bound through ctypes by _cbackend), mirrors this file operation for
+operation (same splitmix64 stream, same accumulation order, same
+constants, same status codes) so the two backends produce bit-identical
+floats; keep them in lockstep when editing either.  network.SIGMOID uses
+_sigmoid from here, so the sigmoid is written once in Python.
 
 Layout conventions shared with the compiled kernel:
   - sizes: layer widths including input, e.g. [2, 2, 1]
@@ -56,16 +58,21 @@ def rng_uniform(seed: int, count: int) -> list:
     return [rng.next_unit() for _ in range(count)]
 
 
+def _sigmoid(z: float) -> float:
+    # sign branch keeps exp() from overflowing for large |z|
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
 def _act(code: int, z: float) -> float:
     if code == 0:
         return z
     if code == 1:
         return math.tanh(z)
     if code == 2:
-        if z >= 0.0:
-            return 1.0 / (1.0 + math.exp(-z))
-        e = math.exp(z)
-        return e / (1.0 + e)
+        return _sigmoid(z)
     return z if z > 0.0 else 0.0
 
 

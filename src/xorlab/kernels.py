@@ -1,14 +1,18 @@
 """Backend selection for the training and projection kernels.
 
-Two interchangeable implementations exist: the compiled extension
-(xorlab._ckern) and the pure-Python reference (xorlab._pycore).  They
-produce bit-identical results; the compiled one is just faster.  The
-default picks the compiled backend when importable and falls back to
-Python.  Set XORLAB_BACKEND=c or XORLAB_BACKEND=python to force one.
+Two interchangeable implementations exist: compiled C (kern.c, built by
+setup.py into the shared library _kern.so next to this file and bound
+through ctypes by xorlab._cbackend) and the pure-Python reference
+(xorlab._pycore).  They produce bit-identical results; the compiled one
+is just faster.  The default picks the compiled backend when its library
+is built and loads, and falls back to Python; without a library, ctypes
+is never imported.  Set XORLAB_BACKEND=c or XORLAB_BACKEND=python to
+force one.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 from . import _pycore
@@ -19,14 +23,20 @@ __all__ = [
     "project_grid", "get_backend", "available_backends",
 ]
 
+_LIBRARY_NAME = "_kern.so"
+_LIBRARY = os.path.join(os.path.dirname(__file__), _LIBRARY_NAME)
 
+
+@functools.cache
 def _load_compiled():
-    from . import _ckern
-    return _ckern
+    if not os.path.exists(_LIBRARY):
+        raise ImportError(f"compiled kernels not built: no {_LIBRARY}")
+    from . import _cbackend
+    return _cbackend.load(_LIBRARY)
 
 
 def get_backend(name: str):
-    """The named kernel module; 'c' raises if the extension is missing."""
+    """The named kernel backend; 'c' raises if the library is missing."""
     key = name.strip().lower()
     if key in ("python", "pure"):
         return _pycore

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._pycore import _sigmoid
 from .errors import (ArityError, ModelFormatError, NotLinearError,
                      ShapeError, SpecSyntaxError)
 from .linalg import Matrix, mat_mul
@@ -27,14 +28,6 @@ __all__ = [
     "forward", "gradient", "collapse_linear",
     "save_model", "load_model",
 ]
-
-
-def _sigmoid(z: float) -> float:
-    # sign branch keeps exp() from overflowing for large |z|
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
 
 
 class Activation:

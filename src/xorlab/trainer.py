@@ -26,8 +26,6 @@ __all__ = [
     "envelope_check", "run_metadata",
 ]
 
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -137,7 +135,7 @@ def train(topology, data: Dataset, cfg: TrainConfig) -> TrainResult:
     w, iters, final_sse, status, traj = kernels.train_run(
         list(topo.layer_sizes), acts, xs, ts, cfg.learning_rate,
         cfg.max_iters, cfg.tol, 1 if cfg.mode == "per_sample" else 0,
-        cfg.seed & _MASK64, cfg.init_range,
+        cfg.seed, cfg.init_range,
         1 if cfg.record_trajectory else 0)
     if status == 3:
         # a NaN or inf weight cannot be packed into a Matrix

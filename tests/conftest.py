@@ -1,11 +1,66 @@
-"""Shared pytest hooks.
+"""Shared pytest hooks and fixtures.
 
 test_acceptance.py doubles as the sign-off checklist, so the terminal
 summary ends with one labeled PASS/FAIL line per criterion, in numeric
 order, regardless of how pytest interleaved the runs.
+
+The c_package and ckern fixtures build the compiled kernels once per
+session with the system cc, in a temporary copy of the package, so the
+backend-parity tests run without anything being built under src/.  They
+skip only when no cc is on PATH; a failed compile is an error.
 """
 
 import re
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+from xorlab import kernels
+
+# the flags setup.py builds kern.c with, plus those of a shared library
+CFLAGS = ["-O3", "-fno-tree-vectorize", "-ffp-contract=off", "-shared",
+          "-fPIC"]
+
+
+def copy_package(dest: Path) -> Path:
+    """Copy the xorlab package, without any built library, into dest."""
+    shutil.copytree(Path(kernels.__file__).parent, dest / "xorlab",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    return dest
+
+
+@pytest.fixture(scope="session")
+def c_package(tmp_path_factory):
+    """A directory holding a copy of xorlab with its C kernels built in;
+    put it on PYTHONPATH to import that copy."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler: `cc` is not on PATH")
+    root = copy_package(tmp_path_factory.mktemp("cbackend"))
+    pkg = root / "xorlab"
+    cmd = [cc, *CFLAGS, "-o", str(pkg / kernels._LIBRARY_NAME),
+           str(pkg / "kern.c"), "-lm"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        pytest.fail(f"compiling kern.c failed: {' '.join(cmd)}\n"
+                    f"{proc.stderr}", pytrace=False)
+    return root
+
+
+@pytest.fixture
+def bare_package(tmp_path):
+    """A directory holding a copy of xorlab with no compiled kernels."""
+    return copy_package(tmp_path)
+
+
+@pytest.fixture(scope="session")
+def ckern(c_package):
+    """The compiled backend, loaded from c_package."""
+    from xorlab import _cbackend
+    return _cbackend.load(str(c_package / "xorlab" / kernels._LIBRARY_NAME))
+
 
 _CRITERION = re.compile(r"test_criterion_(\d{2})_(\w+?)(?:\[|$)")
 _verdicts: dict = {}

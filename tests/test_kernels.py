@@ -1,5 +1,8 @@
-"""Backend contract: the compiled extension and the pure-Python kernels
-must agree bit for bit on every exported operation."""
+"""Backend contract: the compiled kernels and the pure-Python kernels
+must agree bit for bit on every exported operation.
+
+The compiled backend comes from the ckern and c_package fixtures
+(tests/conftest.py), which build kern.c with the system cc."""
 
 import math
 import os
@@ -11,9 +14,6 @@ import pytest
 from xorlab import kernels
 from xorlab.errors import DomainError
 
-HAVE_C = "c" in kernels.available_backends()
-needs_c = pytest.mark.skipif(not HAVE_C, reason="compiled backend missing")
-
 XOR_XS = [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
 XOR_TS = [0.0, 1.0, 1.0, 0.0]
 
@@ -23,6 +23,8 @@ CASES = [
     ([2, 2, 1], [3, 3]),          # relu-relu
     ([2, 3, 1], [2, 1]),          # sigmoid-tanh
     ([2, 2, 2, 1], [0, 1, 3]),    # id-tanh-relu
+    ([2, 9, 1], [2, 0]),          # sigmoid-id, wide
+    ([2, 4, 4, 1], [1, 3, 2]),    # tanh-relu-sigmoid
 ]
 
 
@@ -36,14 +38,27 @@ def test_backend_selection():
         kernels.get_backend("fortran")
 
 
-@needs_c
-def test_env_override_forces_backend():
+def _run_kernels(package, code, backend=None):
+    env = dict(os.environ, PYTHONPATH=str(package))
+    env.pop("XORLAB_BACKEND", None)
+    if backend is not None:
+        env["XORLAB_BACKEND"] = backend
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_env_override_forces_backend(c_package):
     code = "import xorlab.kernels as k; print(k.BACKEND)"
     for choice in ("python", "c"):
-        env = dict(os.environ, XORLAB_BACKEND=choice)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == choice
+        assert _run_kernels(c_package, code, choice) == choice
+    assert _run_kernels(c_package, code) == "c"
+
+
+def test_no_library_selects_python_without_ctypes(bare_package):
+    code = ("import sys, xorlab.kernels as k; print(k.BACKEND, "
+            "k.available_backends(), 'ctypes' in sys.modules)")
+    assert _run_kernels(bare_package, code) == "python ('python',) False"
 
 
 def test_rng_stream_is_deterministic():
@@ -54,37 +69,31 @@ def test_rng_stream_is_deterministic():
     assert all(0.0 <= v < 1.0 for v in a)
 
 
-@needs_c
-def test_rng_stream_parity():
-    c = kernels.get_backend("c")
+def test_rng_stream_parity(ckern):
     py = kernels.get_backend("python")
     for seed in (0, 1, 2**63, 2**64 - 1):
-        assert list(c.rng_uniform(seed, 64)) == list(py.rng_uniform(seed, 64))
+        assert ckern.rng_uniform(seed, 64) == py.rng_uniform(seed, 64)
 
 
-@needs_c
-def test_sse_dataset_parity():
-    c = kernels.get_backend("c")
+def test_sse_dataset_parity(ckern):
     py = kernels.get_backend("python")
     for sizes, acts in CASES:
         nw = sum(sizes[l + 1] * (sizes[l] + 1) for l in range(len(sizes) - 1))
         w = [((k * 37) % 11 - 5) / 7.0 for k in range(nw)]
-        got_c = c.sse_dataset(sizes, acts, w, XOR_XS, XOR_TS)
+        got_c = ckern.sse_dataset(sizes, acts, w, XOR_XS, XOR_TS)
         got_py = py.sse_dataset(sizes, acts, w, XOR_XS, XOR_TS)
         assert got_c == got_py   # bitwise
 
 
-@needs_c
 @pytest.mark.parametrize("per_sample", [1, 0])
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c[0])))
-def test_train_run_parity(case, per_sample):
+def test_train_run_parity(case, per_sample, ckern):
     sizes, acts = case
-    c = kernels.get_backend("c")
     py = kernels.get_backend("python")
     for seed in (0, 7):
         args = (sizes, acts, XOR_XS, XOR_TS, 0.3, 120, 1e-3, per_sample,
                 seed, 1.0, 1)
-        wc, ic, sc, stc, tc = c.train_run(*args)
+        wc, ic, sc, stc, tc = ckern.train_run(*args)
         wp, ip, sp, stp, tp = py.train_run(*args)
         assert list(wc) == list(wp)
         assert (ic, stc) == (ip, stp)
@@ -92,16 +101,14 @@ def test_train_run_parity(case, per_sample):
         assert list(tc) == list(tp)
 
 
-@needs_c
-def test_project_grid_parity():
-    c = kernels.get_backend("c")
+def test_project_grid_parity(ckern):
     py = kernels.get_backend("python")
     sizes, acts = [2, 2, 1], [1, 1]
     w = [0.1, -0.1, 0.2, -0.2, 0.3, 0.1, -0.4, -0.2, 0.3]
     avals = [-2.0 + i * 0.5 for i in range(9)]
     bvals = [-1.0 + i * 0.25 for i in range(9)]
-    got_c = c.project_grid(sizes, acts, w, XOR_XS, XOR_TS, 0, 5,
-                           avals, bvals)
+    got_c = ckern.project_grid(sizes, acts, w, XOR_XS, XOR_TS, 0, 5,
+                               avals, bvals)
     got_py = py.project_grid(sizes, acts, w, XOR_XS, XOR_TS, 0, 5,
                              avals, bvals)
     assert list(got_c) == list(got_py)
@@ -131,15 +138,13 @@ def test_status_codes():
     assert status == 3 and not math.isfinite(sse)
 
 
-@needs_c
-def test_status_codes_parity_on_wild_configs():
-    c = kernels.get_backend("c")
+def test_status_codes_parity_on_wild_configs(ckern):
     py = kernels.get_backend("python")
     for lr in (100.0, 1e10, 1e100, 1e200):
         for seed in (3, 9):
             args = ([2, 2, 1], [0, 0], XOR_XS, XOR_TS, lr, 200, 1e-3, 0,
                     seed, 1.0, 0)
-            wc, ic, sc, stc, _ = c.train_run(*args)
+            wc, ic, sc, stc, _ = ckern.train_run(*args)
             wp, ip, sp, stp, _ = py.train_run(*args)
             assert (ic, stc) == (ip, stp)
             assert (sc == sp) or (math.isnan(sc) and math.isnan(sp))
@@ -156,3 +161,36 @@ def test_trajectory_recording():
     _, _, _, _, empty = py.train_run([2, 2, 1], [1, 1], XOR_XS, XOR_TS,
                                      0.5, 40, 1e-12, 1, 5, 1.0, 0)
     assert list(empty) == []
+
+
+def test_c_backend_checks_arguments(ckern):
+    # ctypes would wrap an int too large for a C int, and the C side
+    # trusts its buffers: both are checked before the call
+    args = dict(sizes=[2, 2, 1], acts=[1, 1], xs=XOR_XS, ts=XOR_TS, lr=0.5,
+                max_iters=40, tol=1e-3, per_sample=1, seed=5, init_range=1.0,
+                record=0)
+    for key, value in (("max_iters", 2**31), ("sizes", [2, 2**32 + 2, 1]),
+                       ("acts", [1, 2**31])):
+        with pytest.raises(OverflowError):
+            ckern.train_run(**dict(args, **{key: value}))
+    with pytest.raises(OverflowError):
+        ckern.rng_uniform(1, 2**31)
+    w = [0.1] * 9
+    with pytest.raises(IndexError):
+        ckern.project_grid([2, 2, 1], [1, 1], w, XOR_XS, XOR_TS, 0, 9,
+                           [0.0], [0.0])
+    with pytest.raises(IndexError):
+        ckern.sse_dataset([2, 2, 1], [1, 1], w[:8], XOR_XS, XOR_TS)
+    with pytest.raises(ValueError):
+        ckern.sse_dataset([2, 0, 1], [1, 1], w, XOR_XS, XOR_TS)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_trajectory_grows_with_iterations_run(backend, request):
+    # the largest max_iters a C int holds; the run converges at once, so
+    # only the iterations actually run may be stored
+    mod = (request.getfixturevalue("ckern") if backend == "c"
+           else kernels.get_backend("python"))
+    _, iters, sse, status, traj = mod.train_run(
+        [2, 2, 1], [1, 1], XOR_XS, XOR_TS, 0.5, 2**31 - 1, 10.0, 1, 5, 1.0, 1)
+    assert (iters, status, traj) == (1, 0, [sse])
