@@ -1,9 +1,11 @@
 """Time the kernels and the classifier.
 
-Kernel section: both backends are driven through the same raw entry
-points with identical arguments, results are checked for bitwise
-equality first, then each workload is timed (best of --repeats).  It is
-skipped when the compiled backend is not built.
+Kernel section: every available backend is driven through the same raw
+entry points with identical arguments, results are checked for bitwise
+equality first, then each workload is timed (best of --repeats).  The
+backends are timed call by call in turn, in one process, so that drift
+in the host's speed hits them alike.  Without a built library only the
+Python backend is timed.
 
 Library section: trainer.classify on one fixed tanh net and one fixed
 relu net (both fall through to the F_s fit), on the default backend.
@@ -31,14 +33,19 @@ ACTS = [1, 1]           # tanh, tanh
 N_WEIGHTS = 9           # 2*(2+1) + 1*(2+1)
 
 
-def _best_of(fn, repeats):
-    fn()                # warmup
-    best = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
+def _best_of(fns, repeats):
+    """Best time of each fn, calling them in turn and rotating the order
+    every repeat."""
+    for fn in fns:
+        fn()            # warmup; the Python backend generates its code here
+    n = len(fns)
+    best = [float("inf")] * n
+    for r in range(repeats):
+        for j in range(n):
+            k = (j + r) % n
+            t0 = time.perf_counter()
+            fns[k]()
+            best[k] = min(best[k], time.perf_counter() - t0)
     return best
 
 
@@ -82,23 +89,22 @@ def _fixed_net(spec, flat_layers):
 
 
 def _kernel_section(args):
-    names = available_backends()
-    if "c" not in names:
-        print("kernels: compiled backend not available; skipped")
-        return 0
-    backends = [(n, get_backend(n)) for n in ("python", "c")]
+    names = [n for n in ("python", "c") if n in available_backends()]
+    backends = [get_backend(n) for n in names]
 
-    print(f"kernels: {', '.join(n for n, _ in backends)}")
+    print(f"kernels: {', '.join(names)}")
     for label, work in _workloads(args):
-        results = [work(mod) for _, mod in backends]
-        if results[0] != results[1]:
+        results = [work(mod) for mod in backends]
+        if any(r != results[0] for r in results[1:]):
             print(f"{label}: BACKEND MISMATCH")
             return 1
-        times = [_best_of(lambda m=mod: work(m), args.repeats)
-                 for _, mod in backends]
-        speedup = times[0] / times[1] if times[1] > 0 else float("inf")
-        print(f"{label:38s} python {times[0] * 1e3:9.2f} ms   "
-              f"c {times[1] * 1e3:9.2f} ms   speedup {speedup:6.1f}x")
+        times = _best_of([lambda m=mod: work(m) for mod in backends],
+                         args.repeats)
+        line = f"{label:38s} " + "   ".join(
+            f"{n} {t * 1e3:9.2f} ms" for n, t in zip(names, times))
+        if len(times) == 2:
+            line += f"   speedup {times[0] / times[1]:6.1f}x"
+        print(line)
     return 0
 
 
@@ -107,7 +113,7 @@ def _library_section(args):
     for tag, spec, tol, layers in FIXED_NETS:
         net = _fixed_net(spec, layers)
         label = classify(net, tol=tol)
-        dt = _best_of(lambda: classify(net, tol=tol), args.repeats)
+        dt, = _best_of([lambda: classify(net, tol=tol)], args.repeats)
         print(f"{'classify ' + tag + ' net, tol ' + format(tol, 'g'):38s} "
               f"{dt * 1e3:9.2f} ms   {label.render()} "
               f"max_deviation={label.max_deviation!r}")

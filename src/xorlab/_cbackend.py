@@ -18,7 +18,7 @@ import operator
 from ctypes import POINTER, byref, c_double, c_int, c_uint64, c_void_p
 from types import SimpleNamespace
 
-from ._pycore import MASK64, SSE_BLOWUP
+from ._pycore import MASK64, SSE_BLOWUP, check_network, check_weights
 
 _INT_MAX = 2 ** (8 * ctypes.sizeof(c_int) - 1) - 1
 _DP = POINTER(c_double)
@@ -56,9 +56,8 @@ def _ok(rc: int) -> int:
 def _problem(sizes, acts, xs, ts):
     """C arguments for a network and a dataset, plus the weight count."""
     sizes = [_cint(s) for s in sizes]
+    check_network(sizes, acts)
     nlayers = len(sizes) - 1
-    if nlayers < 1 or min(sizes) < 1 or len(acts) < nlayers:
-        raise ValueError(f"not a network: sizes {sizes}, acts {list(acts)}")
     n_weights = _cint(sum(sizes[l + 1] * (sizes[l] + 1)
                           for l in range(nlayers)))
     n_samples = _cint(len(ts))
@@ -70,8 +69,7 @@ def _problem(sizes, acts, xs, ts):
 
 
 def _weights(w, n_weights):
-    if len(w) < n_weights:
-        raise IndexError(f"{len(w)} weights, the network has {n_weights}")
+    check_weights(w, n_weights)
     return _doubles(w)
 
 

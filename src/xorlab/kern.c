@@ -1,25 +1,27 @@
 /* Compiled training and projection kernels, bound through ctypes by
  * xorlab._cbackend.
  *
- * Mirrors _pycore.py operation for operation: the same splitmix64
- * stream, the same accumulation order, constants and update expressions,
- * and the same status codes, so both backends produce bit-identical
- * floats.  Keep the two files in lockstep when editing either.  Build
- * with -ffp-contract=off: a fused multiply-add rounds differently from
- * the separate multiply and add that Python performs.  setup.py also
- * passes -fno-tree-vectorize, because vectorizing the 2- to 9-term dot
- * products only adds overhead.
+ * Mirrors the loop reference in tests/loop_kernels.py operation for
+ * operation: the same splitmix64 stream as _pycore.py, the same
+ * accumulation order, constants and update expressions, and the same
+ * status codes.  The Python backend's generated code follows the same
+ * reference, so both backends produce bit-identical floats.  Keep them
+ * in lockstep when editing any of them.  Build with -ffp-contract=off:
+ * a fused multiply-add rounds differently from the separate multiply and
+ * add that Python performs.  setup.py also passes -fno-tree-vectorize,
+ * because vectorizing the 2- to 9-term dot products only adds overhead.
  *
  * Layout conventions (see _pycore.py):
  *   sizes[0..nlayers]  layer widths including the input
  *   acts[0..nlayers-1] one code per non-input layer:
- *                      0 id, 1 tanh, 2 sigmoid, 3 relu
+ *                      0 id, 1 tanh, 2 sigmoid, 3 relu (and any
+ *                      other code)
  *   w                  all layer matrices flattened row-major and
  *                      concatenated, each row (incoming weights..., bias)
  *   xs, ts             sample inputs row-major, one target per sample
  *
  * The caller checks shapes and passes buffers of the right lengths.
- * Functions that allocate return -1 when malloc fails, 0 otherwise;
+ * Functions that allocate return -1 when an allocation fails, 0 otherwise;
  * train_run returns its status code 0..3 instead of 0.
  */
 
@@ -105,7 +107,9 @@ static int net_init(Net *n, int nlayers, const int *sizes, const int *acts)
         n->uoffs[l + 1] = n->uoffs[l] + sizes[l + 1];
     }
     units = n->uoffs[nlayers];
-    n->pre = malloc(3 * (size_t)units * sizeof(double));
+    /* zeroed: backward writes only the first output unit's delta, and
+     * the updates read the others as 0.0 */
+    n->pre = calloc(3 * (size_t)units, sizeof(double));
     if (n->pre == NULL) {
         free(n->offs);
         return -1;

@@ -2,12 +2,13 @@
 
 Two interchangeable implementations exist: compiled C (kern.c, built by
 setup.py into the shared library _kern.so next to this file and bound
-through ctypes by xorlab._cbackend) and the pure-Python reference
-(xorlab._pycore).  They produce bit-identical results; the compiled one
-is just faster.  The default picks the compiled backend when its library
-is built and loads, and falls back to Python; without a library, ctypes
-is never imported.  Set XORLAB_BACKEND=c or XORLAB_BACKEND=python to
-force one.
+through ctypes by xorlab._cbackend) and pure Python (xorlab._pycore,
+which generates straight-line code per network shape on first use).
+Both produce results bit-identical to the loop reference in
+tests/loop_kernels.py; the compiled one is just faster.  The default
+picks the compiled backend when its library is built and loads, and
+falls back to Python; without a library, ctypes is never imported.  Set
+XORLAB_BACKEND=c or XORLAB_BACKEND=python to force one.
 """
 
 from __future__ import annotations

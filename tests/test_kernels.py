@@ -1,18 +1,25 @@
-"""Backend contract: the compiled kernels and the pure-Python kernels
-must agree bit for bit on every exported operation.
+"""Backend contract: the compiled kernels, the generated pure-Python
+kernels and the loop reference (loop_kernels.py) must agree bit for bit
+on every exported operation.
 
 The compiled backend comes from the ckern and c_package fixtures
 (tests/conftest.py), which build kern.c with the system cc."""
 
 import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xorlab import kernels
+import loop_kernels
+from xorlab import _pycore, kernels
+from xorlab.datasets import builtin
 from xorlab.errors import DomainError
+from xorlab.trainer import TrainConfig, sweep
 
 XOR_XS = [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
 XOR_TS = [0.0, 1.0, 1.0, 0.0]
@@ -25,6 +32,8 @@ CASES = [
     ([2, 2, 2, 1], [0, 1, 3]),    # id-tanh-relu
     ([2, 9, 1], [2, 0]),          # sigmoid-id, wide
     ([2, 4, 4, 1], [1, 3, 2]),    # tanh-relu-sigmoid
+    ([2, 3, 2], [1, 2]),          # tanh-sigmoid, two outputs (the first
+                                  # is trained, the second's delta is 0)
 ]
 
 
@@ -194,3 +203,138 @@ def test_trajectory_grows_with_iterations_run(backend, request):
     _, iters, sse, status, traj = mod.train_run(
         [2, 2, 1], [1, 1], XOR_XS, XOR_TS, 0.5, 2**31 - 1, 10.0, 1, 5, 1.0, 1)
     assert (iters, status, traj) == (1, 0, [sse])
+
+
+# -- the generated Python kernels and C against the loop reference ----------
+
+SEEDS = (0, 7, 2**64 - 1, -5)
+
+
+@pytest.fixture(scope="session", params=["python", "c"])
+def kern(request):
+    """Each backend in turn; the c one skips when no cc is on PATH."""
+    if request.param == "c":
+        return request.getfixturevalue("ckern")
+    return kernels.get_backend("python")
+
+
+def _n_weights(sizes):
+    return sum(sizes[l + 1] * (sizes[l] + 1) for l in range(len(sizes) - 1))
+
+
+def _same_train_run(mod, *args):
+    assert repr(mod.train_run(*args)) == repr(loop_kernels.train_run(*args))
+
+
+@pytest.mark.parametrize("per_sample", [1, 0])
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c[0])))
+def test_train_run_matches_loop_reference(case, per_sample, kern):
+    sizes, acts = case
+    for record in (0, 1):
+        for seed in SEEDS:
+            _same_train_run(kern, sizes, acts, XOR_XS, XOR_TS, 0.3, 120,
+                            1e-3, per_sample, seed, 1.0, record)
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_wild_lr_status_matches_loop_reference(code, kern):
+    for sizes in ([2, 2, 1], [2, 3, 2]):
+        for lr in (100.0, 1e10, 1e100, 1e200):
+            for seed in (3, 9):
+                for per_sample in (0, 1):
+                    _same_train_run(kern, sizes, [code, code], XOR_XS,
+                                    XOR_TS, lr, 200, 1e-3, per_sample, seed,
+                                    1.0, 1)
+
+
+def test_random_datasets_match_loop_reference(kern):
+    rng = random.Random(20)
+    for _ in range(40):
+        n = rng.randint(0, 7)
+        xs = [rng.uniform(-2.0, 2.0) for _ in range(2 * n)]
+        ts = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        acts = [rng.randint(0, 3), rng.randint(0, 3)]
+        _same_train_run(kern, [2, 3, 1], acts, xs, ts, 0.2, 60, 1e-4,
+                        rng.randint(0, 1), rng.getrandbits(64), 1.0, 1)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c[0])))
+def test_grid_and_sse_match_loop_reference(case, kern):
+    sizes, acts = case
+    n = _n_weights(sizes)
+    w = [((k * 37) % 11 - 5) / 7.0 for k in range(n)]
+    assert (repr(kern.sse_dataset(sizes, acts, w, XOR_XS, XOR_TS))
+            == repr(loop_kernels.sse_dataset(sizes, acts, w, XOR_XS, XOR_TS)))
+    axis = [-3.0 + 0.75 * k for k in range(9)]
+    for ia, ib in ((0, n - 1), (n - 1, 0), (1, -1)):
+        args = (sizes, acts, w, XOR_XS, XOR_TS, ia, ib, axis, axis[:5])
+        assert (repr(kern.project_grid(*args))
+                == repr(loop_kernels.project_grid(*args)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=4),
+       st.lists(st.integers(0, 3), min_size=3, max_size=3),
+       st.integers(0, 2**64 - 1), st.booleans())
+def test_random_shapes_match_loop_reference(kern, sizes, codes, seed,
+                                            per_sample):
+    # depth 1-3, every width (input and output too) 1-5, codes 0-3
+    acts = codes[:len(sizes) - 1]
+    rng = random.Random(seed)
+    xs = [rng.uniform(-1.5, 1.5) for _ in range(3 * sizes[0])]
+    ts = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+    n = _n_weights(sizes)
+    w = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+    axis = [-1.0, 0.25, 2.0]
+    _same_train_run(kern, sizes, acts, xs, ts, 0.4, 15, 1e-6, per_sample,
+                    seed, 1.0, 1)
+    assert (repr(kern.sse_dataset(sizes, acts, w, xs, ts))
+            == repr(loop_kernels.sse_dataset(sizes, acts, w, xs, ts)))
+    args = (sizes, acts, w, xs, ts, seed % n, -1, axis, axis)
+    assert (repr(kern.project_grid(*args))
+            == repr(loop_kernels.project_grid(*args)))
+
+
+def test_sweep_generates_the_kernel_once(monkeypatch):
+    monkeypatch.setattr(kernels, "train_run", _pycore.train_run)
+    _pycore._compiled.cache_clear()
+    sweep("2-2-1/inp-relu-relu", builtin("boolean_xor"),
+          TrainConfig(seed=3, max_iters=200), 5)
+    info = _pycore._compiled.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def test_generated_code_names_its_shape():
+    run = _pycore._compiled("train_run", (2, 2, 1), (3, 3), True)
+    assert (run.__code__.co_filename
+            == "<xorlab train_run 2-2-1 relu-relu per_sample>")
+
+
+# -- one shape check for both backends ----------------------------------------
+
+def test_both_backends_check_shapes(kern):
+    w = [0.1] * 9
+    for sizes, acts in (([2, 0, 1], [1, 1]), ([2], [1]), ([2, 2, 1], [1])):
+        with pytest.raises(ValueError, match="not a network"):
+            kern.sse_dataset(sizes, acts, w, XOR_XS, XOR_TS)
+        with pytest.raises(ValueError, match="not a network"):
+            kern.train_run(sizes, acts, XOR_XS, XOR_TS, 0.5, 5, 1e-3, 1, 0,
+                          1.0, 0)
+        with pytest.raises(ValueError, match="not a network"):
+            kern.project_grid(sizes, acts, w, XOR_XS, XOR_TS, 0, 1, [0.0],
+                             [0.0])
+    with pytest.raises(IndexError):
+        kern.train_run([2, 2, 1], [1, 1], XOR_XS[:7], XOR_TS, 0.5, 5, 1e-3,
+                      1, 0, 1.0, 0)
+    with pytest.raises(IndexError):
+        kern.sse_dataset([2, 2, 1], [1, 1], w[:8], XOR_XS, XOR_TS)
+    for ia, ib in ((9, 0), (0, -10), (11, 2)):
+        with pytest.raises(IndexError):
+            kern.project_grid([2, 2, 1], [1, 1], w, XOR_XS, XOR_TS, ia, ib,
+                             [0.0, 1.0], [0.5])
+    # extra weights are ignored, also when a grid slot points at one
+    assert (kern.sse_dataset([2, 2, 1], [1, 1], w + [5.0], XOR_XS, XOR_TS)
+            == kern.sse_dataset([2, 2, 1], [1, 1], w, XOR_XS, XOR_TS))
+    base = kern.sse_dataset([2, 2, 1], [1, 1], w, XOR_XS, XOR_TS)
+    assert kern.project_grid([2, 2, 1], [1, 1], w + [5.0, 6.0], XOR_XS,
+                            XOR_TS, 9, -1, [0.0, 1.0], [2.0]) == [base, base]
