@@ -1,24 +1,40 @@
-"""Time the kernels and the classifier.
+"""Time the kernels, the surface scan and writer, and the classifier.
 
 Kernel section: every available backend is driven through the same raw
 entry points with identical arguments, results are checked for bitwise
-equality first, then each workload is timed (best of --repeats).  The
-backends are timed call by call in turn, in one process, so that drift
-in the host's speed hits them alike.  Without a built library only the
-Python backend is timed.
+equality first, then each workload is timed.  The backends are timed
+call by call in turn, in one process, so that drift in the host's speed
+hits them alike.  Without a built library only the Python backend is
+timed.  project_grid is timed once per pair class of the 2-2-1 net:
+two first-layer weights (L1xL1), a first-layer and an output weight
+(L1xL2), and two output weights (L2xL2).
 
-Library section: trainer.classify on one fixed tanh net and one fixed
-relu net (both fall through to the F_s fit), on the default backend.
+Library section, on the default backend: surface.landscape_stats and
+surface.emit_grid_csv over the 101x101 grids of all 36 weight pairs of
+one fixed tanh net and one fixed relu net (the time per grid), and
+trainer.classify on both nets (both fall through to the F_s fit).
+
+Every item reports the best of --repeats timings and their spread (the
+median and the worst).  --json PATH also writes them, with the Python
+version and the backends, as one JSON document.
 
 Run from a checkout with the package installed:
 
     python benchmarks/bench_kernels.py
     python benchmarks/bench_kernels.py --iters 5000 --steps 161
+    python benchmarks/bench_kernels.py --json bench.json
 """
 
 import argparse
+import json
+import platform
+import statistics
+import tempfile
 import time
+from pathlib import Path
 
+from xorlab import surface
+from xorlab.datasets import builtin
 from xorlab.kernels import BACKEND, available_backends, get_backend
 from xorlab.linalg import Matrix
 from xorlab.network import Network, parse_spec
@@ -32,21 +48,39 @@ SIZES = [2, 2, 1]
 ACTS = [1, 1]           # tanh, tanh
 N_WEIGHTS = 9           # 2*(2+1) + 1*(2+1)
 
+# one flat slot pair per class: w1_11 x w1_22, w1_11 x w2_11, w2_11 x w2_12
+PAIR_CLASSES = (("L1xL1", 0, 4), ("L1xL2", 0, 6), ("L2xL2", 6, 7))
 
-def _best_of(fns, repeats):
-    """Best time of each fn, calling them in turn and rotating the order
-    every repeat."""
+
+def _timings(fns, repeats):
+    """Every timing of each fn, calling them in turn and rotating the
+    order every repeat."""
     for fn in fns:
         fn()            # warmup; the Python backend generates its code here
     n = len(fns)
-    best = [float("inf")] * n
+    times = [[] for _ in range(n)]
     for r in range(repeats):
         for j in range(n):
             k = (j + r) % n
             t0 = time.perf_counter()
             fns[k]()
-            best[k] = min(best[k], time.perf_counter() - t0)
-    return best
+            times[k].append(time.perf_counter() - t0)
+    return times
+
+
+def _item(name, backend, seconds, per=1):
+    """One report entry: best, median and worst of the timings, in ms
+    per unit of work (per grid when one timing covers several)."""
+    ms = sorted(t * 1e3 / per for t in seconds)
+    return {"name": name, "backend": backend, "repeats": len(ms),
+            "best_ms": ms[0], "median_ms": statistics.median(ms),
+            "max_ms": ms[-1]}
+
+
+def _show(item, note=""):
+    print(f"{item['name']:38s} {item['backend']:6s} "
+          f"{item['best_ms']:9.3f} ms  (median {item['median_ms']:.3f}, "
+          f"max {item['max_ms']:.3f}){note}")
 
 
 def _workloads(args):
@@ -57,14 +91,13 @@ def _workloads(args):
     base = get_backend("python").rng_uniform(args.seed, N_WEIGHTS)
     axis = [-5.0 + 10.0 * k / (args.steps - 1) for k in range(args.steps)]
 
-    def grid(mod):
-        return mod.project_grid(SIZES, ACTS, base, XOR_XS, XOR_TS,
-                                0, 4, axis, axis)
+    def grid(ia, ib):
+        return lambda mod: mod.project_grid(SIZES, ACTS, base, XOR_XS,
+                                            XOR_TS, ia, ib, axis, axis)
 
-    return [
-        (f"train_run {args.iters} iters per-sample", train),
-        (f"project_grid {args.steps}x{args.steps}", grid),
-    ]
+    return [(f"train_run {args.iters} iters per-sample", train)] + [
+        (f"project_grid {args.steps}x{args.steps} {cls}", grid(ia, ib))
+        for cls, ia, ib in PAIR_CLASSES]
 
 
 # converged boolean-xor nets (trainer seeds 0 at lr 0.5, and 29), both
@@ -88,7 +121,7 @@ def _fixed_net(spec, flat_layers):
         for (rows, cols), flat in zip(topo.weight_shapes(), flat_layers)))
 
 
-def _kernel_section(args):
+def _kernel_section(args, items):
     names = [n for n in ("python", "c") if n in available_backends()]
     backends = [get_backend(n) for n in names]
 
@@ -98,31 +131,52 @@ def _kernel_section(args):
         if any(r != results[0] for r in results[1:]):
             print(f"{label}: BACKEND MISMATCH")
             return 1
-        times = _best_of([lambda m=mod: work(m) for mod in backends],
+        times = _timings([lambda m=mod: work(m) for mod in backends],
                          args.repeats)
-        line = f"{label:38s} " + "   ".join(
-            f"{n} {t * 1e3:9.2f} ms" for n, t in zip(names, times))
-        if len(times) == 2:
-            line += f"   speedup {times[0] / times[1]:6.1f}x"
-        print(line)
+        for name, seconds in zip(names, times):
+            note = ""
+            if name == "c" and len(times) == 2:
+                note = f"   speedup {min(times[0]) / min(seconds):.1f}x"
+            items.append(_item(label, name, seconds))
+            _show(items[-1], note)
     return 0
 
 
-def _library_section(args):
+def _library_section(args, items):
     print(f"library: backend {BACKEND}")
-    for tag, spec, tol, layers in FIXED_NETS:
-        net = _fixed_net(spec, layers)
+    data = builtin("boolean_xor")
+    nets = [(tag, _fixed_net(spec, layers), tol)
+            for tag, spec, tol, layers in FIXED_NETS]
+    grids = [surface.project(net, data, a, b, steps=args.steps)
+             for _, net, _ in nets
+             for a, b in surface.enumerate_pairs(net.topology)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "grid.csv"
+        work = (
+            ("landscape_stats",
+             lambda: [surface.landscape_stats(g) for g in grids]),
+            ("emit_grid_csv",
+             lambda: [surface.emit_grid_csv(g, out) for g in grids]))
+        for label, fn in work:
+            seconds, = _timings([fn], args.repeats)
+            items.append(_item(
+                f"{label} {args.steps}x{args.steps}, per grid", BACKEND,
+                seconds, per=len(grids)))
+            _show(items[-1], f"   over {len(grids)} grids")
+    for tag, net, tol in nets:
         label = classify(net, tol=tol)
-        dt, = _best_of([lambda: classify(net, tol=tol)], args.repeats)
-        print(f"{'classify ' + tag + ' net, tol ' + format(tol, 'g'):38s} "
-              f"{dt * 1e3:9.2f} ms   {label.render()} "
-              f"max_deviation={label.max_deviation!r}")
+        seconds, = _timings([lambda: classify(net, tol=tol)], args.repeats)
+        items.append(_item(f"classify {tag} net, tol {tol:g}", BACKEND,
+                           seconds))
+        _show(items[-1], f"   {label.render()} "
+                         f"max_deviation={label.max_deviation!r}")
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
         description="compare kernel backends on training and projection, "
-                    "and time the classifier")
+                    "and time the surface scan, the grid writer and the "
+                    "classifier")
     ap.add_argument("--iters", type=int, default=2000,
                     help="training iterations per run (default 2000)")
     ap.add_argument("--steps", type=int, default=101,
@@ -130,11 +184,25 @@ def main(argv=None):
     ap.add_argument("--repeats", type=int, default=5,
                     help="timing repeats, best is reported (default 5)")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--json", metavar="PATH", default=None,
+                    help="also write the results as JSON to PATH")
     args = ap.parse_args(argv)
 
-    if _kernel_section(args):
+    items = []
+    if _kernel_section(args, items):
         return 1
-    _library_section(args)
+    _library_section(args, items)
+    if args.json:
+        doc = {"python": platform.python_version(),
+               "implementation": platform.python_implementation(),
+               "machine": platform.machine(),
+               "default_backend": BACKEND,
+               "available_backends": list(available_backends()),
+               "iters": args.iters, "steps": args.steps,
+               "repeats": args.repeats, "seed": args.seed, "items": items}
+        with open(args.json, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
     return 0
 
 

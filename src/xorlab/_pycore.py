@@ -6,13 +6,19 @@ delta and update is unrolled, and the activations are chosen while the
 code is generated.  The code is compiled on first use (never at import)
 and cached per (kernel, sizes, activation codes, mode), under a filename
 naming the shape, e.g. "<xorlab train_run 2-2-1 relu-relu per_sample>".
-Only integers derived from sizes, activation codes and indices enter the
+project_grid is generated per shape and pair of varied weight slots, in
+a cache of its own, e.g. "<xorlab project_grid 2-2-1 tanh-tanh a=w0
+b=w6>": each unit is computed before the grid loops, once per row or
+once per cell, whichever is the outermost its inputs allow.  Only
+integers derived from sizes, activation codes and indices enter the
 generated text.
 
 The generated code performs the same float operations in the same order
 as the loop reference kept in tests/loop_kernels.py, which kern.c (bound
 through ctypes by _cbackend) also mirrors, so every backend produces
 bit-identical floats; keep them in lockstep when editing any of them.
+(Hoisting a unit out of the project_grid loops changes how often it is
+computed, not its operands or their order.)
 network.SIGMOID uses _sigmoid from here, so the sigmoid is written once
 in Python.
 
@@ -276,18 +282,76 @@ class _Source:
             f"    return [{self.weights}], iters, sse, status, traj",
         ]
 
-    def project_grid(self) -> list:
-        # w holds the network's weights plus one scratch slot
+    def project_grid(self, a, b) -> list:
+        """SSE per cell with weight a bound to each avals entry in the
+        outer loop and weight b to each bvals entry in the inner one.
+
+        A slot given as None changes nothing.  Each unit is computed once
+        per sample at the outermost loop its inputs allow: before both
+        loops (level 0) when neither slot reaches it, once per avals
+        entry (level 1) when only a does, once per cell (level 2)
+        otherwise.  The per-sample values a later level reads are carried
+        in a list of tuples per level, in sample order, and sse is summed
+        at the output unit's level, so every float is the one the loop
+        reference computes.  Only the first output unit feeds the error;
+        the other output units are not computed.
+        """
+        n_in = self.sizes[0]
+        slot_level = {a: 1, b: 2}   # a is None when it equals b: b wins
+        names = [f"a0_{j}" for j in range(n_in)] + ["t"]
+        level = dict.fromkeys(names, 0)
+        uses = {}           # unit output (and "sse") -> the values read
+        work = ([], [], [])         # the forward lines of each level
+        for l in range(1, self.top + 1):
+            n_prev = self.sizes[l - 1]
+            ins = [f"a{l - 1}_{j}" for j in range(n_prev)]
+            for i in range(self.sizes[l] if l < self.top else 1):
+                row = self.offs[l - 1] + i * (n_prev + 1)
+                out = f"a{l}_{i}"
+                level[out] = max([slot_level.get(row + j, 0)
+                                  for j in range(n_prev + 1)]
+                                 + [level[v] for v in ins])
+                names.append(out)
+                uses[out] = ins
+                z = f"z{l}_{i}"
+                terms = [f"w{row + j} * {v}" for j, v in enumerate(ins)]
+                work[level[out]].extend(
+                    _sum(z, terms + [f"w{row + n_prev}"])
+                    + [f"{out} = " + _ACT[self.acts[l - 1]].format(z=z)])
+        top = level[f"a{self.top}_0"]       # no unit sits deeper
+        uses["sse"] = [f"a{self.top}_0", "t"]
+        level["sse"] = top
+
+        def read_after(k):
+            return {v for u, vs in uses.items() if level[u] > k for v in vs}
+
+        blocks = ([], [], [])
+        source, tuple_of = "data", self.sample
+        for k in range(top + 1):
+            if not work[k]:
+                continue
+            loop = [f"for {tuple_of} in {source}:"]
+            if k == top:
+                blocks[k].extend(["sse = 0.0", *loop] + _indent(
+                    work[k] + [f"e = a{self.top}_0 - t", "sse += e * e"],
+                    1))
+                break
+            later = read_after(k)
+            carry = [v for v in names if level[v] <= k and v in later]
+            tuple_of = ", ".join(carry) + ("," if len(carry) == 1 else "")
+            source = f"c{k}"
+            blocks[k].extend([f"{source} = []", *loop] + _indent(
+                work[k] + [f"{source}.append(({tuple_of}))"], 1))
         return [
-            "def project_grid(w, xs, ts, ia, ib, avals, bvals):",
+            "def project_grid(w, xs, ts, avals, bvals):",
             "    " + self.data,
+            f"    {self.weights} = w",
+            *_indent(blocks[0], 1),
             "    out = []",
-            "    for av in avals:",
-            "        w[ia] = av",
-            "        for bv in bvals:",
-            "            w[ib] = bv",
-            f"            {self.weights}, _ = w",
-            *self._sse(3),
+            f"    for {'_' if a is None else f'w{a}'} in avals:",
+            *_indent(blocks[1], 2),
+            f"        for {'_' if b is None else f'w{b}'} in bvals:",
+            *_indent(blocks[2], 3),
             "            out.append(sse)",
             "    return out",
         ]
@@ -302,23 +366,52 @@ class _Source:
         ]
 
 
+_NAMESPACE = {"tanh": math.tanh, "isfinite": math.isfinite, "inf": math.inf,
+              "_sigmoid": _sigmoid, "_SplitMix": _SplitMix,
+              "SSE_BLOWUP": SSE_BLOWUP}
+
+
+def _build(kernel: str, lines: list, filename: str):
+    namespace = dict(_NAMESPACE)
+    exec(compile("\n".join(lines) + "\n", filename, "exec"), namespace)
+    return namespace[kernel]
+
+
+def _tag(sizes: tuple, acts: tuple) -> str:
+    return (f"{'-'.join(map(str, sizes))} "
+            f"{'-'.join(_ACT_NAMES[c] for c in acts)}")
+
+
 @functools.lru_cache(maxsize=32)
 def _compiled(kernel: str, sizes: tuple, acts: tuple, per_sample=None):
-    """The generated kernel for one shape, built on first use;
-    per_sample is None except for train_run."""
+    """The generated train_run or sse_dataset for one shape, built on
+    first use; per_sample is None except for train_run."""
     source = _Source(sizes, acts)
     if per_sample is None:
         lines, mode = getattr(source, kernel)(), ""
     else:
         lines = source.train_run(per_sample)
         mode = " per_sample" if per_sample else " full_batch"
-    filename = (f"<xorlab {kernel} {'-'.join(map(str, sizes))} "
-                f"{'-'.join(_ACT_NAMES[c] for c in acts)}{mode}>")
-    namespace = {"tanh": math.tanh, "isfinite": math.isfinite,
-                 "inf": math.inf, "_sigmoid": _sigmoid,
-                 "_SplitMix": _SplitMix, "SSE_BLOWUP": SSE_BLOWUP}
-    exec(compile("\n".join(lines) + "\n", filename, "exec"), namespace)
-    return namespace[kernel]
+    return _build(kernel, lines,
+                  f"<xorlab {kernel} {_tag(sizes, acts)}{mode}>")
+
+
+# one kernel per weight pair: all 36 pairs of a 2-2-1 net, for two
+# activation choices, fit with room to spare (each holds about 3 KB)
+_GRID_KERNELS = 128
+
+
+@functools.lru_cache(maxsize=_GRID_KERNELS)
+def _grid_kernel(sizes: tuple, acts: tuple, a, b):
+    """The generated project_grid for one shape and one pair of varied
+    weight slots (None for a slot that changes nothing), built on first
+    use.  A cache of its own, so that the pairs of an all-pairs run do
+    not evict the training kernels."""
+    def slot(k):
+        return "none" if k is None else f"w{k}"
+    return _build("project_grid", _Source(sizes, acts).project_grid(a, b),
+                  f"<xorlab project_grid {_tag(sizes, acts)} "
+                  f"a={slot(a)} b={slot(b)}>")
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +451,16 @@ def project_grid(sizes, acts, w, xs, ts, ia, ib, avals, bvals):
     two flat weight slots ia/ib; returns a row-major flat list (a-major).
 
     IndexError if a slot lies outside w.  A slot past the network's own
-    weights changes nothing, so it is written into a scratch slot.
+    weights changes nothing, and when ia == ib the b value wins, so such
+    an a slot is left out of the generated kernel.
     """
     sizes, acts = _shape(sizes, acts)
     w = list(w)
-    slots = range(len(w))
     work = _weights(sizes, w)
-    scratch = len(work)
-    return _compiled("project_grid", sizes, acts)(
-        work + [0.0], list(xs), list(ts), min(slots[ia], scratch),
-        min(slots[ib], scratch), avals, bvals)
+    slots = range(len(w))
+    ia, ib = slots[ia], slots[ib]
+    n_weights = len(work)
+    a = ia if ia < n_weights and ia != ib else None
+    b = ib if ib < n_weights else None
+    return _grid_kernel(sizes, acts, a, b)(work, list(xs), list(ts), avals,
+                                           bvals)

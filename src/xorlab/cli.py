@@ -382,8 +382,9 @@ def _cmd_surface(args):
     a = surface_mod.parse_coord(names[0])
     b = surface_mod.parse_coord(names[1])
     grid = _surface_grid(args, net, data, a, b)
-    surface_mod.emit_grid_csv(grid, args.out, model_ref=args.model)
+    # the stats can fail (steps < 3): compute them before writing anything
     stats = surface_mod.landscape_stats(grid)
+    surface_mod.emit_grid_csv(grid, args.out, model_ref=args.model)
     _emit(args,
           {"pair": [a.render(), b.render()], "steps": grid.steps,
            "out": args.out, "min_value": stats.min_value,

@@ -20,6 +20,11 @@
  *                      concatenated, each row (incoming weights..., bias)
  *   xs, ts             sample inputs row-major, one target per sample
  *
+ * project_grid here keeps the plain loop of the reference, a full
+ * forward pass per cell; the Python backend's generated project_grid
+ * hoists the units the varied weights cannot reach out of the loops,
+ * which changes how often each float is computed, not its value.
+ *
  * The caller checks shapes and passes buffers of the right lengths.
  * Functions that allocate return -1 when an allocation fails, 0 otherwise;
  * train_run returns its status code 0..3 instead of 0.

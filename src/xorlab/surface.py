@@ -4,6 +4,8 @@ weights with every other weight frozen at a base network's values.
 Grids are a-major: values[i][j] is the SSE with coord_a set to axis_a[i]
 and coord_b set to axis_b[j].  Axis values are computed once here and
 handed to the kernel, so both kernel backends see identical lattices.
+A range must give finite axis values; the SSE cells may still be inf or
+NaN for a wide one, and landscape_stats and emit_grid_csv handle those.
 """
 
 from __future__ import annotations
@@ -152,6 +154,13 @@ def project(net: Network, data: Dataset, a: WeightCoord, b: WeightCoord,
         raise DomainError("ranges must satisfy lo < hi")
     axis_a = _axis(lo_a, hi_a, steps)
     axis_b = _axis(lo_b, hi_b, steps)
+    # an infinite bound, a width hi - lo that overflows, or a step
+    # i * (hi - lo) that does, gives inf or NaN axis values
+    if not all(map(math.isfinite, axis_a + axis_b)):
+        raise DomainError(
+            f"ranges {[lo_a, hi_a]} and {[lo_b, hi_b]} give non-finite axis "
+            f"values at {steps} steps; the bounds, hi - lo and "
+            f"(steps - 1) * (hi - lo) must be finite")
     flat_w = [v for w in net.weights for v in w.entries]
     xs = [v for ins, _ in pairs for v in ins]
     ts = [t for _, t in pairs]
@@ -182,7 +191,15 @@ def landscape_stats(grid: SurfaceGrid) -> LandscapeStats:
 
     A strict local minimum beats every existing neighbor with raw <; ties
     count toward the plateau fraction instead (cells equal to at least one
-    neighbor within 1e-12).
+    neighbor within 1e-12).  The minimum is the first cell in row-major
+    order that no earlier cell beats with <, and NaN cells never count
+    for the minimum or the maximum.
+
+    The scan runs row by row: each row is zipped with the rows above and
+    below and with its copies shifted left and right, a missing neighbor
+    being +inf for the strict test and NaN for the plateau test, neither
+    of which can change a verdict.  min() and max() take a row only when
+    it holds no NaN, since they would not skip one.
     """
     n = grid.steps
     if n < 3:
@@ -193,27 +210,39 @@ def landscape_stats(grid: SurfaceGrid) -> LandscapeStats:
     min_idx = (0, 0)
     strict = 0
     plateau = 0
+    tol = _PLATEAU_TOL
+    inf, nan = math.inf, math.nan
+    inf_row, nan_row = (inf,) * n, (nan,) * n
     for i in range(n):
-        for j in range(n):
-            x = v[i][j]
-            if x < min_val:
-                min_val = x
-                min_idx = (i, j)
-            if x > max_val:
-                max_val = x
-            neigh = []
-            if i > 0:
-                neigh.append(v[i - 1][j])
-            if i < n - 1:
-                neigh.append(v[i + 1][j])
-            if j > 0:
-                neigh.append(v[i][j - 1])
-            if j < n - 1:
-                neigh.append(v[i][j + 1])
-            if all(x < y for y in neigh):
-                strict += 1
-            if any(abs(x - y) <= _PLATEAU_TOL for y in neigh):
-                plateau += 1
+        row = tuple(v[i])
+        total = sum(row)
+        if total == total:                  # no NaN in the row
+            low = min(row)
+            if low < min_val:
+                min_val = low
+                min_idx = (i, row.index(low))
+            high = max(row)
+            if high > max_val:
+                max_val = high
+        else:
+            for j, x in enumerate(row):
+                if x < min_val:
+                    min_val = x
+                    min_idx = (i, j)
+                if x > max_val:
+                    max_val = x
+        above = v[i - 1] if i > 0 else None
+        below = v[i + 1] if i < n - 1 else None
+        left, right = row[:-1], row[1:]
+        strict += sum(1 for x, u, d, l, r in zip(
+            row, above or inf_row, below or inf_row, (inf,) + left,
+            right + (inf,))
+            if x < u and x < d and x < l and x < r)
+        plateau += sum(1 for x, u, d, l, r in zip(
+            row, above or nan_row, below or nan_row, (nan,) + left,
+            right + (nan,))
+            if abs(x - u) <= tol or abs(x - d) <= tol
+            or abs(x - l) <= tol or abs(x - r) <= tol)
     point = (grid.axis_a[min_idx[0]], grid.axis_b[min_idx[1]])
     return LandscapeStats(min_val, min_idx, point, max_val, strict,
                           plateau / (n * n))
@@ -222,15 +251,23 @@ def landscape_stats(grid: SurfaceGrid) -> LandscapeStats:
 def emit_grid_csv(grid: SurfaceGrid, path: "str | Path",
                   model_ref: "str | None" = None) -> None:
     """CSV (wa,wb,err; wa-major; 17 significant digits) plus a companion
-    metadata document at <path>.meta.json."""
+    metadata document at <path>.meta.json.
+
+    The axis_b column is formatted once per grid into a row template, and
+    each row is one write; '%.17g' % x is format(x, '.17g') for every
+    float, inf and NaN included.
+    """
     path = Path(path)
+    n = grid.steps
+    row_format = "".join(f"%s,{format(b, '.17g')},%.17g\n"
+                         for b in grid.axis_b)
+    cells = [None] * (2 * n)
     with open(path, "w", newline="") as fh:
         fh.write("wa,wb,err\n")
-        for i in range(grid.steps):
-            wa = format(grid.axis_a[i], ".17g")
-            for j in range(grid.steps):
-                fh.write(f"{wa},{format(grid.axis_b[j], '.17g')},"
-                         f"{format(grid.values[i][j], '.17g')}\n")
+        for i in range(n):
+            cells[0::2] = [format(grid.axis_a[i], ".17g")] * n
+            cells[1::2] = grid.values[i]
+            fh.write(row_format % tuple(cells))
     meta = {
         "coord_a": grid.coord_a.render(),
         "coord_b": grid.coord_b.render(),

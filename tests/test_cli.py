@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through main(argv)."""
 
 import json
+import math
 
 import pytest
 
@@ -285,6 +286,61 @@ def test_surface_all_pairs_argv_rewrite(linear_model, tmp_path, capsys):
     assert len(files) == 36
     assert (out_dir / "w1_11__w1_12.csv").exists()
     assert (out_dir / "w1_11__w1_12.csv.meta.json").exists()
+
+
+def _surface(capsys, model, out, *extra):
+    return run(capsys, "surface", "--model", str(model), "--data",
+               "boolean_xor", "--pair", "w1_11,w2_11", "--out", str(out),
+               "--format", "json", *extra)
+
+
+def test_surface_steps_2_fails_before_writing(linear_model, tmp_path,
+                                              capsys):
+    code, _, err = _surface(capsys, linear_model, tmp_path / "surf.csv",
+                            "--steps", "2")
+    assert code == 1
+    assert "steps >= 3" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["linear.json"]
+
+
+@pytest.mark.parametrize("bounds", ["-1e308,1e308", "-inf,5", "0,1.5e308"])
+def test_surface_overflowing_range_fails_before_writing(
+        linear_model, tmp_path, capsys, bounds):
+    code, _, err = _surface(capsys, linear_model, tmp_path / "surf.csv",
+                            f"--range={bounds}", "--steps", "5")
+    assert code == 1
+    assert err.startswith("error: ") and "non-finite axis" in err
+    code, _, _ = run(capsys, "surface", "all-pairs", "--model",
+                     str(linear_model), "--data", "boolean_xor",
+                     f"--range={bounds}", "--steps", "5", "--out-dir",
+                     str(tmp_path / "grids"))
+    assert code == 1
+    assert not list(tmp_path.rglob("*.csv*"))
+
+
+def test_surface_inf_cells_match_reference(linear_model, tmp_path, capsys):
+    import surface_reference
+    from xorlab.datasets import builtin
+    from xorlab.surface import parse_coord, project
+    out = tmp_path / "surf.csv"
+    code, stdout, err = _surface(capsys, linear_model, out,
+                                 "--range=-1e200,1e200", "--steps", "21")
+    assert code == 0, err
+    grid = project(load_model(linear_model), builtin("boolean_xor"),
+                   parse_coord("w1_11"), parse_coord("w2_11"),
+                   (-1e200, 1e200), (-1e200, 1e200), 21)
+    assert math.inf in [v for row in grid.values for v in row]
+    surface_reference.emit_grid_csv(grid, tmp_path / "ref.csv",
+                                    model_ref=str(linear_model))
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert ((tmp_path / "surf.csv.meta.json").read_bytes()
+            == (tmp_path / "ref.csv.meta.json").read_bytes())
+    stats = surface_reference.landscape_stats(grid)
+    doc = json.loads(stdout)
+    assert repr([doc["min_value"], doc["min_point"], doc["strict_minima"],
+                 doc["plateau_fraction"]]) == repr(
+        [stats.min_value, list(stats.min_point), stats.strict_minima,
+         stats.plateau_fraction])
 
 
 # -- dataset -------------------------------------------------------------------

@@ -258,6 +258,20 @@ def test_random_datasets_match_loop_reference(kern):
                         rng.randint(0, 1), rng.getrandbits(64), 1.0, 1)
 
 
+def _slot_pairs(n_slots):
+    """Every (ia, ib) over range(n_slots), ia == ib included, and each
+    negative slot against slot 0, itself and slot -1."""
+    slots = range(n_slots)
+    pairs = [(ia, ib) for ia in slots for ib in slots]
+    for s in range(-n_slots, 0):
+        pairs += [(s, 0), (0, s), (s, s), (s, -1)]
+    return pairs
+
+
+# loop-reference grids shared by both backends' runs of the slot sweep
+_REFERENCE_GRIDS = {}
+
+
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c[0])))
 def test_grid_and_sse_match_loop_reference(case, kern):
     sizes, acts = case
@@ -270,29 +284,71 @@ def test_grid_and_sse_match_loop_reference(case, kern):
         args = (sizes, acts, w, XOR_XS, XOR_TS, ia, ib, axis, axis[:5])
         assert (repr(kern.project_grid(*args))
                 == repr(loop_kernels.project_grid(*args)))
+    # every slot pair, two scratch slots past the network included, on
+    # axes holding NaN, inf and -0.0
+    wide = w + [4.0, -4.0]
+    avals, bvals = [-3.0, math.nan, 0.75], [-0.0, math.inf]
+    for ia, ib in _slot_pairs(len(wide)):
+        args = (sizes, acts, wide, XOR_XS, XOR_TS, ia, ib, avals, bvals)
+        key = (tuple(sizes), tuple(acts), ia, ib)
+        if key not in _REFERENCE_GRIDS:
+            _REFERENCE_GRIDS[key] = repr(loop_kernels.project_grid(*args))
+        assert repr(kern.project_grid(*args)) == _REFERENCE_GRIDS[key], key
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(1, 5), min_size=2, max_size=4),
        st.lists(st.integers(0, 3), min_size=3, max_size=3),
-       st.integers(0, 2**64 - 1), st.booleans())
+       st.integers(0, 2**64 - 1), st.booleans(),
+       st.integers(0, 2**16), st.integers(0, 2**16))
 def test_random_shapes_match_loop_reference(kern, sizes, codes, seed,
-                                            per_sample):
+                                            per_sample, draw_a, draw_b):
     # depth 1-3, every width (input and output too) 1-5, codes 0-3
     acts = codes[:len(sizes) - 1]
     rng = random.Random(seed)
     xs = [rng.uniform(-1.5, 1.5) for _ in range(3 * sizes[0])]
     ts = [rng.uniform(-1.0, 1.0) for _ in range(3)]
     n = _n_weights(sizes)
-    w = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+    w = [rng.uniform(-2.0, 2.0) for _ in range(n + 1)]
     axis = [-1.0, 0.25, 2.0]
     _same_train_run(kern, sizes, acts, xs, ts, 0.4, 15, 1e-6, per_sample,
                     seed, 1.0, 1)
     assert (repr(kern.sse_dataset(sizes, acts, w, xs, ts))
             == repr(loop_kernels.sse_dataset(sizes, acts, w, xs, ts)))
-    args = (sizes, acts, w, xs, ts, seed % n, -1, axis, axis)
+    # a slot pair anywhere in w, negative and scratch slots included
+    ia = draw_a % (2 * (n + 1)) - (n + 1)
+    ib = draw_b % (2 * (n + 1)) - (n + 1)
+    args = (sizes, acts, w, xs, ts, ia, ib, axis, axis)
     assert (repr(kern.project_grid(*args))
             == repr(loop_kernels.project_grid(*args)))
+
+
+@pytest.mark.parametrize("ia, ib, calls", [
+    (0, 6, 4 + 12 + 60),    # unit 2 before the loops, unit 1 per a value
+    (6, 7, 8 + 60),         # both hidden units before the loops
+    (0, 3, 12 + 60 + 60),   # unit 1 per a value, unit 2 per cell
+    (0, 0, 4 + 60 + 60),    # a == b: b wins, so nothing runs per a value
+    (9, 9, 12),             # scratch slots: every unit once
+])
+def test_project_grid_hoists_units_out_of_the_loops(monkeypatch, ia, ib,
+                                                    calls):
+    # tanh runs once per unit and sample; 3 a values, 5 b values and 4
+    # samples give 3 * 5 * 4 = 60 per unit computed per cell
+    count = []
+
+    def tanh(z):
+        count.append(z)
+        return math.tanh(z)
+
+    monkeypatch.setitem(_pycore._NAMESPACE, "tanh", tanh)
+    _pycore._grid_kernel.cache_clear()
+    w = [0.1, -0.1, 0.2, -0.2, 0.3, 0.1, -0.4, -0.2, 0.3, 0.0]
+    args = ([2, 2, 1], [1, 1], w, XOR_XS, XOR_TS, ia, ib, [-1.0, 0.0, 1.0],
+            [-2.0, -1.0, 0.0, 1.0, 2.0])
+    assert repr(_pycore.project_grid(*args)) == repr(
+        loop_kernels.project_grid(*args))
+    _pycore._grid_kernel.cache_clear()
+    assert len(count) == calls
 
 
 def test_sweep_generates_the_kernel_once(monkeypatch):
@@ -304,10 +360,47 @@ def test_sweep_generates_the_kernel_once(monkeypatch):
     assert (info.misses, info.hits) == (1, 4)
 
 
+def test_all_pairs_builds_one_kernel_per_pair(monkeypatch, tmp_path):
+    from xorlab.cli import main
+    from xorlab.linalg import Matrix
+    from xorlab.network import Network, parse_spec, save_model
+    monkeypatch.setattr(kernels, "project_grid", _pycore.project_grid)
+    _pycore._compiled.cache_clear()
+    _pycore._grid_kernel.cache_clear()
+    run = _pycore._compiled("train_run", (2, 2, 1), (1, 1), True)
+    model = tmp_path / "tanh.json"
+    save_model(Network(parse_spec("2-2-1/inp-tanh-tanh"), (
+        Matrix.from_rows([[0.1, -0.1, 0.2], [-0.2, 0.3, 0.1]]),
+        Matrix.from_rows([[-0.4, -0.2, 0.3]]))), model)
+    assert main(["surface", "all-pairs", "--model", str(model), "--data",
+                 "boolean_xor", "--steps", "3", "--out-dir",
+                 str(tmp_path / "grids")]) == 0
+    info = _pycore._grid_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (36, 0, 36)
+    assert _pycore._compiled("train_run", (2, 2, 1), (1, 1), True) is run
+    assert _pycore._compiled.cache_info().hits == 1
+
+
+def test_grid_kernel_key_drops_slots_that_change_nothing():
+    _pycore._grid_kernel.cache_clear()
+    w = [0.1] * 10                      # slot 9 is past the 2-2-1 net
+    for ia, ib in ((3, 3), (9, 3), (-7, -7), (3, -7)):
+        _pycore.project_grid([2, 2, 1], [1, 1], w, XOR_XS, XOR_TS, ia, ib,
+                             [0.0], [1.0])
+    info = _pycore._grid_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 def test_generated_code_names_its_shape():
     run = _pycore._compiled("train_run", (2, 2, 1), (3, 3), True)
     assert (run.__code__.co_filename
             == "<xorlab train_run 2-2-1 relu-relu per_sample>")
+    grid = _pycore._grid_kernel((2, 2, 1), (1, 1), 0, 6)
+    assert (grid.__code__.co_filename
+            == "<xorlab project_grid 2-2-1 tanh-tanh a=w0 b=w6>")
+    grid = _pycore._grid_kernel((2, 3, 1), (2, 0), None, 12)
+    assert (grid.__code__.co_filename
+            == "<xorlab project_grid 2-3-1 sigmoid-id a=none b=w12>")
 
 
 # -- one shape check for both backends ----------------------------------------

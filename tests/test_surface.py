@@ -1,9 +1,15 @@
 """Weight coordinates, projection grids, landscape statistics, CSV export."""
 
 import csv
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import surface_reference
 
 from xorlab.datasets import builtin
 from xorlab.errors import DomainError, InvalidCoordError, ShapeError
@@ -113,6 +119,31 @@ def test_project_validation():
         project(net, builtin("fig2_1"), a, parse_coord("w1_12"))
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (-1e308, 1e308),        # hi - lo overflows
+    (-math.inf, 5.0),
+    (-5.0, math.inf),
+    (0.0, 1.5e308),         # hi - lo is finite, 2 * (hi - lo) is not
+])
+def test_project_rejects_ranges_without_a_finite_axis(lo, hi):
+    net = _base_net()
+    a, b = parse_coord("w1_11"), parse_coord("w1_12")
+    with pytest.raises(DomainError, match="non-finite axis"):
+        project(net, XOR, a, b, range_a=(lo, hi), steps=5)
+    with pytest.raises(DomainError, match="non-finite axis"):
+        project(net, XOR, a, b, range_b=(lo, hi), steps=5)
+
+
+def test_project_keeps_wide_finite_ranges():
+    net = _base_net()
+    grid = project(net, XOR, parse_coord("w1_11"), parse_coord("w2_11"),
+                   range_a=(-1e200, 1e200), range_b=(-1e200, 1e200),
+                   steps=5)
+    assert grid.axis_a == (-1e200, -5e199, 0.0, 5e199, 1e200)
+    flat = [v for row in grid.values for v in row]
+    assert math.inf in flat
+
+
 def _tiny_grid(values):
     n = len(values)
     axis = tuple(float(k) for k in range(n))
@@ -216,3 +247,77 @@ def test_emit_grid_csv_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.csv.meta.json").read_bytes() \
         == (tmp_path / "b.csv.meta.json").read_bytes()
+
+
+# -- hostile grids against the scan and writer kept in tests/ ----------------
+
+# values that stress the scan: NaN, both infinities, both zeros, exact
+# ties and neighbours within the 1e-12 plateau tolerance
+_HOSTILE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 1.0,
+                     1.0 + 1e-12, 1.0 - 5e-13, 2.0, 5e-324,
+                     1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+_HOSTILE_NET = _base_net()
+
+
+@st.composite
+def _hostile_grids(draw):
+    n = draw(st.integers(3, 12))
+    rows = draw(st.lists(st.lists(_HOSTILE, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    axis_a = tuple(draw(st.lists(_HOSTILE, min_size=n, max_size=n)))
+    axis_b = tuple(draw(st.lists(_HOSTILE, min_size=n, max_size=n)))
+    return SurfaceGrid(parse_coord("w1_11"), parse_coord("w1_12"),
+                       (-1.0, 1.0), (-1.0, 1.0), n, axis_a, axis_b,
+                       tuple(map(tuple, rows)), _HOSTILE_NET, "toy")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_hostile_grids())
+def test_hostile_grids_match_reference(tmp_path, grid):
+    assert (repr(landscape_stats(grid))
+            == repr(surface_reference.landscape_stats(grid)))
+    emit_grid_csv(grid, tmp_path / "new.csv", model_ref="m.json")
+    surface_reference.emit_grid_csv(grid, tmp_path / "ref.csv",
+                                    model_ref="m.json")
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+    assert ((tmp_path / "new.csv.meta.json").read_bytes()
+            == (tmp_path / "ref.csv.meta.json").read_bytes())
+
+
+@pytest.mark.parametrize("spec", ["2-2-1/inp-tanh-tanh",
+                                  "2-2-1/inp-relu-relu"])
+def test_projections_match_reference(spec, tmp_path):
+    net = _base_net(spec)
+    for a, b in enumerate_pairs(net.topology)[::5]:
+        grid = project(net, XOR, a, b, steps=31)
+        assert (repr(landscape_stats(grid))
+                == repr(surface_reference.landscape_stats(grid)))
+        emit_grid_csv(grid, tmp_path / "new.csv")
+        surface_reference.emit_grid_csv(grid, tmp_path / "ref.csv")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_landscape_stats_skips_nan_and_keeps_the_first_tie():
+    nan, inf = math.nan, math.inf
+    grid = _tiny_grid([[nan, 3, -0.0],
+                       [0.0, nan, inf],
+                       [-0.0, 7, nan]])
+    stats = landscape_stats(grid)
+    assert repr(stats) == repr(surface_reference.landscape_stats(grid))
+    assert (repr(stats.min_value), stats.min_index) == ("-0.0", (0, 2))
+    assert stats.max_value == inf
+    as_lists = dataclasses.replace(grid,
+                                   values=[list(r) for r in grid.values])
+    assert repr(landscape_stats(as_lists)) == repr(stats)
+    all_nan = _tiny_grid([[nan] * 3] * 3)
+    stats = landscape_stats(all_nan)
+    assert (stats.min_value, stats.min_index, stats.max_value) == (
+        inf, (0, 0), -inf)
+    assert (stats.strict_minima, stats.plateau_fraction) == (0, 0.0)
