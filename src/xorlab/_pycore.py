@@ -172,20 +172,20 @@ class _Source:
         # others stay 0.0 and still enter the sums and updates
         return "0.0" if l == self.top and i > 0 else f"d{l}_{i}"
 
+    def _unit(self, l: int, i: int) -> list:
+        """Unit i of layer l from the outputs a{l-1}_*: ascending input
+        index, bias last."""
+        n_prev = self.sizes[l - 1]
+        row = self.offs[l - 1] + i * (n_prev + 1)
+        z = f"z{l}_{i}"
+        terms = [f"w{row + j} * a{l - 1}_{j}" for j in range(n_prev)]
+        return (_sum(z, terms + [f"w{row + n_prev}"])
+                + [f"a{l}_{i} = " + _ACT[self.acts[l - 1]].format(z=z)])
+
     def _forward(self) -> list:
-        """Every unit from the inputs a0_*: ascending input index, bias
-        last."""
-        lines = []
-        for l in range(1, self.top + 1):
-            n_prev = self.sizes[l - 1]
-            for i in range(self.sizes[l]):
-                row = self.offs[l - 1] + i * (n_prev + 1)
-                z = f"z{l}_{i}"
-                terms = [f"w{row + j} * a{l - 1}_{j}" for j in range(n_prev)]
-                lines += _sum(z, terms + [f"w{row + n_prev}"])
-                lines.append(f"a{l}_{i} = "
-                             + _ACT[self.acts[l - 1]].format(z=z))
-        return lines
+        """Every unit from the inputs a0_*."""
+        return [line for l in range(1, self.top + 1)
+                for i in range(self.sizes[l]) for line in self._unit(l, i)]
 
     def _backward(self) -> list:
         """Every delta, E = (out - t)^2 / 2, from the weights before this
@@ -313,11 +313,7 @@ class _Source:
                                  + [level[v] for v in ins])
                 names.append(out)
                 uses[out] = ins
-                z = f"z{l}_{i}"
-                terms = [f"w{row + j} * {v}" for j, v in enumerate(ins)]
-                work[level[out]].extend(
-                    _sum(z, terms + [f"w{row + n_prev}"])
-                    + [f"{out} = " + _ACT[self.acts[l - 1]].format(z=z)])
+                work[level[out]].extend(self._unit(l, i))
         top = level[f"a{self.top}_0"]       # no unit sits deeper
         uses["sse"] = [f"a{self.top}_0", "t"]
         level["sse"] = top

@@ -101,9 +101,12 @@ def _write_text(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 # copula
 
+_CONNECTIVES = {"and": frank_and, "or": frank_or, "xor": xor_f}
+
+
 def _cmd_copula_eval(args):
     s = CopulaParam.parse(args.s)
-    fn = {"and": frank_and, "or": frank_or, "xor": xor_f}[args.fn]
+    fn = _CONNECTIVES[args.fn]
     value = float(fn(s, args.x, args.y))
     _emit(args, {"s": s.render(), "x": args.x, "y": args.y, "fn": args.fn,
                  "value": value},
@@ -121,7 +124,7 @@ def _cmd_copula_solve_s(args):
 
 def _cmd_copula_grid(args):
     s = CopulaParam.parse(args.s)
-    fn = {"and": frank_and, "or": frank_or, "xor": xor_f}[args.fn]
+    fn = _CONNECTIVES[args.fn]
     if args.steps < 2:
         raise DomainError(f"steps must be at least 2, got {args.steps}")
     step = args.steps - 1
@@ -404,11 +407,12 @@ def _cmd_surface_all_pairs(args):
     net = load_model(args.model)
     data = _select(_load_data(args.data), args.target)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pairs = surface_mod.enumerate_pairs(net.topology)
     written = []
     for a, b in pairs:
         grid = _surface_grid(args, net, data, a, b)
+        # only now: a range that fails the first grid leaves no directory
+        out_dir.mkdir(parents=True, exist_ok=True)
         name = f"{a.render()}__{b.render()}.csv"
         surface_mod.emit_grid_csv(grid, out_dir / name,
                                   model_ref=args.model)
@@ -485,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True, help="0, 1, inf, or a float")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
-    p.add_argument("--fn", choices=("and", "or", "xor"), required=True)
+    p.add_argument("--fn", choices=tuple(_CONNECTIVES), required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_copula_eval)
 
@@ -499,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cop_sub.add_parser("grid", help="x,y,value CSV over [0,1]^2")
     p.add_argument("--s", required=True)
-    p.add_argument("--fn", choices=("and", "or", "xor"), default="xor")
+    p.add_argument("--fn", choices=tuple(_CONNECTIVES), default="xor")
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--out", default=None)
     _add_format(p)

@@ -155,31 +155,20 @@ def xor_f_lattice(s: CopulaParam, axis) -> "list[float]":
     """F_s over the lattice axis x axis, flat and row-major.
 
     Entry i * len(axis) + j equals float(xor_f(s, axis[i], axis[j])) bit
-    for bit: the same limit dispatch, the same closed form in the same
-    operation order, and the UnitValue window applied inline.  expm1(x L)
-    is computed once per axis value instead of once per lattice point.
+    for bit, with the UnitValue window applied inline.  In the closed-form
+    range expm1(x L) is computed once per axis value, not once per point.
     """
     xs = _unit_axis(tuple(axis))
-    kind, L = s.kind, 0.0
-    if kind == "finite":
-        # the dispatch of _frank_raw
-        if s.s < ZERO_DISPATCH:
-            kind = "zero"
-        elif s.s > INF_DISPATCH:
-            kind = "inf"
-        else:
-            L = math.log(s.s)
-            if L == 0.0:
-                kind = "one"
-    if kind == "finite":
+    if s.kind == "finite" and ZERO_DISPATCH <= s.s <= INF_DISPATCH:
+        # a finite s is never 1, so L != 0
+        L = math.log(s.s)
         ex = [math.expm1(x * L) for x in xs]
         dL = math.expm1(L)
         log1p = math.log1p
         fs = [x + y - 2.0 * (log1p(ei * ej / dL) / L)
               for x, ei in zip(xs, ex) for y, ej in zip(xs, ex)]
     else:
-        limit = CopulaParam(kind)
-        fs = [x + y - 2.0 * _and_value(limit, x, y) for x in xs for y in xs]
+        fs = [_xor_value(s, x, y) for x in xs for y in xs]
     # the UnitValue window; values already inside [0, 1] need no clamp
     return [f if 0.0 <= f <= 1.0 else UnitValue(f).v for f in fs]
 
@@ -194,6 +183,14 @@ def _and_value(s: CopulaParam, x: float, y: float) -> float:
     return _frank_raw(s.s, x, y)
 
 
+def _or_value(s: CopulaParam, x: float, y: float) -> float:
+    return x + y - _and_value(s, x, y)
+
+
+def _xor_value(s: CopulaParam, x: float, y: float) -> float:
+    return x + y - 2.0 * _and_value(s, x, y)
+
+
 def frank_and(s: CopulaParam, x: "UnitValue | float",
               y: "UnitValue | float") -> UnitValue:
     """A_s(x, y), the copula extension of 'and'."""
@@ -203,8 +200,7 @@ def frank_and(s: CopulaParam, x: "UnitValue | float",
 def frank_or(s: CopulaParam, x: "UnitValue | float",
              y: "UnitValue | float") -> UnitValue:
     """R_s(x, y) = x + y - A_s(x, y), the dual extension of 'or'."""
-    xv, yv = _unit(x), _unit(y)
-    return UnitValue(xv + yv - _and_value(s, xv, yv))
+    return UnitValue(_or_value(s, _unit(x), _unit(y)))
 
 
 def xor_f(s: CopulaParam, x: "UnitValue | float",
@@ -213,8 +209,7 @@ def xor_f(s: CopulaParam, x: "UnitValue | float",
 
     F_0 = |x - y|, F_1 = x + y - 2xy, F_inf = min(x+y, 1) - max(x+y-1, 0).
     """
-    xv, yv = _unit(x), _unit(y)
-    return UnitValue(xv + yv - 2.0 * _and_value(s, xv, yv))
+    return UnitValue(_xor_value(s, _unit(x), _unit(y)))
 
 
 def frechet_bounds(x: "UnitValue | float",

@@ -20,6 +20,7 @@ this ordering is purely a convention; it is documented in the CLI help.
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
 from collections import Counter
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .copula import CopulaParam, UnitValue, _and_value, _unit
+from .copula import (CopulaParam, UnitValue, _and_value, _or_value,
+                     _unit, _xor_value)
 from .errors import DomainError, ExprSyntaxError, UnboundVariableError
 
 if TYPE_CHECKING:
@@ -54,11 +56,11 @@ class BoolExpr:
 
     def variables(self) -> tuple[str, ...]:
         """Variable names in first-appearance order."""
-        seen: dict[str, None] = {}
+        seen: Counter = Counter()
         self._collect(seen)
         return tuple(seen)
 
-    def _collect(self, seen: dict[str, None]) -> None:
+    def _collect(self, seen: Counter) -> None:
         raise NotImplementedError
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
@@ -95,7 +97,7 @@ class Var(BoolExpr):
             raise DomainError(f"invalid variable name {self.name!r}")
 
     def _collect(self, seen):
-        seen.setdefault(self.name)
+        seen[self.name] += 1
 
     def evaluate(self, assignment):
         try:
@@ -153,68 +155,56 @@ class Not(BoolExpr):
 
 
 @dataclass(frozen=True)
-class And(BoolExpr):
+class _Binary(BoolExpr):
+    """A binary connective.  Each subclass sets its precedence, keyword,
+    truth function on bits and copula extension on probabilities."""
+
     left: BoolExpr
     right: BoolExpr
-    _PREC = 3
 
     def _collect(self, seen):
         self.left._collect(seen)
         self.right._collect(seen)
 
     def evaluate(self, assignment):
-        return self.left.evaluate(assignment) & self.right.evaluate(assignment)
+        return self._truth(self.left.evaluate(assignment),
+                           self.right.evaluate(assignment))
 
     def render(self):
-        return (f"{self._wrap(self.left, right=False)} and "
-                f"{self._wrap(self.right, right=True)}")
-
-    def desugar_xor(self):
-        return And(self.left.desugar_xor(), self.right.desugar_xor())
-
-
-@dataclass(frozen=True)
-class Xor(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
-    _PREC = 2
-
-    def _collect(self, seen):
-        self.left._collect(seen)
-        self.right._collect(seen)
-
-    def evaluate(self, assignment):
-        return self.left.evaluate(assignment) ^ self.right.evaluate(assignment)
-
-    def render(self):
-        return (f"{self._wrap(self.left, right=False)} xor "
+        return (f"{self._wrap(self.left, right=False)} {self._KEYWORD} "
                 f"{self._wrap(self.right, right=True)}")
 
     def desugar_xor(self):
         left = self.left.desugar_xor()
         right = self.right.desugar_xor()
-        return And(Or(left, right), Not(And(left, right)))
+        if isinstance(self, Xor):
+            return And(Or(left, right), Not(And(left, right)))
+        return type(self)(left, right)
 
 
-@dataclass(frozen=True)
-class Or(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
+class And(_Binary):
+    _PREC = 3
+    _KEYWORD = "and"
+    _truth = staticmethod(operator.and_)
+    _copula = staticmethod(_and_value)
+
+
+class Xor(_Binary):
+    _PREC = 2
+    _KEYWORD = "xor"
+    _truth = staticmethod(operator.xor)
+    _copula = staticmethod(_xor_value)
+
+
+class Or(_Binary):
     _PREC = 1
+    _KEYWORD = "or"
+    _truth = staticmethod(operator.or_)
+    _copula = staticmethod(_or_value)
 
-    def _collect(self, seen):
-        self.left._collect(seen)
-        self.right._collect(seen)
 
-    def evaluate(self, assignment):
-        return self.left.evaluate(assignment) | self.right.evaluate(assignment)
-
-    def render(self):
-        return (f"{self._wrap(self.left, right=False)} or "
-                f"{self._wrap(self.right, right=True)}")
-
-    def desugar_xor(self):
-        return Or(self.left.desugar_xor(), self.right.desugar_xor())
+# loosest-binding first
+_BINARY = sorted((And, Or, Xor), key=lambda node_type: node_type._PREC)
 
 
 # ---------------------------------------------------------------------------
@@ -288,30 +278,21 @@ class _Parser:
             tok.offset, expected)
 
     def parse(self) -> BoolExpr:
-        expr = self.or_expr()
+        expr = self.binary(0)
         if self.peek().kind != "end":
             self.fail(("'and'", "'or'", "'xor'", "end of input"))
         return expr
 
-    def or_expr(self) -> BoolExpr:
-        node = self.xor_expr()
-        while self.peek().kind == "or":
+    def binary(self, k: int) -> BoolExpr:
+        """A left-associative chain of _BINARY[k] over operands that bind
+        tighter."""
+        if k == len(_BINARY):
+            return self.not_expr()
+        node_type = _BINARY[k]
+        node = self.binary(k + 1)
+        while self.peek().kind == node_type._KEYWORD:
             self.advance()
-            node = Or(node, self.xor_expr())
-        return node
-
-    def xor_expr(self) -> BoolExpr:
-        node = self.and_expr()
-        while self.peek().kind == "xor":
-            self.advance()
-            node = Xor(node, self.and_expr())
-        return node
-
-    def and_expr(self) -> BoolExpr:
-        node = self.not_expr()
-        while self.peek().kind == "and":
-            self.advance()
-            node = And(node, self.not_expr())
+            node = node_type(node, self.binary(k + 1))
         return node
 
     def not_expr(self) -> BoolExpr:
@@ -330,7 +311,7 @@ class _Parser:
             return Const(int(tok.text))
         if tok.kind == "lparen":
             self.advance()
-            node = self.or_expr()
+            node = self.binary(0)
             if self.peek().kind != "rparen":
                 self.fail(("')'",))
             self.advance()
@@ -492,15 +473,8 @@ def _copula_value(expr: BoolExpr, env: Mapping[str, float],
         return float(expr.value)
     if isinstance(expr, Not):
         return 1.0 - _copula_value(expr.child, env, s)
-    left = _copula_value(expr.left, env, s)
-    right = _copula_value(expr.right, env, s)
-    if isinstance(expr, And):
-        return _and_value(s, left, right)
-    if isinstance(expr, Or):
-        return left + right - _and_value(s, left, right)
-    if isinstance(expr, Xor):
-        return left + right - 2.0 * _and_value(s, left, right)
-    raise TypeError(f"unknown node {expr!r}")
+    return expr._copula(s, _copula_value(expr.left, env, s),
+                        _copula_value(expr.right, env, s))
 
 
 def copula_prob(expr: BoolExpr, assignment: Mapping[str, "UnitValue | float"],
@@ -513,7 +487,7 @@ def copula_prob(expr: BoolExpr, assignment: Mapping[str, "UnitValue | float"],
     truth-table semantics, so a CompositionalityWarning is emitted for them.
     """
     counts = Counter()
-    _count_vars(expr, counts)
+    expr._collect(counts)
     repeated = sorted(name for name, c in counts.items() if c > 1)
     if repeated:
         warnings.warn(
@@ -525,12 +499,3 @@ def copula_prob(expr: BoolExpr, assignment: Mapping[str, "UnitValue | float"],
     # absorbs the few-ulp dust
     return UnitValue(_copula_value(expr, env, s))
 
-
-def _count_vars(expr: BoolExpr, counts: Counter) -> None:
-    if isinstance(expr, Var):
-        counts[expr.name] += 1
-    elif isinstance(expr, Not):
-        _count_vars(expr.child, counts)
-    elif isinstance(expr, (And, Or, Xor)):
-        _count_vars(expr.left, counts)
-        _count_vars(expr.right, counts)

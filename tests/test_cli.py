@@ -2,10 +2,12 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from xorlab.cli import main
+from xorlab.cli import build_parser, main
 from xorlab.network import load_model
 
 
@@ -316,6 +318,7 @@ def test_surface_overflowing_range_fails_before_writing(
                      str(tmp_path / "grids"))
     assert code == 1
     assert not list(tmp_path.rglob("*.csv*"))
+    assert not (tmp_path / "grids").exists()
 
 
 def test_surface_inf_cells_match_reference(linear_model, tmp_path, capsys):
@@ -371,3 +374,38 @@ def test_usage_error_exit_code_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+# -- README ------------------------------------------------------------------
+
+def _tour_commands():
+    """The xorlab commands of the README's CLI tour, continuation lines
+    joined, as argument lists without the program name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## CLI tour", 1)[1].split("\n## ", 1)[0]
+    commands, pending = [], ""
+    for line in tour.splitlines():
+        text = pending + line.strip()
+        if text.endswith("\\"):
+            pending = text[:-1]
+        elif text.startswith("xorlab "):
+            pending = ""
+            commands.append(shlex.split(text)[1:])
+    return commands
+
+
+def test_readme_tour_commands_parse(capsys):
+    """Every tour command parses (nothing is executed)."""
+    commands = _tour_commands()
+    assert len(commands) >= 18
+    failures = []
+    for argv in commands:
+        # the spelling main() accepts for surface-all-pairs
+        if argv[:2] == ["surface", "all-pairs"]:
+            argv = ["surface-all-pairs"] + argv[2:]
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            failures.append(" ".join(argv))
+    capsys.readouterr()
+    assert not failures, failures

@@ -1,13 +1,18 @@
 """Expression parser, sample spaces, axiom checks, and the compositional
 copula semantics."""
 
+import itertools
+import math
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorlab.copula import CopulaParam, frank_and, xor_f
+from xorlab.copula import (CopulaParam, UnitValue, _and_value, _unit,
+                           frank_and, xor_f)
 from xorlab.datasets import builtin
 from xorlab.errors import (DomainError, ExprSyntaxError,
                            UnboundVariableError)
@@ -205,3 +210,139 @@ def test_copula_prob_xor_formula_identity(x, y, s):
                             {"x1": x, "x2": y}, p))
     want = x + y - 2.0 * float(frank_and(p, x, y))
     assert got == pytest.approx(max(0.0, min(1.0, want)), abs=1e-9)
+
+
+# -- random expression trees -----------------------------------------------
+
+_NAMES = ("a", "b", "c", "d")
+_LEAVES = st.one_of(st.sampled_from(_NAMES).map(Var),
+                    st.sampled_from((0, 1)).map(Const))
+
+
+def _trees(depth):
+    """Expressions over a-d, 0/1, not and the binary connectives, at most
+    depth connectives deep."""
+    if depth == 0:
+        return _LEAVES
+    sub = _trees(depth - 1)
+    return st.one_of(_LEAVES, sub.map(Not),
+                     st.builds(lambda op, l, r: op(l, r),
+                               st.sampled_from((And, Or, Xor)), sub, sub))
+
+
+TREES = _trees(4)
+
+# the Zero, One and Infinity variants and finite s log-uniform over
+# [e^-40, e^40], both dispatch thresholds included
+PARAMS = st.one_of(
+    st.sampled_from((CopulaParam.zero(), CopulaParam.one(),
+                     CopulaParam.infinity())),
+    st.floats(-40.0, 40.0).map(lambda k: CopulaParam.finite(math.exp(k))))
+
+
+@given(TREES)
+@settings(max_examples=300, deadline=None)
+def test_random_tree_render_parse_round_trip(e):
+    assert parse_expr(e.render()) == e
+
+
+@given(TREES, TREES)
+@settings(max_examples=100, deadline=None)
+def test_binary_connectives_stay_distinct(l, r):
+    nodes = [And(l, r), Or(l, r), Xor(l, r)]
+    for m, n in itertools.combinations(nodes, 2):
+        assert m != n
+    assert len({repr(n) for n in nodes}) == 3
+
+
+_REF_TRUTH = {And: lambda l, r: l and r, Or: lambda l, r: l or r,
+              Xor: lambda l, r: l != r}
+
+
+def _ref_evaluate(expr, env):
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Not):
+        return 1 - _ref_evaluate(expr.child, env)
+    return int(bool(_REF_TRUTH[type(expr)](_ref_evaluate(expr.left, env),
+                                           _ref_evaluate(expr.right, env))))
+
+
+@given(TREES)
+@settings(max_examples=200, deadline=None)
+def test_random_tree_desugar_xor_keeps_truth_table(e):
+    d = e.desugar_xor()
+    assert "xor" not in d.render()
+    for bits in itertools.product((0, 1), repeat=len(_NAMES)):
+        env = dict(zip(_NAMES, bits))
+        assert e.evaluate(env) == _ref_evaluate(e, env)
+        assert d.evaluate(env) == e.evaluate(env)
+
+
+def _ref_copula_value(expr, env, s):
+    """The evaluator as written when And, Or and Xor were separate
+    classes, with R_s and F_s spelled out here."""
+    if isinstance(expr, Var):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise UnboundVariableError(
+                f"unbound variable {expr.name!r}") from None
+    if isinstance(expr, Const):
+        return float(expr.value)
+    if isinstance(expr, Not):
+        return 1.0 - _ref_copula_value(expr.child, env, s)
+    left = _ref_copula_value(expr.left, env, s)
+    right = _ref_copula_value(expr.right, env, s)
+    if isinstance(expr, And):
+        return _and_value(s, left, right)
+    if isinstance(expr, Or):
+        return left + right - _and_value(s, left, right)
+    if isinstance(expr, Xor):
+        return left + right - 2.0 * _and_value(s, left, right)
+    raise TypeError(f"unknown node {expr!r}")
+
+
+def _ref_count_vars(expr, counts):
+    if isinstance(expr, Var):
+        counts[expr.name] += 1
+    elif isinstance(expr, Not):
+        _ref_count_vars(expr.child, counts)
+    elif isinstance(expr, (And, Or, Xor)):
+        _ref_count_vars(expr.left, counts)
+        _ref_count_vars(expr.right, counts)
+
+
+def _ref_copula_prob(expr, assignment, s):
+    counts = Counter()
+    _ref_count_vars(expr, counts)
+    repeated = sorted(name for name, c in counts.items() if c > 1)
+    if repeated:
+        warnings.warn(
+            f"variable(s) {', '.join(repeated)} occur more than once; "
+            f"compositional copula evaluation may disagree with "
+            f"truth-table semantics", CompositionalityWarning, stacklevel=2)
+    env = {name: _unit(v) for name, v in assignment.items()}
+    return UnitValue(_ref_copula_value(expr, env, s))
+
+
+def _prob_outcome(fn, expr, assignment, s):
+    """repr of the value or of the error, and every warning raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = repr(fn(expr, assignment, s))
+        except DomainError as err:
+            out = f"{type(err).__name__}: {err}"
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@given(TREES, st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       PARAMS)
+@settings(max_examples=400, deadline=None)
+def test_random_tree_copula_prob_matches_reference(e, values, s):
+    assignment = dict(zip(_NAMES, values))
+    assert _prob_outcome(copula_prob, e, assignment, s) \
+        == _prob_outcome(_ref_copula_prob, e, assignment, s)
