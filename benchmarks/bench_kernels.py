@@ -11,8 +11,15 @@ two first-layer weights (L1xL1), a first-layer and an output weight
 
 Library section, on the default backend: surface.landscape_stats and
 surface.emit_grid_csv over the 101x101 grids of all 36 weight pairs of
-one fixed tanh net and one fixed relu net (the time per grid), and
-trainer.classify on both nets (both fall through to the F_s fit).
+one fixed tanh net and one fixed relu net (the time per grid),
+trainer.classify on both nets (both fall through to the F_s fit), and
+on both nets network.forward over classify's 21x21 lattice and
+network.gradient over the four boolean-xor samples.
+
+First-call section: the time the first network.forward call and then
+the first network.gradient call take in a new interpreter, at 2-2-1 and
+2-9-1, so that any per-shape set-up those calls do is counted; one
+interpreter per repeat and shape.
 
 Every item reports the best of --repeats timings and their spread (the
 median and the worst).  --json PATH also writes them, with the Python
@@ -27,13 +34,17 @@ Run from a checkout with the package installed:
 
 import argparse
 import json
+import os
 import platform
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
-from xorlab import surface
+import xorlab
+from xorlab import _pycore, network, surface
 from xorlab.datasets import builtin
 from xorlab.kernels import BACKEND, available_backends, get_backend
 from xorlab.linalg import Matrix
@@ -88,7 +99,8 @@ def _workloads(args):
         return mod.train_run(SIZES, ACTS, XOR_XS, XOR_TS, 0.5,
                              args.iters, 0.0, 1, args.seed, 1.0, 0)
 
-    base = get_backend("python").rng_uniform(args.seed, N_WEIGHTS)
+    unit = _pycore._SplitMix(args.seed).next_unit
+    base = [unit() for _ in range(N_WEIGHTS)]
     axis = [-5.0 + 10.0 * k / (args.steps - 1) for k in range(args.steps)]
 
     def grid(ia, ib):
@@ -170,6 +182,62 @@ def _library_section(args, items):
                            seconds))
         _show(items[-1], f"   {label.render()} "
                          f"max_deviation={label.max_deviation!r}")
+    axis = [i / 20 for i in range(21)]
+    lattice = [(x, y) for x in axis for y in axis]
+    samples = data.single()
+    for tag, net, _ in nets:
+        work = (
+            ("network.forward 21x21 lattice",
+             lambda: [network.forward(net, p) for p in lattice]),
+            ("network.gradient 4 xor samples",
+             lambda: [network.gradient(net, ins, t) for ins, t in samples]))
+        for label, fn in work:
+            seconds, = _timings([fn], args.repeats)
+            items.append(_item(f"{label}, {tag} net", BACKEND, seconds))
+            _show(items[-1])
+
+
+# times the first forward and gradient calls of a new interpreter
+FIRST_CALL = """
+import sys, time
+from xorlab.linalg import Matrix
+from xorlab.network import Network, forward, gradient, parse_spec
+topo = parse_spec(sys.argv[1])
+net = Network(topo, tuple(Matrix(rows, cols, (0.5,) * (rows * cols))
+                          for rows, cols in topo.weight_shapes()))
+t0 = time.perf_counter()
+forward(net, (0.5, 0.5))
+t1 = time.perf_counter()
+gradient(net, (0.5, 0.5), 1.0)
+t2 = time.perf_counter()
+print(t1 - t0, t2 - t1)
+"""
+
+
+def first_calls(spec, repeats):
+    """Seconds of the first forward and gradient call, one new
+    interpreter per repeat, importing this xorlab."""
+    home = os.path.dirname(os.path.dirname(xorlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [home] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    times = ([], [])
+    for _ in range(repeats):
+        out = subprocess.run([sys.executable, "-c", FIRST_CALL, spec],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout.split()
+        for seconds, value in zip(times, out):
+            seconds.append(float(value))
+    return times
+
+
+def _first_call_section(args, items):
+    print(f"first calls: backend {BACKEND}")
+    for spec in ("2-2-1/inp-tanh-tanh", "2-9-1/inp-tanh-tanh"):
+        for kind, seconds in zip(("forward", "gradient"),
+                                 first_calls(spec, args.repeats)):
+            items.append(_item(f"first network.{kind} call, {spec}",
+                               BACKEND, seconds))
+            _show(items[-1])
 
 
 def main(argv=None):
@@ -192,6 +260,7 @@ def main(argv=None):
     if _kernel_section(args, items):
         return 1
     _library_section(args, items)
+    _first_call_section(args, items)
     if args.json:
         doc = {"python": platform.python_version(),
                "implementation": platform.python_implementation(),

@@ -1,8 +1,8 @@
 """ctypes front end to the compiled kernels in kern.c.
 
 load(path) binds a built library and returns a namespace with the same
-exports as xorlab._pycore (BACKEND, SSE_BLOWUP, rng_uniform, sse_dataset,
-train_run, project_grid), taking and returning the same Python types.
+exports as xorlab._pycore (BACKEND, SSE_BLOWUP, sse_dataset, train_run,
+project_grid), taking and returning the same Python types.
 
 The C side trusts its buffers, so shapes are checked here.  ctypes would
 wrap an int too large for a C int silently; such a value (a size, a
@@ -25,7 +25,6 @@ _DP = POINTER(c_double)
 _IP = POINTER(c_int)
 _NET = [c_int, _IP, _IP]            # nlayers, sizes, acts
 _SIGNATURES = {
-    "rng_uniform": (None, [c_uint64, c_int, _DP]),
     "sse_dataset": (c_int, _NET + [_DP, _DP, _DP, c_int, _DP]),
     "train_run": (c_int, _NET + [
         _DP, _DP, c_int, c_double, c_int, c_double, c_int, c_uint64,
@@ -83,12 +82,6 @@ def load(path: str) -> SimpleNamespace:
     except (OSError, AttributeError) as exc:
         raise ImportError(f"cannot load compiled kernels: {exc}") from exc
 
-    def rng_uniform(seed, count):
-        """count draws in [0, 1) from the seed's stream."""
-        out = (c_double * max(_cint(count), 0))()
-        lib.rng_uniform(seed & MASK64, len(out), out)
-        return out[:]
-
     def sse_dataset(sizes, acts, w, xs, ts):
         net, cxs, cts, n_samples, n_weights = _problem(sizes, acts, xs, ts)
         out = c_double()
@@ -130,5 +123,5 @@ def load(path: str) -> SimpleNamespace:
         return out[:]
 
     return SimpleNamespace(BACKEND="c", SSE_BLOWUP=SSE_BLOWUP,
-                           rng_uniform=rng_uniform, sse_dataset=sse_dataset,
-                           train_run=train_run, project_grid=project_grid)
+                           sse_dataset=sse_dataset, train_run=train_run,
+                           project_grid=project_grid)

@@ -1,4 +1,5 @@
-"""Pure-Python training and projection kernels.
+"""Pure-Python training and projection kernels, and network's forward
+and gradient passes.
 
 Each kernel runs straight-line Python generated once per network shape:
 every weight lives in a local w0..wN, each unit's dot product, backward
@@ -11,16 +12,18 @@ a cache of its own, e.g. "<xorlab project_grid 2-2-1 tanh-tanh a=w0
 b=w6>": each unit is computed before the grid loops, once per row or
 once per cell, whichever is the outermost its inputs allow.  Only
 integers derived from sizes, activation codes and indices enter the
-generated text.
+generated text.  network's forward and gradient come from the same unit
+lines, in a third cache (_net_pass): "<xorlab forward 2-2-1 tanh-tanh>".
 
-The generated code performs the same float operations in the same order
-as the loop reference kept in tests/loop_kernels.py, which kern.c (bound
-through ctypes by _cbackend) also mirrors, so every backend produces
-bit-identical floats; keep them in lockstep when editing any of them.
-(Hoisting a unit out of the project_grid loops changes how often it is
-computed, not its operands or their order.)
-network.SIGMOID uses _sigmoid from here, so the sigmoid is written once
-in Python.
+_Source pins the accumulation order (ascending input index, bias last)
+and every other float operation of the one Python forward and backward
+pass, as in the loop reference kept in tests/loop_kernels.py, which
+kern.c (bound through ctypes by _cbackend) also mirrors, so every
+backend produces bit-identical floats; keep them in lockstep when
+editing any of them.  (Hoisting a unit out of the project_grid loops
+changes how often it is computed, not its operands or their order.)
+network's activations compile apply and slope from _ACT and _SLOPE, so
+each is written once in Python.
 
 Layout conventions shared with the compiled kernel:
   - sizes: layer widths including input, e.g. [2, 2, 1]
@@ -68,12 +71,6 @@ class _SplitMix:
 
     def next_unit(self) -> float:
         return (self.next_u64() >> 11) * _INV53
-
-
-def rng_uniform(seed: int, count: int) -> list:
-    """count draws in [0, 1) from the seed's stream."""
-    rng = _SplitMix(seed)
-    return [rng.next_unit() for _ in range(count)]
 
 
 def _sigmoid(z: float) -> float:
@@ -148,6 +145,10 @@ def _sum(target: str, terms: list, scale: str = "") -> list:
     return lines
 
 
+def _tuple(items) -> str:
+    return "(" + ", ".join(items) + ",)"
+
+
 def _indent(lines, depth: int) -> list:
     return ["    " * depth + line for line in lines]
 
@@ -162,7 +163,8 @@ class _Source:
         self.top = len(sizes) - 1
         n_in = sizes[0]
         self.weights = ", ".join(f"w{k}" for k in range(self.offs[-1]))
-        self.sample = ", ".join(f"a0_{j}" for j in range(n_in)) + ", t"
+        self.inputs = ", ".join(f"a0_{j}" for j in range(n_in))
+        self.sample = self.inputs + ", t"
         self.data = ("data = [("
                      + "".join(f"xs[{n_in} * k + {j}], " for j in range(n_in))
                      + "ts[k]) for k in range(len(ts))]")
@@ -187,16 +189,17 @@ class _Source:
         return [line for l in range(1, self.top + 1)
                 for i in range(self.sizes[l]) for line in self._unit(l, i)]
 
-    def _backward(self) -> list:
-        """Every delta, E = (out - t)^2 / 2, from the weights before this
-        sample's update.
+    def _backward(self, halved: bool = True) -> list:
+        """Every delta, E = (out - t)^2 / 2 (or (out - t)^2 unless halved),
+        from the weights before this sample's update.
 
         The halved-error convention folds the constant 2 into the learning
         rate, as in the classic backprop texts.
         """
         top = self.top
-        lines = [f"d{top}_0 = (a{top}_0 - t) * " + _SLOPE[
-            self.acts[top - 1]].format(z=f"z{top}_0", a=f"a{top}_0")]
+        lines = [f"d{top}_0 = {'' if halved else '2.0 * '}(a{top}_0 - t) * "
+                 + _SLOPE[self.acts[top - 1]].format(z=f"z{top}_0",
+                                                     a=f"a{top}_0")]
         for l in range(top - 1, 0, -1):
             width = self.sizes[l]
             for j in range(width):
@@ -208,21 +211,20 @@ class _Source:
                 lines += _sum(f"d{l}_{j}", terms, slope)
         return lines
 
+    def _partials(self) -> list:
+        """The partial of each weight from the deltas, in flat order."""
+        partials = []
+        for l in range(1, self.top + 1):
+            for i in range(self.sizes[l]):
+                d = self._delta(l, i)
+                partials += [f"{d} * a{l - 1}_{j}"
+                             for j in range(self.sizes[l - 1])] + [d]
+        return partials
+
     def _updates(self, per_sample: bool) -> list:
         """Per sample, the weight updates; full batch, the gradient sums."""
-        lines = []
-        for l in range(1, self.top + 1):
-            n_prev = self.sizes[l - 1]
-            for i in range(self.sizes[l]):
-                row = self.offs[l - 1] + i * (n_prev + 1)
-                d = self._delta(l, i)
-                for j in range(n_prev):
-                    lines.append(f"w{row + j} -= lr * ({d} * a{l - 1}_{j})"
-                                 if per_sample else
-                                 f"g{row + j} += {d} * a{l - 1}_{j}")
-                lines.append(f"w{row + n_prev} -= lr * {d}" if per_sample
-                             else f"g{row + n_prev} += {d}")
-        return lines
+        return [f"w{k} -= lr * ({p})" if per_sample else f"g{k} += {p}"
+                for k, p in enumerate(self._partials())]
 
     def _sse(self, depth: int) -> list:
         """The squared error summed over data into sse."""
@@ -361,6 +363,29 @@ class _Source:
             "    return sse",
         ]
 
+    def forward(self) -> list:
+        """Each layer's pre-activations and outputs at the inputs x."""
+        def layers(v):
+            return _tuple(_tuple(f"{v}{l}_{i}" for i in range(self.sizes[l]))
+                          for l in range(1, self.top + 1))
+        return [
+            "def forward(w, x):",
+            f"    {self.weights} = w",
+            f"    {self.inputs}, = x",
+            *_indent(self._forward(), 1),
+            f"    return {layers('z')}, {layers('a')}",
+        ]
+
+    def gradient(self) -> list:
+        """Every partial of E = (out - t)^2 at the inputs x, flat."""
+        return [
+            "def gradient(w, x, t):",
+            f"    {self.weights} = w",
+            f"    {self.inputs}, = x",
+            *_indent(self._forward() + self._backward(halved=False), 1),
+            f"    return [{', '.join(self._partials())}]",
+        ]
+
 
 _NAMESPACE = {"tanh": math.tanh, "isfinite": math.isfinite, "inf": math.inf,
               "_sigmoid": _sigmoid, "_SplitMix": _SplitMix,
@@ -378,10 +403,9 @@ def _tag(sizes: tuple, acts: tuple) -> str:
             f"{'-'.join(_ACT_NAMES[c] for c in acts)}")
 
 
-@functools.lru_cache(maxsize=32)
-def _compiled(kernel: str, sizes: tuple, acts: tuple, per_sample=None):
-    """The generated train_run or sse_dataset for one shape, built on
-    first use; per_sample is None except for train_run."""
+def _generate(kernel: str, sizes: tuple, acts: tuple, per_sample=None):
+    """The named kernel of one shape; per_sample is None except for
+    train_run."""
     source = _Source(sizes, acts)
     if per_sample is None:
         lines, mode = getattr(source, kernel)(), ""
@@ -390,6 +414,12 @@ def _compiled(kernel: str, sizes: tuple, acts: tuple, per_sample=None):
         mode = " per_sample" if per_sample else " full_batch"
     return _build(kernel, lines,
                   f"<xorlab {kernel} {_tag(sizes, acts)}{mode}>")
+
+
+# train_run and sse_dataset; network's forward and gradient, which take
+# exactly the network's weights and inputs, in a cache of their own
+_compiled = functools.lru_cache(maxsize=32)(_generate)
+_net_pass = functools.lru_cache(maxsize=32)(_generate)
 
 
 # one kernel per weight pair: all 36 pairs of a 2-2-1 net, for two

@@ -10,6 +10,7 @@ carries no compatibility promise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -637,13 +638,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once per process: that takes milliseconds."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # "surface all-pairs" reads naturally but argparse wants one token
     if argv[:2] == ["surface", "all-pairs"]:
         argv = ["surface-all-pairs"] + argv[2:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except XorlabError as exc:

@@ -55,12 +55,6 @@ static double sm_unit(uint64_t *state)
     return (double)(sm_next(state) >> 11) * INV53;
 }
 
-void rng_uniform(uint64_t seed, int count, double *out)
-{
-    for (int k = 0; k < count; k++)
-        out[k] = sm_unit(&seed);
-}
-
 static double act(int code, double z)
 {
     double e;

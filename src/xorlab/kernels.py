@@ -20,8 +20,8 @@ from . import _pycore
 from .errors import DomainError
 
 __all__ = [
-    "BACKEND", "SSE_BLOWUP", "rng_uniform", "sse_dataset", "train_run",
-    "project_grid", "get_backend", "available_backends",
+    "BACKEND", "SSE_BLOWUP", "sse_dataset", "train_run", "project_grid",
+    "get_backend", "available_backends",
 ]
 
 _LIBRARY_NAME = "_kern.so"
@@ -66,7 +66,6 @@ else:
 
 BACKEND = _impl.BACKEND
 SSE_BLOWUP = _impl.SSE_BLOWUP
-rng_uniform = _impl.rng_uniform
 sse_dataset = _impl.sse_dataset
 train_run = _impl.train_run
 project_grid = _impl.project_grid

@@ -4,19 +4,21 @@ The weight matrix of layer l has shape n_{l+1} x (n_l + 1): the last
 column is the bias, so the layer computes f(W . [prev; 1]).  Published
 weight tables in that convention paste in directly.
 
-The forward pass accumulates each pre-activation in a pinned order
-(ascending input index, bias last); the compiled training kernel repeats
-the same order so both backends produce bit-identical floats.
+forward and gradient run the straight-line code xorlab._pycore generates
+per network shape (cached in _pycore._net_pass): the accumulation order
+(ascending input index, bias last) is pinned there and mirrored in kern.c.
+Activations compile apply and slope from the same templates.  from_flat
+and flat_weights (computed once per network) own the flat weight layout.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._pycore import _sigmoid
+from ._pycore import _ACT, _ACT_NAMES, _SLOPE, _build, _net_pass, _offsets
 from .errors import (ArityError, ModelFormatError, NotLinearError,
                      ShapeError, SpecSyntaxError)
 from .linalg import Matrix, mat_mul
@@ -38,19 +40,18 @@ class Activation:
     through a, relu through z).
     """
 
-    __slots__ = ("tag", "code", "_fn", "_slope")
+    __slots__ = ("tag", "code", "apply", "slope")
 
-    def __init__(self, tag, code, fn, slope):
+    def __init__(self, tag, code):
         self.tag = tag
         self.code = code      # stable integer id shared with the kernels
-        self._fn = fn
-        self._slope = slope
-
-    def apply(self, z: float) -> float:
-        return self._fn(z)
-
-    def slope(self, z: float, a: float) -> float:
-        return self._slope(z, a)
+        self.apply = _build("apply", [
+            "def apply(z):", "    return " + _ACT[code].format(z="z")],
+            f"<xorlab apply {_ACT_NAMES[code]}>")
+        self.slope = _build("slope", [
+            "def slope(z, a):",
+            "    return " + _SLOPE[code].format(z="z", a="a")],
+            f"<xorlab slope {_ACT_NAMES[code]}>")
 
     def __repr__(self):
         return f"Activation({self.tag})"
@@ -62,13 +63,11 @@ class Activation:
         return hash(self.tag)
 
 
-ID = Activation("Id", 0, lambda z: z, lambda z, a: 1.0)
-TANH = Activation("Tanh", 1, math.tanh, lambda z, a: 1.0 - a * a)
-SIGMOID = Activation("Sigmoid", 2, _sigmoid, lambda z, a: a * (1.0 - a))
+ID = Activation("Id", 0)
+TANH = Activation("Tanh", 1)
+SIGMOID = Activation("Sigmoid", 2)
 # slope at the fold z = 0 is 0, matching u(t) = 0 for t <= 0
-RELU = Activation("Relu", 3,
-                  lambda z: z if z > 0.0 else 0.0,
-                  lambda z, a: 1.0 if z > 0.0 else 0.0)
+RELU = Activation("Relu", 3)
 
 ACTIVATIONS = {"id": ID, "tanh": TANH, "sigmoid": SIGMOID, "relu": RELU}
 
@@ -99,6 +98,11 @@ class Topology:
     @property
     def n_outputs(self) -> int:
         return self.layer_sizes[-1]
+
+    @functools.cached_property
+    def codes(self) -> tuple[int, ...]:
+        """The activation codes, as the kernels take them."""
+        return tuple(a.code for a in self.activations)
 
     def weight_shapes(self) -> tuple[tuple[int, int], ...]:
         s = self.layer_sizes
@@ -183,6 +187,22 @@ class Network:
                 f"weight shapes {got} do not match topology "
                 f"{self.topology.render()} (expected {expected})")
 
+    @classmethod
+    def from_flat(cls, topology: Topology, flat) -> "Network":
+        """The network whose flat_weights are flat.  The last layer is
+        packed first: a non-finite entry is reported as backprop meets it."""
+        offs = _offsets(topology.layer_sizes)
+        shapes = topology.weight_shapes()
+        mats = [Matrix(rows, cols, tuple(flat[offs[l]:offs[l + 1]]))
+                for l, (rows, cols) in reversed(list(enumerate(shapes)))]
+        return cls(topology, tuple(reversed(mats)))
+
+    @functools.cached_property
+    def flat_weights(self) -> tuple[float, ...]:
+        """Every weight in the kernels' layout: the layer matrices, first
+        layer first, each row-major with the bias ending its row."""
+        return tuple(v for w in self.weights for v in w.entries)
+
     def output(self, inputs) -> float:
         return forward(self, inputs).output
 
@@ -212,67 +232,35 @@ class ForwardTrace:
         return self.post[-1][0]
 
 
+def _inputs(topo: Topology, inputs) -> tuple[float, ...]:
+    xs = tuple(float(v) for v in inputs)
+    if len(xs) != topo.n_inputs:
+        raise ShapeError(f"expected {topo.n_inputs} inputs, got {len(xs)}")
+    return xs
+
+
 def forward(net: Network, inputs) -> ForwardTrace:
     """Evaluate the network, keeping intermediates for gradient reuse."""
-    xs = tuple(float(v) for v in inputs)
-    if len(xs) != net.topology.n_inputs:
-        raise ShapeError(
-            f"expected {net.topology.n_inputs} inputs, got {len(xs)}")
-    a = list(xs)
-    pre = []
-    post = []
-    for w, act in zip(net.weights, net.topology.activations):
-        n_prev = len(a)
-        zs = []
-        avs = []
-        for i in range(w.rows):
-            # pinned accumulation order: inputs ascending, bias last
-            z = 0.0
-            for j in range(n_prev):
-                z += w.at(i, j) * a[j]
-            z += w.at(i, n_prev)
-            zs.append(z)
-            avs.append(act.apply(z))
-        pre.append(tuple(zs))
-        post.append(tuple(avs))
-        a = avs
-    return ForwardTrace(xs, tuple(pre), tuple(post))
+    topo = net.topology
+    xs = _inputs(topo, inputs)
+    return ForwardTrace(xs, *_net_pass("forward", topo.layer_sizes,
+                                       topo.codes)(net.flat_weights, xs))
 
 
 def gradient(net: Network, inputs, target: float) -> tuple[Matrix, ...]:
     """Partials of the squared error (out - target)^2 for every weight.
 
-    Reverse accumulation through the stored intermediates; returns one
-    matrix per layer, shaped like the corresponding weight matrix.
+    Reverse accumulation from the output delta 2 (out - target) f'(z);
+    returns one matrix per layer, shaped like the corresponding weight
+    matrix.
     """
-    if net.topology.n_outputs != 1:
+    topo = net.topology
+    if topo.n_outputs != 1:
         raise ShapeError("gradient requires a single-output network")
-    trace = forward(net, inputs)
-    acts = net.topology.activations
-    out = trace.output
-    # delta[i] = dE/dz_i for the current layer, starting at the output
-    last = len(net.weights) - 1
-    delta = [2.0 * (out - float(target))
-             * acts[last].slope(trace.pre[last][0], trace.post[last][0])]
-    grads: list[Matrix] = [None] * len(net.weights)
-    for l in range(last, -1, -1):
-        below = trace.post[l - 1] if l > 0 else trace.inputs
-        w = net.weights[l]
-        rows = []
-        for i in range(w.rows):
-            rows.append([delta[i] * below[j] for j in range(len(below))]
-                        + [delta[i]])
-        grads[l] = Matrix.from_rows(rows)
-        if l > 0:
-            nxt = []
-            for j in range(len(below)):
-                acc = 0.0
-                for i in range(w.rows):
-                    acc += delta[i] * w.at(i, j)
-                nxt.append(acc * acts[l - 1].slope(trace.pre[l - 1][j],
-                                                   trace.post[l - 1][j]))
-            delta = nxt
-    return tuple(grads)
+    xs = _inputs(topo, inputs)
+    partials = _net_pass("gradient", topo.layer_sizes, topo.codes)(
+        net.flat_weights, xs, float(target))
+    return Network.from_flat(topo, partials).weights
 
 
 def collapse_linear(net: Network) -> Network:
@@ -320,18 +308,19 @@ def load_model(path: "str | Path") -> Network:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # bad JSON, or bytes that are not UTF-8
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "spec" not in doc or "weights" not in doc:
+    if not (isinstance(doc, dict) and isinstance(doc.get("spec"), str)
+            and isinstance(doc.get("weights"), list)):
         raise ModelFormatError(
-            f"{path}: model document needs 'spec' and 'weights' fields")
+            f"{path}: model document needs a 'spec' string and 'weights' list")
     topo = parse_spec(doc["spec"])
     mats = []
     for k, entry in enumerate(doc["weights"]):
         try:
             rows, cols = int(entry["rows"]), int(entry["cols"])
             data = [float(v) for v in entry["data"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(
                 f"{path}: weights[{k}] malformed: {exc}") from None
         if len(data) != rows * cols:

@@ -161,12 +161,11 @@ def project(net: Network, data: Dataset, a: WeightCoord, b: WeightCoord,
             f"ranges {[lo_a, hi_a]} and {[lo_b, hi_b]} give non-finite axis "
             f"values at {steps} steps; the bounds, hi - lo and "
             f"(steps - 1) * (hi - lo) must be finite")
-    flat_w = [v for w in net.weights for v in w.entries]
     xs = [v for ins, _ in pairs for v in ins]
     ts = [t for _, t in pairs]
-    acts = [act.code for act in topo.activations]
-    flat = kernels.project_grid(list(topo.layer_sizes), acts, flat_w, xs, ts,
-                                ia, ib, list(axis_a), list(axis_b))
+    flat = kernels.project_grid(list(topo.layer_sizes), topo.codes,
+                                net.flat_weights, xs, ts, ia, ib,
+                                list(axis_a), list(axis_b))
     values = tuple(tuple(flat[i * steps:(i + 1) * steps])
                    for i in range(steps))
     return SurfaceGrid(a, b, (lo_a, hi_a), (lo_b, hi_b), steps,

@@ -17,8 +17,7 @@ from . import kernels
 from .copula import CopulaParam, xor_f_lattice
 from .datasets import Dataset
 from .errors import DivergenceError, DomainError, ShapeError
-from .linalg import Matrix
-from .network import Network, Topology, forward, parse_spec
+from .network import Network, Topology, parse_spec
 
 __all__ = [
     "TrainConfig", "TrainResult", "FunctionLabel", "SweepEntry",
@@ -97,16 +96,6 @@ def sse(predict, data: Dataset) -> float:
     return total
 
 
-def _net_from_flat(topo: Topology, flat) -> Network:
-    mats = []
-    pos = 0
-    for rows, cols in topo.weight_shapes():
-        n = rows * cols
-        mats.append(Matrix(rows, cols, tuple(flat[pos:pos + n])))
-        pos += n
-    return Network(topo, tuple(mats))
-
-
 def _as_topology(topology) -> Topology:
     if isinstance(topology, str):
         return parse_spec(topology)
@@ -131,9 +120,8 @@ def train(topology, data: Dataset, cfg: TrainConfig) -> TrainResult:
             f"training needs a single-output topology, got {topo.render()}")
     xs = [v for ins, _ in pairs for v in ins]
     ts = [t for _, t in pairs]
-    acts = [a.code for a in topo.activations]
     w, iters, final_sse, status, traj = kernels.train_run(
-        list(topo.layer_sizes), acts, xs, ts, cfg.learning_rate,
+        list(topo.layer_sizes), topo.codes, xs, ts, cfg.learning_rate,
         cfg.max_iters, cfg.tol, 1 if cfg.mode == "per_sample" else 0,
         cfg.seed, cfg.init_range,
         1 if cfg.record_trajectory else 0)
@@ -142,7 +130,7 @@ def train(topology, data: Dataset, cfg: TrainConfig) -> TrainResult:
         raise DivergenceError(
             f"training diverged (non-finite state) at iteration {iters}, "
             f"sse={final_sse!r}", iters, final_sse, None)
-    net = _net_from_flat(topo, w)
+    net = Network.from_flat(topo, w)
     if status == 2:
         raise DivergenceError(
             f"training diverged (SSE blowup) at iteration {iters}, "
@@ -176,7 +164,7 @@ def _as_fn(net):
             raise ShapeError(
                 f"classification needs a 2-in 1-out network, got "
                 f"{net.topology.render()}")
-        return lambda x, y: forward(net, (x, y)).output
+        return net.predictor()
     return net
 
 

@@ -5,7 +5,9 @@ These are the loops xorlab._pycore ran before it generated straight-line
 code per network shape, kept verbatim.  kern.c mirrors them operation
 for operation: the same accumulation order, constants, update
 expressions and status codes.  The splitmix64 stream and the sigmoid
-come from xorlab._pycore, where they are written once.
+come from xorlab._pycore, where they are written once.  gradient is the
+loop xorlab.network.gradient ran before it switched to generated code,
+written on _forward and _slope.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 
 from xorlab._pycore import SSE_BLOWUP, _SplitMix, _sigmoid
+from xorlab.linalg import Matrix
 
 
 def _act(code: int, z: float) -> float:
@@ -109,6 +112,44 @@ def _backward(sizes, acts, w, offs, x, target, pre, post, delta):
             for i in range(sizes[l + 2]):
                 acc += delta[l + 1][i] * w[base + i * (width + 1) + j]
             delta[l][j] = acc * _slope(code, pre[l][j], post[l][j])
+
+
+def gradient(sizes, acts, w, x, target) -> tuple:
+    """Partials of E = (out - target)^2, one Matrix per layer.
+
+    The output delta is 2 (out - target) f'(z), not halved as in
+    training.  Each layer's matrix is packed as soon as its deltas are
+    known, the last layer first, so a non-finite partial raises the
+    DomainError the backward sweep meets first.
+    """
+    sizes = list(sizes)
+    nlayers = len(sizes) - 1
+    offs = _offsets(sizes)
+    pre = [[0.0] * sizes[l + 1] for l in range(nlayers)]
+    post = [[0.0] * sizes[l + 1] for l in range(nlayers)]
+    out = _forward(sizes, acts, w, offs, x, pre, post)
+    last = nlayers - 1
+    delta = [2.0 * (out - float(target))
+             * _slope(acts[last], pre[last][0], post[last][0])]
+    grads = [None] * nlayers
+    for l in range(last, -1, -1):
+        below = post[l - 1] if l > 0 else x
+        n_prev = sizes[l]
+        rows = []
+        for i in range(sizes[l + 1]):
+            rows.append([delta[i] * below[j] for j in range(n_prev)]
+                        + [delta[i]])
+        grads[l] = Matrix.from_rows(rows)
+        if l > 0:
+            nxt = []
+            for j in range(n_prev):
+                acc = 0.0
+                for i in range(sizes[l + 1]):
+                    acc += delta[i] * w[offs[l] + i * (n_prev + 1) + j]
+                nxt.append(acc * _slope(acts[l - 1], pre[l - 1][j],
+                                        post[l - 1][j]))
+            delta = nxt
+    return tuple(grads)
 
 
 def train_run(sizes, acts, xs, ts, lr, max_iters, tol, per_sample,

@@ -1,12 +1,16 @@
 """Topology parsing, forward passes, gradients, collapse, model files."""
 
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xorlab.errors import (ArityError, ModelFormatError, NotLinearError,
-                           ShapeError, SpecSyntaxError)
+import loop_kernels
+from xorlab.errors import (ArityError, DomainError, ModelFormatError,
+                           NotLinearError, ShapeError, SpecSyntaxError)
 from xorlab.linalg import Matrix
 from xorlab.network import (ACTIVATIONS, Network, Topology, collapse_linear,
                             count_weights, forward, gradient, load_model,
@@ -50,6 +54,21 @@ def test_activation_registry():
     assert ACTIVATIONS["relu"].apply(-2.0) == 0.0
     assert ACTIVATIONS["relu"].apply(2.0) == 2.0
     assert ACTIVATIONS["sigmoid"].apply(0.0) == 0.5
+
+
+_BY_CODE = sorted(ACTIVATIONS.values(), key=lambda a: a.code)
+
+
+def test_activations_match_loop_reference():
+    zs = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 20.0, -20.0, 710.0, -710.0,
+          math.inf, -math.inf, math.nan]
+    for act in _BY_CODE:
+        for z in zs:
+            assert (repr(act.apply(z))
+                    == repr(loop_kernels._act(act.code, z)))
+            for a in zs + [act.apply(z)]:
+                assert (repr(act.slope(z, a))
+                        == repr(loop_kernels._slope(act.code, z, a)))
 
 
 def test_count_weights_spec_values():
@@ -154,6 +173,58 @@ def test_gradient_matches_finite_differences_tanh():
                     assert ga.at(i, j) == pytest.approx(gn[i][j], abs=1e-7)
 
 
+# -- forward and gradient against the loop reference -------------------------
+
+def _pick(special, lo, hi):
+    return st.one_of(st.sampled_from(special), st.floats(lo, hi))
+
+
+@st.composite
+def _cases(draw, out_widths):
+    """A network of depth 1-3, widths 1-5 and any activations, with
+    weights, inputs and a target that reach the non-finite range."""
+    depth = draw(st.integers(1, 3))
+    sizes = ([draw(st.integers(1, 5)) for _ in range(depth)]
+             + [draw(out_widths)])
+    codes = [draw(st.integers(0, 3)) for _ in range(depth)]
+    w = draw(st.lists(_pick([0.0, -0.0, 1e200, -1e200], -3.0, 3.0),
+                      min_size=count_weights(sizes),
+                      max_size=count_weights(sizes)))
+    x = draw(st.lists(_pick([-0.0, 1e3, -1e3], -2.0, 2.0),
+                      min_size=sizes[0], max_size=sizes[0]))
+    t = draw(_pick([1e300, -0.0], -2.0, 2.0))
+    topo = Topology(tuple(sizes), tuple(_BY_CODE[c] for c in codes))
+    return sizes, codes, w, x, t, Network.from_flat(topo, w)
+
+
+@given(_cases(st.integers(1, 5)))
+@settings(max_examples=200, deadline=None)
+def test_forward_matches_loop_reference(case):
+    sizes, codes, w, x, _, net = case
+    pre = [[0.0] * n for n in sizes[1:]]
+    post = [[0.0] * n for n in sizes[1:]]
+    loop_kernels._forward(sizes, codes, w, loop_kernels._offsets(sizes), x,
+                          pre, post)
+    trace = forward(net, x)
+    assert repr(trace.pre) == repr(tuple(map(tuple, pre)))
+    assert repr(trace.post) == repr(tuple(map(tuple, post)))
+
+
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except DomainError as exc:      # a non-finite partial
+        return f"DomainError: {exc}"
+
+
+@given(_cases(st.just(1)))
+@settings(max_examples=200, deadline=None)
+def test_gradient_matches_loop_reference(case):
+    sizes, codes, w, x, t, net = case
+    assert (_outcome(lambda: gradient(net, x, t))
+            == _outcome(lambda: loop_kernels.gradient(sizes, codes, w, x, t)))
+
+
 def test_gradient_requires_single_output():
     net = _net("2-2/inp-id", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(ShapeError):
@@ -225,7 +296,14 @@ def test_load_model_rejects_malformed(tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(bad)
     wrong = tmp_path / "wrong.json"
-    wrong.write_text(json.dumps({"spec": "2-2-1/inp-id-id",
-                                 "weights": [[[1.0]]]}))
+    for doc in ({"spec": "2-2-1/inp-id-id", "weights": [[[1.0]]]},
+                {"spec": "2-2-1/inp-tanh-tanh", "weights": 5},
+                {"spec": 5, "weights": []},
+                {"spec": "2-1/inp-id", "weights": [
+                    {"rows": 1, "cols": 3, "data": [10**400, 0, 0]}]}):
+        wrong.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            load_model(wrong)
+    wrong.write_bytes(b"\xff\xfe")
     with pytest.raises(ModelFormatError):
         load_model(wrong)
