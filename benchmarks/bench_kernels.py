@@ -13,13 +13,18 @@ Library section, on the default backend: surface.landscape_stats and
 surface.emit_grid_csv over the 101x101 grids of all 36 weight pairs of
 one fixed tanh net and one fixed relu net (the time per grid),
 trainer.classify on both nets (both fall through to the F_s fit), and
-on both nets network.forward over classify's 21x21 lattice and
-network.gradient over the four boolean-xor samples.
+on both nets classify's 21x21 lattice, as 441 network.forward calls and
+as one network.forward_lattice call, and network.gradient over the four
+boolean-xor samples.
 
-First-call section: the time the first network.forward call and then
-the first network.gradient call take in a new interpreter, at 2-2-1 and
+First-call section: the time the first network.forward call, then the
+first network.gradient call and then the first network.forward_lattice
+call over the 21x21 lattice take in a new interpreter, at 2-2-1 and
 2-9-1, so that any per-shape set-up those calls do is counted; one
 interpreter per repeat and shape.
+
+A package without network.forward_lattice (older trees) is timed without
+its items, so that one script compares two checkouts.
 
 Every item reports the best of --repeats timings and their spread (the
 median and the worst).  --json PATH also writes them, with the Python
@@ -186,41 +191,48 @@ def _library_section(args, items):
     lattice = [(x, y) for x in axis for y in axis]
     samples = data.single()
     for tag, net, _ in nets:
-        work = (
-            ("network.forward 21x21 lattice",
-             lambda: [network.forward(net, p) for p in lattice]),
-            ("network.gradient 4 xor samples",
-             lambda: [network.gradient(net, ins, t) for ins, t in samples]))
+        work = [("network.forward 21x21 lattice",
+                 lambda: [network.forward(net, p) for p in lattice])]
+        if hasattr(network, "forward_lattice"):
+            work.append(("network.forward_lattice 21x21 lattice",
+                         lambda: network.forward_lattice(net, axis)))
+        work.append(("network.gradient 4 xor samples",
+                     lambda: [network.gradient(net, ins, t)
+                              for ins, t in samples]))
         for label, fn in work:
             seconds, = _timings([fn], args.repeats)
             items.append(_item(f"{label}, {tag} net", BACKEND, seconds))
             _show(items[-1])
 
 
-# times the first forward and gradient calls of a new interpreter
+# times the first forward, gradient and forward_lattice calls of a new
+# interpreter
 FIRST_CALL = """
 import sys, time
+from xorlab import network
 from xorlab.linalg import Matrix
-from xorlab.network import Network, forward, gradient, parse_spec
-topo = parse_spec(sys.argv[1])
-net = Network(topo, tuple(Matrix(rows, cols, (0.5,) * (rows * cols))
-                          for rows, cols in topo.weight_shapes()))
+topo = network.parse_spec(sys.argv[1])
+net = network.Network(topo, tuple(Matrix(rows, cols, (0.5,) * (rows * cols))
+                                  for rows, cols in topo.weight_shapes()))
 t0 = time.perf_counter()
-forward(net, (0.5, 0.5))
+network.forward(net, (0.5, 0.5))
 t1 = time.perf_counter()
-gradient(net, (0.5, 0.5), 1.0)
+network.gradient(net, (0.5, 0.5), 1.0)
 t2 = time.perf_counter()
-print(t1 - t0, t2 - t1)
+if hasattr(network, "forward_lattice"):
+    network.forward_lattice(net, [i / 20 for i in range(21)])
+t3 = time.perf_counter()
+print(t1 - t0, t2 - t1, t3 - t2)
 """
 
 
 def first_calls(spec, repeats):
-    """Seconds of the first forward and gradient call, one new
-    interpreter per repeat, importing this xorlab."""
+    """Seconds of the first forward, gradient and forward_lattice call,
+    one new interpreter per repeat, importing this xorlab."""
     home = os.path.dirname(os.path.dirname(xorlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [home] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    times = ([], [])
+    times = ([], [], [])
     for _ in range(repeats):
         out = subprocess.run([sys.executable, "-c", FIRST_CALL, spec],
                              env=env, capture_output=True, text=True,
@@ -232,9 +244,11 @@ def first_calls(spec, repeats):
 
 def _first_call_section(args, items):
     print(f"first calls: backend {BACKEND}")
+    kinds = ("forward", "gradient")
+    if hasattr(network, "forward_lattice"):
+        kinds += ("forward_lattice 21x21",)
     for spec in ("2-2-1/inp-tanh-tanh", "2-9-1/inp-tanh-tanh"):
-        for kind, seconds in zip(("forward", "gradient"),
-                                 first_calls(spec, args.repeats)):
+        for kind, seconds in zip(kinds, first_calls(spec, args.repeats)):
             items.append(_item(f"first network.{kind} call, {spec}",
                                BACKEND, seconds))
             _show(items[-1])

@@ -12,8 +12,10 @@ a cache of its own, e.g. "<xorlab project_grid 2-2-1 tanh-tanh a=w0
 b=w6>": each unit is computed before the grid loops, once per row or
 once per cell, whichever is the outermost its inputs allow.  Only
 integers derived from sizes, activation codes and indices enter the
-generated text.  network's forward and gradient come from the same unit
-lines, in a third cache (_net_pass): "<xorlab forward 2-2-1 tanh-tanh>".
+generated text.  network's forward, gradient and lattice pass come from
+the same unit lines, in a third cache (_net_pass): "<xorlab forward
+2-2-1 tanh-tanh>", and "<xorlab forward_lattice 2-2-1 tanh-tanh>" for
+the pass over a whole x-by-y lattice that classification evaluates.
 
 _Source pins the accumulation order (ascending input index, bias last)
 and every other float operation of the one Python forward and backward
@@ -376,6 +378,20 @@ class _Source:
             f"    return {layers('z')}, {layers('a')}",
         ]
 
+    def forward_lattice(self) -> list:
+        """The first output at every (x, y) of xs x xs, row-major: the
+        lines of forward inside a loop over the lattice (two inputs)."""
+        return [
+            "def forward_lattice(w, xs):",
+            f"    {self.weights} = w",
+            "    out = []",
+            "    emit = out.append",
+            "    for a0_0 in xs:",
+            "        for a0_1 in xs:",
+            *_indent(self._forward() + [f"emit(a{self.top}_0)"], 3),
+            "    return out",
+        ]
+
     def gradient(self) -> list:
         """Every partial of E = (out - t)^2 at the inputs x, flat."""
         return [
@@ -416,8 +432,9 @@ def _generate(kernel: str, sizes: tuple, acts: tuple, per_sample=None):
                   f"<xorlab {kernel} {_tag(sizes, acts)}{mode}>")
 
 
-# train_run and sse_dataset; network's forward and gradient, which take
-# exactly the network's weights and inputs, in a cache of their own
+# train_run and sse_dataset; network's forward, forward_lattice and
+# gradient, which take exactly the network's weights, in a cache of their
+# own
 _compiled = functools.lru_cache(maxsize=32)(_generate)
 _net_pass = functools.lru_cache(maxsize=32)(_generate)
 

@@ -652,7 +652,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except XorlabError as exc:
+    except (XorlabError, OSError) as exc:
+        # OSError: a file named on the command line cannot be read or
+        # written (missing, a directory, no permission)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

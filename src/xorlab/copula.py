@@ -7,13 +7,18 @@ F_s = R_s - A_s = x + y - 2 A_s.
 
 The closed form is evaluated as log1p(expm1(xL) expm1(yL) / expm1(L)) / L
 with L = ln s, which is stable in both quadrants (for s < 1 all three
-expm1 terms are negative and the quotient is positive).
+expm1 terms are negative and the quotient is positive).  It is written in
+two places: _frank_raw, one point at a time, for every scalar and for
+xor_f_lattice; and xor_f_deviation, which fits a lattice of outputs
+against F_s without building the lattice and walks only its upper
+triangle.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleProbabilityError
@@ -155,22 +160,55 @@ def xor_f_lattice(s: CopulaParam, axis) -> "list[float]":
     """F_s over the lattice axis x axis, flat and row-major.
 
     Entry i * len(axis) + j equals float(xor_f(s, axis[i], axis[j])) bit
-    for bit, with the UnitValue window applied inline.  In the closed-form
-    range expm1(x L) is computed once per axis value, not once per point.
+    for bit, with the UnitValue window applied inline.
     """
     xs = _unit_axis(tuple(axis))
-    if s.kind == "finite" and ZERO_DISPATCH <= s.s <= INF_DISPATCH:
-        # a finite s is never 1, so L != 0
-        L = math.log(s.s)
-        ex = [math.expm1(x * L) for x in xs]
-        dL = math.expm1(L)
-        log1p = math.log1p
-        fs = [x + y - 2.0 * (log1p(ei * ej / dL) / L)
-              for x, ei in zip(xs, ex) for y, ej in zip(xs, ex)]
-    else:
-        fs = [_xor_value(s, x, y) for x in xs for y in xs]
+    fs = [_xor_value(s, x, y) for x in xs for y in xs]
     # the UnitValue window; values already inside [0, 1] need no clamp
     return [f if 0.0 <= f <= 1.0 else UnitValue(f).v for f in fs]
+
+
+def xor_f_deviation(s: CopulaParam, axis, outs) -> float:
+    """max |outs[k] - xor_f_lattice(s, axis)[k]| bit for bit, and the
+    same DomainError; outs holds one value per lattice point.
+
+    For s in the closed-form range the lattice is never built.  F_s is
+    symmetric bit for bit (IEEE + and * commute), so each value of the
+    upper triangle is computed once, put through the UnitValue window and
+    compared with the outputs at (i, j) and (j, i): 231 log1p calls for
+    the 441 points of a 21 x 21 lattice.  expm1(x L) is computed once per
+    axis value.  Every other s goes through xor_f_lattice.
+    """
+    if not (s.kind == "finite" and ZERO_DISPATCH <= s.s <= INF_DISPATCH):
+        return max(map(abs, map(operator.sub, outs,
+                                xor_f_lattice(s, axis))))
+    # sliced per row below: as a tuple, those slices pile up in CPython's
+    # tuple free lists (about 0.4 MB of peak memory), as a list they do not
+    xs = list(_unit_axis(tuple(axis)))
+    # a finite s is never 1, so L != 0
+    L = math.log(s.s)
+    ex = [math.expm1(x * L) for x in xs]
+    dL = math.expm1(L)
+    log1p = math.log1p
+    g = len(xs)
+    # max() keeps a NaN only when it comes first, and the walk below
+    # starts at the same point; the row-major first value outside the
+    # window lies on the upper triangle, so it is met first here too
+    worst = 0.0 if outs[0] == outs[0] else math.nan
+    for i, (x, ei) in enumerate(zip(xs, ex)):
+        k = i * (g + 1)             # the diagonal point (i, i)
+        for y, ej, d_ij, d_ji in zip(xs[i:], ex[i:], outs[k:k + g - i],
+                                     outs[k::g]):
+            f = x + y - 2.0 * (log1p(ei * ej / dL) / L)
+            if f < 0.0 or f > 1.0:      # never NaN: |q| < 1 when s < 1
+                f = UnitValue(f).v
+            d_ij = abs(d_ij - f)
+            d_ji = abs(d_ji - f)
+            if d_ij > worst:
+                worst = d_ij
+            if d_ji > worst:
+                worst = d_ji
+    return worst
 
 
 def _and_value(s: CopulaParam, x: float, y: float) -> float:

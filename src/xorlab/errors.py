@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Everything raised on purpose derives from XorlabError so the CLI can map
-domain failures to exit code 1 while genuine bugs still crash loudly.
+domain failures to exit code 1 while genuine bugs still crash loudly.  The
+CLI maps an OSError (a file it cannot read or write) to exit code 1 too.
 """
 
 

@@ -4,9 +4,11 @@ The weight matrix of layer l has shape n_{l+1} x (n_l + 1): the last
 column is the bias, so the layer computes f(W . [prev; 1]).  Published
 weight tables in that convention paste in directly.
 
-forward and gradient run the straight-line code xorlab._pycore generates
-per network shape (cached in _pycore._net_pass): the accumulation order
-(ascending input index, bias last) is pinned there and mirrored in kern.c.
+forward, forward_lattice and gradient run the straight-line code
+xorlab._pycore generates per network shape (cached in _pycore._net_pass;
+forward_lattice runs forward's unit lines in a loop over a lattice): the
+accumulation order (ascending input index, bias last) is pinned there and
+mirrored in kern.c.
 Activations compile apply and slope from the same templates.  from_flat
 and flat_weights (computed once per network) own the flat weight layout.
 """
@@ -27,7 +29,7 @@ __all__ = [
     "Activation", "ID", "TANH", "SIGMOID", "RELU", "ACTIVATIONS",
     "Topology", "Network", "ForwardTrace",
     "parse_spec", "parse_sizes", "count_weights",
-    "forward", "gradient", "collapse_linear",
+    "forward", "forward_lattice", "gradient", "collapse_linear",
     "save_model", "load_model",
 ]
 
@@ -247,6 +249,18 @@ def forward(net: Network, inputs) -> ForwardTrace:
                                        topo.codes)(net.flat_weights, xs))
 
 
+def forward_lattice(net: Network, axis) -> list[float]:
+    """The output of a 2-in 1-out network at every (x, y) of axis x axis,
+    row-major: entry i * len(axis) + j is forward(net, (axis[i],
+    axis[j])).output bit for bit, from one generated pass."""
+    topo = net.topology
+    if topo.n_inputs != 2 or topo.n_outputs != 1:
+        raise ShapeError(f"a lattice pass needs a 2-in 1-out network, got "
+                         f"{topo.render()}")
+    return _net_pass("forward_lattice", topo.layer_sizes, topo.codes)(
+        net.flat_weights, [float(v) for v in axis])
+
+
 def gradient(net: Network, inputs, target: float) -> tuple[Matrix, ...]:
     """Partials of the squared error (out - target)^2 for every weight.
 
@@ -304,6 +318,14 @@ def save_model(net: Network, path: "str | Path",
         fh.write("\n")
 
 
+def _dimension(v) -> int:
+    """A matrix dimension from JSON; int() alone would truncate 1.9 and
+    take true as 1."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"dimension {v!r} is not an integer")
+    return int(v)
+
+
 def load_model(path: "str | Path") -> Network:
     try:
         with open(path) as fh:
@@ -318,7 +340,7 @@ def load_model(path: "str | Path") -> Network:
     mats = []
     for k, entry in enumerate(doc["weights"]):
         try:
-            rows, cols = int(entry["rows"]), int(entry["cols"])
+            rows, cols = _dimension(entry["rows"]), _dimension(entry["cols"])
             data = [float(v) for v in entry["data"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(

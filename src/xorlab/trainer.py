@@ -4,6 +4,12 @@ surface, and the constant 1/2.
 
 Training runs through the kernels backend (compiled when available); the
 trainer owns validation, Network packing, and divergence reporting.
+
+Classification evaluates a Network once over the lattice, through
+network.forward_lattice: one generated pass per shape, cached in
+_pycore._net_pass as "<xorlab forward_lattice 2-2-1 tanh-tanh>".  The
+F_s fit compares those outputs with copula.xor_f_deviation, which never
+builds the F_s lattice.
 """
 
 from __future__ import annotations
@@ -14,10 +20,10 @@ import operator
 from dataclasses import dataclass, replace
 
 from . import kernels
-from .copula import CopulaParam, xor_f_lattice
+from .copula import CopulaParam, xor_f_deviation, xor_f_lattice
 from .datasets import Dataset
 from .errors import DivergenceError, DomainError, ShapeError
-from .network import Network, Topology, parse_spec
+from .network import Network, Topology, forward_lattice, parse_spec
 
 __all__ = [
     "TrainConfig", "TrainResult", "FunctionLabel", "SweepEntry",
@@ -158,16 +164,6 @@ _FIXED_CANDIDATES = (("F0", _f0), ("F1", _F1), ("Finf", _FINF),
                      ("ConstHalf", _const_half))
 
 
-def _as_fn(net):
-    if isinstance(net, Network):
-        if net.topology.n_inputs != 2 or net.topology.n_outputs != 1:
-            raise ShapeError(
-                f"classification needs a 2-in 1-out network, got "
-                f"{net.topology.render()}")
-        return net.predictor()
-    return net
-
-
 @dataclass(frozen=True)
 class _Lattice:
     """Outputs of one function over the grid x grid lattice on [0,1]^2,
@@ -178,15 +174,21 @@ class _Lattice:
 
 
 def _lattice(net, grid: int) -> _Lattice:
-    """Evaluate a network or callable once over the lattice.  Outputs that
-    sweep already evaluated pass through, at the grid they were made on."""
+    """Evaluate a network (one generated lattice pass) or a callable (one
+    call per point) once over the lattice.  Outputs that sweep already
+    evaluated pass through, at the grid they were made on."""
     if isinstance(net, _Lattice):
         return net
     if grid < 2:
         raise DomainError(f"grid must be at least 2, got {grid}")
-    fn = _as_fn(net)
     axis = _axis(grid)
-    return _Lattice(grid, [float(fn(x, y)) for x in axis for y in axis])
+    if isinstance(net, Network):
+        if net.topology.n_inputs != 2 or net.topology.n_outputs != 1:
+            raise ShapeError(
+                f"classification needs a 2-in 1-out network, got "
+                f"{net.topology.render()}")
+        return _Lattice(grid, forward_lattice(net, axis))
+    return _Lattice(grid, [float(net(x, y)) for x in axis for y in axis])
 
 
 @functools.lru_cache(maxsize=8)
@@ -222,8 +224,8 @@ def _max_abs_diff(outs, ref) -> float:
 
 
 def _fs_deviation(outs, grid: int, t: float) -> float:
-    fs = xor_f_lattice(CopulaParam.finite(t / (1.0 - t)), _axis(grid))
-    return _max_abs_diff(outs, fs)
+    return xor_f_deviation(CopulaParam.finite(t / (1.0 - t)), _axis(grid),
+                           outs)
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 40):

@@ -181,6 +181,25 @@ def test_net_forward(linear_model, capsys):
     assert doc["post"][0] == pytest.approx([0.1, 0.4], abs=1e-15)
 
 
+def test_net_forward_missing_model_is_an_error(tmp_path, capsys):
+    code, out, err = run(capsys, "net", "forward", "--model",
+                         str(tmp_path / "nonexistent.json"), "--input", "0,1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "nonexistent.json" in err
+    assert "Traceback" not in err
+
+
+def test_net_forward_rejects_fractional_dimensions(tmp_path, capsys):
+    model = tmp_path / "frac.json"
+    model.write_text(json.dumps(
+        {"spec": "2-1/inp-id",
+         "weights": [{"rows": 1.9, "cols": 3.2, "data": [0.5, 0.25, 1]}]}))
+    code, out, err = run(capsys, "net", "forward", "--model", str(model),
+                         "--input", "1,1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "not an integer" in err
+
+
 def test_net_collapse(linear_model, tmp_path, capsys):
     out = tmp_path / "flat.json"
     code, _, _ = run(capsys, "net", "collapse", "--model", str(linear_model),
@@ -302,6 +321,15 @@ def test_surface_steps_2_fails_before_writing(linear_model, tmp_path,
                             "--steps", "2")
     assert code == 1
     assert "steps >= 3" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["linear.json"]
+
+
+def test_surface_missing_out_dir_is_an_error(linear_model, tmp_path,
+                                             capsys):
+    code, out, err = _surface(capsys, linear_model,
+                              tmp_path / "nodir" / "x.csv", "--steps", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "nodir" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["linear.json"]
 
 

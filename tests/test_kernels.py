@@ -387,6 +387,9 @@ def test_generated_code_names_its_shape():
             == "<xorlab project_grid 2-3-1 sigmoid-id a=none b=w12>")
     fwd = _pycore._net_pass("forward", (2, 2, 1), (1, 1))
     assert fwd.__code__.co_filename == "<xorlab forward 2-2-1 tanh-tanh>"
+    lattice = _pycore._net_pass("forward_lattice", (2, 2, 1), (1, 1))
+    assert (lattice.__code__.co_filename
+            == "<xorlab forward_lattice 2-2-1 tanh-tanh>")
     grad = _pycore._net_pass("gradient", (2, 9, 1), (3, 0))
     assert grad.__code__.co_filename == "<xorlab gradient 2-9-1 relu-id>"
 

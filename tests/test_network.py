@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loop_kernels
@@ -13,8 +13,8 @@ from xorlab.errors import (ArityError, DomainError, ModelFormatError,
                            NotLinearError, ShapeError, SpecSyntaxError)
 from xorlab.linalg import Matrix
 from xorlab.network import (ACTIVATIONS, Network, Topology, collapse_linear,
-                            count_weights, forward, gradient, load_model,
-                            parse_sizes, parse_spec, save_model)
+                            count_weights, forward, forward_lattice, gradient,
+                            load_model, parse_sizes, parse_spec, save_model)
 
 
 def _net(spec, *layers):
@@ -180,11 +180,12 @@ def _pick(special, lo, hi):
 
 
 @st.composite
-def _cases(draw, out_widths):
+def _cases(draw, out_widths, in_widths=st.integers(1, 5)):
     """A network of depth 1-3, widths 1-5 and any activations, with
     weights, inputs and a target that reach the non-finite range."""
     depth = draw(st.integers(1, 3))
-    sizes = ([draw(st.integers(1, 5)) for _ in range(depth)]
+    sizes = ([draw(in_widths)]
+             + [draw(st.integers(1, 5)) for _ in range(depth - 1)]
              + [draw(out_widths)])
     codes = [draw(st.integers(0, 3)) for _ in range(depth)]
     w = draw(st.lists(_pick([0.0, -0.0, 1e200, -1e200], -3.0, 3.0),
@@ -223,6 +224,26 @@ def test_gradient_matches_loop_reference(case):
     sizes, codes, w, x, t, net = case
     assert (_outcome(lambda: gradient(net, x, t))
             == _outcome(lambda: loop_kernels.gradient(sizes, codes, w, x, t)))
+
+
+@given(_cases(st.just(1), in_widths=st.just(2)), st.sampled_from([2, 11, 21]))
+@example((_net("2-1-1/inp-id-id", [[1e200, 1e200, 0.0]], [[1e200, 0.0]]),),
+         2)                                     # inf off the origin
+@example((_net("2-2-1/inp-id-id", [[1e300, 0.0, 0.0], [1e300, 0.0, 0.0]],
+               [[1e300, -1e300, 0.0]]),), 2)    # inf - inf: NaN at x = 1
+@settings(max_examples=200, deadline=None)
+def test_forward_lattice_matches_pointwise_forward(case, grid):
+    *_, net = case
+    axis = [i / (grid - 1) for i in range(grid)]
+    want = [forward(net, (x, y)).output for x in axis for y in axis]
+    assert repr(forward_lattice(net, axis)) == repr(want)
+
+
+def test_forward_lattice_needs_two_inputs_and_one_output():
+    for net in (_net("3-1/inp-id", [[0.0] * 4]),
+                _net("2-2/inp-id", [[0.0] * 3, [0.0] * 3])):
+        with pytest.raises(ShapeError):
+            forward_lattice(net, [0.0, 1.0])
 
 
 def test_gradient_requires_single_output():
@@ -290,6 +311,13 @@ def test_save_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_load_model_takes_integral_float_dimensions(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"spec": "2-1/inp-id", "weights": [
+        {"rows": 1.0, "cols": 3.0, "data": [0.5, 0.25, 1]}]}))
+    assert load_model(path).weights[0].shape == (1, 3)
+
+
 def test_load_model_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -300,7 +328,14 @@ def test_load_model_rejects_malformed(tmp_path):
                 {"spec": "2-2-1/inp-tanh-tanh", "weights": 5},
                 {"spec": 5, "weights": []},
                 {"spec": "2-1/inp-id", "weights": [
-                    {"rows": 1, "cols": 3, "data": [10**400, 0, 0]}]}):
+                    {"rows": 1, "cols": 3, "data": [10**400, 0, 0]}]},
+                # int() would truncate these to a 1x3 matrix
+                {"spec": "2-1/inp-id", "weights": [
+                    {"rows": 1.9, "cols": 3.2, "data": [0.5, 0.25, 1]}]},
+                {"spec": "2-1/inp-id", "weights": [
+                    {"rows": True, "cols": 3, "data": [0.5, 0.25, 1]}]},
+                {"spec": "2-1/inp-id", "weights": [
+                    {"rows": 1, "cols": 3.5, "data": [0.5, 0.25, 1]}]}):
         wrong.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError):
             load_model(wrong)

@@ -1,14 +1,15 @@
 """Training driver, function classification, sweeps."""
 
 import math
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorlab import kernels
-from xorlab.copula import CopulaParam, xor_f, xor_f_lattice
+from xorlab import kernels, network, trainer
+from xorlab.copula import CopulaParam, xor_f, xor_f_deviation, xor_f_lattice
 from xorlab.datasets import Dataset, builtin
 from xorlab.errors import DivergenceError, DomainError, ShapeError
 from xorlab.linalg import Matrix, least_squares
@@ -338,6 +339,27 @@ def test_xor_f_lattice_matches_xor_f_bitwise():
         assert _outcome(xor_f_lattice, p, axis) == _outcome(want), p
 
 
+def _lattice_deviation(p, axis, outs):
+    """xor_f_deviation by its definition: the lattice, then max()."""
+    return max(map(abs, map(operator.sub, outs, xor_f_lattice(p, axis))))
+
+
+@pytest.mark.parametrize("grid", [21, 11, 2])
+def test_xor_f_deviation_matches_lattice_max(grid):
+    pts, cases = _parity_outputs(grid)
+    n = grid * grid
+    cases += [[math.nan] + cases[0][1:], cases[0][:-1] + [math.nan],
+              [math.inf] + [-0.0] * (n - 1), [-math.inf] * n, [-0.0] * n]
+    axis = [i / (grid - 1) for i in range(grid)]
+    params = [CopulaParam.zero(), CopulaParam.one(), CopulaParam.infinity()]
+    params += [CopulaParam.finite(t / (1.0 - t)) for t in PARITY_TS]
+    params += [CopulaParam.finite(s) for s in (1e-9, 0.003, 40.0, 1e9)]
+    for p in params:
+        for outs in cases:
+            assert _outcome(xor_f_deviation, p, axis, outs) == \
+                _outcome(_lattice_deviation, p, axis, outs), p
+
+
 def test_xor_f_lattice_validates_axis():
     with pytest.raises(DomainError):
         xor_f_lattice(CopulaParam.finite(2.0), [0.0, 1.5])
@@ -383,6 +405,16 @@ def test_classify_matches_pointwise_reference_on_random_nets(w, spec, tol):
     assert _same_label(classify(net, tol=tol), _ref_classify(fn, tol=tol))
 
 
+@pytest.mark.parametrize("spec, lr, tol", [
+    ("2-2-1/inp-tanh-tanh", 0.5, 0.1), ("2-2-1/inp-relu-relu", 0.1, 0.05)])
+def test_classify_matches_pointwise_reference_on_trained_nets(spec, lr, tol):
+    for seed in range(3):
+        net = train(spec, XOR, TrainConfig(seed=seed, learning_rate=lr,
+                                           max_iters=4000)).final_net
+        assert _same_label(classify(net, tol=tol),
+                           _ref_classify(net.predictor(), tol=tol))
+
+
 # -- sweeps ------------------------------------------------------------------
 
 def test_sweep_seed_sequence_and_histogram():
@@ -420,6 +452,21 @@ def test_sweep_labels_match_classify_and_envelope_check():
         assert _same_label(e.label, classify(net, tol=0.1))
         if e.result.converged:
             assert e.envelope_ok is envelope_check(net, tol=0.1)
+
+
+def test_sweep_evaluates_its_lattice_in_one_pass(monkeypatch):
+    # one generated lattice pass, not one network.forward call per point
+    lattice_calls, forward_calls = [], []
+    real_lattice, real_forward = trainer.forward_lattice, network.forward
+    monkeypatch.setattr(trainer, "forward_lattice", lambda *args: (
+        lattice_calls.append(args) or real_lattice(*args)))
+    monkeypatch.setattr(network, "forward", lambda *args: (
+        forward_calls.append(args) or real_forward(*args)))
+    entry, = sweep("2-2-1/inp-tanh-tanh", XOR,
+                   TrainConfig(seed=3, learning_rate=0.5), 1,
+                   classify_tol=0.1)
+    assert entry.result.converged
+    assert len(lattice_calls) == 1 and forward_calls == []
 
 
 def test_sweep_validation():
