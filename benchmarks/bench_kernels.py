@@ -12,9 +12,11 @@ two first-layer weights (L1xL1), a first-layer and an output weight
 Library section, on the default backend: surface.landscape_stats and
 surface.emit_grid_csv over the 101x101 grids of all 36 weight pairs of
 one fixed tanh net and one fixed relu net (the time per grid),
-trainer.classify on both nets (both fall through to the F_s fit), and
-on both nets classify's 21x21 lattice, as 441 network.forward calls and
-as one network.forward_lattice call, and network.gradient over the four
+trainer.classify on both nets (their edge deviation settles both as
+Unclassified, so neither runs the F_s fit) and on the F_s lattice at
+s = 3 (which runs the fit and is labelled Fs), and on both nets
+classify's 21x21 lattice, as 441 network.forward calls and as one
+network.forward_lattice call, and network.gradient over the four
 boolean-xor samples.
 
 First-call section: the time the first network.forward call, then the
@@ -50,6 +52,7 @@ from pathlib import Path
 
 import xorlab
 from xorlab import _pycore, network, surface
+from xorlab.copula import CopulaParam, xor_f_lattice
 from xorlab.datasets import builtin
 from xorlab.kernels import BACKEND, available_backends, get_backend
 from xorlab.linalg import Matrix
@@ -118,7 +121,7 @@ def _workloads(args):
 
 
 # converged boolean-xor nets (trainer seeds 0 at lr 0.5, and 29), both
-# Unclassified after the full F_s fit at their sweep tolerances
+# Unclassified at their sweep tolerances without the F_s fit
 FIXED_NETS = (
     ("tanh", "2-2-1/inp-tanh-tanh", 0.1, (
         [2.2091816960898405, 2.0465084188431755, -3.1746804484211153,
@@ -180,15 +183,20 @@ def _library_section(args, items):
                 f"{label} {args.steps}x{args.steps}, per grid", BACKEND,
                 seconds, per=len(grids)))
             _show(items[-1], f"   over {len(grids)} grids")
-    for tag, net, tol in nets:
-        label = classify(net, tol=tol)
-        seconds, = _timings([lambda: classify(net, tol=tol)], args.repeats)
-        items.append(_item(f"classify {tag} net, tol {tol:g}", BACKEND,
-                           seconds))
-        _show(items[-1], f"   {label.render()} "
-                         f"max_deviation={label.max_deviation!r}")
     axis = [i / 20 for i in range(21)]
     lattice = [(x, y) for x in axis for y in axis]
+    # F_s at s = 3 as a table, so that classify times its fit, not xor_f
+    fs3 = dict(zip(lattice, xor_f_lattice(CopulaParam.finite(3.0), axis)))
+    work = [(f"classify {tag} net, tol {tol:g}", net, tol)
+            for tag, net, tol in nets]
+    work.append(("classify F_s(s=3) lattice, tol 0.05",
+                 lambda x, y: fs3[x, y], 0.05))
+    for name, fn, tol in work:
+        label = classify(fn, tol=tol)
+        seconds, = _timings([lambda: classify(fn, tol=tol)], args.repeats)
+        items.append(_item(name, BACKEND, seconds))
+        _show(items[-1], f"   {label.render()} "
+                         f"max_deviation={label.max_deviation!r}")
     samples = data.single()
     for tag, net, _ in nets:
         work = [("network.forward 21x21 lattice",

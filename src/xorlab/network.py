@@ -318,10 +318,18 @@ def save_model(net: Network, path: "str | Path",
         fh.write("\n")
 
 
+def _number(v) -> float:
+    """A weight from JSON; float() alone would take "0.5" and true."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"weight {v!r} is not a JSON number")
+    return float(v)
+
+
 def _dimension(v) -> int:
     """A matrix dimension from JSON; int() alone would truncate 1.9 and
-    take true as 1."""
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+    take "1" and true as 1."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or (isinstance(v, float) and not v.is_integer())):
         raise ValueError(f"dimension {v!r} is not an integer")
     return int(v)
 
@@ -341,7 +349,7 @@ def load_model(path: "str | Path") -> Network:
     for k, entry in enumerate(doc["weights"]):
         try:
             rows, cols = _dimension(entry["rows"]), _dimension(entry["cols"])
-            data = [float(v) for v in entry["data"]]
+            data = [_number(v) for v in entry["data"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(
                 f"{path}: weights[{k}] malformed: {exc}") from None

@@ -10,6 +10,13 @@ network.forward_lattice: one generated pass per shape, cached in
 _pycore._net_pass as "<xorlab forward_lattice 2-2-1 tanh-tanh>".  The
 F_s fit compares those outputs with copula.xor_f_deviation, which never
 builds the F_s lattice.
+
+The fit runs only when it can change the label.  F_s(x, 0) = x and
+F_s(0, y) = y exactly for every s the fit tries (A_s is grounded, and
+expm1(0 * ln s) is a signed zero), so the fit's deviation is never below
+the outputs' deviation on those two edges.  When that edge deviation is
+already no better than the best fixed candidate's, classify returns
+Unclassified with the fixed deviation, as the fit would have.
 """
 
 from __future__ import annotations
@@ -256,8 +263,14 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
     more than one lattice step (Chebyshev) away from either zero corner.
     When no fixed candidate fits within tol, a finite s is fitted by 1-D
     search and Fs(s) is returned if it fits; otherwise Unclassified,
-    carrying the best deviation seen.  A non-finite output anywhere on the
-    lattice gives Unclassified with deviation inf, as for a diverged run.
+    carrying the best deviation seen.  The fit is skipped, with the same
+    result, when the edge deviation max |out - x| over the points (x, 0)
+    and (0, x) is at least the best fixed deviation: every copula is
+    grounded, so every F_s the fit tries (s in [0.0101, 99], or the One
+    variant) equals x on those points bit for bit, and no fit can get
+    below that deviation or within tol.  A non-finite output anywhere on
+    the lattice gives Unclassified with deviation inf, as for a diverged
+    run.
 
     net is a 2-in 1-out Network or a callable f(x, y); sweep passes the
     network's lattice outputs, evaluated once for classify and
@@ -276,6 +289,11 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
     best_dev, best_kind = min(scored, key=lambda sc: sc[0])
     if best_dev <= tol:
         return FunctionLabel(best_kind, best_dev)
+
+    # no F_s the fit tries gets below the edge deviation (docstring)
+    if max(max(abs(outs[i * grid] - x), abs(outs[i] - x))
+           for i, x in enumerate(_axis(grid))) >= best_dev:
+        return FunctionLabel("Unclassified", best_dev)
 
     # fall back to fitting a finite parameter on t = s/(1+s)
     ts = [k / 50.0 for k in range(1, 50)]

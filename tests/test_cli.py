@@ -200,6 +200,17 @@ def test_net_forward_rejects_fractional_dimensions(tmp_path, capsys):
     assert err.startswith("error: ") and "not an integer" in err
 
 
+def test_net_forward_rejects_strings_and_booleans(tmp_path, capsys):
+    model = tmp_path / "typed.json"
+    model.write_text(json.dumps(
+        {"spec": "2-1/inp-id",
+         "weights": [{"rows": "1", "cols": 3, "data": ["0.5", True, "1e3"]}]}))
+    code, out, err = run(capsys, "net", "forward", "--model", str(model),
+                         "--input", "1,1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "malformed" in err
+
+
 def test_net_collapse(linear_model, tmp_path, capsys):
     out = tmp_path / "flat.json"
     code, _, _ = run(capsys, "net", "collapse", "--model", str(linear_model),

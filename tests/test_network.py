@@ -335,7 +335,20 @@ def test_load_model_rejects_malformed(tmp_path):
                 {"spec": "2-1/inp-id", "weights": [
                     {"rows": True, "cols": 3, "data": [0.5, 0.25, 1]}]},
                 {"spec": "2-1/inp-id", "weights": [
-                    {"rows": 1, "cols": 3.5, "data": [0.5, 0.25, 1]}]}):
+                    {"rows": 1, "cols": 3.5, "data": [0.5, 0.25, 1]}]},
+                # float() and int() would take strings and booleans
+                {"spec": "2-1/inp-id", "weights": [
+                    {"rows": "1", "cols": 3, "data": ["0.5", True, "1e3"]}]},
+                {"spec": "2-1/inp-id", "weights": [
+                    {"rows": 1, "cols": "3", "data": [0.5, 0.25, 1]}]},
+                {"spec": "2-1/inp-id", "weights": [
+                    {"rows": 1, "cols": 3, "data": [0.5, "0.25", 1]}]},
+                {"spec": "2-1/inp-id", "weights": [
+                    {"rows": 1, "cols": 3, "data": [0.5, False, 1]}]},
+                {"spec": "2-1/inp-id", "weights": [
+                    {"rows": 1, "cols": 3, "data": [0.5, None, 1]}]},
+                {"spec": "2-1/inp-id", "weights": [
+                    {"rows": 1, "cols": 3, "data": "abc"}]}):
         wrong.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError):
             load_model(wrong)

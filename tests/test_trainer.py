@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classify_reference
 from xorlab import kernels, network, trainer
 from xorlab.copula import CopulaParam, xor_f, xor_f_deviation, xor_f_lattice
 from xorlab.datasets import Dataset, builtin
@@ -413,6 +414,144 @@ def test_classify_matches_pointwise_reference_on_trained_nets(spec, lr, tol):
                                            max_iters=4000)).final_net
         assert _same_label(classify(net, tol=tol),
                            _ref_classify(net.predictor(), tol=tol))
+
+
+# -- skipping the F_s fit: the edges bound every fit ------------------------
+
+# every t the fit can try: the scan, the ends of its golden-section brackets
+# and t = 1/2, the One variant
+FIT_TS = [k / 50.0 for k in range(1, 50)] + [0.01, 0.99, 0.5]
+
+
+def _edges(outs, grid):
+    """The lattice values at (axis[i], 0) and at (0, axis[i])."""
+    return [outs[i * grid] for i in range(grid)], outs[:grid]
+
+
+def _edge_deviation(outs, grid):
+    """D0: the largest deviation from x on the points (x, 0) and (0, x),
+    where every F_s the fit tries equals x."""
+    axis = trainer._axis(grid)
+    return max(max(abs(a - x), abs(b - x))
+               for a, b, x in zip(*_edges(outs, grid), axis))
+
+
+def _assert_exact_edges(lattice, grid):
+    want = [x.hex() for x in trainer._axis(grid)]
+    for edge in _edges(list(lattice), grid):
+        assert [v.hex() for v in edge] == want
+
+
+@pytest.mark.parametrize("grid", [2, 5, 21])
+def test_fs_edges_are_exact_at_every_fit_t(grid):
+    axis = trainer._axis(grid)
+    for t in FIT_TS:
+        _assert_exact_edges(
+            xor_f_lattice(CopulaParam.finite(t / (1.0 - t)), axis), grid)
+    for cand in (trainer._f0, trainer._F1, trainer._FINF):
+        _assert_exact_edges(trainer._shape_lattice(cand, grid), grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.01, 0.99), st.sampled_from([2, 5, 21]))
+def test_fs_edges_are_exact_at_drawn_t(t, grid):
+    _assert_exact_edges(xor_f_lattice(CopulaParam.finite(t / (1.0 - t)),
+                                      trainer._axis(grid)), grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([2, 5, 21]),
+       st.one_of(st.floats(0.01, 0.99), st.sampled_from(FIT_TS)))
+def test_fs_deviation_is_at_least_the_edge_deviation(data, grid, t):
+    # the edges drawn, wide and near [0, 1]; the interior from a seed
+    value = st.one_of(st.floats(-0.5, 1.5),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    outs = [rng.uniform(-0.5, 1.5) for _ in range(grid * grid)]
+    for k in sorted({i * grid for i in range(grid)} | set(range(grid))):
+        outs[k] = data.draw(value)
+    dev = xor_f_deviation(CopulaParam.finite(t / (1.0 - t)),
+                          trainer._axis(grid), outs)
+    assert dev >= _edge_deviation(outs, grid)
+
+
+@st.composite
+def _hostile_lattices(draw):
+    """Finite lattices from three families: noise around [0, 1], which the
+    edge bound mostly settles; noisy F_s lattices, labelled Fs when the
+    noise is small; and lattices exact on the edges with a noisy interior,
+    which always run the fit."""
+    grid = draw(st.sampled_from([2, 5, 21]))
+    axis = trainer._axis(grid)
+    family = draw(st.sampled_from(["noise", "fs", "edges"]))
+    amp = draw(st.floats(0.0, 0.3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if family == "noise":
+        return grid, [rng.uniform(-0.2, 1.2) for _ in range(grid * grid)]
+    s = draw(st.floats(0.005, 200.0))
+    outs = [f + rng.uniform(-amp, amp)
+            for f in xor_f_lattice(CopulaParam.finite(s), axis)]
+    if family == "edges":
+        for i, x in enumerate(axis):
+            outs[i * grid] = outs[i] = x
+    return grid, outs
+
+
+@settings(max_examples=120, deadline=None)
+@given(_hostile_lattices(), st.sampled_from([0.05, 0.1]))
+def test_classify_matches_full_fit_on_drawn_lattices(case, tol):
+    grid, outs = case
+    lat = trainer._Lattice(grid, outs)
+    assert repr(classify(lat, tol=tol, grid=grid)) == \
+        repr(classify_reference.classify(lat, tol=tol, grid=grid))
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """The arguments of every F_s deviation the classifier's fit computes."""
+    calls = []
+    real = trainer._fs_deviation
+    monkeypatch.setattr(trainer, "_fs_deviation", lambda *args: (
+        calls.append(args) or real(*args)))
+    return calls
+
+
+def test_classify_skips_the_fit_only_when_the_edges_settle_it(fit_calls):
+    axis = trainer._axis(21)
+    fs3 = xor_f_lattice(CopulaParam.finite(3.0), axis)
+    rng = random.Random(5)
+    noisy = [f + rng.uniform(-0.2, 0.2) for f in fs3]
+    far = list(fs3)
+    for i, x in enumerate(axis):
+        noisy[i * 21] = noisy[i] = x
+        far[i * 21] = far[i] = x + 0.3
+    # (outputs, label kind, whether the fit runs)
+    for outs, kind, fits in ((fs3, "Fs", True), (noisy, "Unclassified", True),
+                             (far, "Unclassified", False)):
+        fit_calls.clear()
+        lat = trainer._Lattice(21, outs)
+        got = classify(lat, tol=0.05)
+        assert got.kind == kind and bool(fit_calls) == fits
+        assert repr(got) == repr(classify_reference.classify(lat, tol=0.05))
+
+
+@pytest.mark.parametrize("spec, lr", [("2-2-1/inp-tanh-tanh", 0.5),
+                                      ("2-2-1/inp-relu-relu", 0.1)])
+def test_classify_matches_full_fit_on_sweep_restarts(spec, lr, fit_calls):
+    # the restarts of the sweep-tanh and sweep-relu benchmark workloads
+    entries = sweep(spec, XOR, TrainConfig(seed=601000, learning_rate=lr), 20)
+    fitted = []
+    for e in entries:
+        for grid in (2, 5, 21):
+            lat = trainer._lattice(e.result.final_net, grid)
+            for tol in (0.05, 0.1):
+                fit_calls.clear()
+                got = classify(lat, tol=tol, grid=grid)
+                fitted.append(bool(fit_calls))
+                assert repr(got) == \
+                    repr(classify_reference.classify(lat, tol=tol, grid=grid))
+    # the skip is taken; the fit is pinned by the drawn lattices above
+    assert not all(fitted)
 
 
 # -- sweeps ------------------------------------------------------------------
