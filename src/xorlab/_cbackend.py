@@ -2,7 +2,9 @@
 
 load(path) binds a built library and returns a namespace with the same
 exports as xorlab._pycore (BACKEND, SSE_BLOWUP, sse_dataset, train_run,
-project_grid), taking and returning the same Python types.
+project_grid), taking and returning the same Python types.  The library
+has two kernels, train_run and project_grid; sse_dataset is the one
+cell of project_grid that leaves the weights as they are.
 
 The C side trusts its buffers, so shapes are checked here.  ctypes would
 wrap an int too large for a C int silently; such a value (a size, a
@@ -18,14 +20,14 @@ import operator
 from ctypes import POINTER, byref, c_double, c_int, c_uint64, c_void_p
 from types import SimpleNamespace
 
-from ._pycore import MASK64, SSE_BLOWUP, check_network, check_weights
+from ._pycore import (MASK64, SSE_BLOWUP, _offsets, check_network,
+                      check_weights)
 
 _INT_MAX = 2 ** (8 * ctypes.sizeof(c_int) - 1) - 1
 _DP = POINTER(c_double)
 _IP = POINTER(c_int)
 _NET = [c_int, _IP, _IP]            # nlayers, sizes, acts
 _SIGNATURES = {
-    "sse_dataset": (c_int, _NET + [_DP, _DP, _DP, c_int, _DP]),
     "train_run": (c_int, _NET + [
         _DP, _DP, c_int, c_double, c_int, c_double, c_int, c_uint64,
         c_double, c_int, _DP, _IP, _DP, POINTER(_DP)]),
@@ -57,8 +59,7 @@ def _problem(sizes, acts, xs, ts):
     sizes = [_cint(s) for s in sizes]
     check_network(sizes, acts)
     nlayers = len(sizes) - 1
-    n_weights = _cint(sum(sizes[l + 1] * (sizes[l] + 1)
-                          for l in range(nlayers)))
+    n_weights = _cint(_offsets(sizes)[-1])
     n_samples = _cint(len(ts))
     if len(xs) < n_samples * sizes[0]:
         raise IndexError(f"{len(xs)} inputs for {n_samples} samples")
@@ -81,13 +82,6 @@ def load(path: str) -> SimpleNamespace:
             fn.restype, fn.argtypes = restype, argtypes
     except (OSError, AttributeError) as exc:
         raise ImportError(f"cannot load compiled kernels: {exc}") from exc
-
-    def sse_dataset(sizes, acts, w, xs, ts):
-        net, cxs, cts, n_samples, n_weights = _problem(sizes, acts, xs, ts)
-        out = c_double()
-        _ok(lib.sse_dataset(*net, _weights(w, n_weights), cxs, cts,
-                            n_samples, byref(out)))
-        return out.value
 
     def train_run(sizes, acts, xs, ts, lr, max_iters, tol, per_sample,
                   seed, init_range, record):
@@ -121,6 +115,13 @@ def load(path: str) -> SimpleNamespace:
                              _cint(slots[ia]), _cint(slots[ib]),
                              _doubles(avals), na, _doubles(bvals), nb, out))
         return out[:]
+
+    def sse_dataset(sizes, acts, w, xs, ts):
+        """SSE at the weights w: the one cell of project_grid that leaves
+        them as they are."""
+        w = list(w)
+        keep = w[:1]
+        return project_grid(sizes, acts, w, xs, ts, 0, 0, keep, keep)[0]
 
     return SimpleNamespace(BACKEND="c", SSE_BLOWUP=SSE_BLOWUP,
                            sse_dataset=sse_dataset, train_run=train_run,

@@ -1,21 +1,27 @@
 """Pure-Python training and projection kernels, and network's forward
 and gradient passes.
 
+A backend has two kernels: train_run runs gradient descent, and
+project_grid gives the SSE at every cell of a plane of two weights.
+sse_dataset is the one cell of project_grid that leaves the weights as
+they are.
+
 Each kernel runs straight-line Python generated once per network shape:
 every weight lives in a local w0..wN, each unit's dot product, backward
 delta and update is unrolled, and the activations are chosen while the
 code is generated.  The code is compiled on first use (never at import)
-and cached per (kernel, sizes, activation codes, mode), under a filename
-naming the shape, e.g. "<xorlab train_run 2-2-1 relu-relu per_sample>".
-project_grid is generated per shape and pair of varied weight slots, in
-a cache of its own, e.g. "<xorlab project_grid 2-2-1 tanh-tanh a=w0
-b=w6>": each unit is computed before the grid loops, once per row or
-once per cell, whichever is the outermost its inputs allow.  Only
-integers derived from sizes, activation codes and indices enter the
-generated text.  network's forward, gradient and lattice pass come from
-the same unit lines, in a third cache (_net_pass): "<xorlab forward
-2-2-1 tanh-tanh>", and "<xorlab forward_lattice 2-2-1 tanh-tanh>" for
-the pass over a whole x-by-y lattice that classification evaluates.
+and cached, one kind of kernel per cache, under a filename naming the
+shape.  _train_kernel holds train_run per shape and mode, e.g. "<xorlab
+train_run 2-2-1 relu-relu per_sample>".  _grid_kernel holds
+project_grid per shape and pair of varied weight slots, e.g. "<xorlab
+project_grid 2-2-1 tanh-tanh a=w0 b=w6>": each unit is computed before
+the grid loops, once per row or once per cell, whichever is the
+outermost its inputs allow.  _net_pass holds network's forward,
+gradient and lattice pass, generated from the same unit lines: "<xorlab
+forward 2-2-1 tanh-tanh>", and "<xorlab forward_lattice 2-2-1
+tanh-tanh>" for the pass over a whole x-by-y lattice that
+classification evaluates.  Only integers derived from sizes, activation
+codes and indices enter the generated text.
 
 _Source pins the accumulation order (ascending input index, bias last)
 and every other float operation of the one Python forward and backward
@@ -32,7 +38,8 @@ Layout conventions shared with the compiled kernel:
   - acts: one code per non-input layer; 0 id, 1 tanh, 2 sigmoid, 3 relu
     (any other code is relu)
   - weights: all layer matrices flattened row-major and concatenated,
-    each row being (incoming weights..., bias)
+    each row being (incoming weights..., bias); _offsets gives where
+    each layer's block starts
   - xs: sample inputs flattened row-major; ts: one target per sample
 
 train_run status codes: 0 converged, 1 hit max_iters, 2 SSE blowup,
@@ -109,7 +116,8 @@ def _shape(sizes, acts) -> tuple:
 
 
 def _offsets(sizes) -> list:
-    """Flat offset of each layer's weight block."""
+    """Flat offset of each layer's weight block, then the weight count:
+    the one place Python works out the layout's block sizes."""
     offs = [0]
     for l in range(len(sizes) - 1):
         offs.append(offs[-1] + sizes[l + 1] * (sizes[l] + 1))
@@ -356,15 +364,6 @@ class _Source:
             "    return out",
         ]
 
-    def sse_dataset(self) -> list:
-        return [
-            "def sse_dataset(w, xs, ts):",
-            "    " + self.data,
-            f"    {self.weights} = w",
-            *self._sse(1),
-            "    return sse",
-        ]
-
     def forward(self) -> list:
         """Each layer's pre-activations and outputs at the inputs x."""
         def layers(v):
@@ -419,24 +418,21 @@ def _tag(sizes: tuple, acts: tuple) -> str:
             f"{'-'.join(_ACT_NAMES[c] for c in acts)}")
 
 
-def _generate(kernel: str, sizes: tuple, acts: tuple, per_sample=None):
-    """The named kernel of one shape; per_sample is None except for
-    train_run."""
-    source = _Source(sizes, acts)
-    if per_sample is None:
-        lines, mode = getattr(source, kernel)(), ""
-    else:
-        lines = source.train_run(per_sample)
-        mode = " per_sample" if per_sample else " full_batch"
-    return _build(kernel, lines,
-                  f"<xorlab {kernel} {_tag(sizes, acts)}{mode}>")
+@functools.lru_cache(maxsize=32)
+def _train_kernel(sizes: tuple, acts: tuple, per_sample: bool):
+    """The generated train_run for one shape and mode, built on first
+    use."""
+    mode = "per_sample" if per_sample else "full_batch"
+    return _build("train_run", _Source(sizes, acts).train_run(per_sample),
+                  f"<xorlab train_run {_tag(sizes, acts)} {mode}>")
 
 
-# train_run and sse_dataset; network's forward, forward_lattice and
-# gradient, which take exactly the network's weights, in a cache of their
-# own
-_compiled = functools.lru_cache(maxsize=32)(_generate)
-_net_pass = functools.lru_cache(maxsize=32)(_generate)
+@functools.lru_cache(maxsize=32)
+def _net_pass(kernel: str, sizes: tuple, acts: tuple):
+    """network's forward, forward_lattice or gradient for one shape,
+    which take exactly the network's weights."""
+    return _build(kernel, getattr(_Source(sizes, acts), kernel)(),
+                  f"<xorlab {kernel} {_tag(sizes, acts)}>")
 
 
 # one kernel per weight pair: all 36 pairs of a 2-2-1 net, for two
@@ -460,21 +456,6 @@ def _grid_kernel(sizes: tuple, acts: tuple, a, b):
 # ---------------------------------------------------------------------------
 # entry points
 
-def _weights(sizes, w) -> list:
-    """The network's own weights from w; IndexError if w is too short."""
-    w = list(w)
-    n_weights = _offsets(sizes)[-1]
-    check_weights(w, n_weights)
-    return w[:n_weights]
-
-
-def sse_dataset(sizes, acts, w, xs, ts) -> float:
-    """Sum of squared errors of the network over the dataset."""
-    sizes, acts = _shape(sizes, acts)
-    return _compiled("sse_dataset", sizes, acts)(
-        _weights(sizes, w), list(xs), list(ts))
-
-
 def train_run(sizes, acts, xs, ts, lr, max_iters, tol, per_sample,
               seed, init_range, record):
     """Gradient-descent run; returns (weights, iters, sse, status, traj).
@@ -484,7 +465,7 @@ def train_run(sizes, acts, xs, ts, lr, max_iters, tol, per_sample,
     shuffle and the init share a single splitmix64 stream.
     """
     sizes, acts = _shape(sizes, acts)
-    run = _compiled("train_run", sizes, acts, bool(per_sample))
+    run = _train_kernel(sizes, acts, bool(per_sample))
     return run(list(xs), list(ts), float(lr), max_iters, float(tol), seed,
                float(init_range), record)
 
@@ -499,11 +480,19 @@ def project_grid(sizes, acts, w, xs, ts, ia, ib, avals, bvals):
     """
     sizes, acts = _shape(sizes, acts)
     w = list(w)
-    work = _weights(sizes, w)
+    n_weights = _offsets(sizes)[-1]
+    check_weights(w, n_weights)
     slots = range(len(w))
     ia, ib = slots[ia], slots[ib]
-    n_weights = len(work)
     a = ia if ia < n_weights and ia != ib else None
     b = ib if ib < n_weights else None
-    return _grid_kernel(sizes, acts, a, b)(work, list(xs), list(ts), avals,
-                                           bvals)
+    return _grid_kernel(sizes, acts, a, b)(w[:n_weights], list(xs), list(ts),
+                                           avals, bvals)
+
+
+def sse_dataset(sizes, acts, w, xs, ts) -> float:
+    """Sum of squared errors of the network over the dataset: the one
+    cell of project_grid that leaves the weights as they are."""
+    w = list(w)
+    keep = w[:1]
+    return project_grid(sizes, acts, w, xs, ts, 0, 0, keep, keep)[0]

@@ -1,5 +1,7 @@
 /* Compiled training and projection kernels, bound through ctypes by
- * xorlab._cbackend.
+ * xorlab._cbackend: train_run and project_grid.  The SSE at a network's
+ * own weights is the one cell of project_grid that leaves them as they
+ * are, so it has no kernel of its own.
  *
  * Mirrors the loop reference in tests/loop_kernels.py operation for
  * operation: the same splitmix64 stream as _pycore.py, the same
@@ -177,18 +179,6 @@ static void backward(const Net *n, const double *w, double target)
             n->delta[u] = acc * slope(code, n->pre[u], n->post[u]);
         }
     }
-}
-
-int sse_dataset(int nlayers, const int *sizes, const int *acts,
-                const double *w, const double *xs, const double *ts,
-                int n_samples, double *out)
-{
-    Net n;
-    if (net_init(&n, nlayers, sizes, acts) < 0)
-        return -1;
-    *out = sse(&n, w, xs, ts, n_samples);
-    net_free(&n);
-    return 0;
 }
 
 /* Gradient-descent run from the seed's initial weights, written to w.

@@ -4,11 +4,12 @@ Two interchangeable implementations exist: compiled C (kern.c, built by
 setup.py into the shared library _kern.so next to this file and bound
 through ctypes by xorlab._cbackend) and pure Python (xorlab._pycore,
 which generates straight-line code per network shape on first use).
-Both produce results bit-identical to the loop reference in
-tests/loop_kernels.py; the compiled one is just faster.  The default
-picks the compiled backend when its library is built and loads, and
-falls back to Python; without a library, ctypes is never imported.  Set
-XORLAB_BACKEND=c or XORLAB_BACKEND=python to force one.
+Each has two kernels, train_run and project_grid; sse_dataset is the one
+cell of project_grid that leaves the weights as they are.  Both produce
+results bit-identical to the loop reference in tests/loop_kernels.py;
+the compiled one is just faster.  The compiled backend runs when its
+library is built and loads, and Python otherwise; without a library,
+ctypes is never imported.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ def _load_compiled():
 
 
 def get_backend(name: str):
-    """The named kernel backend; 'c' raises if the library is missing."""
-    key = name.strip().lower()
-    if key in ("python", "pure"):
+    """The backend named 'c' or 'python'; 'c' raises ImportError if the
+    library is missing."""
+    if name == "python":
         return _pycore
-    if key in ("c", "compiled"):
+    if name == "c":
         return _load_compiled()
     raise DomainError(
         f"unknown backend {name!r}; choose 'c' or 'python'")
@@ -55,14 +56,10 @@ def available_backends() -> tuple[str, ...]:
     return ("c", "python")
 
 
-_choice = os.environ.get("XORLAB_BACKEND", "auto").strip().lower()
-if _choice in ("auto", ""):
-    try:
-        _impl = _load_compiled()
-    except ImportError:
-        _impl = _pycore
-else:
-    _impl = get_backend(_choice)
+try:
+    _impl = _load_compiled()
+except ImportError:
+    _impl = _pycore
 
 BACKEND = _impl.BACKEND
 SSE_BLOWUP = _impl.SSE_BLOWUP

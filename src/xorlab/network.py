@@ -9,8 +9,9 @@ xorlab._pycore generates per network shape (cached in _pycore._net_pass;
 forward_lattice runs forward's unit lines in a loop over a lattice): the
 accumulation order (ascending input index, bias last) is pinned there and
 mirrored in kern.c.
-Activations compile apply and slope from the same templates.  from_flat
-and flat_weights (computed once per network) own the flat weight layout.
+Activations compile apply and slope from the same templates.  The flat
+weight layout is worked out once, by _pycore._offsets; from_flat,
+flat_weights (computed once per network) and count_weights follow it.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def count_weights(topo: "Topology | tuple[int, ...] | str") -> int:
         sizes = topo.layer_sizes
     else:
         sizes = tuple(topo)
-    return sum(sizes[l + 1] * (sizes[l] + 1) for l in range(len(sizes) - 1))
+    return _offsets(sizes)[-1]
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,22 @@ def _inputs(topo: Topology, inputs) -> tuple[float, ...]:
     if len(xs) != topo.n_inputs:
         raise ShapeError(f"expected {topo.n_inputs} inputs, got {len(xs)}")
     return xs
+
+
+def _samples(topo: Topology, data, task: str) -> tuple[list, list]:
+    """The flat inputs and the targets of a single-target dataset, for a
+    network of topo that the task (training or projection) runs over.
+    ShapeError when the input counts differ or the network has more than
+    one output."""
+    pairs = data.single()
+    if data.n_inputs != topo.n_inputs:
+        raise ShapeError(
+            f"dataset {data.name!r} has {data.n_inputs} inputs but "
+            f"{topo.render()} expects {topo.n_inputs}")
+    if topo.n_outputs != 1:
+        raise ShapeError(
+            f"{task} needs a single-output network, got {topo.render()}")
+    return [v for ins, _ in pairs for v in ins], [t for _, t in pairs]
 
 
 def forward(net: Network, inputs) -> ForwardTrace:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import kernels
+from ._pycore import _offsets
 from .datasets import Dataset
-from .errors import DomainError, InvalidCoordError, ShapeError
-from .linalg import Matrix
-from .network import Network, Topology, parse_spec
+from .errors import DomainError, InvalidCoordError
+from .network import Network, Topology, _samples, parse_spec
 
 __all__ = [
     "WeightCoord", "SurfaceGrid", "LandscapeStats",
@@ -87,9 +87,9 @@ def _check_coord(coord: WeightCoord, topo: Topology) -> None:
 def flat_index(coord: WeightCoord, topo: Topology) -> int:
     """Index into the concatenated row-major weight vector."""
     _check_coord(coord, topo)
-    shapes = topo.weight_shapes()
-    base = sum(r * c for r, c in shapes[:coord.layer])
-    return base + coord.row * shapes[coord.layer][1] + coord.col
+    sizes = topo.layer_sizes
+    return (_offsets(sizes)[coord.layer]
+            + coord.row * (sizes[coord.layer] + 1) + coord.col)
 
 
 def enumerate_pairs(topology) -> "list[tuple[WeightCoord, WeightCoord]]":
@@ -104,11 +104,10 @@ def enumerate_pairs(topology) -> "list[tuple[WeightCoord, WeightCoord]]":
 
 def replace_weights(net: Network, updates) -> Network:
     """New network with (coord, value) updates applied."""
-    rows = [w.to_rows() for w in net.weights]
+    flat = list(net.flat_weights)
     for coord, value in updates:
-        _check_coord(coord, net.topology)
-        rows[coord.layer][coord.row][coord.col] = float(value)
-    return Network(net.topology, tuple(Matrix.from_rows(r) for r in rows))
+        flat[flat_index(coord, net.topology)] = float(value)
+    return Network.from_flat(net.topology, flat)
 
 
 @dataclass(frozen=True)
@@ -139,13 +138,7 @@ def project(net: Network, data: Dataset, a: WeightCoord, b: WeightCoord,
     if steps < 2:
         raise DomainError(f"steps must be at least 2, got {steps}")
     topo = net.topology
-    pairs = data.single()
-    if data.n_inputs != topo.n_inputs:
-        raise ShapeError(
-            f"dataset {data.name!r} has {data.n_inputs} inputs but "
-            f"{topo.render()} expects {topo.n_inputs}")
-    if topo.n_outputs != 1:
-        raise ShapeError("projection needs a single-output network")
+    xs, ts = _samples(topo, data, "projection")
     ia = flat_index(a, topo)
     ib = flat_index(b, topo)
     lo_a, hi_a = (float(range_a[0]), float(range_a[1]))
@@ -161,8 +154,6 @@ def project(net: Network, data: Dataset, a: WeightCoord, b: WeightCoord,
             f"ranges {[lo_a, hi_a]} and {[lo_b, hi_b]} give non-finite axis "
             f"values at {steps} steps; the bounds, hi - lo and "
             f"(steps - 1) * (hi - lo) must be finite")
-    xs = [v for ins, _ in pairs for v in ins]
-    ts = [t for _, t in pairs]
     flat = kernels.project_grid(list(topo.layer_sizes), topo.codes,
                                 net.flat_weights, xs, ts, ia, ib,
                                 list(axis_a), list(axis_b))

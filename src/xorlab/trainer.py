@@ -29,8 +29,9 @@ from dataclasses import dataclass, replace
 from . import kernels
 from .copula import CopulaParam, xor_f_deviation, xor_f_lattice
 from .datasets import Dataset
-from .errors import DivergenceError, DomainError, ShapeError
-from .network import Network, Topology, forward_lattice, parse_spec
+from .errors import DivergenceError, DomainError
+from .network import (Network, Topology, _samples, forward_lattice,
+                      parse_spec)
 
 __all__ = [
     "TrainConfig", "TrainResult", "FunctionLabel", "SweepEntry",
@@ -52,20 +53,18 @@ class TrainConfig:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise DomainError(
-                f"learning_rate must be positive, got {self.learning_rate!r}")
-        if self.tol <= 0.0:
-            raise DomainError(f"tol must be positive, got {self.tol!r}")
+        # NaN compares false both ways, so test for the valid range
+        for name in ("learning_rate", "tol", "init_range"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise DomainError(
+                    f"{name} must be positive and finite, got {value!r}")
         if self.max_iters < 1:
             raise DomainError(
                 f"max_iters must be at least 1, got {self.max_iters!r}")
         if self.mode not in ("per_sample", "full_batch"):
             raise DomainError(
                 f"mode must be per_sample or full_batch, got {self.mode!r}")
-        if self.init_range <= 0.0:
-            raise DomainError(
-                f"init_range must be positive, got {self.init_range!r}")
 
 
 @dataclass(frozen=True)
@@ -123,16 +122,7 @@ def train(topology, data: Dataset, cfg: TrainConfig) -> TrainResult:
     state carries net=None.
     """
     topo = _as_topology(topology)
-    pairs = data.single()
-    if data.n_inputs != topo.n_inputs:
-        raise ShapeError(
-            f"dataset {data.name!r} has {data.n_inputs} inputs but "
-            f"{topo.render()} expects {topo.n_inputs}")
-    if topo.n_outputs != 1:
-        raise ShapeError(
-            f"training needs a single-output topology, got {topo.render()}")
-    xs = [v for ins, _ in pairs for v in ins]
-    ts = [t for _, t in pairs]
+    xs, ts = _samples(topo, data, "training")
     w, iters, final_sse, status, traj = kernels.train_run(
         list(topo.layer_sizes), topo.codes, xs, ts, cfg.learning_rate,
         cfg.max_iters, cfg.tol, 1 if cfg.mode == "per_sample" else 0,
@@ -190,10 +180,6 @@ def _lattice(net, grid: int) -> _Lattice:
         raise DomainError(f"grid must be at least 2, got {grid}")
     axis = _axis(grid)
     if isinstance(net, Network):
-        if net.topology.n_inputs != 2 or net.topology.n_outputs != 1:
-            raise ShapeError(
-                f"classification needs a 2-in 1-out network, got "
-                f"{net.topology.render()}")
         return _Lattice(grid, forward_lattice(net, axis))
     return _Lattice(grid, [float(net(x, y)) for x in axis for y in axis])
 

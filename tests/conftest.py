@@ -10,6 +10,7 @@ backend-parity tests run without anything being built under src/.  They
 skip only when no cc is on PATH; a failed compile is an error.
 """
 
+import ast
 import re
 import shutil
 import subprocess
@@ -19,9 +20,20 @@ import pytest
 
 from xorlab import kernels
 
-# the flags setup.py builds kern.c with, plus those of a shared library
-CFLAGS = ["-O3", "-fno-tree-vectorize", "-ffp-contract=off", "-shared",
-          "-fPIC"]
+SETUP_PY = Path(__file__).resolve().parent.parent / "setup.py"
+
+
+def setup_compile_args() -> list:
+    """The extra_compile_args setup.py builds kern.c with, read from its
+    source, so the parity tests build the binary an install builds."""
+    for node in ast.walk(ast.parse(SETUP_PY.read_text())):
+        if isinstance(node, ast.keyword) and node.arg == "extra_compile_args":
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no extra_compile_args in {SETUP_PY}")
+
+
+# setup.py's flags, plus those of a shared library
+CFLAGS = [*setup_compile_args(), "-shared", "-fPIC"]
 
 
 def copy_package(dest: Path) -> Path:

@@ -249,6 +249,17 @@ def test_train_divergence_is_a_domain_error(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--lr", "nan"),
+    ("--init-range", "nan")])
+def test_train_rejects_non_finite_settings(flag, value, capsys):
+    code, out, err = run(capsys, "train", "--spec", "2-2-1/inp-tanh-tanh",
+                         "--data", "boolean_xor", "--seed", "0",
+                         "--max-iters", "200", flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_classify_exact_model(tmp_path, capsys):
     from xorlab.linalg import Matrix
     from xorlab.network import Network, parse_spec, save_model

@@ -42,26 +42,22 @@ def test_backend_selection():
     assert "python" in kernels.available_backends()
     py = kernels.get_backend("python")
     assert py.BACKEND == "python"
-    assert kernels.get_backend("pure") is py
-    with pytest.raises(DomainError):
-        kernels.get_backend("fortran")
+    for name in ("fortran", "pure", "compiled", "C", " c"):
+        with pytest.raises(DomainError):
+            kernels.get_backend(name)
 
 
-def _run_kernels(package, code, backend=None):
+def _run_kernels(package, code):
     env = dict(os.environ, PYTHONPATH=str(package))
-    env.pop("XORLAB_BACKEND", None)
-    if backend is not None:
-        env["XORLAB_BACKEND"] = backend
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout.strip()
 
 
-def test_env_override_forces_backend(c_package):
-    code = "import xorlab.kernels as k; print(k.BACKEND)"
-    for choice in ("python", "c"):
-        assert _run_kernels(c_package, code, choice) == choice
-    assert _run_kernels(c_package, code) == "c"
+def test_built_library_selects_c(c_package):
+    code = ("import xorlab.kernels as k; print(k.BACKEND, "
+            "k.available_backends())")
+    assert _run_kernels(c_package, code) == "c ('c', 'python')"
 
 
 def test_no_library_selects_python_without_ctypes(bare_package):
@@ -261,8 +257,17 @@ def test_grid_and_sse_match_loop_reference(case, kern):
     sizes, acts = case
     n = _n_weights(sizes)
     w = [((k * 37) % 11 - 5) / 7.0 for k in range(n)]
-    assert (repr(kern.sse_dataset(sizes, acts, w, XOR_XS, XOR_TS))
-            == repr(loop_kernels.sse_dataset(sizes, acts, w, XOR_XS, XOR_TS)))
+    # sse_dataset is the grid cell that writes w[0] back into slot 0: a
+    # signed zero, NaN or infinity there or in the last slot, and
+    # trailing weights past the network, leave it the loop reference's
+    weight_sets = [w, [-0.0] * n + [math.inf]] + [
+        w[:k] + [special] + w[k + 1:] + extra
+        for special in (-0.0, math.nan, math.inf, -math.inf)
+        for k in (0, n - 1) for extra in ([], [special], [7.0, math.nan])]
+    for ws in weight_sets:
+        assert (repr(kern.sse_dataset(sizes, acts, ws, XOR_XS, XOR_TS))
+                == repr(loop_kernels.sse_dataset(sizes, acts, ws, XOR_XS,
+                                                 XOR_TS))), ws
     axis = [-3.0 + 0.75 * k for k in range(9)]
     for ia, ib in ((0, n - 1), (n - 1, 0), (1, -1)):
         args = (sizes, acts, w, XOR_XS, XOR_TS, ia, ib, axis, axis[:5])
@@ -337,10 +342,10 @@ def test_project_grid_hoists_units_out_of_the_loops(monkeypatch, ia, ib,
 
 def test_sweep_generates_the_kernel_once(monkeypatch):
     monkeypatch.setattr(kernels, "train_run", _pycore.train_run)
-    _pycore._compiled.cache_clear()
+    _pycore._train_kernel.cache_clear()
     sweep("2-2-1/inp-relu-relu", builtin("boolean_xor"),
           TrainConfig(seed=3, max_iters=200), 5)
-    info = _pycore._compiled.cache_info()
+    info = _pycore._train_kernel.cache_info()
     assert (info.misses, info.hits) == (1, 4)
 
 
@@ -349,9 +354,9 @@ def test_all_pairs_builds_one_kernel_per_pair(monkeypatch, tmp_path):
     from xorlab.linalg import Matrix
     from xorlab.network import Network, parse_spec, save_model
     monkeypatch.setattr(kernels, "project_grid", _pycore.project_grid)
-    _pycore._compiled.cache_clear()
+    _pycore._train_kernel.cache_clear()
     _pycore._grid_kernel.cache_clear()
-    run = _pycore._compiled("train_run", (2, 2, 1), (1, 1), True)
+    run = _pycore._train_kernel((2, 2, 1), (1, 1), True)
     model = tmp_path / "tanh.json"
     save_model(Network(parse_spec("2-2-1/inp-tanh-tanh"), (
         Matrix.from_rows([[0.1, -0.1, 0.2], [-0.2, 0.3, 0.1]]),
@@ -361,8 +366,8 @@ def test_all_pairs_builds_one_kernel_per_pair(monkeypatch, tmp_path):
                  str(tmp_path / "grids")]) == 0
     info = _pycore._grid_kernel.cache_info()
     assert (info.misses, info.hits, info.currsize) == (36, 0, 36)
-    assert _pycore._compiled("train_run", (2, 2, 1), (1, 1), True) is run
-    assert _pycore._compiled.cache_info().hits == 1
+    assert _pycore._train_kernel((2, 2, 1), (1, 1), True) is run
+    assert _pycore._train_kernel.cache_info().hits == 1
 
 
 def test_grid_kernel_key_drops_slots_that_change_nothing():
@@ -376,7 +381,7 @@ def test_grid_kernel_key_drops_slots_that_change_nothing():
 
 
 def test_generated_code_names_its_shape():
-    run = _pycore._compiled("train_run", (2, 2, 1), (3, 3), True)
+    run = _pycore._train_kernel((2, 2, 1), (3, 3), True)
     assert (run.__code__.co_filename
             == "<xorlab train_run 2-2-1 relu-relu per_sample>")
     grid = _pycore._grid_kernel((2, 2, 1), (1, 1), 0, 6)

@@ -5,7 +5,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import classify_reference
@@ -33,6 +33,43 @@ def test_config_validation():
                    {"init_range": 0.0}):
         with pytest.raises(DomainError):
             TrainConfig(seed=0, **kwargs)
+
+
+_SETTINGS = ("learning_rate", "tol", "init_range")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.floats(), st.floats(), st.floats()))
+@example((math.nan, 1e-3, 1.0))
+@example((0.5, math.nan, 1.0))
+@example((0.5, 1e-3, math.nan))
+@example((0.5, math.inf, 1.0))
+@example((-math.inf, 1e-3, 1.0))
+@example((5e-324, 5e-324, 5e-324))
+@example((-5e-324, 1e-3, 1.0))
+def test_config_takes_only_finite_positive_settings(values):
+    # st.floats draws NaN, +-inf, negatives, signed zeros and subnormals
+    kwargs = dict(zip(_SETTINGS, values))
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
+        with pytest.raises(DomainError):
+            TrainConfig(seed=0, **kwargs)
+        return
+    cfg = TrainConfig(seed=0, **kwargs)
+    assert all(math.isfinite(getattr(cfg, name)) and getattr(cfg, name) > 0.0
+               for name in _SETTINGS)
+
+
+def test_one_sample_dataset_trains_and_sweeps():
+    one = Dataset("one_sample", ("x1", "x2"), ("target",),
+                  (((0.0, 1.0), (1.0,)),))
+    cfg = TrainConfig(seed=4, learning_rate=0.5, max_iters=500)
+    result = train("2-2-1/inp-tanh-tanh", one, cfg)
+    assert result.converged and result.final_sse < cfg.tol
+    entries = sweep("2-2-1/inp-tanh-tanh", one, cfg, 3)
+    assert [e.seed for e in entries] == [4, 5, 6]
+    assert entries[0].result == result
+    assert all(e.result.converged and e.envelope_ok is not None
+               for e in entries)
 
 
 def test_train_is_deterministic():
