@@ -2,7 +2,11 @@
 
 Kernel section: every available backend is driven through the same raw
 entry points with identical arguments, results are checked for bitwise
-equality first, then each workload is timed.  The backends are timed
+equality first, then each workload is timed.  train_run is timed on a
+tanh run and on two sets of relu runs (lr 0.1): seeds whose weights are
+at rest after epoch 1 (every unit dead at the initial weights), where
+train_run stops at the first check, and seeds whose weights move for
+all --iters epochs.  The backends are timed
 call by call in turn, in one process, so that drift in the host's speed
 hits them alike.  Without a built library only the Python backend is
 timed.  project_grid is timed once per pair class of the 2-2-1 net:
@@ -67,6 +71,11 @@ SIZES = [2, 2, 1]
 ACTS = [1, 1]           # tanh, tanh
 N_WEIGHTS = 9           # 2*(2+1) + 1*(2+1)
 
+# 2-2-1 relu seeds at lr 0.1, per sample: at rest after epoch 1, and
+# never at rest within 10000 epochs
+RELU_AT_REST = (2, 5, 6)
+RELU_MOVING = (10, 14, 16)
+
 # one flat slot pair per class: w1_11 x w1_22, w1_11 x w2_11, w2_11 x w2_12
 PAIR_CLASSES = (("L1xL1", 0, 4), ("L1xL2", 0, 6), ("L2xL2", 6, 7))
 
@@ -107,6 +116,11 @@ def _workloads(args):
         return mod.train_run(SIZES, ACTS, XOR_XS, XOR_TS, 0.5,
                              args.iters, 0.0, 1, args.seed, 1.0, 0)
 
+    def relu(seeds):
+        return lambda mod: [mod.train_run(SIZES, [3, 3], XOR_XS, XOR_TS, 0.1,
+                                          args.iters, 1e-3, 1, seed, 1.0, 0)
+                            for seed in seeds]
+
     unit = _pycore._SplitMix(args.seed).next_unit
     base = [unit() for _ in range(N_WEIGHTS)]
     axis = [-5.0 + 10.0 * k / (args.steps - 1) for k in range(args.steps)]
@@ -115,7 +129,11 @@ def _workloads(args):
         return lambda mod: mod.project_grid(SIZES, ACTS, base, XOR_XS,
                                             XOR_TS, ia, ib, axis, axis)
 
-    return [(f"train_run {args.iters} iters per-sample", train)] + [
+    return [(f"train_run {args.iters} iters per-sample", train),
+            (f"train_run relu {args.iters} iters at rest",
+             relu(RELU_AT_REST)),
+            (f"train_run relu {args.iters} iters moving",
+             relu(RELU_MOVING))] + [
         (f"project_grid {args.steps}x{args.steps} {cls}", grid(ia, ib))
         for cls, ia, ib in PAIR_CLASSES]
 

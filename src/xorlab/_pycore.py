@@ -21,7 +21,7 @@ gradient and lattice pass, generated from the same unit lines: "<xorlab
 forward 2-2-1 tanh-tanh>", and "<xorlab forward_lattice 2-2-1
 tanh-tanh>" for the pass over a whole x-by-y lattice that
 classification evaluates.  Only integers derived from sizes, activation
-codes and indices enter the generated text.
+codes and indices, and _REST_EVERY, enter the generated text.
 
 _Source pins the accumulation order (ascending input index, bias last)
 and every other float operation of the one Python forward and backward
@@ -44,6 +44,17 @@ Layout conventions shared with the compiled kernel:
 
 train_run status codes: 0 converged, 1 hit max_iters, 2 SSE blowup,
 3 non-finite state.
+
+train_run stops early once the weights are at rest: after the status
+checks of epoch 1 and of every _REST_EVERY-th epoch, the generated
+at_rest (in the same source as train_run) asks whether an epoch would
+leave every weight bit for bit as it is.  Then every later epoch would
+end with the same weights and SSE and pass the same checks, so the run
+returns them with iters = max_iters and status 1, the trajectory padded
+with that SSE: every output is the one the full run gives.  A relu net
+whose units are all dead at the initial weights is at rest after epoch
+1.  The loop reference runs every epoch, which the parity tests use to
+prove the exit exact.
 """
 
 from __future__ import annotations
@@ -59,6 +70,10 @@ _MIX2 = 0x94D049BB133111EB
 _INV53 = 1.0 / 9007199254740992.0    # 2 ** -53
 
 SSE_BLOWUP = 1e6
+# train_run checks for weights at rest after epoch 1 and every this many
+# epochs: often enough to stop a run that comes to rest late, rarely
+# enough that a run that never does pays for about one epoch in 256
+_REST_EVERY = 256
 
 BACKEND = "python"
 
@@ -80,6 +95,11 @@ class _SplitMix:
 
     def next_unit(self) -> float:
         return (self.next_u64() >> 11) * _INV53
+
+
+def _same(x: float, y: float) -> bool:
+    """x and y are one float, the sign of zero included; NaN is not."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def _sigmoid(z: float) -> float:
@@ -243,7 +263,39 @@ class _Source:
                           + [f"e = a{self.top}_0 - t", "sse += e * e"],
                           depth + 1))
 
+    def at_rest(self, per_sample: bool) -> list:
+        """Whether an epoch would leave the weights w* bit for bit as they
+        are, the sign of zero included.
+
+        Per sample, each sample's own update at w* must give back every
+        weight; then no order of the samples moves them either.  Full
+        batch, the update summed over data in data order must.  The
+        sums and updates are the epoch's own lines.
+        """
+        n_weights = self.offs[-1]
+        body = self._forward() + self._backward()
+        if per_sample:
+            still = " and ".join(f"_same(w{k}, w{k} - lr * ({p}))"
+                                 for k, p in enumerate(self._partials()))
+            head, tail = [], ["return True"]
+            body += [f"if not ({still}):", "    return False"]
+        else:
+            head = [" = ".join(f"g{k}" for k in range(n_weights)) + " = 0.0"]
+            tail = ["return " + " and ".join(
+                f"_same(w{k}, w{k} - lr * g{k})" for k in range(n_weights))]
+            body += self._updates(per_sample)
+        return [f"def at_rest(data, lr, {self.weights}):",
+                *_indent([*head, f"for {self.sample} in data:"], 1),
+                *_indent(body, 2), *_indent(tail, 1)]
+
     def train_run(self, per_sample: bool) -> list:
+        """at_rest and train_run, which runs gradient descent.
+
+        After the status checks of epoch 1 and of every _REST_EVERY-th
+        epoch, a run whose weights are at rest returns: each later epoch
+        would end with the same weights and SSE, pass the same checks and
+        record the same SSE, until max_iters.
+        """
         n_weights = self.offs[-1]
         body = self._forward() + self._backward() + self._updates(per_sample)
         if per_sample:
@@ -260,7 +312,7 @@ class _Source:
                            2) + _indent(body, 3) + _indent(
                 [f"w{k} -= lr * g{k}" for k in range(n_weights)], 2)
         finite = " and ".join(f"isfinite(w{k})" for k in range(n_weights))
-        return [
+        return self.at_rest(per_sample) + [
             "def train_run(xs, ts, lr, max_iters, tol, seed, init_range,"
             " record):",
             "    " + self.data,
@@ -290,6 +342,11 @@ class _Source:
             "        if sse < tol:",
             "            status = 0",
             "            iters = it",
+            "            break",
+            f"        if (it == 1 or it % {_REST_EVERY} == 0) and at_rest("
+            f"data, lr, {self.weights}):",
+            "            if record:",
+            "                traj.extend([sse] * (max_iters - it))",
             "            break",
             f"    return [{self.weights}], iters, sse, status, traj",
         ]
@@ -403,7 +460,7 @@ class _Source:
 
 
 _NAMESPACE = {"tanh": math.tanh, "isfinite": math.isfinite, "inf": math.inf,
-              "_sigmoid": _sigmoid, "_SplitMix": _SplitMix,
+              "_sigmoid": _sigmoid, "_SplitMix": _SplitMix, "_same": _same,
               "SSE_BLOWUP": SSE_BLOWUP}
 
 

@@ -276,9 +276,11 @@ def solve_s(x: "UnitValue | float", y: "UnitValue | float",
         raise InfeasibleProbabilityError(
             f"p={pv!r} outside Frechet bounds [{lower!r}, {upper!r}] "
             f"for x={xv!r}, y={yv!r}")
-    if abs(pv - upper) <= SOLVE_TOL:
+    # one-sided, so that a feasible p either snaps or lies strictly
+    # between the bounds, where the bisection stays inside (0, 1)
+    if pv >= upper - SOLVE_TOL:
         return CopulaParam.zero()
-    if abs(pv - lower) <= SOLVE_TOL:
+    if pv <= lower + SOLVE_TOL:
         return CopulaParam.infinity()
     lo, hi = 0.0, 1.0
     for _ in range(_BISECT_ITERS):

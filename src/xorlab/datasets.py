@@ -335,54 +335,63 @@ def emit_csv(data: Dataset, path: "str | Path") -> None:
             writer.writerow([_fmt(v) for v in (*ins, *targs)])
 
 
+def _read_csv(path: Path, reader) -> tuple:
+    """The input names, target names and rows read from reader."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError(f"{path}: empty file") from None
+    inputs: list[str] = []
+    targets: list[str] = []
+    for col in header:
+        col = col.strip()
+        if col == "target" or col.startswith("target_"):
+            targets.append(col[7:] if col.startswith("target_") else col)
+        elif targets:
+            raise CsvFormatError(
+                f"{path}: line 1: input column {col!r} after a target "
+                f"column")
+        else:
+            inputs.append(col)
+    if not targets:
+        raise CsvFormatError(f"{path}: line 1: no target column")
+    if not inputs:
+        raise CsvFormatError(f"{path}: line 1: no input columns")
+    rows = []
+    for record in reader:
+        line = reader.line_num
+        if not record:
+            continue
+        if len(record) != len(inputs) + len(targets):
+            raise CsvFormatError(
+                f"{path}: line {line}: expected "
+                f"{len(inputs) + len(targets)} fields, got {len(record)}")
+        values = []
+        for cell in record:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}: line {line}: not a number: "
+                    f"{cell!r}") from None
+        for v in values:
+            if not (0.0 <= v <= 1.0):
+                raise DomainError(
+                    f"{path}: line {line}: value {v!r} outside [0, 1]")
+        rows.append((tuple(values[:len(inputs)]),
+                     tuple(values[len(inputs):])))
+    return inputs, targets, rows
+
+
 def load_csv(path: "str | Path", name: "str | None" = None) -> Dataset:
     """Read a dataset; input columns first, then target/target_* columns."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        inputs: list[str] = []
-        targets: list[str] = []
-        for col in header:
-            col = col.strip()
-            if col == "target" or col.startswith("target_"):
-                targets.append(col[7:] if col.startswith("target_") else col)
-            elif targets:
-                raise CsvFormatError(
-                    f"{path}: line 1: input column {col!r} after a target "
-                    f"column")
-            else:
-                inputs.append(col)
-        if not targets:
-            raise CsvFormatError(f"{path}: line 1: no target column")
-        if not inputs:
-            raise CsvFormatError(f"{path}: line 1: no input columns")
-        rows = []
-        for record in reader:
-            line = reader.line_num
-            if not record:
-                continue
-            if len(record) != len(inputs) + len(targets):
-                raise CsvFormatError(
-                    f"{path}: line {line}: expected "
-                    f"{len(inputs) + len(targets)} fields, got {len(record)}")
-            values = []
-            for cell in record:
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: line {line}: not a number: "
-                        f"{cell!r}") from None
-            for v in values:
-                if not (0.0 <= v <= 1.0):
-                    raise DomainError(
-                        f"{path}: line {line}: value {v!r} outside [0, 1]")
-            rows.append((tuple(values[:len(inputs)]),
-                         tuple(values[len(inputs):])))
+    try:
+        with open(path, newline="") as fh:
+            inputs, targets, rows = _read_csv(path, csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # bytes that are not text, or a field past csv's size limit
+        raise CsvFormatError(f"{path}: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     return Dataset(name or path.stem, tuple(inputs), tuple(targets),

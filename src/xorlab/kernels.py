@@ -7,9 +7,11 @@ which generates straight-line code per network shape on first use).
 Each has two kernels, train_run and project_grid; sse_dataset is the one
 cell of project_grid that leaves the weights as they are.  Both produce
 results bit-identical to the loop reference in tests/loop_kernels.py;
-the compiled one is just faster.  The compiled backend runs when its
-library is built and loads, and Python otherwise; without a library,
-ctypes is never imported.
+the compiled one is just faster.  In both, train_run stops early once
+no epoch could move any weight (it checks after epoch 1 and every 256th
+epoch), with the outputs the full run would give (see _pycore).  The
+compiled backend runs when its library is built and loads, and Python
+otherwise; without a library, ctypes is never imported.
 """
 
 from __future__ import annotations

@@ -355,7 +355,8 @@ def load_model(path: "str | Path") -> Network:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except ValueError as exc:       # bad JSON, or bytes that are not UTF-8
+    # bad JSON, bytes that are not UTF-8, or nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("spec"), str)
             and isinstance(doc.get("weights"), list)):

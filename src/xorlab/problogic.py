@@ -319,9 +319,39 @@ class _Parser:
         self.fail(self._ATOM_EXPECTED)
 
 
+# deepest expression tree parse_expr returns: evaluating and rendering
+# recurse once or twice per level, and must stay clear of Python's
+# recursion limit
+MAX_DEPTH = 100
+
+
+def _depth(expr: BoolExpr) -> int:
+    """Levels of the tree, counted without recursion."""
+    depth, level = 0, [expr]
+    while level:
+        depth += 1
+        level = [child for node in level for child in vars(node).values()
+                 if isinstance(child, BoolExpr)]
+    return depth
+
+
 def parse_expr(text: str) -> BoolExpr:
-    """Parse an expression; render() of the result re-parses identically."""
-    return _Parser(text).parse()
+    """Parse an expression; render() of the result re-parses identically.
+
+    ExprSyntaxError also when the tree would be more than MAX_DEPTH
+    levels deep.
+    """
+    parser = _Parser(text)
+    try:
+        expr = parser.parse()
+    except RecursionError:
+        expr = None
+    # a tree has fewer levels than the text has tokens
+    if expr is None or (len(parser.tokens) > MAX_DEPTH
+                        and _depth(expr) > MAX_DEPTH):
+        raise ExprSyntaxError(
+            f"expression nested more than {MAX_DEPTH} levels deep", 0, ())
+    return expr
 
 
 # ---------------------------------------------------------------------------

@@ -427,3 +427,106 @@ def test_both_backends_check_shapes(kern):
     base = kern.sse_dataset([2, 2, 1], [1, 1], w, XOR_XS, XOR_TS)
     assert kern.project_grid([2, 2, 1], [1, 1], w + [5.0, 6.0], XOR_XS,
                             XOR_TS, 9, -1, [0.0, 1.0], [2.0]) == [base, base]
+
+
+# -- train_run stops once its weights are at rest ------------------------------
+
+RELU = ([2, 2, 1], [3, 3])
+XOR_DATA = list(zip(XOR_XS[0::2], XOR_XS[1::2], XOR_TS))
+# loop-reference runs shared by both backends
+_REFERENCE_RUNS = {}
+
+
+def _at_rest(sizes, acts, per_sample, lr, w):
+    """The generated check of train_run's source, on chosen weights."""
+    run = _pycore._train_kernel(tuple(sizes), tuple(acts), per_sample)
+    return run.__globals__["at_rest"](XOR_DATA, lr, *w)
+
+
+def _same_run_at_rest(mod, per_sample, seed, max_iters, record, lr=0.1):
+    args = (*RELU, XOR_XS, XOR_TS, lr, max_iters, 1e-3, per_sample, seed,
+            1.0, record)
+    key = (per_sample, seed, max_iters, record, lr)
+    if key not in _REFERENCE_RUNS:
+        _REFERENCE_RUNS[key] = repr(loop_kernels.train_run(*args))
+    got = mod.train_run(*args)
+    assert repr(got) == _REFERENCE_RUNS[key], key
+    return got
+
+
+# relu 2-2-1 at lr 0.1, per sample: seed 2 is at rest after epoch 1, seed
+# 3 first at the epoch-256 check (its SSE settles at epoch 56), seed 4
+# first at the epoch-512 check (its SSE settles at epoch 220)
+@pytest.mark.parametrize("seed, rest", [(2, 1), (3, 256), (4, 512)])
+def test_train_run_at_rest_matches_loop_reference(seed, rest, kern):
+    for record in (0, 1):
+        w, iters, sse, status, traj = _same_run_at_rest(kern, 1, seed, 1000,
+                                                        record)
+        assert (iters, status) == (1000, 1)
+        assert _at_rest(*RELU, True, 0.1, w)
+        assert traj[rest - 1:] == ([sse] * (1001 - rest) if record else [])
+
+
+def test_full_batch_at_rest_matches_loop_reference(kern):
+    flat = 0
+    for seed in range(20):
+        w, _, sse, status, traj = _same_run_at_rest(kern, 0, seed, 1600, 1)
+        flat += traj == [sse] * 1600
+        assert status != 1 or _at_rest(*RELU, False, 0.1, w), seed
+    assert flat == 12
+
+
+@pytest.mark.parametrize("max_iters", [1, 255, 256, 257])
+def test_at_rest_exit_at_each_max_iters(max_iters, kern):
+    for per_sample in (1, 0):
+        for seed in (2, 3):
+            for record in (0, 1):
+                _same_run_at_rest(kern, per_sample, seed, max_iters, record)
+
+
+def _draws(monkeypatch, *args):
+    """train_run's result on the Python backend, and the splitmix64 draws
+    it took: nine for the init, then three shuffle draws per epoch."""
+    count = []
+
+    class Counted(_pycore._SplitMix):
+        def next_u64(self):
+            count.append(1)
+            return super().next_u64()
+
+    monkeypatch.setitem(_pycore._NAMESPACE, "_SplitMix", Counted)
+    _pycore._train_kernel.cache_clear()
+    try:
+        return _pycore.train_run(*args), len(count)
+    finally:
+        _pycore._train_kernel.cache_clear()
+
+
+def test_train_run_stops_once_at_rest(monkeypatch):
+    args = (*RELU, XOR_XS, XOR_TS, 0.1, 10000, 1e-3, 1, 2, 1.0, 1)
+    got, draws = _draws(monkeypatch, *args)
+    assert draws == 9 + 3
+    assert repr(got) == repr(loop_kernels.train_run(*args))
+    # seed 3 runs to the check after epoch 256
+    _, draws = _draws(monkeypatch, *args[:8], 3, 1.0, 0)
+    assert draws == 9 + 3 * 256
+
+
+def test_tanh_run_is_never_at_rest(monkeypatch):
+    args = ([2, 2, 1], [1, 1], XOR_XS, XOR_TS, 0.5, 600, 1e-12, 1, 5, 1.0,
+            1)
+    got, draws = _draws(monkeypatch, *args)
+    assert (got[1], got[3], draws) == (600, 1, 9 + 3 * 600)
+    assert repr(got) == repr(loop_kernels.train_run(*args))
+
+
+def test_at_rest_tells_the_sign_of_zero():
+    # dead hidden units and a dead output: every delta is +-0.0, so each
+    # weight stays, but the output bias -0.0 minus lr * -0.0 is +0.0
+    w = [-1.0] * 6 + [0.5, 0.5, -0.0]
+    assert not _at_rest(*RELU, True, 0.1, w)
+    assert _at_rest(*RELU, True, 0.1, w[:8] + [0.0])
+    # summed over the samples in order, the bias's partial is +0.0
+    assert _at_rest(*RELU, False, 0.1, w)
+    # hidden unit 0 and the output are alive at the sample (1, 0)
+    assert not _at_rest(*RELU, True, 0.1, [1.0, -1.0, 0.0] + w[3:8] + [0.0])
