@@ -29,9 +29,6 @@ call over the 21x21 lattice take in a new interpreter, at 2-2-1 and
 2-9-1, so that any per-shape set-up those calls do is counted; one
 interpreter per repeat and shape.
 
-A package without network.forward_lattice (older trees) is timed without
-its items, so that one script compares two checkouts.
-
 Every item reports the best of --repeats timings and their spread (the
 median and the worst).  --json PATH also writes them, with the Python
 version and the backends, as one JSON document.
@@ -218,13 +215,12 @@ def _library_section(args, items):
     samples = data.single()
     for tag, net, _ in nets:
         work = [("network.forward 21x21 lattice",
-                 lambda: [network.forward(net, p) for p in lattice])]
-        if hasattr(network, "forward_lattice"):
-            work.append(("network.forward_lattice 21x21 lattice",
-                         lambda: network.forward_lattice(net, axis)))
-        work.append(("network.gradient 4 xor samples",
-                     lambda: [network.gradient(net, ins, t)
-                              for ins, t in samples]))
+                 lambda: [network.forward(net, p) for p in lattice]),
+                ("network.forward_lattice 21x21 lattice",
+                 lambda: network.forward_lattice(net, axis)),
+                ("network.gradient 4 xor samples",
+                 lambda: [network.gradient(net, ins, t)
+                          for ins, t in samples])]
         for label, fn in work:
             seconds, = _timings([fn], args.repeats)
             items.append(_item(f"{label}, {tag} net", BACKEND, seconds))
@@ -245,8 +241,7 @@ network.forward(net, (0.5, 0.5))
 t1 = time.perf_counter()
 network.gradient(net, (0.5, 0.5), 1.0)
 t2 = time.perf_counter()
-if hasattr(network, "forward_lattice"):
-    network.forward_lattice(net, [i / 20 for i in range(21)])
+network.forward_lattice(net, [i / 20 for i in range(21)])
 t3 = time.perf_counter()
 print(t1 - t0, t2 - t1, t3 - t2)
 """
@@ -270,9 +265,7 @@ def first_calls(spec, repeats):
 
 def _first_call_section(args, items):
     print(f"first calls: backend {BACKEND}")
-    kinds = ("forward", "gradient")
-    if hasattr(network, "forward_lattice"):
-        kinds += ("forward_lattice 21x21",)
+    kinds = ("forward", "gradient", "forward_lattice 21x21")
     for spec in ("2-2-1/inp-tanh-tanh", "2-9-1/inp-tanh-tanh"):
         for kind, seconds in zip(kinds, first_calls(spec, args.repeats)):
             items.append(_item(f"first network.{kind} call, {spec}",

@@ -19,7 +19,8 @@ from pathlib import Path
 from . import surface as surface_mod
 from . import trainer as trainer_mod
 from .copula import CopulaParam, frank_and, frank_or, solve_s, xor_f
-from .datasets import (Dataset, builtin, builtin_names, emit_csv, load_csv)
+from .datasets import (Dataset, builtin, builtin_names, emit_csv, grid_axis,
+                       load_csv)
 from .errors import DomainError, XorlabError
 from .linalg import Matrix, least_squares
 from .network import (collapse_linear, count_weights, forward, load_model,
@@ -128,13 +129,11 @@ def _cmd_copula_grid(args):
     fn = _CONNECTIVES[args.fn]
     if args.steps < 2:
         raise DomainError(f"steps must be at least 2, got {args.steps}")
-    step = args.steps - 1
+    axis = grid_axis(0.0, 1.0, args.steps)
     lines = ["x,y,value"]
     rows = []
-    for i in range(args.steps):
-        x = i / step
-        for j in range(args.steps):
-            y = j / step
+    for x in axis:
+        for y in axis:
             v = float(fn(s, x, y))
             rows.append([x, y, v])
             lines.append(f"{format(x, '.17g')},{format(y, '.17g')},"
@@ -458,6 +457,16 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    help="output format (default pretty)")
 
 
+def _commands(parser: argparse.ArgumentParser):
+    """The parsers below parser that run a command, depth first."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for p in action.choices.values():
+                if p.get_default("func"):
+                    yield p
+                yield from _commands(p)
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=0.1,
                    help="learning rate (default 0.1)")
@@ -491,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--fn", choices=tuple(_CONNECTIVES), required=True)
-    _add_format(p)
     p.set_defaults(func=_cmd_copula_eval)
 
     p = cop_sub.add_parser("solve-s",
@@ -499,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
-    _add_format(p)
     p.set_defaults(func=_cmd_copula_solve_s)
 
     p = cop_sub.add_parser("grid", help="x,y,value CSV over [0,1]^2")
@@ -507,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", choices=tuple(_CONNECTIVES), default="xor")
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--out", default=None)
-    _add_format(p)
     p.set_defaults(func=_cmd_copula_grid)
 
     logic = sub.add_parser("logic", help="probabilistic logic")
@@ -519,12 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True)
     p.add_argument("--assign", required=True, help="x1=0.3,x2=0.7 style")
     p.add_argument("--s", required=True)
-    _add_format(p)
     p.set_defaults(func=_cmd_logic_prob)
 
     p = logic_sub.add_parser("table", help="truth table of an expression")
     p.add_argument("--expr", required=True)
-    _add_format(p)
     p.set_defaults(func=_cmd_logic_table)
 
     p = logic_sub.add_parser("freq",
@@ -532,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="built-in name or CSV path")
     p.add_argument("--check", action="store_true",
                    help="run the axiom consistency checks")
-    _add_format(p)
     p.set_defaults(func=_cmd_logic_freq)
 
     p = sub.add_parser("regress", help="least-squares linear fit")
@@ -541,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add the x3 = x1*x2 column")
     p.add_argument("--target", default=None,
                    help="target column for multi-target datasets")
-    _add_format(p)
     p.set_defaults(func=_cmd_regress)
 
     net = sub.add_parser("net", help="network evaluation and transforms")
@@ -550,20 +552,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = net_sub.add_parser("forward", help="evaluate a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="comma-separated inputs")
-    _add_format(p)
     p.set_defaults(func=_cmd_net_forward)
 
     p = net_sub.add_parser("collapse",
                            help="fold an all-id model to a single layer")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    _add_format(p)
     p.set_defaults(func=_cmd_net_collapse)
 
     p = net_sub.add_parser("count", help="weight count of a topology")
     p.add_argument("--spec", required=True,
                    help="2-9-1 or 2-9-1/inp-tanh-tanh")
-    _add_format(p)
     p.set_defaults(func=_cmd_net_count)
 
     p = sub.add_parser("train", help="one seeded training run")
@@ -574,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the model document")
     p.add_argument("--log", default=None,
                    help="write per-iteration SSE CSV")
-    _add_format(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("classify",
@@ -582,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--tol", type=float, default=0.05)
     p.add_argument("--grid", type=int, default=21)
-    _add_format(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("sweep", help="multi-restart training histogram")
@@ -594,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classify-tol", type=float, default=0.05)
     p.add_argument("--classify-grid", type=int, default=21)
     p.add_argument("--out", default=None, help="write the per-run CSV")
-    _add_format(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("surface",
@@ -607,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default="-5,5", help="LO,HI for both axes")
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--out", required=True)
-    _add_format(p)
     p.set_defaults(func=_cmd_surface)
 
     p = sub.add_parser("surface-all-pairs",
@@ -619,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default="-5,5")
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--out-dir", required=True)
-    _add_format(p)
     p.set_defaults(func=_cmd_surface_all_pairs)
 
     ds = sub.add_parser("dataset", help="built-in dataset access")
@@ -628,13 +622,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = ds_sub.add_parser("emit", help="write a built-in dataset as CSV")
     p.add_argument("--name", required=True)
     p.add_argument("--out", required=True)
-    _add_format(p)
     p.set_defaults(func=_cmd_dataset_emit)
 
     p = ds_sub.add_parser("list", help="list built-in datasets")
-    _add_format(p)
     p.set_defaults(func=_cmd_dataset_list)
 
+    # last, so that --format is the last option of every command's help
+    for p in _commands(parser):
+        _add_format(p)
     return parser
 
 

@@ -36,14 +36,15 @@ class UnitValue:
     """A probability: a float confined to [0, 1].
 
     Values within UNIT_EPS of the interval are clamped onto it; anything
-    farther out is rejected.
+    farther out, and NaN, is rejected.
     """
 
     v: float
 
     def __post_init__(self):
         v = float(self.v)
-        if v < -UNIT_EPS or v > 1.0 + UNIT_EPS:
+        # NaN compares false both ways, so test for the valid range
+        if not (-UNIT_EPS <= v <= 1.0 + UNIT_EPS):
             raise DomainError(f"value {v!r} outside [0, 1]")
         object.__setattr__(self, "v", min(1.0, max(0.0, v)))
 
@@ -168,6 +169,12 @@ def xor_f_lattice(s: CopulaParam, axis) -> "list[float]":
     return [f if 0.0 <= f <= 1.0 else UnitValue(f).v for f in fs]
 
 
+def _max_abs_diff(outs, ref) -> float:
+    """Largest |out - ref| over a lattice; outs must be finite, since
+    max() keeps or skips a NaN depending on where it sits."""
+    return max(map(abs, map(operator.sub, outs, ref)))
+
+
 def xor_f_deviation(s: CopulaParam, axis, outs) -> float:
     """max |outs[k] - xor_f_lattice(s, axis)[k]| bit for bit, and the
     same DomainError; outs holds one value per lattice point.
@@ -180,8 +187,7 @@ def xor_f_deviation(s: CopulaParam, axis, outs) -> float:
     axis value.  Every other s goes through xor_f_lattice.
     """
     if not (s.kind == "finite" and ZERO_DISPATCH <= s.s <= INF_DISPATCH):
-        return max(map(abs, map(operator.sub, outs,
-                                xor_f_lattice(s, axis))))
+        return _max_abs_diff(outs, xor_f_lattice(s, axis))
     # sliced per row below: as a tuple, those slices pile up in CPython's
     # tuple free lists (about 0.4 MB of peak memory), as a list they do not
     xs = list(_unit_axis(tuple(axis)))

@@ -5,11 +5,14 @@ Datasets are immutable multi-target tables: named input columns followed
 by one or more named target columns, every value in [0,1].  Single-target
 consumers (training, regression) require callers to select a column first
 when a set carries several.
+grid_axis (the evenly spaced axis of every lattice) and sse (the SSE of
+a callable over a single-target dataset) are written here once.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,8 +21,9 @@ from .errors import (CsvFormatError, DomainError, ShapeError,
                      UnknownNameError)
 
 __all__ = [
-    "Dataset", "builtin", "builtin_names", "synth_copula", "grid_points",
-    "baseline", "baseline_names", "sse_of", "load_csv", "emit_csv",
+    "Dataset", "builtin", "builtin_names", "synth_copula", "grid_axis",
+    "grid_points", "baseline", "baseline_names", "sse", "sse_of",
+    "load_csv", "emit_csv",
 ]
 
 
@@ -207,11 +211,17 @@ def builtin(name: str) -> Dataset:
             f"unknown dataset {name!r}; known: {known}") from None
 
 
+def grid_axis(lo: float, hi: float, steps: int) -> tuple[float, ...]:
+    """steps >= 2 evenly spaced values from lo to hi; at (0.0, 1.0) value
+    i is i / (steps - 1) bit for bit (i * 1.0 is exact, 0.0 + q is q)."""
+    return tuple(lo + i * (hi - lo) / (steps - 1) for i in range(steps))
+
+
 def grid_points(steps: int) -> tuple[tuple[float, float], ...]:
     """The steps x steps uniform lattice on [0,1]^2, row-major."""
     if steps < 2:
         raise DomainError(f"grid needs at least 2 steps, got {steps}")
-    axis = [i / (steps - 1) for i in range(steps)]
+    axis = grid_axis(0.0, 1.0, steps)
     return tuple((x, y) for x in axis for y in axis)
 
 
@@ -299,15 +309,20 @@ def baseline(name: str, x1: float, x2: float) -> float:
     return fn(float(x1), float(x2))
 
 
-def sse_of(name: str, data: Dataset) -> float:
-    """Goodness of fit of a baseline over a single-target dataset."""
+def sse(predict, data: Dataset) -> float:
+    """Sum of squared errors of a callable over a single-target dataset."""
     total = 0.0
     for ins, target in data.single():
-        if len(ins) != 2:
-            raise ShapeError("baselines take exactly 2 inputs")
-        d = baseline(name, ins[0], ins[1]) - target
+        d = float(predict(*ins)) - target
         total += d * d
     return total
+
+
+def sse_of(name: str, data: Dataset) -> float:
+    """Goodness of fit of a baseline over a single-target dataset."""
+    if data.n_inputs != 2:
+        raise ShapeError("baselines take exactly 2 inputs")
+    return sse(functools.partial(baseline, name), data)
 
 
 # ---------------------------------------------------------------------------

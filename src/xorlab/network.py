@@ -66,13 +66,11 @@ class Activation:
         return hash(self.tag)
 
 
-ID = Activation("Id", 0)
-TANH = Activation("Tanh", 1)
-SIGMOID = Activation("Sigmoid", 2)
+# one per _pycore._ACT_NAMES entry, its index being the code; relu's
 # slope at the fold z = 0 is 0, matching u(t) = 0 for t <= 0
-RELU = Activation("Relu", 3)
-
-ACTIVATIONS = {"id": ID, "tanh": TANH, "sigmoid": SIGMOID, "relu": RELU}
+ACTIVATIONS = {name: Activation(name.capitalize(), code)
+               for code, name in enumerate(_ACT_NAMES)}
+ID, TANH, SIGMOID, RELU = ACTIVATIONS.values()
 
 
 @dataclass(frozen=True)

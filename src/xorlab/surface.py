@@ -2,7 +2,8 @@
 weights with every other weight frozen at a base network's values.
 
 Grids are a-major: values[i][j] is the SSE with coord_a set to axis_a[i]
-and coord_b set to axis_b[j].  Axis values are computed once here and
+and coord_b set to axis_b[j].  Axis values are computed once here, by
+datasets.grid_axis (the one evenly spaced axis of the package), and
 handed to the kernel, so both kernel backends see identical lattices.
 A range must give finite axis values; the SSE cells may still be inf or
 NaN for a wide one, and landscape_stats and emit_grid_csv handle those.
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import kernels
 from ._pycore import _offsets
-from .datasets import Dataset
+from .datasets import Dataset, grid_axis
 from .errors import DomainError, InvalidCoordError
 from .network import Network, Topology, _samples, parse_spec
 
@@ -124,10 +125,6 @@ class SurfaceGrid:
     dataset_name: str
 
 
-def _axis(lo: float, hi: float, steps: int) -> tuple:
-    return tuple(lo + i * (hi - lo) / (steps - 1) for i in range(steps))
-
-
 def project(net: Network, data: Dataset, a: WeightCoord, b: WeightCoord,
             range_a: tuple = (-5.0, 5.0), range_b: tuple = (-5.0, 5.0),
             steps: int = 101) -> SurfaceGrid:
@@ -145,8 +142,8 @@ def project(net: Network, data: Dataset, a: WeightCoord, b: WeightCoord,
     lo_b, hi_b = (float(range_b[0]), float(range_b[1]))
     if not (lo_a < hi_a and lo_b < hi_b):
         raise DomainError("ranges must satisfy lo < hi")
-    axis_a = _axis(lo_a, hi_a, steps)
-    axis_b = _axis(lo_b, hi_b, steps)
+    axis_a = grid_axis(lo_a, hi_a, steps)
+    axis_b = grid_axis(lo_b, hi_b, steps)
     # an infinite bound, a width hi - lo that overflows, or a step
     # i * (hi - lo) that does, gives inf or NaN axis values
     if not all(map(math.isfinite, axis_a + axis_b)):

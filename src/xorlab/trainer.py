@@ -17,18 +17,21 @@ expm1(0 * ln s) is a signed zero), so the fit's deviation is never below
 the outputs' deviation on those two edges.  When that edge deviation is
 already no better than the best fixed candidate's, classify returns
 Unclassified with the fixed deviation, as the fit would have.
+
+The lattice axis (grid_axis) and sse come from datasets, the largest
+|out - ref| (_max_abs_diff) from copula.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, replace
 
 from . import kernels
-from .copula import CopulaParam, xor_f_deviation, xor_f_lattice
-from .datasets import Dataset
+from .copula import (CopulaParam, _max_abs_diff, xor_f_deviation,
+                     xor_f_lattice)
+from .datasets import Dataset, grid_axis, sse
 from .errors import DivergenceError, DomainError
 from .network import (Network, Topology, _samples, forward_lattice,
                       parse_spec)
@@ -97,15 +100,6 @@ class SweepEntry:
     result: TrainResult
     label: FunctionLabel
     envelope_ok: "bool | None"   # None when the run did not converge
-
-
-def sse(predict, data: Dataset) -> float:
-    """Sum of squared errors of a callable over a single-target dataset."""
-    total = 0.0
-    for ins, target in data.single():
-        d = float(predict(*ins)) - target
-        total += d * d
-    return total
 
 
 def _as_topology(topology) -> Topology:
@@ -186,8 +180,7 @@ def _lattice(net, grid: int) -> _Lattice:
 
 @functools.lru_cache(maxsize=8)
 def _axis(grid: int) -> "tuple[float, ...]":
-    step = grid - 1
-    return tuple(i / step for i in range(grid))
+    return grid_axis(0.0, 1.0, grid)
 
 
 @functools.lru_cache(maxsize=32)
@@ -208,12 +201,6 @@ def _step_interior(grid: int) -> "tuple[int, ...]":
     return tuple(i * grid + j
                  for i in range(1, grid - 1) for j in range(1, grid - 1)
                  if max(i, j) > 1 and max(step - i, step - j) > 1)
-
-
-def _max_abs_diff(outs, ref) -> float:
-    """Largest |out - ref| over the lattice; outs must be finite, since
-    max() keeps or skips a NaN depending on where it sits."""
-    return max(map(abs, map(operator.sub, outs, ref)))
 
 
 def _fs_deviation(outs, grid: int, t: float) -> float:

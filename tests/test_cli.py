@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from xorlab.cli import build_parser, main
+from xorlab.cli import _commands, build_parser, main
 from xorlab.network import load_model
 
 
@@ -82,6 +82,19 @@ def test_copula_eval_domain_error(capsys):
     assert code == 1
     assert err.startswith("error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("copula", "eval", "--fn", "and", "--s", "2", "--x", "nan",
+     "--y", "0.5"),
+    ("copula", "solve-s", "--x", "nan", "--y", "0.5", "--p", "0"),
+    ("logic", "prob", "--expr", "a and b", "--assign", "a=nan,b=0.5",
+     "--s", "2"),
+])
+def test_nan_probability_is_an_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
 
 
 # -- logic -------------------------------------------------------------------
@@ -424,6 +437,15 @@ def test_usage_error_exit_code_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def test_every_command_takes_format_as_its_last_option():
+    commands = list(_commands(build_parser()))
+    assert len({p.prog for p in commands}) == 17
+    for p in commands:
+        last = p._actions[-1]
+        assert last.option_strings == ["--format"], p.prog
+        assert last.choices == ("pretty", "json") and last.default is None
 
 
 # -- README ------------------------------------------------------------------

@@ -24,6 +24,19 @@ def test_unit_value_clamps_dust_and_rejects_junk():
         UnitValue(-0.1)
 
 
+def test_nan_is_rejected_not_clamped():
+    # min(1, max(0, nan)) would be 0.0: NaN must fail the range test
+    nan = math.nan
+    with pytest.raises(DomainError):
+        UnitValue(nan)
+    with pytest.raises(DomainError):
+        frank_and(CopulaParam.finite(2.0), nan, 0.5)
+    with pytest.raises(DomainError):
+        solve_s(nan, 0.5, 0.0)
+    with pytest.raises(DomainError):
+        solve_s(0.5, 0.5, nan)
+
+
 def test_param_parse_render_round_trip():
     assert CopulaParam.parse("0").kind == "zero"
     assert CopulaParam.parse("1").kind == "one"

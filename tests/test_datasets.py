@@ -4,8 +4,8 @@ import pytest
 
 from xorlab.copula import CopulaParam, xor_f
 from xorlab.datasets import (Dataset, baseline, baseline_names, builtin,
-                             builtin_names, emit_csv, grid_points, load_csv,
-                             sse_of, synth_copula)
+                             builtin_names, emit_csv, grid_axis, grid_points,
+                             load_csv, sse_of, synth_copula)
 from xorlab.errors import (CsvFormatError, DomainError, ShapeError,
                            UnknownNameError)
 
@@ -69,6 +69,15 @@ def test_baseline_registry_and_goodness_of_fit():
         baseline("Fq", 0.0, 0.0)
 
 
+def test_sse_of_needs_two_inputs_and_one_target():
+    three = Dataset("three", ("a", "b", "c"), ("target",),
+                    (((0.0, 0.5, 1.0), (0.5,)),))
+    with pytest.raises(ShapeError, match="exactly 2 inputs"):
+        sse_of("Fa", three)
+    with pytest.raises(ShapeError, match="select_target"):
+        sse_of("Fa", builtin("fig2_1"))
+
+
 def test_fe_is_exact_on_all_corners():
     for (x1, x2) in CORNERS:
         assert baseline("Fe", x1, x2) == float(int(x1) ^ int(x2))
@@ -95,6 +104,14 @@ def test_grid_points():
     assert pts[1] == (0.0, 0.5)   # row-major in x1
     with pytest.raises(DomainError):
         grid_points(1)
+
+
+def test_unit_grid_axis_is_i_over_steps_minus_one():
+    """The trainer's lattice, grid_points and the CLI's copula grid were
+    built as i / (steps - 1); the shared axis gives the same bits."""
+    for steps in range(2, 1002):
+        want = [(i / (steps - 1)).hex() for i in range(steps)]
+        assert [x.hex() for x in grid_axis(0.0, 1.0, steps)] == want
 
 
 def test_synth_copula_matches_direct_evaluation():

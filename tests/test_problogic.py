@@ -145,6 +145,14 @@ def test_check_consistency_accepts_valid_triples():
     assert len(v.checks) == 5
 
 
+def test_nan_probabilities_are_domain_errors():
+    with pytest.raises(DomainError):
+        copula_prob(parse_expr("a and b"), {"a": math.nan, "b": 0.5},
+                    CopulaParam.finite(2.0))
+    with pytest.raises(DomainError):
+        check_consistency(0.5, 0.5, math.nan, 0.7)
+
+
 def test_check_consistency_names_the_broken_axiom():
     v = check_consistency(0.5, 0.5, 0.6, 0.4)
     assert not v.consistent

@@ -6,12 +6,12 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import surface_reference
 
-from xorlab.datasets import builtin
+from xorlab.datasets import builtin, grid_axis
 from xorlab.errors import DomainError, InvalidCoordError, ShapeError
 from xorlab.linalg import Matrix
 from xorlab.network import Network, parse_spec
@@ -132,6 +132,21 @@ def test_project_rejects_ranges_without_a_finite_axis(lo, hi):
         project(net, XOR, a, b, range_a=(lo, hi), steps=5)
     with pytest.raises(DomainError, match="non-finite axis"):
         project(net, XOR, a, b, range_b=(lo, hi), steps=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.integers(2, 9))
+def test_project_axes_are_the_shared_axis(lo, hi, steps):
+    """project's axes are grid_axis, and grid_axis is the expression
+    surface used before it was shared, bit for bit."""
+    assume(lo < hi)
+    grid = project(_base_net(), XOR, parse_coord("w1_11"),
+                   parse_coord("w2_11"), range_a=(lo, hi),
+                   range_b=(lo - 1.0, hi), steps=steps)
+    old = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    assert [x.hex() for x in grid.axis_a] == [x.hex() for x in old]
+    assert grid.axis_a == grid_axis(lo, hi, steps)
+    assert grid.axis_b == grid_axis(lo - 1.0, hi, steps)
 
 
 def test_project_keeps_wide_finite_ranges():
