@@ -127,8 +127,6 @@ def _cmd_copula_solve_s(args):
 def _cmd_copula_grid(args):
     s = CopulaParam.parse(args.s)
     fn = _CONNECTIVES[args.fn]
-    if args.steps < 2:
-        raise DomainError(f"steps must be at least 2, got {args.steps}")
     axis = grid_axis(0.0, 1.0, args.steps)
     lines = ["x,y,value"]
     rows = []

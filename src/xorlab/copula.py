@@ -5,6 +5,10 @@ with the limits min(x, y) at s -> 0, x*y at s -> 1, and max(x+y-1, 0) at
 s -> inf.  The dual is R_s = x + y - A_s and the xor family is
 F_s = R_s - A_s = x + y - 2 A_s.
 
+The three limits are written once, in _frank_raw, which takes every s in
+[0, inf]: the Zero, One and Infinity variants evaluate there as s = 0, 1
+and inf, and frechet_bounds is (A_inf, A_0).
+
 The closed form is evaluated as log1p(expm1(xL) expm1(yL) / expm1(L)) / L
 with L = ln s, which is stable in both quadrants (for s < 1 all three
 expm1 terms are negative and the quotient is positive).  It is written in
@@ -138,7 +142,9 @@ class CopulaParam:
 
 
 def _frank_raw(s: float, x: float, y: float) -> float:
-    """Closed form for finite s, with limit dispatch at the extremes."""
+    """A_s(x, y) for every s in [0, inf]: min(x, y) below ZERO_DISPATCH,
+    max(x + y - 1, 0) above INF_DISPATCH, x * y at s == 1 exactly, and
+    the closed form everywhere else."""
     if s < ZERO_DISPATCH:
         return min(x, y)
     if s > INF_DISPATCH:
@@ -217,14 +223,11 @@ def xor_f_deviation(s: CopulaParam, axis, outs) -> float:
     return worst
 
 
+_LIMIT_S = {"zero": 0.0, "one": 1.0, "inf": math.inf}
+
+
 def _and_value(s: CopulaParam, x: float, y: float) -> float:
-    if s.kind == "zero":
-        return min(x, y)
-    if s.kind == "one":
-        return x * y
-    if s.kind == "inf":
-        return max(x + y - 1.0, 0.0)
-    return _frank_raw(s.s, x, y)
+    return _frank_raw(_LIMIT_S.get(s.kind, s.s), x, y)
 
 
 def _or_value(s: CopulaParam, x: float, y: float) -> float:
@@ -258,9 +261,10 @@ def xor_f(s: CopulaParam, x: "UnitValue | float",
 
 def frechet_bounds(x: "UnitValue | float",
                    y: "UnitValue | float") -> tuple[float, float]:
-    """(lower, upper) admissible values for any 'and' probability."""
+    """(lower, upper) admissible values for any 'and' probability:
+    (A_inf(x, y), A_0(x, y))."""
     xv, yv = _unit(x), _unit(y)
-    return (max(xv + yv - 1.0, 0.0), min(xv, yv))
+    return (_frank_raw(math.inf, xv, yv), _frank_raw(0.0, xv, yv))
 
 
 def solve_s(x: "UnitValue | float", y: "UnitValue | float",

@@ -212,15 +212,19 @@ def builtin(name: str) -> Dataset:
 
 
 def grid_axis(lo: float, hi: float, steps: int) -> tuple[float, ...]:
-    """steps >= 2 evenly spaced values from lo to hi; at (0.0, 1.0) value
-    i is i / (steps - 1) bit for bit (i * 1.0 is exact, 0.0 + q is q)."""
+    """steps evenly spaced values from lo to hi; at (0.0, 1.0) value i is
+    i / (steps - 1) bit for bit (i * 1.0 is exact, 0.0 + q is q).
+
+    Raises DomainError for fewer than 2 steps: every lattice and grid of
+    the package checks its size here.
+    """
+    if steps < 2:
+        raise DomainError(f"steps must be at least 2, got {steps}")
     return tuple(lo + i * (hi - lo) / (steps - 1) for i in range(steps))
 
 
 def grid_points(steps: int) -> tuple[tuple[float, float], ...]:
     """The steps x steps uniform lattice on [0,1]^2, row-major."""
-    if steps < 2:
-        raise DomainError(f"grid needs at least 2 steps, got {steps}")
     axis = grid_axis(0.0, 1.0, steps)
     return tuple((x, y) for x in axis for y in axis)
 

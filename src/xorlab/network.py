@@ -162,6 +162,13 @@ def parse_spec(text: str) -> Topology:
     return Topology(sizes, tuple(acts))
 
 
+def _as_topology(topology: "Topology | str") -> Topology:
+    """A Topology, or a spec string parsed into one."""
+    if isinstance(topology, str):
+        return parse_spec(topology)
+    return topology
+
+
 def count_weights(topo: "Topology | tuple[int, ...] | str") -> int:
     """Total weight count including biases: sum of n_{l+1} * (n_l + 1)."""
     if isinstance(topo, str):

@@ -22,7 +22,7 @@ from . import kernels
 from ._pycore import _offsets
 from .datasets import Dataset, grid_axis
 from .errors import DomainError, InvalidCoordError
-from .network import Network, Topology, _samples, parse_spec
+from .network import Network, Topology, _as_topology, _samples
 
 __all__ = [
     "WeightCoord", "SurfaceGrid", "LandscapeStats",
@@ -95,7 +95,7 @@ def flat_index(coord: WeightCoord, topo: Topology) -> int:
 
 def enumerate_pairs(topology) -> "list[tuple[WeightCoord, WeightCoord]]":
     """All unordered weight pairs, lexicographic by (layer, row, col)."""
-    topo = parse_spec(topology) if isinstance(topology, str) else topology
+    topo = _as_topology(topology)
     coords = [WeightCoord(l, i, j)
               for l, (rows, cols) in enumerate(topo.weight_shapes())
               for i in range(rows)
@@ -132,8 +132,6 @@ def project(net: Network, data: Dataset, a: WeightCoord, b: WeightCoord,
     if a == b:
         raise DomainError(f"projection needs two distinct weights, got "
                           f"{a.render()} twice")
-    if steps < 2:
-        raise DomainError(f"steps must be at least 2, got {steps}")
     topo = net.topology
     xs, ts = _samples(topo, data, "projection")
     ia = flat_index(a, topo)
@@ -185,8 +183,8 @@ def landscape_stats(grid: SurfaceGrid) -> LandscapeStats:
     The scan runs row by row: each row is zipped with the rows above and
     below and with its copies shifted left and right, a missing neighbor
     being +inf for the strict test and NaN for the plateau test, neither
-    of which can change a verdict.  min() and max() take a row only when
-    it holds no NaN, since they would not skip one.
+    of which can change a verdict.  min() and max() do not skip a NaN,
+    so they take each row without its NaN cells.
     """
     n = grid.steps
     if n < 3:
@@ -203,21 +201,16 @@ def landscape_stats(grid: SurfaceGrid) -> LandscapeStats:
     for i in range(n):
         row = tuple(v[i])
         total = sum(row)
-        if total == total:                  # no NaN in the row
-            low = min(row)
+        # a NaN cell makes the sum NaN
+        cells = row if total == total else [x for x in row if x == x]
+        if cells:
+            low = min(cells)
             if low < min_val:
                 min_val = low
                 min_idx = (i, row.index(low))
-            high = max(row)
+            high = max(cells)
             if high > max_val:
                 max_val = high
-        else:
-            for j, x in enumerate(row):
-                if x < min_val:
-                    min_val = x
-                    min_idx = (i, j)
-                if x > max_val:
-                    max_val = x
         above = v[i - 1] if i > 0 else None
         below = v[i + 1] if i < n - 1 else None
         left, right = row[:-1], row[1:]

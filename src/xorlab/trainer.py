@@ -33,8 +33,7 @@ from .copula import (CopulaParam, _max_abs_diff, xor_f_deviation,
                      xor_f_lattice)
 from .datasets import Dataset, grid_axis, sse
 from .errors import DivergenceError, DomainError
-from .network import (Network, Topology, _samples, forward_lattice,
-                      parse_spec)
+from .network import Network, _as_topology, _samples, forward_lattice
 
 __all__ = [
     "TrainConfig", "TrainResult", "FunctionLabel", "SweepEntry",
@@ -102,12 +101,6 @@ class SweepEntry:
     envelope_ok: "bool | None"   # None when the run did not converge
 
 
-def _as_topology(topology) -> Topology:
-    if isinstance(topology, str):
-        return parse_spec(topology)
-    return topology
-
-
 def train(topology, data: Dataset, cfg: TrainConfig) -> TrainResult:
     """One seeded run; deterministic given (topology, data, cfg).
 
@@ -170,8 +163,6 @@ def _lattice(net, grid: int) -> _Lattice:
     evaluated pass through, at the grid they were made on."""
     if isinstance(net, _Lattice):
         return net
-    if grid < 2:
-        raise DomainError(f"grid must be at least 2, got {grid}")
     axis = _axis(grid)
     if isinstance(net, Network):
         return _Lattice(grid, forward_lattice(net, axis))
@@ -186,10 +177,9 @@ def _axis(grid: int) -> "tuple[float, ...]":
 @functools.lru_cache(maxsize=32)
 def _shape_lattice(shape, grid: int) -> "tuple[float, ...]":
     """A candidate over the lattice; a CopulaParam stands for its F_s."""
-    axis = _axis(grid)
     if isinstance(shape, CopulaParam):
-        return tuple(xor_f_lattice(shape, axis))
-    return tuple(shape(x, y) for x in axis for y in axis)
+        return tuple(xor_f_lattice(shape, _axis(grid)))
+    return tuple(_lattice(shape, grid).outs)
 
 
 @functools.lru_cache(maxsize=8)

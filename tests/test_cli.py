@@ -97,6 +97,21 @@ def test_nan_probability_is_an_error(argv, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--model", "{model}", "--grid", "1"),
+    ("sweep", "--spec", "2-2-1/inp-tanh-tanh", "--data", "boolean_xor",
+     "--seed", "0", "--restarts", "1", "--max-iters", "10",
+     "--classify-grid", "1"),
+    ("copula", "grid", "--s", "2", "--steps", "0"),
+])
+def test_lattice_of_fewer_than_two_steps_is_an_error(argv, linear_model,
+                                                     capsys):
+    code, out, err = run(capsys, *(a.format(model=linear_model)
+                                   for a in argv))
+    assert code == 1 and out == ""
+    assert err == f"error: steps must be at least 2, got {argv[-1]}\n"
+
+
 # -- logic -------------------------------------------------------------------
 
 def test_logic_prob(capsys):

@@ -102,12 +102,20 @@ def test_xor_limit_formulas():
      CopulaParam.infinity()]))
 @settings(max_examples=300, deadline=None)
 def test_and_or_additivity_and_bounds(x, y, p):
-    """A + R = x + y and the Frechet envelope, for all parameters."""
+    """A + R = x + y and the Frechet envelope, for all parameters; the
+    limit variants are min, x*y and max(x + y - 1, 0) bit for bit, and
+    the envelope is (A_inf, A_0)."""
     a = float(frank_and(p, x, y))
     r = float(frank_or(p, x, y))
     assert abs((a + r) - (x + y)) < 1e-12
     lo, hi = frechet_bounds(x, y)
     assert lo - 1e-12 <= a <= hi + 1e-12
+    limit = {"zero": min(x, y), "one": x * y,
+             "inf": max(x + y - 1.0, 0.0)}.get(p.kind)
+    if limit is not None:
+        assert a.hex() == limit.hex()
+    assert (lo, hi) == (float(frank_and(CopulaParam.infinity(), x, y)),
+                        float(frank_and(CopulaParam.zero(), x, y)))
 
 
 @given(unit, st.sampled_from([0.01, 0.5, 1.0, 2.0, 20.0]))

@@ -114,6 +114,12 @@ def test_unit_grid_axis_is_i_over_steps_minus_one():
         assert [x.hex() for x in grid_axis(0.0, 1.0, steps)] == want
 
 
+@pytest.mark.parametrize("steps", [1, 0, -3])
+def test_grid_axis_needs_two_steps(steps):
+    with pytest.raises(DomainError, match=f"at least 2, got {steps}$"):
+        grid_axis(0.0, 1.0, steps)
+
+
 def test_synth_copula_matches_direct_evaluation():
     p = CopulaParam.finite(2.0)
     pts = grid_points(5)
