@@ -99,6 +99,16 @@ INVOCATIONS = [
     ("fail sweep classify-grid 1", ("sweep", "--spec", "2-2-1/inp-tanh-tanh",
                                     *_TRAIN, "--seed", "0", "--restarts", "1",
                                     "--classify-grid", "1")),
+    ("fail sweep diverged classify-grid 1", (
+        "sweep", "--spec", "2-2-1/inp-tanh-id", "--data", "boolean_xor",
+        "--lr", "1e200", "--restarts", "2", "--max-iters", "50", "--seed",
+        "0", "--classify-grid", "1", "--out", "bad-grid.csv")),
+    ("fail classify tol nan", ("classify", "--model", "tanh.json",
+                               "--tol", "nan")),
+    *((f"fail sweep classify-tol {tol}", (
+        "sweep", "--spec", "2-2-1/inp-tanh-tanh", *_TRAIN, "--seed", "0",
+        "--restarts", "1", "--classify-tol", tol, "--out", "bad-tol.csv"))
+      for tol in ("nan", "-1")),
     ("fail copula grid steps 0", ("copula", "grid", "--s", "2",
                                   "--steps", "0")),
     ("fail surface steps 1", ("surface", "--model", "tanh.json", "--data",

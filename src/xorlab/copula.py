@@ -12,17 +12,15 @@ and inf, and frechet_bounds is (A_inf, A_0).
 The closed form is evaluated as log1p(expm1(xL) expm1(yL) / expm1(L)) / L
 with L = ln s, which is stable in both quadrants (for s < 1 all three
 expm1 terms are negative and the quotient is positive).  It is written in
-two places: _frank_raw, one point at a time, for every scalar and for
-xor_f_lattice; and xor_f_deviation, which fits a lattice of outputs
-against F_s without building the lattice and walks only its upper
-triangle.
+two places: _frank_raw, one point at a time, for every scalar; and
+xor_f_lattice, which evaluates F_s over a whole lattice with expm1(xL)
+computed once per axis value, in the same float order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleProbabilityError
@@ -167,60 +165,23 @@ def xor_f_lattice(s: CopulaParam, axis) -> "list[float]":
     """F_s over the lattice axis x axis, flat and row-major.
 
     Entry i * len(axis) + j equals float(xor_f(s, axis[i], axis[j])) bit
-    for bit, with the UnitValue window applied inline.
+    for bit, with the UnitValue window applied inline.  In the closed-form
+    range expm1(x L) is computed once per axis value, and each point takes
+    _frank_raw's operations in _frank_raw's order.
     """
     xs = _unit_axis(tuple(axis))
-    fs = [_xor_value(s, x, y) for x in xs for y in xs]
+    if s.kind == "finite" and ZERO_DISPATCH <= s.s <= INF_DISPATCH:
+        # a finite s is never 1, so L != 0
+        L = math.log(s.s)
+        dL = math.expm1(L)
+        pts = list(zip(xs, [math.expm1(x * L) for x in xs]))
+        log1p = math.log1p
+        fs = [x + y - 2.0 * (log1p(ex * ey / dL) / L)
+              for x, ex in pts for y, ey in pts]
+    else:
+        fs = [_xor_value(s, x, y) for x in xs for y in xs]
     # the UnitValue window; values already inside [0, 1] need no clamp
     return [f if 0.0 <= f <= 1.0 else UnitValue(f).v for f in fs]
-
-
-def _max_abs_diff(outs, ref) -> float:
-    """Largest |out - ref| over a lattice; outs must be finite, since
-    max() keeps or skips a NaN depending on where it sits."""
-    return max(map(abs, map(operator.sub, outs, ref)))
-
-
-def xor_f_deviation(s: CopulaParam, axis, outs) -> float:
-    """max |outs[k] - xor_f_lattice(s, axis)[k]| bit for bit, and the
-    same DomainError; outs holds one value per lattice point.
-
-    For s in the closed-form range the lattice is never built.  F_s is
-    symmetric bit for bit (IEEE + and * commute), so each value of the
-    upper triangle is computed once, put through the UnitValue window and
-    compared with the outputs at (i, j) and (j, i): 231 log1p calls for
-    the 441 points of a 21 x 21 lattice.  expm1(x L) is computed once per
-    axis value.  Every other s goes through xor_f_lattice.
-    """
-    if not (s.kind == "finite" and ZERO_DISPATCH <= s.s <= INF_DISPATCH):
-        return _max_abs_diff(outs, xor_f_lattice(s, axis))
-    # sliced per row below: as a tuple, those slices pile up in CPython's
-    # tuple free lists (about 0.4 MB of peak memory), as a list they do not
-    xs = list(_unit_axis(tuple(axis)))
-    # a finite s is never 1, so L != 0
-    L = math.log(s.s)
-    ex = [math.expm1(x * L) for x in xs]
-    dL = math.expm1(L)
-    log1p = math.log1p
-    g = len(xs)
-    # max() keeps a NaN only when it comes first, and the walk below
-    # starts at the same point; the row-major first value outside the
-    # window lies on the upper triangle, so it is met first here too
-    worst = 0.0 if outs[0] == outs[0] else math.nan
-    for i, (x, ei) in enumerate(zip(xs, ex)):
-        k = i * (g + 1)             # the diagonal point (i, i)
-        for y, ej, d_ij, d_ji in zip(xs[i:], ex[i:], outs[k:k + g - i],
-                                     outs[k::g]):
-            f = x + y - 2.0 * (log1p(ei * ej / dL) / L)
-            if f < 0.0 or f > 1.0:      # never NaN: |q| < 1 when s < 1
-                f = UnitValue(f).v
-            d_ij = abs(d_ij - f)
-            d_ji = abs(d_ji - f)
-            if d_ij > worst:
-                worst = d_ij
-            if d_ji > worst:
-                worst = d_ji
-    return worst
 
 
 _LIMIT_S = {"zero": 0.0, "one": 1.0, "inf": math.inf}

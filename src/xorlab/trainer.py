@@ -7,9 +7,9 @@ trainer owns validation, Network packing, and divergence reporting.
 
 Classification evaluates a Network once over the lattice, through
 network.forward_lattice: one generated pass per shape, cached in
-_pycore._net_pass as "<xorlab forward_lattice 2-2-1 tanh-tanh>".  The
-F_s fit compares those outputs with copula.xor_f_deviation, which never
-builds the F_s lattice.
+_pycore._net_pass as "<xorlab forward_lattice 2-2-1 tanh-tanh>".  Every
+candidate, each F_s the fit tries included, is scored the same way: its
+lattice, then the largest |out - ref| (_max_abs_diff).
 
 The fit runs only when it can change the label.  F_s(x, 0) = x and
 F_s(0, y) = y exactly for every s the fit tries (A_s is grounded, and
@@ -18,19 +18,19 @@ the outputs' deviation on those two edges.  When that edge deviation is
 already no better than the best fixed candidate's, classify returns
 Unclassified with the fixed deviation, as the fit would have.
 
-The lattice axis (grid_axis) and sse come from datasets, the largest
-|out - ref| (_max_abs_diff) from copula.
+The lattice axis (grid_axis) and sse come from datasets, the F_s
+lattice (xor_f_lattice) from copula.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from . import kernels
-from .copula import (CopulaParam, _max_abs_diff, xor_f_deviation,
-                     xor_f_lattice)
+from .copula import CopulaParam, xor_f_lattice
 from .datasets import Dataset, grid_axis, sse
 from .errors import DivergenceError, DomainError
 from .network import Network, _as_topology, _samples, forward_lattice
@@ -193,9 +193,24 @@ def _step_interior(grid: int) -> "tuple[int, ...]":
                  if max(i, j) > 1 and max(step - i, step - j) > 1)
 
 
+def _max_abs_diff(outs, ref) -> float:
+    """Largest |out - ref| over a lattice; outs must be finite, since
+    max() keeps or skips a NaN depending on where it sits."""
+    return max(map(abs, map(operator.sub, outs, ref)))
+
+
 def _fs_deviation(outs, grid: int, t: float) -> float:
-    return xor_f_deviation(CopulaParam.finite(t / (1.0 - t)), _axis(grid),
-                           outs)
+    return _max_abs_diff(outs, xor_f_lattice(
+        CopulaParam.finite(t / (1.0 - t)), _axis(grid)))
+
+
+def _check_tol(tol: float) -> None:
+    """A classification tolerance is a deviation bound: 0 or more, and
+    inf (the nearest fixed candidate) is allowed; NaN is not."""
+    # NaN compares false both ways, so test for the valid range
+    if not tol >= 0.0:
+        raise DomainError(
+            f"classification tolerance must be non-negative, got {tol!r}")
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 40):
@@ -237,8 +252,9 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
 
     net is a 2-in 1-out Network or a callable f(x, y); sweep passes the
     network's lattice outputs, evaluated once for classify and
-    envelope_check together.
+    envelope_check together.  A negative or NaN tol raises DomainError.
     """
+    _check_tol(tol)
     lat = _lattice(net, grid)
     outs, grid = lat.outs, lat.grid
     if not all(map(math.isfinite, outs)):
@@ -273,7 +289,8 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
 
 def envelope_check(net, tol: float = 0.05, grid: int = 21) -> bool:
     """F_0 - tol <= out <= F_inf + tol over the whole lattice; a
-    non-finite output fails."""
+    non-finite output fails.  A negative or NaN tol raises DomainError."""
+    _check_tol(tol)
     lat = _lattice(net, grid)
     for o, lo, hi in zip(lat.outs, _shape_lattice(_f0, lat.grid),
                          _shape_lattice(_FINF, lat.grid)):
@@ -290,9 +307,12 @@ def sweep(topology, data: Dataset, cfg: TrainConfig, restarts: int,
     Diverged runs are recorded (Unclassified, not converged), never fatal.
     Order is by seed.  Each trained network is evaluated once over the
     lattice; classify and envelope_check share those outputs.
+    classify_tol and classify_grid are checked before the first restart.
     """
     if restarts < 1:
         raise DomainError(f"restarts must be at least 1, got {restarts}")
+    _check_tol(classify_tol)
+    _axis(classify_grid)
     topo = _as_topology(topology)
     entries = []
     for r in range(restarts):

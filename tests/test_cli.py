@@ -100,16 +100,23 @@ def test_nan_probability_is_an_error(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ("classify", "--model", "{model}", "--grid", "1"),
     ("sweep", "--spec", "2-2-1/inp-tanh-tanh", "--data", "boolean_xor",
-     "--seed", "0", "--restarts", "1", "--max-iters", "10",
+     "--seed", "0", "--restarts", "1", "--max-iters", "10", "--out", "{out}",
      "--classify-grid", "1"),
     ("copula", "grid", "--s", "2", "--steps", "0"),
+    # sweep checks the grid before the first restart, so it fails even
+    # when every restart diverges and none is classified
+    ("sweep", "--spec", "2-2-1/inp-tanh-id", "--data", "boolean_xor",
+     "--lr", "1e200", "--restarts", "2", "--max-iters", "50", "--seed", "0",
+     "--out", "{out}", "--classify-grid", "1"),
 ])
 def test_lattice_of_fewer_than_two_steps_is_an_error(argv, linear_model,
-                                                     capsys):
-    code, out, err = run(capsys, *(a.format(model=linear_model)
+                                                     tmp_path, capsys):
+    runs = tmp_path / "runs.csv"
+    code, out, err = run(capsys, *(a.format(model=linear_model, out=runs)
                                    for a in argv))
     assert code == 1 and out == ""
     assert err == f"error: steps must be at least 2, got {argv[-1]}\n"
+    assert not runs.exists()
 
 
 # -- logic -------------------------------------------------------------------
@@ -329,6 +336,21 @@ def test_sweep_nonfinite_divergence_is_recorded(tmp_path, capsys):
         # converged, diverged, label, max_deviation, envelope_ok
         assert (r[1], r[2], r[5], r[6], r[7]) == \
             ("false", "true", "Unclassified", "inf", "")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "-0.5"])
+def test_negative_or_nan_classification_tolerance_is_an_error(
+        value, linear_model, tmp_path, capsys):
+    out = tmp_path / "runs.csv"
+    for argv in (("classify", "--model", str(linear_model), "--tol", value),
+                 ("sweep", "--spec", "2-2-1/inp-tanh-tanh", "--data",
+                  "boolean_xor", "--seed", "3", "--lr", "0.5", "--restarts",
+                  "2", "--classify-tol", value, "--out", str(out))):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, ""), argv
+        assert err.startswith("error: classification tolerance must be "
+                              "non-negative"), argv
+    assert not out.exists()
 
 
 # -- surface -------------------------------------------------------------------

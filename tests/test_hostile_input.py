@@ -1,19 +1,23 @@
 """Hostile input: drawn text through the parsers, drawn files through the
-loaders, and solve_s at the edges of its domain.  Each may return or
-raise an XorlabError subclass; any other exception fails the test."""
+loaders, solve_s at the edges of its domain, and drawn classification
+tolerances.  Each may return or raise an XorlabError subclass; any other
+exception fails the test."""
 
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from xorlab.copula import SOLVE_TOL, UNIT_EPS, CopulaParam, solve_s
-from xorlab.datasets import load_csv
-from xorlab.errors import XorlabError
+from xorlab.datasets import builtin, load_csv
+from xorlab.errors import DomainError, XorlabError
 from xorlab.network import load_model, parse_spec
 from xorlab.problogic import parse_expr
 from xorlab.surface import parse_coord
+from xorlab.trainer import (FunctionLabel, TrainConfig, classify,
+                            envelope_check, sweep)
 
 # pieces of every grammar, so that drawn text gets past the first token
 _PIECES = st.sampled_from([
@@ -133,3 +137,38 @@ def test_solve_s_on_drawn_points(point):
     except XorlabError:
         return
     assert isinstance(param, CopulaParam), point
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats())
+@example(math.nan)
+@example(-0.0)
+@example(-5e-324)
+@example(math.inf)
+def test_classification_tolerance_on_drawn_floats(tol):
+    # st.floats draws NaN, +-inf, negatives, signed zeros and subnormals;
+    # a tolerance is taken exactly when it is 0 or more
+    fn = lambda x, y: abs(x - y)
+    if not tol >= 0.0:
+        for check in (classify, envelope_check):
+            with pytest.raises(DomainError):
+                check(fn, tol=tol, grid=5)
+        return
+    assert classify(fn, tol=tol, grid=5) == FunctionLabel("F0", 0.0)
+    assert envelope_check(fn, tol=tol, grid=5) is True
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats())
+@example(math.nan)
+@example(-1.0)
+def test_sweep_classification_tolerance_on_drawn_floats(tol):
+    run = lambda: sweep("2-2-1/inp-tanh-tanh", builtin("boolean_xor"),
+                        TrainConfig(seed=0, max_iters=1), 1,
+                        classify_tol=tol, classify_grid=3)
+    if not tol >= 0.0:
+        with pytest.raises(DomainError):
+            run()
+        return
+    entry, = run()
+    assert isinstance(entry.label, FunctionLabel)

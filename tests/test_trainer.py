@@ -1,7 +1,6 @@
 """Training driver, function classification, sweeps."""
 
 import math
-import operator
 import random
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 import classify_reference
 from xorlab import kernels, network, trainer
-from xorlab.copula import CopulaParam, xor_f, xor_f_deviation, xor_f_lattice
+from xorlab.copula import CopulaParam, xor_f, xor_f_lattice
 from xorlab.datasets import Dataset, builtin
 from xorlab.errors import DivergenceError, DomainError, ShapeError
 from xorlab.linalg import Matrix, least_squares
@@ -377,27 +376,6 @@ def test_xor_f_lattice_matches_xor_f_bitwise():
         assert _outcome(xor_f_lattice, p, axis) == _outcome(want), p
 
 
-def _lattice_deviation(p, axis, outs):
-    """xor_f_deviation by its definition: the lattice, then max()."""
-    return max(map(abs, map(operator.sub, outs, xor_f_lattice(p, axis))))
-
-
-@pytest.mark.parametrize("grid", [21, 11, 2])
-def test_xor_f_deviation_matches_lattice_max(grid):
-    pts, cases = _parity_outputs(grid)
-    n = grid * grid
-    cases += [[math.nan] + cases[0][1:], cases[0][:-1] + [math.nan],
-              [math.inf] + [-0.0] * (n - 1), [-math.inf] * n, [-0.0] * n]
-    axis = [i / (grid - 1) for i in range(grid)]
-    params = [CopulaParam.zero(), CopulaParam.one(), CopulaParam.infinity()]
-    params += [CopulaParam.finite(t / (1.0 - t)) for t in PARITY_TS]
-    params += [CopulaParam.finite(s) for s in (1e-9, 0.003, 40.0, 1e9)]
-    for p in params:
-        for outs in cases:
-            assert _outcome(xor_f_deviation, p, axis, outs) == \
-                _outcome(_lattice_deviation, p, axis, outs), p
-
-
 def test_xor_f_lattice_validates_axis():
     with pytest.raises(DomainError):
         xor_f_lattice(CopulaParam.finite(2.0), [0.0, 1.5])
@@ -507,9 +485,7 @@ def test_fs_deviation_is_at_least_the_edge_deviation(data, grid, t):
     outs = [rng.uniform(-0.5, 1.5) for _ in range(grid * grid)]
     for k in sorted({i * grid for i in range(grid)} | set(range(grid))):
         outs[k] = data.draw(value)
-    dev = xor_f_deviation(CopulaParam.finite(t / (1.0 - t)),
-                          trainer._axis(grid), outs)
-    assert dev >= _edge_deviation(outs, grid)
+    assert _fs_deviation(outs, grid, t) >= _edge_deviation(outs, grid)
 
 
 @st.composite
@@ -648,6 +624,35 @@ def test_sweep_evaluates_its_lattice_in_one_pass(monkeypatch):
 def test_sweep_validation():
     with pytest.raises(DomainError):
         sweep("2-2-1/inp-tanh-tanh", XOR, TrainConfig(seed=0), 0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"classify_grid": 1}, {"classify_grid": 0}, {"classify_tol": math.nan},
+    {"classify_tol": -0.5}])
+def test_sweep_checks_classification_settings_before_training(kwargs,
+                                                              monkeypatch):
+    calls = []
+    real = kernels.train_run
+    monkeypatch.setattr(kernels, "train_run", lambda *args: (
+        calls.append(args) or real(*args)))
+    # a first restart that converges would otherwise train in full
+    cfg = TrainConfig(seed=3, learning_rate=0.5)
+    with pytest.raises(DomainError):
+        sweep("2-2-1/inp-tanh-tanh", XOR, cfg, 2, **kwargs)
+    assert calls == []
+
+
+def test_classification_tolerance_is_a_non_negative_bound():
+    relu = train("2-2-1/inp-relu-relu", XOR, TrainConfig(seed=1)).final_net
+    assert classify(relu) == FunctionLabel("Finf", 0.025811366945231035)
+    for tol in (math.nan, -0.5):
+        for check in (classify, envelope_check):
+            with pytest.raises(DomainError, match="tolerance"):
+                check(relu, tol=tol)
+    # 0 asks for an exact fit; inf takes the nearest fixed candidate
+    assert classify(relu, tol=0.0).kind == "Unclassified"
+    assert classify(relu, tol=math.inf) == classify(relu)
+    assert envelope_check(lambda x, y: 1.2, tol=math.inf)
 
 
 def test_run_metadata_document():
