@@ -6,12 +6,13 @@ equality first, then each workload is timed.  train_run is timed on a
 tanh run and on two sets of relu runs (lr 0.1): seeds whose weights are
 at rest after epoch 1 (every unit dead at the initial weights), where
 train_run stops at the first check, and seeds whose weights move for
-all --iters epochs.  The backends are timed
-call by call in turn, in one process, so that drift in the host's speed
-hits them alike.  Without a built library only the Python backend is
-timed.  project_grid is timed once per pair class of the 2-2-1 net:
-two first-layer weights (L1xL1), a first-layer and an output weight
-(L1xL2), and two output weights (L2xL2).
+all --iters epochs.  The backends are timed call by call in turn, in
+one process, so that drift in the host's speed hits them alike.  Have
+`cc` on PATH to time the compiled backend too; without a library that
+loads, only the Python backend is timed.  project_grid is timed once per
+pair class of the 2-2-1 net: two first-layer weights (L1xL1), a
+first-layer and an output weight (L1xL2), and two output weights
+(L2xL2).
 
 Library section, on the default backend: surface.landscape_stats and
 surface.emit_grid_csv over the 101x101 grids of all 36 weight pairs of

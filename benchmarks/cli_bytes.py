@@ -13,10 +13,10 @@ bytes exactly when their manifests are the same:
     PYTHONPATH=../parent/src python benchmarks/cli_bytes.py > old.txt
     diff old.txt new.txt
 
-The commands run on whichever backend the package selects: build
-`_kern.so` for the compiled one, or put a copy of the package without it
-first on PYTHONPATH for Python (README, "Backends").  The script takes
-no options.
+The commands run on whichever backend the package selects: have `cc` on
+PATH for the compiled one, or, for Python, take `cc` off PATH and put a
+copy of the package without a built library first on PYTHONPATH
+(README, "Backends").  The script takes no options.
 """
 
 import hashlib

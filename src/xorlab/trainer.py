@@ -199,9 +199,33 @@ def _max_abs_diff(outs, ref) -> float:
     return max(map(abs, map(operator.sub, outs, ref)))
 
 
+def _fs_lattice(grid: int, t: float) -> "list[float]":
+    """F_s over the lattice at s = t / (1 - t)."""
+    return xor_f_lattice(CopulaParam.finite(t / (1.0 - t)), _axis(grid))
+
+
 def _fs_deviation(outs, grid: int, t: float) -> float:
-    return _max_abs_diff(outs, xor_f_lattice(
-        CopulaParam.finite(t / (1.0 - t)), _axis(grid)))
+    return _max_abs_diff(outs, _fs_lattice(grid, t))
+
+
+# the points t = k/50 the F_s fit scans before its golden-section search;
+# their lattices do not depend on the network, so they are built once per
+# grid, up to a grid of _SCAN_CACHE_GRID (49 x 64 x 64 floats, about 5 MB),
+# and once per fit beyond it
+_SCAN_TS = tuple(k / 50.0 for k in range(1, 50))
+_SCAN_CACHE_GRID = 64
+
+
+@functools.lru_cache(maxsize=2)
+def _scan_lattices(grid: int) -> "tuple[tuple[float, ...], ...]":
+    return tuple(tuple(_fs_lattice(grid, t)) for t in _SCAN_TS)
+
+
+def _scan_deviations(outs, grid: int) -> "list[float]":
+    """_fs_deviation at each scan point, in order."""
+    lattices = (_scan_lattices(grid) if grid <= _SCAN_CACHE_GRID
+                else (_fs_lattice(grid, t) for t in _SCAN_TS))
+    return [_max_abs_diff(outs, ref) for ref in lattices]
 
 
 def _check_tol(tol: float) -> None:
@@ -275,11 +299,10 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
         return FunctionLabel("Unclassified", best_dev)
 
     # fall back to fitting a finite parameter on t = s/(1+s)
-    ts = [k / 50.0 for k in range(1, 50)]
-    devs = [_fs_deviation(outs, grid, t) for t in ts]
+    devs = _scan_deviations(outs, grid)
     k = devs.index(min(devs))
-    lo = ts[k - 1] if k > 0 else 0.02 / 2.0
-    hi = ts[k + 1] if k < len(ts) - 1 else (0.98 + 1.0) / 2.0
+    lo = _SCAN_TS[k - 1] if k > 0 else 0.02 / 2.0
+    hi = _SCAN_TS[k + 1] if k < len(_SCAN_TS) - 1 else (0.98 + 1.0) / 2.0
     t_star, fit_dev = _golden_min(lambda t: _fs_deviation(outs, grid, t),
                                   lo, hi)
     if fit_dev <= tol:

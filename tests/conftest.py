@@ -5,12 +5,12 @@ summary ends with one labeled PASS/FAIL line per criterion, in numeric
 order, regardless of how pytest interleaved the runs.
 
 The c_package and ckern fixtures build the compiled kernels once per
-session with the system cc, in a temporary copy of the package, so the
-backend-parity tests run without anything being built under src/.  They
-skip only when no cc is on PATH; a failed compile is an error.
+session with the package's own build rule (xorlab._build), in a
+temporary copy of the package, so the backend-parity tests compare the
+library an install builds.  They skip only when no cc is on PATH; a
+failed compile is an error.
 """
 
-import ast
 import re
 import shutil
 import subprocess
@@ -18,22 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from xorlab import kernels
-
-SETUP_PY = Path(__file__).resolve().parent.parent / "setup.py"
-
-
-def setup_compile_args() -> list:
-    """The extra_compile_args setup.py builds kern.c with, read from its
-    source, so the parity tests build the binary an install builds."""
-    for node in ast.walk(ast.parse(SETUP_PY.read_text())):
-        if isinstance(node, ast.keyword) and node.arg == "extra_compile_args":
-            return ast.literal_eval(node.value)
-    raise LookupError(f"no extra_compile_args in {SETUP_PY}")
-
-
-# setup.py's flags, plus those of a shared library
-CFLAGS = [*setup_compile_args(), "-shared", "-fPIC"]
+from xorlab import _build, kernels
 
 
 def copy_package(dest: Path) -> Path:
@@ -47,17 +32,15 @@ def copy_package(dest: Path) -> Path:
 def c_package(tmp_path_factory):
     """A directory holding a copy of xorlab with its C kernels built in;
     put it on PYTHONPATH to import that copy."""
-    cc = shutil.which("cc")
-    if cc is None:
+    if shutil.which("cc") is None:
         pytest.skip("no C compiler: `cc` is not on PATH")
     root = copy_package(tmp_path_factory.mktemp("cbackend"))
     pkg = root / "xorlab"
-    cmd = [cc, *CFLAGS, "-o", str(pkg / kernels._LIBRARY_NAME),
-           str(pkg / "kern.c"), "-lm"]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        pytest.fail(f"compiling kern.c failed: {' '.join(cmd)}\n"
-                    f"{proc.stderr}", pytrace=False)
+    try:
+        _build.build(str(pkg / "kern.c"), str(pkg / kernels._LIBRARY_NAME))
+    except subprocess.CalledProcessError as err:
+        pytest.fail(f"compiling kern.c failed: {' '.join(err.cmd)}\n"
+                    f"{err.stderr}", pytrace=False)
     return root
 
 

@@ -3,11 +3,15 @@ kernels and the loop reference (loop_kernels.py) must agree bit for bit
 on every exported operation.
 
 The compiled backend comes from the ckern and c_package fixtures
-(tests/conftest.py), which build kern.c with the system cc."""
+(tests/conftest.py), which build kern.c with the system cc.  The loader
+tests import copies of the package in new interpreters: the first import
+builds kern.c into the package's __pycache__, later ones reuse it, and
+anything that stops the build or the load selects python silently."""
 
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -16,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_kernels
-from xorlab import _pycore, kernels
+from xorlab import _build, _pycore, kernels
 from xorlab.datasets import builtin
 from xorlab.errors import DomainError
 from xorlab.trainer import TrainConfig, sweep
@@ -47,11 +51,26 @@ def test_backend_selection():
             kernels.get_backend(name)
 
 
-def _run_kernels(package, code):
-    env = dict(os.environ, PYTHONPATH=str(package))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+def _run_kernels(package, code, prefix=(), **env):
+    """stdout of code run in a new interpreter that imports xorlab from
+    package, under the argv prefix and with env added; it must print
+    nothing to stderr."""
+    env = dict(os.environ, PYTHONPATH=str(package), **env)
+    out = subprocess.run([*prefix, sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
+    assert out.stderr == ""
     return out.stdout.strip()
+
+
+LOADER = ("import sys, xorlab.kernels as k; print(k.BACKEND, "
+          "k.available_backends(), 'ctypes' in sys.modules)")
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler: `cc` is not on PATH")
+
+
+def _cached(package):
+    """The libraries built into package's cache, by name."""
+    return sorted((package / "xorlab" / "__pycache__").glob("_kern-*.so"))
 
 
 def test_built_library_selects_c(c_package):
@@ -61,9 +80,82 @@ def test_built_library_selects_c(c_package):
 
 
 def test_no_library_selects_python_without_ctypes(bare_package):
-    code = ("import sys, xorlab.kernels as k; print(k.BACKEND, "
-            "k.available_backends(), 'ctypes' in sys.modules)")
-    assert _run_kernels(bare_package, code) == "python ('python',) False"
+    # no compiler on PATH, so nothing can be built
+    assert (_run_kernels(bare_package, LOADER, PATH=str(bare_package / "no"))
+            == "python ('python',) False")
+    assert _cached(bare_package) == []
+
+
+@needs_cc
+def test_first_import_builds_the_library(bare_package):
+    assert _run_kernels(bare_package, LOADER) == "c ('c', 'python') True"
+    (lib,) = _cached(bare_package)
+    with open(bare_package / "xorlab" / "kern.c", "rb") as fh:
+        assert lib.name == _build.cache_name(fh.read())
+
+
+@needs_cc
+def test_second_import_reuses_the_cached_library(bare_package):
+    _run_kernels(bare_package, LOADER)
+    (lib,) = _cached(bare_package)
+    before = lib.stat()
+    # a compile would now raise, and select python
+    no_build = "import xorlab._build as b; b.build = None; " + LOADER
+    assert _run_kernels(bare_package, no_build) == "c ('c', 'python') True"
+    after = lib.stat()
+    assert _cached(bare_package) == [lib]
+    assert ((after.st_ino, after.st_mtime_ns)
+            == (before.st_ino, before.st_mtime_ns))
+
+
+@needs_cc
+def test_broken_source_selects_python_silently(bare_package):
+    (bare_package / "xorlab" / "kern.c").write_text("not C at all\n")
+    assert _run_kernels(bare_package, LOADER) == "python ('python',) False"
+    assert _cached(bare_package) == []
+    # the reason reaches a logger configured to show it
+    code = ("import logging; logging.basicConfig(level=logging.DEBUG); "
+            "import xorlab.kernels")
+    env = dict(os.environ, PYTHONPATH=str(bare_package))
+    log = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stderr
+    assert "compiled kernels unavailable" in log
+    assert "CalledProcessError" in log
+
+
+def _obeying_file_modes():
+    """An argv prefix under which the process cannot write where the file
+    modes say it may not; root ignores them unless it drops the
+    capabilities that override them."""
+    if os.geteuid() != 0:
+        return ()
+    setpriv = shutil.which("setpriv")
+    if setpriv is None:
+        pytest.skip("root ignores file modes, and no setpriv to drop that")
+    caps = "-dac_override,-dac_read_search"
+    return (setpriv, f"--inh-caps={caps}", f"--bounding-set={caps}")
+
+
+@needs_cc
+def test_read_only_cache_selects_python(bare_package):
+    cache = bare_package / "xorlab" / "__pycache__"
+    cache.mkdir(mode=0o555)
+    try:
+        assert (_run_kernels(bare_package, LOADER, _obeying_file_modes())
+                == "python ('python',) False")
+    finally:
+        cache.chmod(0o755)
+    assert _cached(bare_package) == []
+
+
+@needs_cc
+def test_changed_source_gets_a_new_cache_key(bare_package):
+    _run_kernels(bare_package, LOADER)
+    (old,) = _cached(bare_package)
+    with open(bare_package / "xorlab" / "kern.c", "a") as fh:
+        fh.write("/* edited */\n")
+    assert _run_kernels(bare_package, LOADER) == "c ('c', 'python') True"
+    assert len(_cached(bare_package)) == 2 and old in _cached(bare_package)
 
 
 def test_sse_dataset_parity(ckern):

@@ -521,7 +521,8 @@ def test_classify_matches_full_fit_on_drawn_lattices(case, tol):
 
 @pytest.fixture
 def fit_calls(monkeypatch):
-    """The arguments of every F_s deviation the classifier's fit computes."""
+    """The arguments of every F_s deviation the classifier's fit computes
+    past its scan, which reads lattices cached per grid."""
     calls = []
     real = trainer._fs_deviation
     monkeypatch.setattr(trainer, "_fs_deviation", lambda *args: (
