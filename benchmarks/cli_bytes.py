@@ -15,7 +15,7 @@ bytes exactly when their manifests are the same:
 
 The commands run on whichever backend the package selects: have `cc` on
 PATH for the compiled one, or, for Python, take `cc` off PATH and put a
-copy of the package without a built library first on PYTHONPATH
+copy of the package without its `__pycache__` first on PYTHONPATH
 (README, "Backends").  The script takes no options.
 """
 
@@ -116,6 +116,8 @@ INVOCATIONS = [
                               "--steps", "1", "--out", "bad.csv")),
     ("fail copula eval nan", ("copula", "eval", "--fn", "and", "--s", "2",
                               "--x", "nan", "--y", "0.5")),
+    ("fail net forward input", ("net", "forward", "--model", "tanh.json",
+                                "--input", "a,b")),
 ]
 
 

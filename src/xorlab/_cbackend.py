@@ -1,10 +1,11 @@
 """ctypes front end to the compiled kernels in kern.c.
 
-load(path) binds a built library and returns a namespace with the same
-exports as xorlab._pycore (BACKEND, SSE_BLOWUP, sse_dataset, train_run,
-project_grid), taking and returning the same Python types.  The library
-has two kernels, train_run and project_grid; sse_dataset is the one
-cell of project_grid that leaves the weights as they are.
+load(path) binds the library that xorlab.kernels built from kern.c and
+returns a namespace with the same exports as xorlab._pycore (BACKEND,
+SSE_BLOWUP, sse_dataset, train_run, project_grid), taking and returning
+the same Python types.  The library has two kernels, train_run and
+project_grid; sse_dataset is the one cell of project_grid that leaves
+the weights as they are.
 
 The C side trusts its buffers, so shapes are checked here.  ctypes would
 wrap an int too large for a C int silently; such a value (a size, a

@@ -94,6 +94,15 @@ def _parse_assign(text: str) -> dict:
     return out
 
 
+def _parse_input(text: str) -> tuple:
+    try:
+        return tuple(float(p) for p in text.split(","))
+    except ValueError:
+        raise DomainError(
+            f"input {text!r} is not a comma-separated list of numbers"
+        ) from None
+
+
 def _write_text(path: str, text: str) -> None:
     # build first, write once: failed commands leave no partial files
     with open(path, "w") as fh:
@@ -250,7 +259,7 @@ def _cmd_regress(args):
 
 def _cmd_net_forward(args):
     net = load_model(args.model)
-    xs = tuple(float(p) for p in args.input.split(","))
+    xs = _parse_input(args.input)
     trace = forward(net, xs)
     _emit(args, {"input": list(xs), "output": trace.output,
                  "pre": [list(t) for t in trace.pre],

@@ -10,8 +10,9 @@
  * reference, so both backends produce bit-identical floats.  Keep them
  * in lockstep when editing any of them.  Build with -ffp-contract=off:
  * a fused multiply-add rounds differently from the separate multiply and
- * add that Python performs.  setup.py also passes -fno-tree-vectorize,
- * because vectorizing the 2- to 9-term dot products only adds overhead.
+ * add that Python performs.  xorlab.kernels.CFLAGS also has
+ * -fno-tree-vectorize, because vectorizing the 2- to 9-term dot products
+ * only adds overhead.
  *
  * Layout conventions (see _pycore.py):
  *   sizes[0..nlayers]  layer widths including the input

@@ -12,21 +12,23 @@ no epoch could move any weight (it checks after epoch 1 and every 256th
 epoch), with the outputs the full run would give (see _pycore).
 
 The compiled backend runs when a library loads, and Python otherwise;
-without a library, ctypes is never imported.  The library is _kern.so
-when setup.py built one.  Otherwise it is the build of kern.c cached in
-this package's __pycache__ under a key of kern.c's bytes and the
-compiler flags (_build.cache_name); on a miss, the first import builds
-it there with `cc` (_build.build), so a checkout runs the compiled
-kernels wherever `cc` is on PATH.  A missing compiler, a compile error,
-a cache that cannot be written or a library that will not load selects
-Python, silently.
+without a library, ctypes is never imported.  This module is the one
+place that builds and finds the library: the build of kern.c in this
+package's __pycache__, named by a key of kern.c's bytes and the
+compiler flags (cache_name).  On a miss the import compiles it there
+with `cc` (build), so the package runs the compiled kernels wherever
+`cc` is on PATH and its __pycache__ can be written, and removes the
+libraries built from earlier versions of kern.c.  A missing compiler, a
+compile error, a cache that cannot be written or a library that will
+not load selects Python, silently.
 """
 
 from __future__ import annotations
 
 import os
+import zlib
 
-from . import _build, _pycore
+from . import _pycore
 from .errors import DomainError
 
 __all__ = [
@@ -34,23 +36,67 @@ __all__ = [
     "get_backend", "available_backends",
 ]
 
+# -ffp-contract=off keeps the compiled arithmetic bit-identical to the
+# pure-Python backend (no FMA contraction).  The dot products are 2 to 9
+# terms long: vectorized, each pays for a vector prologue and epilogue,
+# and project_grid ran 25% slower, hence -fno-tree-vectorize.
+CFLAGS = ("-O3", "-fno-tree-vectorize", "-ffp-contract=off", "-shared",
+          "-fPIC")
+LIBS = ("-lm",)
+TIMEOUT_S = 60
+
 _HERE = os.path.dirname(__file__)
-_LIBRARY_NAME = "_kern.so"
-_LIBRARY = os.path.join(_HERE, _LIBRARY_NAME)
 _SOURCE = os.path.join(_HERE, "kern.c")
 _CACHE = os.path.join(_HERE, "__pycache__")
 
 
+def cache_name(source: bytes) -> str:
+    """The file name of the library built from source with these flags."""
+    key = zlib.crc32(source, zlib.crc32(" ".join(CFLAGS + LIBS).encode()))
+    return f"_kern-{key:08x}.so"
+
+
+def build(src: str, dest: str) -> None:
+    """Compile the C file src into the shared library dest with `cc`.
+
+    The compiler writes into a temporary directory beside dest, and its
+    output then replaces dest in one step, so a reader sees the old file
+    or the whole new one.
+
+    Raises OSError (no `cc`, a directory that cannot be written),
+    subprocess.CalledProcessError (a compile error; its stderr holds the
+    compiler's messages) or subprocess.TimeoutExpired; nothing is printed.
+    """
+    import subprocess
+    import tempfile
+
+    # a directory beside dest, so the compiler's output is made with the
+    # usual permissions and os.replace stays on one file system
+    with tempfile.TemporaryDirectory(
+            prefix=".", dir=os.path.dirname(os.path.abspath(dest))) as tmp:
+        out = os.path.join(tmp, os.path.basename(dest))
+        subprocess.run(["cc", *CFLAGS, "-o", out, src, *LIBS], check=True,
+                       stdin=subprocess.DEVNULL, capture_output=True,
+                       text=True, timeout=TIMEOUT_S)
+        os.replace(out, dest)
+
+
 def _library_path() -> str:
-    """setup.py's _kern.so if it exists, else the cached build of kern.c,
-    compiled on a miss."""
-    if os.path.exists(_LIBRARY):
-        return _LIBRARY
+    """The cached build of kern.c, compiled on a miss; a miss also removes
+    the other libraries in the cache, as best it can."""
     with open(_SOURCE, "rb") as fh:
-        path = os.path.join(_CACHE, _build.cache_name(fh.read()))
+        name = cache_name(fh.read())
+    path = os.path.join(_CACHE, name)
     if not os.path.exists(path):
         os.makedirs(_CACHE, exist_ok=True)
-        _build.build(_SOURCE, path)
+        build(_SOURCE, path)
+        import glob
+        for old in glob.glob(os.path.join(_CACHE, "_kern-*.so")):
+            if os.path.basename(old) != name:
+                try:
+                    os.remove(old)
+                except OSError:
+                    pass
     return path
 
 

@@ -5,10 +5,10 @@ summary ends with one labeled PASS/FAIL line per criterion, in numeric
 order, regardless of how pytest interleaved the runs.
 
 The c_package and ckern fixtures build the compiled kernels once per
-session with the package's own build rule (xorlab._build), in a
-temporary copy of the package, so the backend-parity tests compare the
-library an install builds.  They skip only when no cc is on PATH; a
-failed compile is an error.
+session with the package's own build rule (xorlab.kernels.build), into
+the __pycache__ of a temporary copy of the package, so the
+backend-parity tests compare the library its import loads.  They skip
+only when no cc is on PATH; a failed compile is an error.
 """
 
 import re
@@ -18,14 +18,21 @@ from pathlib import Path
 
 import pytest
 
-from xorlab import _build, kernels
+from xorlab import kernels
 
 
 def copy_package(dest: Path) -> Path:
-    """Copy the xorlab package, without any built library, into dest."""
+    """Copy the xorlab package, without its __pycache__, into dest."""
     shutil.copytree(Path(kernels.__file__).parent, dest / "xorlab",
-                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+                    ignore=shutil.ignore_patterns("__pycache__"))
     return dest
+
+
+def library_path(root: Path) -> Path:
+    """Where the copy of xorlab in root keeps its compiled kernels."""
+    pkg = root / "xorlab"
+    name = kernels.cache_name((pkg / "kern.c").read_bytes())
+    return pkg / "__pycache__" / name
 
 
 @pytest.fixture(scope="session")
@@ -35,9 +42,10 @@ def c_package(tmp_path_factory):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler: `cc` is not on PATH")
     root = copy_package(tmp_path_factory.mktemp("cbackend"))
-    pkg = root / "xorlab"
+    lib = library_path(root)
+    lib.parent.mkdir()
     try:
-        _build.build(str(pkg / "kern.c"), str(pkg / kernels._LIBRARY_NAME))
+        kernels.build(str(root / "xorlab" / "kern.c"), str(lib))
     except subprocess.CalledProcessError as err:
         pytest.fail(f"compiling kern.c failed: {' '.join(err.cmd)}\n"
                     f"{err.stderr}", pytrace=False)
@@ -54,7 +62,7 @@ def bare_package(tmp_path):
 def ckern(c_package):
     """The compiled backend, loaded from c_package."""
     from xorlab import _cbackend
-    return _cbackend.load(str(c_package / "xorlab" / kernels._LIBRARY_NAME))
+    return _cbackend.load(str(library_path(c_package)))
 
 
 _CRITERION = re.compile(r"test_criterion_(\d{2})_(\w+?)(?:\[|$)")

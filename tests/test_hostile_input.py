@@ -1,7 +1,8 @@
 """Hostile input: drawn text through the parsers, drawn files through the
-loaders, solve_s at the edges of its domain, and drawn classification
-tolerances.  Each may return or raise an XorlabError subclass; any other
-exception fails the test."""
+loaders, solve_s at the edges of its domain, drawn classification
+tolerances, and malformed numbers on the command line.  Each may return
+or raise an XorlabError subclass (the command line prints it and exits
+1); any other exception fails the test."""
 
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from xorlab.cli import main
 from xorlab.copula import SOLVE_TOL, UNIT_EPS, CopulaParam, solve_s
 from xorlab.datasets import builtin, load_csv
 from xorlab.errors import DomainError, XorlabError
@@ -172,3 +174,16 @@ def test_sweep_classification_tolerance_on_drawn_floats(tol):
         return
     entry, = run()
     assert isinstance(entry.label, FunctionLabel)
+
+
+@pytest.mark.parametrize("text", ["a,b", ""])
+def test_net_forward_input_that_is_not_numbers(tmp_path, capsys, text):
+    model = tmp_path / "id.json"
+    model.write_text(json.dumps(
+        {"spec": "2-1/inp-id",
+         "weights": [{"rows": 1, "cols": 3, "data": [0.5, 0.25, 1]}]}))
+    code = main(["net", "forward", "--model", str(model), "--input", text])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"error: input {text!r} is not a comma-separated list "
+                   "of numbers\n")

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_kernels
-from xorlab import _build, _pycore, kernels
+from xorlab import _pycore, kernels
 from xorlab.datasets import builtin
 from xorlab.errors import DomainError
 from xorlab.trainer import TrainConfig, sweep
@@ -91,7 +91,7 @@ def test_first_import_builds_the_library(bare_package):
     assert _run_kernels(bare_package, LOADER) == "c ('c', 'python') True"
     (lib,) = _cached(bare_package)
     with open(bare_package / "xorlab" / "kern.c", "rb") as fh:
-        assert lib.name == _build.cache_name(fh.read())
+        assert lib.name == kernels.cache_name(fh.read())
 
 
 @needs_cc
@@ -99,9 +99,9 @@ def test_second_import_reuses_the_cached_library(bare_package):
     _run_kernels(bare_package, LOADER)
     (lib,) = _cached(bare_package)
     before = lib.stat()
-    # a compile would now raise, and select python
-    no_build = "import xorlab._build as b; b.build = None; " + LOADER
-    assert _run_kernels(bare_package, no_build) == "c ('c', 'python') True"
+    # without cc on PATH a compile would fail, and select python
+    assert (_run_kernels(bare_package, LOADER, PATH=str(bare_package / "no"))
+            == "c ('c', 'python') True")
     after = lib.stat()
     assert _cached(bare_package) == [lib]
     assert ((after.st_ino, after.st_mtime_ns)
@@ -155,7 +155,18 @@ def test_changed_source_gets_a_new_cache_key(bare_package):
     with open(bare_package / "xorlab" / "kern.c", "a") as fh:
         fh.write("/* edited */\n")
     assert _run_kernels(bare_package, LOADER) == "c ('c', 'python') True"
-    assert len(_cached(bare_package)) == 2 and old in _cached(bare_package)
+    (new,) = _cached(bare_package)
+    assert new != old
+
+
+@needs_cc
+def test_library_outside_the_cache_is_ignored(bare_package):
+    # a library file beside the modules is neither loaded nor touched
+    stray = bare_package / "xorlab" / "_kern.so"
+    stray.write_bytes(b"not a library\n")
+    assert _run_kernels(bare_package, LOADER) == "c ('c', 'python') True"
+    assert len(_cached(bare_package)) == 1
+    assert stray.read_bytes() == b"not a library\n"
 
 
 def test_sse_dataset_parity(ckern):
