@@ -118,6 +118,11 @@ INVOCATIONS = [
                               "--x", "nan", "--y", "0.5")),
     ("fail net forward input", ("net", "forward", "--model", "tanh.json",
                                 "--input", "a,b")),
+    ("fail net forward input nan", ("net", "forward", "--model", "tanh.json",
+                                    "--input", "nan,1")),
+    ("fail train max-iters 3000000000", (
+        "train", "--spec", "2-2-1/inp-relu-relu", "--data", "boolean_xor",
+        "--seed", "2", "--max-iters", "3000000000")),
 ]
 
 

@@ -4,8 +4,8 @@ load(path) binds the library that xorlab.kernels built from kern.c and
 returns a namespace with the same exports as xorlab._pycore (BACKEND,
 SSE_BLOWUP, sse_dataset, train_run, project_grid), taking and returning
 the same Python types.  The library has two kernels, train_run and
-project_grid; sse_dataset is the one cell of project_grid that leaves
-the weights as they are.
+project_grid; sse_dataset is _pycore's, the one cell of project_grid
+that leaves the weights as they are, run on this project_grid.
 
 The C side trusts its buffers, so shapes are checked here.  ctypes would
 wrap an int too large for a C int silently; such a value (a size, a
@@ -17,12 +17,13 @@ that fails in C raises MemoryError.
 from __future__ import annotations
 
 import ctypes
+import functools
 import operator
 from ctypes import POINTER, byref, c_double, c_int, c_uint64, c_void_p
 from types import SimpleNamespace
 
 from ._pycore import (MASK64, SSE_BLOWUP, _offsets, check_network,
-                      check_weights)
+                      check_weights, sse_dataset)
 
 _INT_MAX = 2 ** (8 * ctypes.sizeof(c_int) - 1) - 1
 _DP = POINTER(c_double)
@@ -117,13 +118,7 @@ def load(path: str) -> SimpleNamespace:
                              _doubles(avals), na, _doubles(bvals), nb, out))
         return out[:]
 
-    def sse_dataset(sizes, acts, w, xs, ts):
-        """SSE at the weights w: the one cell of project_grid that leaves
-        them as they are."""
-        w = list(w)
-        keep = w[:1]
-        return project_grid(sizes, acts, w, xs, ts, 0, 0, keep, keep)[0]
-
     return SimpleNamespace(BACKEND="c", SSE_BLOWUP=SSE_BLOWUP,
-                           sse_dataset=sse_dataset, train_run=train_run,
-                           project_grid=project_grid)
+                           sse_dataset=functools.partial(
+                               sse_dataset, project_grid=project_grid),
+                           train_run=train_run, project_grid=project_grid)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -35,14 +36,8 @@ def _fmt_num(v: float) -> str:
     return format(float(v), ".12g")
 
 
-def _format_of(args) -> str:
-    return (getattr(args, "format", None)
-            or getattr(args, "root_format", None) or "pretty")
-
-
 def _emit(args, payload: dict, pretty: "list[str]") -> None:
-    fmt = _format_of(args)
-    if fmt == "json":
+    if args.format == "json":
         doc = {"schema_version": SCHEMA_VERSION}
         doc.update(payload)
         print(json.dumps(doc, sort_keys=True))
@@ -96,11 +91,16 @@ def _parse_assign(text: str) -> dict:
 
 def _parse_input(text: str) -> tuple:
     try:
-        return tuple(float(p) for p in text.split(","))
+        xs = tuple(float(p) for p in text.split(","))
     except ValueError:
         raise DomainError(
             f"input {text!r} is not a comma-separated list of numbers"
         ) from None
+    # a net turns 0 * inf into NaN, and Matrix refuses non-finite weights
+    if not all(map(math.isfinite, xs)):
+        raise DomainError(f"input {text!r} is not a comma-separated list "
+                          f"of finite numbers")
+    return xs
 
 
 def _write_text(path: str, text: str) -> None:
@@ -152,7 +152,7 @@ def _cmd_copula_grid(args):
                      "out": args.out},
               [f"wrote {args.out}"])
     else:
-        if _format_of(args) == "json":
+        if args.format == "json":
             _emit(args, {"s": s.render(), "fn": args.fn,
                          "steps": args.steps, "rows": rows}, [])
         else:
@@ -459,19 +459,17 @@ def _cmd_dataset_list(args):
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("pretty", "json"), default=None,
+def _add_format(p: argparse.ArgumentParser, default) -> None:
+    p.add_argument("--format", choices=("pretty", "json"), default=default,
                    help="output format (default pretty)")
 
 
-def _commands(parser: argparse.ArgumentParser):
-    """The parsers below parser that run a command, depth first."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for p in action.choices.values():
-                if p.get_default("func"):
-                    yield p
-                yield from _commands(p)
+def _command(p: argparse.ArgumentParser, func) -> None:
+    """Make p run func, and add --format as its last option.  The option
+    stays off the namespace unless it is given, so the root --format
+    holds when it is not, and one given after the command wins."""
+    _add_format(p, argparse.SUPPRESS)
+    p.set_defaults(func=func)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -494,9 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="xorlab",
         description="Copula, logic, network, and error-surface tooling "
                     "for the exclusive-or problem.")
-    parser.add_argument("--format", dest="root_format",
-                        choices=("pretty", "json"), default=None,
-                        help="output format (default pretty)")
+    _add_format(parser, "pretty")
     sub = parser.add_subparsers(dest="command", required=True)
 
     cop = sub.add_parser("copula", help="copula evaluation and grids")
@@ -507,21 +503,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--fn", choices=tuple(_CONNECTIVES), required=True)
-    p.set_defaults(func=_cmd_copula_eval)
+    _command(p, _cmd_copula_eval)
 
     p = cop_sub.add_parser("solve-s",
                            help="invert A_s(x, y) = p for the parameter")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.set_defaults(func=_cmd_copula_solve_s)
+    _command(p, _cmd_copula_solve_s)
 
     p = cop_sub.add_parser("grid", help="x,y,value CSV over [0,1]^2")
     p.add_argument("--s", required=True)
     p.add_argument("--fn", choices=tuple(_CONNECTIVES), default="xor")
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_copula_grid)
+    _command(p, _cmd_copula_grid)
 
     logic = sub.add_parser("logic", help="probabilistic logic")
     logic_sub = logic.add_subparsers(dest="subcommand", required=True)
@@ -532,18 +528,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True)
     p.add_argument("--assign", required=True, help="x1=0.3,x2=0.7 style")
     p.add_argument("--s", required=True)
-    p.set_defaults(func=_cmd_logic_prob)
+    _command(p, _cmd_logic_prob)
 
     p = logic_sub.add_parser("table", help="truth table of an expression")
     p.add_argument("--expr", required=True)
-    p.set_defaults(func=_cmd_logic_table)
+    _command(p, _cmd_logic_table)
 
     p = logic_sub.add_parser("freq",
                              help="per-column empirical frequencies")
     p.add_argument("--data", required=True, help="built-in name or CSV path")
     p.add_argument("--check", action="store_true",
                    help="run the axiom consistency checks")
-    p.set_defaults(func=_cmd_logic_freq)
+    _command(p, _cmd_logic_freq)
 
     p = sub.add_parser("regress", help="least-squares linear fit")
     p.add_argument("--data", required=True)
@@ -551,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add the x3 = x1*x2 column")
     p.add_argument("--target", default=None,
                    help="target column for multi-target datasets")
-    p.set_defaults(func=_cmd_regress)
+    _command(p, _cmd_regress)
 
     net = sub.add_parser("net", help="network evaluation and transforms")
     net_sub = net.add_subparsers(dest="subcommand", required=True)
@@ -559,18 +555,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = net_sub.add_parser("forward", help="evaluate a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="comma-separated inputs")
-    p.set_defaults(func=_cmd_net_forward)
+    _command(p, _cmd_net_forward)
 
     p = net_sub.add_parser("collapse",
                            help="fold an all-id model to a single layer")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_net_collapse)
+    _command(p, _cmd_net_collapse)
 
     p = net_sub.add_parser("count", help="weight count of a topology")
     p.add_argument("--spec", required=True,
                    help="2-9-1 or 2-9-1/inp-tanh-tanh")
-    p.set_defaults(func=_cmd_net_count)
+    _command(p, _cmd_net_count)
 
     p = sub.add_parser("train", help="one seeded training run")
     p.add_argument("--spec", required=True)
@@ -580,14 +576,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the model document")
     p.add_argument("--log", default=None,
                    help="write per-iteration SSE CSV")
-    p.set_defaults(func=_cmd_train)
+    _command(p, _cmd_train)
 
     p = sub.add_parser("classify",
                        help="label a model against the limit functions")
     p.add_argument("--model", required=True)
     p.add_argument("--tol", type=float, default=0.05)
     p.add_argument("--grid", type=int, default=21)
-    p.set_defaults(func=_cmd_classify)
+    _command(p, _cmd_classify)
 
     p = sub.add_parser("sweep", help="multi-restart training histogram")
     p.add_argument("--spec", required=True)
@@ -598,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classify-tol", type=float, default=0.05)
     p.add_argument("--classify-grid", type=int, default=21)
     p.add_argument("--out", default=None, help="write the per-run CSV")
-    p.set_defaults(func=_cmd_sweep)
+    _command(p, _cmd_sweep)
 
     p = sub.add_parser("surface",
                        help="error-surface projection grid "
@@ -610,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default="-5,5", help="LO,HI for both axes")
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_surface)
+    _command(p, _cmd_surface)
 
     p = sub.add_parser("surface-all-pairs",
                        help="every pairwise projection of a model "
@@ -621,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default="-5,5")
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_surface_all_pairs)
+    _command(p, _cmd_surface_all_pairs)
 
     ds = sub.add_parser("dataset", help="built-in dataset access")
     ds_sub = ds.add_subparsers(dest="subcommand", required=True)
@@ -629,14 +625,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = ds_sub.add_parser("emit", help="write a built-in dataset as CSV")
     p.add_argument("--name", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_dataset_emit)
+    _command(p, _cmd_dataset_emit)
 
     p = ds_sub.add_parser("list", help="list built-in datasets")
-    p.set_defaults(func=_cmd_dataset_list)
-
-    # last, so that --format is the last option of every command's help
-    for p in _commands(parser):
-        _add_format(p)
+    _command(p, _cmd_dataset_list)
     return parser
 
 

@@ -6,8 +6,8 @@ s -> inf.  The dual is R_s = x + y - A_s and the xor family is
 F_s = R_s - A_s = x + y - 2 A_s.
 
 The three limits are written once, in _frank_raw, which takes every s in
-[0, inf]: the Zero, One and Infinity variants evaluate there as s = 0, 1
-and inf, and frechet_bounds is (A_inf, A_0).
+[0, inf]: the Zero, One and Infinity variants carry s = 0, 1 and inf and
+evaluate there like any finite s, and frechet_bounds is (A_inf, A_0).
 
 The closed form is evaluated as log1p(expm1(xL) expm1(yL) / expm1(L)) / L
 with L = ln s, which is stable in both quadrants (for s < 1 all three
@@ -31,6 +31,7 @@ ZERO_DISPATCH = 1e-8    # finite s below this evaluates via the s->0 limit
 INF_DISPATCH = 1e8      # finite s above this evaluates via the s->inf limit
 SOLVE_TOL = 1e-9        # bound snapping tolerance in solve_s
 _BISECT_ITERS = 200
+_LIMIT_S = {"zero": 0.0, "one": 1.0, "inf": math.inf}   # s of each limit
 
 
 @dataclass(frozen=True)
@@ -65,18 +66,19 @@ def _unit(x: "UnitValue | float") -> float:
 class CopulaParam:
     """The Frank parameter s as an extended value.
 
-    One of the variants Zero, One, Infinity, or Finite(s) with s a positive
-    real kept away from 1 (|s - 1| > ONE_WINDOW; the closed form divides by
-    s - 1 and ln s).  Use the factory methods: `finite` normalizes values
-    inside the One window to the One variant instead of rejecting them.
+    One of the variants Zero, One, Infinity, or Finite(s).  s holds the
+    number for every variant: 0, 1 and inf for the limits, and for Finite
+    a positive real kept away from 1 (|s - 1| > ONE_WINDOW; the closed form
+    divides by s - 1 and ln s).  A limit variant may be built from its kind
+    alone, and takes no s but its own, so CopulaParam(p.kind, p.s) == p.
+    Use the factory methods: `finite` normalizes values inside the One
+    window to the One variant instead of rejecting them.
     """
 
     kind: str                # "zero" | "one" | "inf" | "finite"
     s: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "one", "inf", "finite"):
-            raise DomainError(f"unknown copula parameter kind {self.kind!r}")
         if self.kind == "finite":
             s = self.s
             if s is None or not math.isfinite(s) or s <= 0.0:
@@ -85,8 +87,14 @@ class CopulaParam:
             if abs(s - 1.0) <= ONE_WINDOW:
                 raise DomainError(f"s={s!r} is inside the One window; use "
                                   f"CopulaParam.finite to normalize")
-        elif self.s is not None:
-            raise DomainError(f"{self.kind!r} variant takes no s value")
+            return
+        if self.kind not in _LIMIT_S:
+            raise DomainError(f"unknown copula parameter kind {self.kind!r}")
+        s = _LIMIT_S[self.kind]
+        if self.s is not None and self.s != s:
+            raise DomainError(f"{self.kind!r} variant takes s={s!r}, "
+                              f"got {self.s!r}")
+        object.__setattr__(self, "s", s)
 
     @classmethod
     def zero(cls) -> "CopulaParam":
@@ -115,27 +123,14 @@ class CopulaParam:
     @classmethod
     def parse(cls, text: str) -> "CopulaParam":
         """CLI form: '0', '1', 'inf'/'infinity', or a positive float."""
-        t = text.strip().lower()
-        if t in ("inf", "infinity"):
-            return cls.infinity()
         try:
-            s = float(t)
+            s = float(text)
         except ValueError:
             raise DomainError(f"cannot parse copula parameter {text!r}") \
                 from None
-        if s == 0.0:
-            return cls.zero()
-        if s == 1.0:
-            return cls.one()
-        return cls.finite(s)
+        return cls.zero() if s == 0.0 else cls.finite(s)
 
     def render(self) -> str:
-        if self.kind == "zero":
-            return "0"
-        if self.kind == "one":
-            return "1"
-        if self.kind == "inf":
-            return "inf"
         return format(self.s, "g")
 
 
@@ -184,11 +179,8 @@ def xor_f_lattice(s: CopulaParam, axis) -> "list[float]":
     return [f if 0.0 <= f <= 1.0 else UnitValue(f).v for f in fs]
 
 
-_LIMIT_S = {"zero": 0.0, "one": 1.0, "inf": math.inf}
-
-
 def _and_value(s: CopulaParam, x: float, y: float) -> float:
-    return _frank_raw(_LIMIT_S.get(s.kind, s.s), x, y)
+    return _frank_raw(s.s, x, y)
 
 
 def _or_value(s: CopulaParam, x: float, y: float) -> float:

@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 
+# kern.c counts iterations in a C int; both backends take the same range
+_MAX_ITERS = 2 ** 31 - 1
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; the seed is mandatory, everything else defaulted."""
@@ -64,6 +68,9 @@ class TrainConfig:
         if self.max_iters < 1:
             raise DomainError(
                 f"max_iters must be at least 1, got {self.max_iters!r}")
+        if self.max_iters > _MAX_ITERS:
+            raise DomainError(f"max_iters must be at most {_MAX_ITERS}, "
+                              f"got {self.max_iters!r}")
         if self.mode not in ("per_sample", "full_batch"):
             raise DomainError(
                 f"mode must be per_sample or full_batch, got {self.mode!r}")

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import argparse
 import json
 import math
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from xorlab.cli import _commands, build_parser, main
+from xorlab.cli import build_parser, main
 from xorlab.network import load_model
 
 
@@ -295,6 +296,17 @@ def test_train_rejects_non_finite_settings(flag, value, capsys):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("train",), ("sweep", "--restarts", "1")])
+def test_max_iters_beyond_a_c_int_is_a_domain_error(command, capsys):
+    code, out, err = run(capsys, *command, "--spec", "2-2-1/inp-relu-relu",
+                         "--data", "boolean_xor", "--seed", "2",
+                         "--max-iters", "3000000000")
+    assert code == 1 and out == ""
+    assert err == ("error: max_iters must be at most 2147483647, "
+                   "got 3000000000\n")
+
+
 def test_classify_exact_model(tmp_path, capsys):
     from xorlab.linalg import Matrix
     from xorlab.network import Network, parse_spec, save_model
@@ -476,13 +488,49 @@ def test_usage_error_exit_code_2(capsys):
         main(["no-such-command"])
 
 
+def _commands(parser: argparse.ArgumentParser):
+    """The parsers below parser that run a command, depth first."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for p in action.choices.values():
+                if p.get_default("func"):
+                    yield p
+                yield from _commands(p)
+
+
 def test_every_command_takes_format_as_its_last_option():
     commands = list(_commands(build_parser()))
     assert len({p.prog for p in commands}) == 17
     for p in commands:
         last = p._actions[-1]
         assert last.option_strings == ["--format"], p.prog
-        assert last.choices == ("pretty", "json") and last.default is None
+        assert last.choices == ("pretty", "json")
+        assert last.default is argparse.SUPPRESS
+
+
+_EVAL = ("copula", "eval", "--s", "2", "--x", "0.3", "--y", "0.8",
+         "--fn", "and")
+_GRID = ("copula", "grid", "--s", "2", "--steps", "3")
+
+
+@pytest.mark.parametrize("command, pretty_head, json_key", [
+    (_EVAL, "0.228112340481", "value"), (_GRID, "x,y,value", "rows")],
+    ids=["eval", "grid"])
+@pytest.mark.parametrize("before, after, fmt", [
+    ((), (), "pretty"),
+    (("--format", "json"), (), "json"),
+    ((), ("--format", "json"), "json"),
+    (("--format", "json"), ("--format", "pretty"), "pretty")],
+    ids=["none", "before", "after", "after-wins"])
+def test_format_before_or_after_the_command(capsys, command, pretty_head,
+                                            json_key, before, after, fmt):
+    code, out, err = run(capsys, *before, *command, *after)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["schema_version"] == "1" and json_key in doc
+    else:
+        assert out.splitlines()[0] == pretty_head
 
 
 # -- README ------------------------------------------------------------------

@@ -49,10 +49,41 @@ def test_param_parse_render_round_trip():
             == CopulaParam.parse(text)
 
 
+@pytest.mark.parametrize("text, kind, rendered", [
+    ("0", "zero", "0"), ("-0", "zero", "0"), ("1", "one", "1"),
+    ("1.0000001", "one", "1"), ("inf", "inf", "inf"), ("+inf", "inf", "inf"),
+    ("Infinity", "inf", "inf"), (" 3 ", "finite", "3"),
+    ("2.5", "finite", "2.5"), ("1e-300", "finite", "1e-300")])
+def test_param_parse_render_table(text, kind, rendered):
+    p = CopulaParam.parse(text)
+    assert (p.kind, p.render()) == (kind, rendered)
+
+
 def test_param_parse_rejections():
-    for bad in ("-1", "nan", "xyzzy", ""):
-        with pytest.raises(DomainError):
+    for bad, message in (
+            ("-1", "copula parameter must be positive, got -1.0"),
+            ("nan", "copula parameter must be positive, got nan"),
+            ("-inf", "copula parameter must be positive, got -inf"),
+            ("xyzzy", "cannot parse copula parameter 'xyzzy'"),
+            ("", "cannot parse copula parameter ''")):
+        with pytest.raises(DomainError) as exc:
             CopulaParam.parse(bad)
+        assert str(exc.value) == message
+
+
+def test_param_s_is_the_number_of_every_variant():
+    zero, one, inf = (CopulaParam.zero(), CopulaParam.one(),
+                      CopulaParam.infinity())
+    assert (zero.s, one.s, inf.s) == (0.0, 1.0, math.inf)
+    assert CopulaParam("zero") == zero
+    for p in (zero, one, inf, CopulaParam.finite(0.5),
+              CopulaParam.finite(2.0)):
+        assert CopulaParam(p.kind, p.s) == p
+    # a limit variant takes its own s and no other
+    for kind, s in (("zero", 1.0), ("one", 0.0), ("inf", 1e300),
+                    ("one", math.nan)):
+        with pytest.raises(DomainError):
+            CopulaParam(kind, s)
 
 
 def test_finite_snaps_to_one_inside_window():

@@ -176,7 +176,7 @@ def test_sweep_classification_tolerance_on_drawn_floats(tol):
     assert isinstance(entry.label, FunctionLabel)
 
 
-@pytest.mark.parametrize("text", ["a,b", ""])
+@pytest.mark.parametrize("text", ["a,b", "", "nan,1", "inf,1", "0.5,-inf"])
 def test_net_forward_input_that_is_not_numbers(tmp_path, capsys, text):
     model = tmp_path / "id.json"
     model.write_text(json.dumps(
@@ -185,5 +185,7 @@ def test_net_forward_input_that_is_not_numbers(tmp_path, capsys, text):
     code = main(["net", "forward", "--model", str(model), "--input", text])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
+    # a non-finite input would turn into NaN inside the net
+    what = "numbers" if text in ("a,b", "") else "finite numbers"
     assert err == (f"error: input {text!r} is not a comma-separated list "
-                   "of numbers\n")
+                   f"of {what}\n")

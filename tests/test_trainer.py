@@ -34,6 +34,17 @@ def test_config_validation():
             TrainConfig(seed=0, **kwargs)
 
 
+def test_max_iters_is_at_most_a_c_int():
+    # kern.c counts iterations in a C int, so both backends stop there
+    assert TrainConfig(seed=0, max_iters=2**31 - 1).max_iters == 2**31 - 1
+    with pytest.raises(DomainError, match=r"^max_iters must be at most "
+                       r"2147483647, got 2147483648$"):
+        TrainConfig(seed=0, max_iters=2**31)
+    with pytest.raises(DomainError, match=r"^max_iters must be at least 1, "
+                       r"got 0$"):
+        TrainConfig(seed=0, max_iters=0)
+
+
 _SETTINGS = ("learning_rate", "tol", "init_range")
 
 
@@ -517,6 +528,25 @@ def test_classify_matches_full_fit_on_drawn_lattices(case, tol):
     lat = trainer._Lattice(grid, outs)
     assert repr(classify(lat, tol=tol, grid=grid)) == \
         repr(classify_reference.classify(lat, tol=tol, grid=grid))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.2])
+def test_classify_matches_full_fit_beyond_the_scan_cache(noise):
+    # past _SCAN_CACHE_GRID the scan builds its lattices per fit
+    grid = trainer._SCAN_CACHE_GRID + 1
+    axis = trainer._axis(grid)
+    rng = random.Random(11)
+    outs = [f + rng.uniform(-noise, noise)
+            for f in xor_f_lattice(CopulaParam.finite(3.0), axis)]
+    for i, x in enumerate(axis):
+        outs[i * grid] = outs[i] = x        # exact edges: the fit runs
+    lat = trainer._Lattice(grid, outs)
+    misses = trainer._scan_lattices.cache_info().misses
+    label = classify(lat, tol=0.05, grid=grid)
+    assert trainer._scan_lattices.cache_info().misses == misses
+    assert label.kind == ("Fs" if noise == 0.0 else "Unclassified")
+    assert repr(label) == \
+        repr(classify_reference.classify(lat, tol=0.05, grid=grid))
 
 
 @pytest.fixture
