@@ -123,6 +123,10 @@ INVOCATIONS = [
     ("fail train max-iters 3000000000", (
         "train", "--spec", "2-2-1/inp-relu-relu", "--data", "boolean_xor",
         "--seed", "2", "--max-iters", "3000000000")),
+    ("fail copula grid steps 99999999999999999999", (
+        "copula", "grid", "--s", "2", "--steps", "99999999999999999999")),
+    ("fail classify grid 3000000000", ("classify", "--model", "tanh.json",
+                                       "--grid", "3000000000")),
 ]
 
 

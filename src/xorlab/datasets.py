@@ -21,8 +21,8 @@ from .errors import (CsvFormatError, DomainError, ShapeError,
                      UnknownNameError)
 
 __all__ = [
-    "Dataset", "builtin", "builtin_names", "synth_copula", "grid_axis",
-    "grid_points", "baseline", "baseline_names", "sse", "sse_of",
+    "Dataset", "builtin", "builtin_names", "synth_copula", "MAX_STEPS",
+    "grid_axis", "grid_points", "baseline", "baseline_names", "sse", "sse_of",
     "load_csv", "emit_csv",
 ]
 
@@ -211,15 +211,22 @@ def builtin(name: str) -> Dataset:
             f"unknown dataset {name!r}; known: {known}") from None
 
 
+# ten times finer than the 101-step default of surface and copula grid; a
+# classify lattice this fine holds about a million points
+MAX_STEPS = 1001
+
+
 def grid_axis(lo: float, hi: float, steps: int) -> tuple[float, ...]:
     """steps evenly spaced values from lo to hi; at (0.0, 1.0) value i is
     i / (steps - 1) bit for bit (i * 1.0 is exact, 0.0 + q is q).
 
-    Raises DomainError for fewer than 2 steps: every lattice and grid of
-    the package checks its size here.
+    Raises DomainError for fewer than 2 or more than MAX_STEPS steps:
+    every lattice and grid of the package checks its size here.
     """
     if steps < 2:
         raise DomainError(f"steps must be at least 2, got {steps}")
+    if steps > MAX_STEPS:
+        raise DomainError(f"steps must be at most {MAX_STEPS}, got {steps}")
     return tuple(lo + i * (hi - lo) / (steps - 1) for i in range(steps))
 
 

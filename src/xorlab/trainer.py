@@ -8,8 +8,10 @@ trainer owns validation, Network packing, and divergence reporting.
 Classification evaluates a Network once over the lattice, through
 network.forward_lattice: one generated pass per shape, cached in
 _pycore._net_pass as "<xorlab forward_lattice 2-2-1 tanh-tanh>".  Every
-candidate, each F_s the fit tries included, is scored the same way: its
-lattice, then the largest |out - ref| (_max_abs_diff).
+candidate is a reference lattice scored by the largest |out - ref|
+(_max_abs_diff): the fixed ones come from one table per grid
+(_candidates), each F_s the fit tries from xor_f_lattice, and the edge
+bound below is scored the same way.
 
 The fit runs only when it can change the label.  F_s(x, 0) = x and
 F_s(0, y) = y exactly for every s the fit tries (A_s is grounded, and
@@ -139,22 +141,6 @@ def train(topology, data: Dataset, cfg: TrainConfig) -> TrainResult:
 # ---------------------------------------------------------------------------
 # classification against the limit functions
 
-def _f0(x, y):
-    # not xor_f_lattice(CopulaParam.zero()): x + y - 2 min(x, y) differs
-    # from |x - y| in the last ulp at 254 of the 441 points of the
-    # default 21 x 21 lattice
-    return abs(x - y)
-
-
-def _const_half(x, y):
-    return 0.5
-
-
-_F1, _FINF = CopulaParam.one(), CopulaParam.infinity()
-_FIXED_CANDIDATES = (("F0", _f0), ("F1", _F1), ("Finf", _FINF),
-                     ("ConstHalf", _const_half))
-
-
 @dataclass(frozen=True)
 class _Lattice:
     """Outputs of one function over the grid x grid lattice on [0,1]^2,
@@ -181,29 +167,37 @@ def _axis(grid: int) -> "tuple[float, ...]":
     return grid_axis(0.0, 1.0, grid)
 
 
-@functools.lru_cache(maxsize=32)
-def _shape_lattice(shape, grid: int) -> "tuple[float, ...]":
-    """A candidate over the lattice; a CopulaParam stands for its F_s."""
-    if isinstance(shape, CopulaParam):
-        return tuple(xor_f_lattice(shape, _axis(grid)))
-    return tuple(_lattice(shape, grid).outs)
-
-
 @functools.lru_cache(maxsize=8)
-def _step_interior(grid: int) -> "tuple[int, ...]":
-    """Flat indices where the step surface is compared: the open interior,
-    more than one lattice step (index-space Chebyshev, so the exclusion is
-    exact) away from either zero corner."""
-    step = grid - 1
-    return tuple(i * grid + j
-                 for i in range(1, grid - 1) for j in range(1, grid - 1)
-                 if max(i, j) > 1 and max(step - i, step - j) > 1)
+def _candidates(grid: int) -> dict:
+    """The fixed candidates over the grid x grid lattice, in scoring order:
+    kind -> (the flat indices it is compared on, None for every point;
+    its reference values there).  StepAbs's indices are the open interior
+    more than one lattice step (index-space Chebyshev, so the exclusion
+    is exact) away from either zero corner."""
+    axis, step = _axis(grid), grid - 1
+    interior = tuple(i * grid + j
+                     for i in range(1, step) for j in range(1, step)
+                     if max(i, j) > 1 and max(step - i, step - j) > 1)
+    return {
+        # not xor_f_lattice(CopulaParam.zero()): x + y - 2 min(x, y)
+        # differs from |x - y| in the last ulp at 254 of the 441 points of
+        # the default 21 x 21 lattice
+        "F0": (None, tuple(abs(x - y) for x in axis for y in axis)),
+        "F1": (None, tuple(xor_f_lattice(CopulaParam.one(), axis))),
+        "Finf": (None, tuple(xor_f_lattice(CopulaParam.infinity(), axis))),
+        "ConstHalf": (None, (0.5,) * (grid * grid)),
+        "StepAbs": (interior, (1.0,) * len(interior)),
+    }
 
 
-def _max_abs_diff(outs, ref) -> float:
-    """Largest |out - ref| over a lattice; outs must be finite, since
-    max() keeps or skips a NaN depending on where it sits."""
-    return max(map(abs, map(operator.sub, outs, ref)))
+def _max_abs_diff(outs, ref, points=None) -> float:
+    """Largest |out - ref| over a lattice, or over its flat indices points
+    (ref then holds the reference at those points); inf when points is
+    empty.  outs must be finite, since max() keeps or skips a NaN
+    depending on where it sits."""
+    if points is not None:
+        outs = map(outs.__getitem__, points)
+    return max(map(abs, map(operator.sub, outs, ref)), default=math.inf)
 
 
 def _fs_lattice(grid: int, t: float) -> "list[float]":
@@ -291,18 +285,16 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
     if not all(map(math.isfinite, outs)):
         return FunctionLabel("Unclassified", math.inf)
 
-    scored = [(_max_abs_diff(outs, _shape_lattice(cand, grid)), kind)
-              for kind, cand in _FIXED_CANDIDATES]
-    interior = [abs(outs[k] - 1.0) for k in _step_interior(grid)]
-    scored.append((max(interior) if interior else math.inf, "StepAbs"))
-
+    scored = [(_max_abs_diff(outs, ref, points), kind)
+              for kind, (points, ref) in _candidates(grid).items()]
     best_dev, best_kind = min(scored, key=lambda sc: sc[0])
     if best_dev <= tol:
         return FunctionLabel(best_kind, best_dev)
 
     # no F_s the fit tries gets below the edge deviation (docstring)
-    if max(max(abs(outs[i * grid] - x), abs(outs[i] - x))
-           for i, x in enumerate(_axis(grid))) >= best_dev:
+    axis = _axis(grid)
+    edges = (*range(0, grid * grid, grid), *range(grid))
+    if _max_abs_diff(outs, axis + axis, edges) >= best_dev:
         return FunctionLabel("Unclassified", best_dev)
 
     # fall back to fitting a finite parameter on t = s/(1+s)
@@ -322,8 +314,8 @@ def envelope_check(net, tol: float = 0.05, grid: int = 21) -> bool:
     non-finite output fails.  A negative or NaN tol raises DomainError."""
     _check_tol(tol)
     lat = _lattice(net, grid)
-    for o, lo, hi in zip(lat.outs, _shape_lattice(_f0, lat.grid),
-                         _shape_lattice(_FINF, lat.grid)):
+    cands = _candidates(lat.grid)
+    for o, lo, hi in zip(lat.outs, cands["F0"][1], cands["Finf"][1]):
         if not (lo - tol <= o <= hi + tol):
             return False
     return True

@@ -1,13 +1,14 @@
-"""trainer.classify as it was before it skipped the F_s fit, kept verbatim
-as the reference the label-equality tests compare the library against:
-whenever no fixed candidate fits, it always runs the 49-point scan and
-the golden-section search."""
+"""trainer.classify as it was before it skipped the F_s fit, kept as the
+reference the label-equality tests compare the library against: whenever
+no fixed candidate fits, it always runs the 49-point scan and the
+golden-section search.  It builds its own axis and fixed candidates and
+takes each deviation itself; only the lattice, the F_s fit's deviation
+and the search come from trainer, and other tests pin those."""
 
 import math
 
-from xorlab.trainer import (_FIXED_CANDIDATES, FunctionLabel, _fs_deviation,
-                            _golden_min, _lattice, _max_abs_diff,
-                            _shape_lattice, _step_interior)
+from xorlab.copula import CopulaParam, xor_f_lattice
+from xorlab.trainer import FunctionLabel, _fs_deviation, _golden_min, _lattice
 
 
 def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
@@ -18,9 +19,17 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
     if not all(map(math.isfinite, outs)):
         return FunctionLabel("Unclassified", math.inf)
 
-    scored = [(_max_abs_diff(outs, _shape_lattice(cand, grid)), kind)
-              for kind, cand in _FIXED_CANDIDATES]
-    interior = [abs(outs[k] - 1.0) for k in _step_interior(grid)]
+    step = grid - 1
+    axis = [i / step for i in range(grid)]
+    fixed = (("F0", [abs(x - y) for x in axis for y in axis]),
+             ("F1", xor_f_lattice(CopulaParam.one(), axis)),
+             ("Finf", xor_f_lattice(CopulaParam.infinity(), axis)),
+             ("ConstHalf", [0.5] * (grid * grid)))
+    scored = [(max(abs(o - r) for o, r in zip(outs, ref)), kind)
+              for kind, ref in fixed]
+    interior = [abs(outs[i * grid + j] - 1.0)
+                for i in range(1, step) for j in range(1, step)
+                if max(i, j) > 1 and max(step - i, step - j) > 1]
     scored.append((max(interior) if interior else math.inf, "StepAbs"))
 
     best_dev, best_kind = min(scored, key=lambda sc: sc[0])

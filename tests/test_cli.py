@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from xorlab import kernels
 from xorlab.cli import build_parser, main
 from xorlab.network import load_model
 
@@ -118,6 +119,27 @@ def test_lattice_of_fewer_than_two_steps_is_an_error(argv, linear_model,
     assert code == 1 and out == ""
     assert err == f"error: steps must be at least 2, got {argv[-1]}\n"
     assert not runs.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("copula", "grid", "--s", "2", "--steps", "99999999999999999999"),
+    ("classify", "--model", "{model}", "--grid", "3000000000"),
+    ("sweep", "--spec", "2-2-1/inp-tanh-tanh", "--data", "boolean_xor",
+     "--seed", "0", "--restarts", "1", "--out", "{out}",
+     "--classify-grid", "1002"),
+])
+def test_lattice_of_more_than_max_steps_is_an_error(argv, linear_model,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+    trained = []
+    monkeypatch.setattr(kernels, "train_run",
+                        lambda *args: trained.append(args))
+    runs = tmp_path / "runs.csv"
+    code, out, err = run(capsys, *(a.format(model=linear_model, out=runs)
+                                   for a in argv))
+    assert code == 1 and out == ""
+    assert err == f"error: steps must be at most 1001, got {argv[-1]}\n"
+    assert not runs.exists() and trained == []
 
 
 # -- logic -------------------------------------------------------------------

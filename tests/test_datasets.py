@@ -3,9 +3,9 @@
 import pytest
 
 from xorlab.copula import CopulaParam, xor_f
-from xorlab.datasets import (Dataset, baseline, baseline_names, builtin,
-                             builtin_names, emit_csv, grid_axis, grid_points,
-                             load_csv, sse_of, synth_copula)
+from xorlab.datasets import (MAX_STEPS, Dataset, baseline, baseline_names,
+                             builtin, builtin_names, emit_csv, grid_axis,
+                             grid_points, load_csv, sse_of, synth_copula)
 from xorlab.errors import (CsvFormatError, DomainError, ShapeError,
                            UnknownNameError)
 
@@ -117,6 +117,13 @@ def test_unit_grid_axis_is_i_over_steps_minus_one():
 @pytest.mark.parametrize("steps", [1, 0, -3])
 def test_grid_axis_needs_two_steps(steps):
     with pytest.raises(DomainError, match=f"at least 2, got {steps}$"):
+        grid_axis(0.0, 1.0, steps)
+
+
+@pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10 ** 20])
+def test_grid_axis_has_at_most_max_steps(steps):
+    assert MAX_STEPS == 1001
+    with pytest.raises(DomainError, match=f"at most 1001, got {steps}$"):
         grid_axis(0.0, 1.0, steps)
 
 

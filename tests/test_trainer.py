@@ -474,8 +474,11 @@ def test_fs_edges_are_exact_at_every_fit_t(grid):
     for t in FIT_TS:
         _assert_exact_edges(
             xor_f_lattice(CopulaParam.finite(t / (1.0 - t)), axis), grid)
-    for cand in (trainer._f0, trainer._F1, trainer._FINF):
-        _assert_exact_edges(trainer._shape_lattice(cand, grid), grid)
+    cands = trainer._candidates(grid)
+    for kind in ("F0", "F1", "Finf"):
+        points, ref = cands[kind]
+        assert points is None
+        _assert_exact_edges(ref, grid)
 
 
 @settings(max_examples=60, deadline=None)
@@ -504,8 +507,9 @@ def _hostile_lattices(draw):
     """Finite lattices from three families: noise around [0, 1], which the
     edge bound mostly settles; noisy F_s lattices, labelled Fs when the
     noise is small; and lattices exact on the edges with a noisy interior,
-    which always run the fit."""
-    grid = draw(st.sampled_from([2, 5, 21]))
+    which always run the fit.  At grid 3 the step surface's interior is
+    empty; at grid 4 it holds 2 points."""
+    grid = draw(st.sampled_from([2, 3, 4, 5, 21]))
     axis = trainer._axis(grid)
     family = draw(st.sampled_from(["noise", "fs", "edges"]))
     amp = draw(st.floats(0.0, 0.3))
@@ -528,6 +532,20 @@ def test_classify_matches_full_fit_on_drawn_lattices(case, tol):
     lat = trainer._Lattice(grid, outs)
     assert repr(classify(lat, tol=tol, grid=grid)) == \
         repr(classify_reference.classify(lat, tol=tol, grid=grid))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_hostile_lattices(), st.sampled_from([0.0, 0.05, 0.1]))
+def test_envelope_check_matches_pointwise_bounds_on_drawn_lattices(case,
+                                                                   tol):
+    grid, outs = case
+    step = grid - 1
+    pts = [(i / step, j / step) for i in range(grid) for j in range(grid)]
+    inf = CopulaParam.infinity()
+    want = all(abs(x - y) - tol <= o <= float(xor_f(inf, x, y)) + tol
+               for (x, y), o in zip(pts, outs))
+    lat = trainer._Lattice(grid, outs)
+    assert envelope_check(lat, tol=tol, grid=grid) is want
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.2])
@@ -659,7 +677,7 @@ def test_sweep_validation():
 
 @pytest.mark.parametrize("kwargs", [
     {"classify_grid": 1}, {"classify_grid": 0}, {"classify_tol": math.nan},
-    {"classify_tol": -0.5}])
+    {"classify_tol": -0.5}, {"classify_grid": 1002}])
 def test_sweep_checks_classification_settings_before_training(kwargs,
                                                               monkeypatch):
     calls = []
