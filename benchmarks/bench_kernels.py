@@ -21,8 +21,10 @@ trainer.classify on both nets (their edge deviation settles both as
 Unclassified, so neither runs the F_s fit) and on the F_s lattice at
 s = 3 (which runs the fit and is labelled Fs), and on both nets
 classify's 21x21 lattice, as 441 network.forward calls and as one
-network.forward_lattice call, and network.gradient over the four
-boolean-xor samples.
+network.forward_lattice call, network.gradient over the four
+boolean-xor samples, and copula.solve_s over 2,000 queries drawn from
+--seed as perfbench's logic workload draws its solve_s queries (the time
+per call).
 
 First-call section: the time the first network.forward call, then the
 first network.gradient call and then the first network.forward_lattice
@@ -43,8 +45,10 @@ Run from a checkout with the package installed:
 
 import argparse
 import json
+import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -54,7 +58,7 @@ from pathlib import Path
 
 import xorlab
 from xorlab import _pycore, network, surface
-from xorlab.copula import CopulaParam, xor_f_lattice
+from xorlab.copula import CopulaParam, frank_and, solve_s, xor_f_lattice
 from xorlab.datasets import builtin
 from xorlab.kernels import BACKEND, available_backends, get_backend
 from xorlab.linalg import Matrix
@@ -150,6 +154,29 @@ FIXED_NETS = (
 )
 
 
+def solve_queries(seed, n=2000):
+    """n (x, y, p) for solve_s, drawn like the logic workload's: x and y
+    uniform on [0.001, 0.999]; p = min(x, y), max(x + y - 1, 0) or
+    x * y +- 1e-8 (5% each), else the round trip p = A_s(x, y) for s
+    log-uniform on [1e-8, 1e8]."""
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(n):
+        x, y = rng.uniform(0.001, 0.999), rng.uniform(0.001, 0.999)
+        r = rng.random()
+        if r < 0.05:
+            p = min(x, y)
+        elif r < 0.10:
+            p = max(x + y - 1.0, 0.0)
+        elif r < 0.15:
+            p = x * y + rng.uniform(-1e-8, 1e-8)
+        else:
+            s = math.exp(rng.uniform(-1.0, 1.0) * math.log(1e8))
+            p = float(frank_and(CopulaParam.finite(s), x, y))
+        queries.append((x, y, p))
+    return queries
+
+
 def _fixed_net(spec, flat_layers):
     topo = parse_spec(spec)
     return Network(topo, tuple(
@@ -226,6 +253,13 @@ def _library_section(args, items):
             seconds, = _timings([fn], args.repeats)
             items.append(_item(f"{label}, {tag} net", BACKEND, seconds))
             _show(items[-1])
+    queries = solve_queries(args.seed)
+    seconds, = _timings(
+        [lambda: [solve_s(x, y, p) for x, y, p in queries]],
+        args.repeats)
+    items.append(_item(f"solve_s, {len(queries):,} drawn round trips, "
+                       f"per call", BACKEND, seconds, per=len(queries)))
+    _show(items[-1])
 
 
 # times the first forward, gradient and forward_lattice calls of a new

@@ -49,6 +49,12 @@ INVOCATIONS = [
                         "--p", "0.3")),
     ("copula solve-s bound", ("copula", "solve-s", "--x", "0.4", "--y",
                               "0.7", "--p", "0.4", "--format", "json")),
+    # p = A_s(0.3, 0.6) at s = 1e-7 and 1e7: long bisections
+    ("copula solve-s s 1e-7", ("copula", "solve-s", "--x", "0.3", "--y",
+                               "0.6", "--p", "0.29951378194020006")),
+    ("copula solve-s s 1e7", ("copula", "solve-s", "--x", "0.3", "--y",
+                              "0.6", "--p", "0.011204433012379635",
+                              "--format", "json")),
     ("copula grid xor", ("copula", "grid", "--fn", "xor", "--s", "2",
                          "--steps", "7")),
     ("copula grid and json", ("copula", "grid", "--fn", "and", "--s", "0",

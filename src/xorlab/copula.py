@@ -229,6 +229,12 @@ def solve_s(x: "UnitValue | float", y: "UnitValue | float",
     the root.  p within SOLVE_TOL of a Frechet bound returns the Zero or
     Infinity variant; p outside the bounds is infeasible.
 
+    Each step is a pure function of the bracket (lo, hi), so the bisection
+    stops as soon as a step cannot move it (its midpoint equals the end it
+    would replace), which takes about 55 steps in double precision, and at
+    most after _BISECT_ITERS steps.  The result is the one the full
+    _BISECT_ITERS steps give, bit for bit.
+
     Near s = 1 the One window (1e-6 on s) is wider than the solve tolerance
     maps to (~4e-8 on p), so for targets in that annulus the returned One
     variant can miss p by slightly more than SOLVE_TOL; the window wins.
@@ -250,8 +256,12 @@ def solve_s(x: "UnitValue | float", y: "UnitValue | float",
         mid = 0.5 * (lo + hi)
         s_mid = mid / (1.0 - mid)
         if _frank_raw(s_mid, xv, yv) > pv:
+            if mid == lo:
+                break         # at rest: every later step is this one
             lo = mid          # need more s to bring A down
         else:
+            if mid == hi:
+                break
             hi = mid
     t = 0.5 * (lo + hi)
     return CopulaParam.finite(t / (1.0 - t))

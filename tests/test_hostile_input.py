@@ -114,7 +114,9 @@ _EDGES = (0.0, 1.0, 0.5, 5e-324, 1e-300, 1e-9, 1.0 - 1e-16, 1.0 - 1e-9,
           -math.inf, math.inf)
 
 
-def test_solve_s_at_edge_points():
+def _edge_points():
+    """(x, y, p) over the edges: p at each Frechet bound, between them,
+    SOLVE_TOL and 2 SOLVE_TOL outside them, and at every edge."""
     for x in _EDGES:
         for y in _EDGES:
             lower = max(x + y - 1.0, 0.0)
@@ -123,11 +125,16 @@ def test_solve_s_at_edge_points():
                       lower - SOLVE_TOL, upper + SOLVE_TOL,
                       lower - 2 * SOLVE_TOL, upper + 2 * SOLVE_TOL,
                       *_EDGES):
-                try:
-                    param = solve_s(x, y, p)
-                except XorlabError:
-                    continue
-                assert isinstance(param, CopulaParam), (x, y, p)
+                yield x, y, p
+
+
+def test_solve_s_at_edge_points():
+    for x, y, p in _edge_points():
+        try:
+            param = solve_s(x, y, p)
+        except XorlabError:
+            continue
+        assert isinstance(param, CopulaParam), (x, y, p)
 
 
 @settings(max_examples=300, deadline=None)
