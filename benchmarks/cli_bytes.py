@@ -16,7 +16,9 @@ bytes exactly when their manifests are the same:
 The commands run on whichever backend the package selects: have `cc` on
 PATH for the compiled one, or, for Python, take `cc` off PATH and put a
 copy of the package without its `__pycache__` first on PYTHONPATH
-(README, "Backends").  The script takes no options.
+(README, "Backends").  The script takes no options.  manifest(env) returns
+the lines for a given environment; tests/test_cli_bytes.py compares the
+two backends' manifests with it.
 """
 
 import hashlib
@@ -66,6 +68,15 @@ INVOCATIONS = [
     ("logic prob limits", ("logic", "prob", "--expr", "(a and b) or not c",
                            "--assign", "a=0.3,b=0.8,c=0.4", "--s", "inf",
                            "--format", "json")),
+    ("logic prob syntax error", ("logic", "prob", "--expr", "a and",
+                                 "--assign", "a=0.3", "--s", "2")),
+    *((f"logic prob parens {n}", ("logic", "prob", "--expr",
+                                  "(" * n + "a" + ")" * n, "--assign",
+                                  "a=0.3", "--s", "2"))
+      for n in (100, 101)),
+    ("logic prob chain 101", ("logic", "prob", "--expr",
+                              " xor ".join(["a"] * 102), "--assign",
+                              "a=0.3", "--s", "2")),
     ("logic table", ("logic", "table", "--expr", "a xor b")),
     ("logic freq", ("logic", "freq", "--data", "fig2_1", "--check")),
     ("regress", ("regress", "--data", "boolean_xor")),
@@ -150,24 +161,32 @@ def _env() -> dict:
     return env
 
 
-def main() -> None:
-    env = _env()
+def manifest(env: dict) -> list[str]:
+    """The manifest lines of INVOCATIONS run with environment env (whose
+    PYTHONPATH entries must be absolute)."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         backend = subprocess.run(
             [sys.executable, "-c",
              "import xorlab.kernels as k; print(k.BACKEND)"],
             cwd=tmp, env=env, capture_output=True, text=True, check=True)
-        print(f"backend {backend.stdout.strip()}")
+        lines.append(f"backend {backend.stdout.strip()}")
         for name, argv in INVOCATIONS:
             proc = subprocess.run([sys.executable, "-m", "xorlab.cli", *argv],
                                   cwd=tmp, env=env, capture_output=True)
-            print(f"{_sha(proc.stdout)} {name}: stdout")
-            print(f"{_sha(proc.stderr)} {name}: stderr")
-            print(f"{_sha(str(proc.returncode).encode())} {name}: exit")
+            lines.append(f"{_sha(proc.stdout)} {name}: stdout")
+            lines.append(f"{_sha(proc.stderr)} {name}: stderr")
+            lines.append(f"{_sha(str(proc.returncode).encode())} {name}: exit")
         for path in sorted(Path(tmp).rglob("*")):
             if path.is_file():
-                print(f"{_sha(path.read_bytes())} "
-                      f"file {path.relative_to(tmp).as_posix()}")
+                lines.append(f"{_sha(path.read_bytes())} "
+                             f"file {path.relative_to(tmp).as_posix()}")
+    return lines
+
+
+def main() -> None:
+    for line in manifest(_env()):
+        print(line)
 
 
 if __name__ == "__main__":

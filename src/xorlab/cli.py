@@ -129,7 +129,9 @@ def _cmd_copula_solve_s(args):
     param = solve_s(args.x, args.y, args.p)
     payload = {"x": args.x, "y": args.y, "p": args.p,
                "kind": param.kind, "s": param.render()}
-    _emit(args, payload, [param.render()])
+    # every digit of a finite s, so that the printed value round-trips
+    _emit(args, payload,
+          [repr(param.s) if param.kind == "finite" else param.render()])
     return 0
 
 
@@ -137,26 +139,19 @@ def _cmd_copula_grid(args):
     s = CopulaParam.parse(args.s)
     fn = _CONNECTIVES[args.fn]
     axis = grid_axis(0.0, 1.0, args.steps)
-    lines = ["x,y,value"]
-    rows = []
-    for x in axis:
-        for y in axis:
-            v = float(fn(s, x, y))
-            rows.append([x, y, v])
-            lines.append(f"{format(x, '.17g')},{format(y, '.17g')},"
-                         f"{format(v, '.17g')}")
-    text = "\n".join(lines) + "\n"
+    points = ((x, y, float(fn(s, x, y))) for x in axis for y in axis)
+    summary = {"s": s.render(), "fn": args.fn, "steps": args.steps}
+    if args.format == "json" and not args.out:
+        _emit(args, {**summary, "rows": list(points)}, [])
+        return 0
+    text = "x,y,value\n" + "".join(
+        f"{format(x, '.17g')},{format(y, '.17g')},{format(v, '.17g')}\n"
+        for x, y, v in points)
     if args.out:
         _write_text(args.out, text)
-        _emit(args, {"s": s.render(), "fn": args.fn, "steps": args.steps,
-                     "out": args.out},
-              [f"wrote {args.out}"])
+        _emit(args, {**summary, "out": args.out}, [f"wrote {args.out}"])
     else:
-        if args.format == "json":
-            _emit(args, {"s": s.render(), "fn": args.fn,
-                         "steps": args.steps, "rows": rows}, [])
-        else:
-            sys.stdout.write(text)
+        sys.stdout.write(text)
     return 0
 
 

@@ -16,6 +16,12 @@ left-associative):
 
 A fully parenthesized xor formula reads the same under any precedence, so
 this ordering is purely a convention; it is documented in the CLI help.
+
+parse_expr refuses (ExprSyntaxError) a tree more than MAX_DEPTH = 100
+levels deep and a text that nests more than MAX_DEPTH parentheses.  It
+recurses only into parentheses, two frames each, so its verdict is the
+same for every caller that leaves it 2 * MAX_DEPTH frames below Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -203,27 +209,25 @@ class Or(_Binary):
     _copula = staticmethod(_or_value)
 
 
-# loosest-binding first
-_BINARY = sorted((And, Or, Xor), key=lambda node_type: node_type._PREC)
-
-
 # ---------------------------------------------------------------------------
 # parser
 
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|[01()]")
+_TOKEN_KIND = {"(": "lparen", ")": "rparen", "0": "const", "1": "const",
+               **{keyword: keyword for keyword in _KEYWORDS}}
+_ATOM_EXPECTED = ("identifier", "'('", "'not'", "'0'", "'1'")
+_CONNECTIVES = {node_type._KEYWORD: node_type for node_type in (And, Xor, Or)}
+
+# deepest expression tree parse_expr returns, and the most parentheses it
+# nests: evaluating and rendering recurse once or twice per tree level, and
+# parsing twice per open parenthesis, all well clear of Python's recursion
+# limit
+MAX_DEPTH = 100
 
 
-class _Token:
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, then ("end", "", len(text))."""
+    tokens = []
     pos = 0
     n = len(text)
     while pos < n:
@@ -234,123 +238,95 @@ def _tokenize(text: str) -> list[_Token]:
         if not m:
             raise ExprSyntaxError(
                 f"syntax error at offset {pos}: unexpected character "
-                f"{text[pos]!r}", pos,
-                ("identifier", "'('", "'not'", "'0'", "'1'"))
+                f"{text[pos]!r}", pos, _ATOM_EXPECTED)
         tok = m.group()
-        if tok in _KEYWORDS:
-            kind = tok
-        elif tok == "(":
-            kind = "lparen"
-        elif tok == ")":
-            kind = "rparen"
-        elif tok in ("0", "1"):
-            kind = "const"
-        else:
-            kind = "name"
-        tokens.append(_Token(kind, tok, pos))
+        tokens.append((_TOKEN_KIND.get(tok, "name"), tok, pos))
         pos = m.end()
-    tokens.append(_Token("end", "", n))
+    tokens.append(("end", "", n))
     return tokens
 
 
+def _too_deep() -> ExprSyntaxError:
+    return ExprSyntaxError(
+        f"expression nested more than {MAX_DEPTH} levels deep", 0, ())
+
+
 class _Parser:
-    _ATOM_EXPECTED = ("identifier", "'('", "'not'", "'0'", "'1'")
+    """Precedence climbing over the tokens of one text."""
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.parens = 0         # parentheses open before self.pos
 
     def fail(self, expected: tuple[str, ...]):
-        tok = self.peek()
-        found = "end of input" if tok.kind == "end" else repr(tok.text)
+        kind, text, offset = self.tokens[self.pos]
+        found = "end of input" if kind == "end" else repr(text)
         raise ExprSyntaxError(
-            f"syntax error at offset {tok.offset}: expected "
-            f"{' or '.join(expected)}, found {found}",
-            tok.offset, expected)
+            f"syntax error at offset {offset}: expected "
+            f"{' or '.join(expected)}, found {found}", offset, expected)
 
-    def parse(self) -> BoolExpr:
-        expr = self.binary(0)
-        if self.peek().kind != "end":
-            self.fail(("'and'", "'or'", "'xor'", "end of input"))
-        return expr
+    def expr(self) -> tuple[BoolExpr, int]:
+        """The longest expression from here, and the number of levels of
+        its tree."""
+        pending = []    # (left operand, its levels, connective) in order
+        while True:
+            node, depth = self.operand()
+            node_type = _CONNECTIVES.get(self.tokens[self.pos][0])
+            prec = node_type._PREC if node_type else 0
+            # a pending connective that binds at least as tightly takes
+            # node as its right operand first: chains are left-associative
+            while pending and pending[-1][2]._PREC >= prec:
+                left, left_levels, pending_type = pending.pop()
+                node = pending_type(left, node)
+                depth = max(left_levels, depth) + 1
+            if node_type is None:
+                return node, depth
+            pending.append((node, depth, node_type))
+            self.pos += 1
 
-    def binary(self, k: int) -> BoolExpr:
-        """A left-associative chain of _BINARY[k] over operands that bind
-        tighter."""
-        if k == len(_BINARY):
-            return self.not_expr()
-        node_type = _BINARY[k]
-        node = self.binary(k + 1)
-        while self.peek().kind == node_type._KEYWORD:
-            self.advance()
-            node = node_type(node, self.binary(k + 1))
-        return node
-
-    def not_expr(self) -> BoolExpr:
-        if self.peek().kind == "not":
-            self.advance()
-            return Not(self.not_expr())
-        return self.atom()
-
-    def atom(self) -> BoolExpr:
-        tok = self.peek()
-        if tok.kind == "name":
-            self.advance()
-            return Var(tok.text)
-        if tok.kind == "const":
-            self.advance()
-            return Const(int(tok.text))
-        if tok.kind == "lparen":
-            self.advance()
-            node = self.binary(0)
-            if self.peek().kind != "rparen":
+    def operand(self) -> tuple[BoolExpr, int]:
+        """Any number of nots, then an atom, and the number of levels of
+        its tree."""
+        tokens = self.tokens
+        start = self.pos
+        while tokens[self.pos][0] == "not":
+            self.pos += 1
+        nots = self.pos - start
+        kind, text, _ = tokens[self.pos]
+        if kind == "name":
+            node, depth = Var(text), 1
+        elif kind == "const":
+            node, depth = Const(int(text)), 1
+        elif kind == "lparen":
+            if self.parens == MAX_DEPTH:
+                raise _too_deep()
+            self.parens += 1
+            self.pos += 1
+            node, depth = self.expr()
+            if tokens[self.pos][0] != "rparen":
                 self.fail(("')'",))
-            self.advance()
-            return node
-        self.fail(self._ATOM_EXPECTED)
-
-
-# deepest expression tree parse_expr returns: evaluating and rendering
-# recurse once or twice per level, and must stay clear of Python's
-# recursion limit
-MAX_DEPTH = 100
-
-
-def _depth(expr: BoolExpr) -> int:
-    """Levels of the tree, counted without recursion."""
-    depth, level = 0, [expr]
-    while level:
-        depth += 1
-        level = [child for node in level for child in vars(node).values()
-                 if isinstance(child, BoolExpr)]
-    return depth
+            self.parens -= 1
+        else:
+            self.fail(_ATOM_EXPECTED)
+        self.pos += 1
+        for _ in range(nots):
+            node = Not(node)
+        return node, depth + nots
 
 
 def parse_expr(text: str) -> BoolExpr:
     """Parse an expression; render() of the result re-parses identically.
 
-    ExprSyntaxError also when the tree would be more than MAX_DEPTH
-    levels deep.
+    ExprSyntaxError also when the text nests more than MAX_DEPTH
+    parentheses, or the tree would be more than MAX_DEPTH levels deep.
     """
     parser = _Parser(text)
-    try:
-        expr = parser.parse()
-    except RecursionError:
-        expr = None
-    # a tree has fewer levels than the text has tokens
-    if expr is None or (len(parser.tokens) > MAX_DEPTH
-                        and _depth(expr) > MAX_DEPTH):
-        raise ExprSyntaxError(
-            f"expression nested more than {MAX_DEPTH} levels deep", 0, ())
+    expr, depth = parser.expr()
+    if parser.tokens[parser.pos][0] != "end":
+        parser.fail(("'and'", "'or'", "'xor'", "end of input"))
+    if depth > MAX_DEPTH:
+        raise _too_deep()
     return expr
 
 

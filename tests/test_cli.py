@@ -10,6 +10,7 @@ import pytest
 
 from xorlab import kernels
 from xorlab.cli import build_parser, main
+from xorlab.copula import solve_s
 from xorlab.network import load_model
 
 
@@ -57,6 +58,13 @@ def test_copula_solve_s(capsys):
                    "--p", "0.3", "--format", "json")
     assert doc["kind"] == "finite"
     assert float(doc["s"]) == pytest.approx(0.193, abs=1e-3)
+    # the pretty output prints every digit of a finite s, a limit as before
+    code, out, _ = run(capsys, "copula", "solve-s", "--x", "0.5", "--y",
+                       "0.5", "--p", "0.3")
+    assert code == 0 and float(out) == solve_s(0.5, 0.5, 0.3).s
+    code, out, _ = run(capsys, "copula", "solve-s", "--x", "0.4", "--y",
+                       "0.7", "--p", "0.4")
+    assert code == 0 and out == "0\n"
 
 
 def test_copula_grid_file(tmp_path, capsys):
