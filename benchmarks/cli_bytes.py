@@ -6,8 +6,10 @@ write): the --help of every parser, the copula, logic, regress, dataset,
 net, train, classify, sweep and surface commands, and a few that must
 fail.  It prints the kernel backend the commands run on, then one
 `sha256 name` line for the stdout, the stderr and the exit code of each
-invocation, and for every file they wrote.  Two trees wrote the same
-bytes exactly when their manifests are the same:
+invocation, and for every file they wrote, after two header lines that
+name the Python version and the C library (`tanh`, `log1p` and `expm1`
+come from libm).  Two trees wrote the same bytes exactly when their
+manifests are the same:
 
     PYTHONPATH=src python benchmarks/cli_bytes.py > new.txt
     PYTHONPATH=../parent/src python benchmarks/cli_bytes.py > old.txt
@@ -18,11 +20,16 @@ PATH for the compiled one, or, for Python, take `cc` off PATH and put a
 copy of the package without its `__pycache__` first on PYTHONPATH
 (README, "Backends").  The script takes no options.  manifest(env) returns
 the lines for a given environment; tests/test_cli_bytes.py compares the
-two backends' manifests with it.
+two backends' manifests with it, and the compiled one with the golden
+manifest tests/cli_bytes.manifest.  A change that means to alter output
+regenerates that file, with `cc` on PATH:
+
+    PYTHONPATH=src python benchmarks/cli_bytes.py > tests/cli_bytes.manifest
 """
 
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -78,6 +85,8 @@ INVOCATIONS = [
                               " xor ".join(["a"] * 102), "--assign",
                               "a=0.3", "--s", "2")),
     ("logic table", ("logic", "table", "--expr", "a xor b")),
+    ("logic table 17 vars", ("logic", "table", "--expr",
+                             " xor ".join(f"v{i}" for i in range(17)))),
     ("logic freq", ("logic", "freq", "--data", "fig2_1", "--check")),
     ("regress", ("regress", "--data", "boolean_xor")),
     ("regress product json", ("regress", "--data", "boolean_xor",
@@ -161,6 +170,12 @@ def _env() -> dict:
     return env
 
 
+def header() -> list[str]:
+    """The versions, beyond the tree, that a manifest's bytes depend on."""
+    return [f"# python {platform.python_version()}",
+            f"# libc {' '.join(platform.libc_ver())}"]
+
+
 def manifest(env: dict) -> list[str]:
     """The manifest lines of INVOCATIONS run with environment env (whose
     PYTHONPATH entries must be absolute)."""
@@ -185,7 +200,7 @@ def manifest(env: dict) -> list[str]:
 
 
 def main() -> None:
-    for line in manifest(_env()):
+    for line in header() + manifest(_env()):
         print(line)
 
 

@@ -158,6 +158,11 @@ def _cmd_copula_grid(args):
 # ---------------------------------------------------------------------------
 # logic
 
+# most distinct variables `logic table` takes: it writes 2^n rows, 65,536
+# at the limit
+MAX_TABLE_VARIABLES = 16
+
+
 def _cmd_logic_prob(args):
     expr = parse_expr(args.expr)
     assign = _parse_assign(args.assign)
@@ -178,6 +183,10 @@ def _cmd_logic_prob(args):
 def _cmd_logic_table(args):
     expr = parse_expr(args.expr)
     names = expr.variables()
+    if len(names) > MAX_TABLE_VARIABLES:
+        raise DomainError(f"a truth table takes at most "
+                          f"{MAX_TABLE_VARIABLES} variables, got "
+                          f"{len(names)}")
     rows = []
     for bits in range(1 << len(names)):
         assignment = {name: (bits >> (len(names) - 1 - k)) & 1

@@ -15,6 +15,11 @@ expm1 terms are negative and the quotient is positive).  It is written in
 two places: _frank_raw, one point at a time, for every scalar; and
 xor_f_lattice, which evaluates F_s over a whole lattice with expm1(xL)
 computed once per axis value, in the same float order.
+
+Probabilities are plain floats.  _unit is the one rule for them: it takes
+anything float() takes, rejects NaN and values more than UNIT_EPS outside
+[0, 1], and clamps the rest onto the interval (so -0.0 becomes 0.0).
+frank_and, frank_or and xor_f return a float that passed it.
 """
 
 from __future__ import annotations
@@ -34,32 +39,17 @@ _BISECT_ITERS = 200
 _LIMIT_S = {"zero": 0.0, "one": 1.0, "inf": math.inf}   # s of each limit
 
 
-@dataclass(frozen=True)
-class UnitValue:
-    """A probability: a float confined to [0, 1].
+def _unit(x: float) -> float:
+    """x as a probability: a float in [0, 1].
 
     Values within UNIT_EPS of the interval are clamped onto it; anything
-    farther out, and NaN, is rejected.
+    farther out, and NaN, is a DomainError.
     """
-
-    v: float
-
-    def __post_init__(self):
-        v = float(self.v)
-        # NaN compares false both ways, so test for the valid range
-        if not (-UNIT_EPS <= v <= 1.0 + UNIT_EPS):
-            raise DomainError(f"value {v!r} outside [0, 1]")
-        object.__setattr__(self, "v", min(1.0, max(0.0, v)))
-
-    def __float__(self) -> float:
-        return self.v
-
-
-def _unit(x: "UnitValue | float") -> float:
-    """Coerce a UnitValue or raw float into a validated [0, 1] float."""
-    if isinstance(x, UnitValue):
-        return x.v
-    return UnitValue(x).v
+    v = float(x)
+    # NaN compares false both ways, so test for the valid range
+    if not (-UNIT_EPS <= v <= 1.0 + UNIT_EPS):
+        raise DomainError(f"value {v!r} outside [0, 1]")
+    return min(1.0, max(0.0, v))
 
 
 @dataclass(frozen=True)
@@ -159,10 +149,10 @@ def _unit_axis(axis: "tuple[float, ...]") -> "tuple[float, ...]":
 def xor_f_lattice(s: CopulaParam, axis) -> "list[float]":
     """F_s over the lattice axis x axis, flat and row-major.
 
-    Entry i * len(axis) + j equals float(xor_f(s, axis[i], axis[j])) bit
-    for bit, with the UnitValue window applied inline.  In the closed-form
-    range expm1(x L) is computed once per axis value, and each point takes
-    _frank_raw's operations in _frank_raw's order.
+    Entry i * len(axis) + j equals xor_f(s, axis[i], axis[j]) bit for bit.
+    In the closed-form range expm1(x L) is computed once per axis value, and
+    each point takes _frank_raw's operations in _frank_raw's order; the
+    limits and the dispatched s call _frank_raw directly.
     """
     xs = _unit_axis(tuple(axis))
     if s.kind == "finite" and ZERO_DISPATCH <= s.s <= INF_DISPATCH:
@@ -174,9 +164,9 @@ def xor_f_lattice(s: CopulaParam, axis) -> "list[float]":
         fs = [x + y - 2.0 * (log1p(ex * ey / dL) / L)
               for x, ex in pts for y, ey in pts]
     else:
-        fs = [_xor_value(s, x, y) for x in xs for y in xs]
-    # the UnitValue window; values already inside [0, 1] need no clamp
-    return [f if 0.0 <= f <= 1.0 else UnitValue(f).v for f in fs]
+        fs = [x + y - 2.0 * _frank_raw(s.s, x, y) for x in xs for y in xs]
+    # xor_f's _unit; values already inside [0, 1] need no clamp
+    return [f if 0.0 <= f <= 1.0 else _unit(f) for f in fs]
 
 
 def _and_value(s: CopulaParam, x: float, y: float) -> float:
@@ -191,37 +181,32 @@ def _xor_value(s: CopulaParam, x: float, y: float) -> float:
     return x + y - 2.0 * _and_value(s, x, y)
 
 
-def frank_and(s: CopulaParam, x: "UnitValue | float",
-              y: "UnitValue | float") -> UnitValue:
+def frank_and(s: CopulaParam, x: float, y: float) -> float:
     """A_s(x, y), the copula extension of 'and'."""
-    return UnitValue(_and_value(s, _unit(x), _unit(y)))
+    return _unit(_and_value(s, _unit(x), _unit(y)))
 
 
-def frank_or(s: CopulaParam, x: "UnitValue | float",
-             y: "UnitValue | float") -> UnitValue:
+def frank_or(s: CopulaParam, x: float, y: float) -> float:
     """R_s(x, y) = x + y - A_s(x, y), the dual extension of 'or'."""
-    return UnitValue(_or_value(s, _unit(x), _unit(y)))
+    return _unit(_or_value(s, _unit(x), _unit(y)))
 
 
-def xor_f(s: CopulaParam, x: "UnitValue | float",
-          y: "UnitValue | float") -> UnitValue:
+def xor_f(s: CopulaParam, x: float, y: float) -> float:
     """F_s(x, y) = x + y - 2 A_s(x, y), the xor family.
 
     F_0 = |x - y|, F_1 = x + y - 2xy, F_inf = min(x+y, 1) - max(x+y-1, 0).
     """
-    return UnitValue(_xor_value(s, _unit(x), _unit(y)))
+    return _unit(_xor_value(s, _unit(x), _unit(y)))
 
 
-def frechet_bounds(x: "UnitValue | float",
-                   y: "UnitValue | float") -> tuple[float, float]:
+def frechet_bounds(x: float, y: float) -> tuple[float, float]:
     """(lower, upper) admissible values for any 'and' probability:
     (A_inf(x, y), A_0(x, y))."""
     xv, yv = _unit(x), _unit(y)
     return (_frank_raw(math.inf, xv, yv), _frank_raw(0.0, xv, yv))
 
 
-def solve_s(x: "UnitValue | float", y: "UnitValue | float",
-            p: "UnitValue | float") -> CopulaParam:
+def solve_s(x: float, y: float, p: float) -> CopulaParam:
     """Solve A_s(x, y) = p for s.
 
     A_s(x, y) decreases monotonically in s from min(x, y) at s=0 to

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .copula import (CopulaParam, UnitValue, _and_value, _or_value,
-                     _unit, _xor_value)
+from .copula import CopulaParam, _and_value, _or_value, _unit, _xor_value
 from .errors import DomainError, ExprSyntaxError, UnboundVariableError
 
 if TYPE_CHECKING:
@@ -401,12 +400,12 @@ def truth_table_prob_exact(expr: BoolExpr, space: SampleSpace) -> Fraction:
     return total
 
 
-def truth_table_prob(expr: BoolExpr, space: SampleSpace) -> UnitValue:
+def truth_table_prob(expr: BoolExpr, space: SampleSpace) -> float:
     """Probability of expr over the sample space (float of the exact sum)."""
-    return UnitValue(float(truth_table_prob_exact(expr, space)))
+    return _unit(truth_table_prob_exact(expr, space))
 
 
-def empirical_frequencies(data: "Dataset") -> dict[str, UnitValue]:
+def empirical_frequencies(data: "Dataset") -> dict[str, float]:
     """Per-column fraction of ones over a Boolean dataset."""
     space = SampleSpace.from_dataset(data)
     n = len(space.rows)
@@ -414,7 +413,7 @@ def empirical_frequencies(data: "Dataset") -> dict[str, UnitValue]:
     for assignment, _ in space.rows:
         for i, bit in enumerate(assignment):
             counts[i] += bit
-    return {name: UnitValue(float(Fraction(c, n)))
+    return {name: _unit(Fraction(c, n))
             for name, c in zip(space.variables, counts)}
 
 
@@ -440,9 +439,8 @@ class ConsistencyVerdict:
 _AXIOM_TOL = 1e-9
 
 
-def check_consistency(px: "UnitValue | float", py: "UnitValue | float",
-                      pand: "UnitValue | float",
-                      por: "UnitValue | float") -> ConsistencyVerdict:
+def check_consistency(px: float, py: float, pand: float,
+                      por: float) -> ConsistencyVerdict:
     """The four and/or bounds plus the additivity identity, each with
     tolerance 1e-9."""
     x, y = _unit(px), _unit(py)
@@ -483,8 +481,8 @@ def _copula_value(expr: BoolExpr, env: Mapping[str, float],
                         _copula_value(expr.right, env, s))
 
 
-def copula_prob(expr: BoolExpr, assignment: Mapping[str, "UnitValue | float"],
-                s: CopulaParam) -> UnitValue:
+def copula_prob(expr: BoolExpr, assignment: Mapping[str, float],
+                s: CopulaParam) -> float:
     """Compositional evaluation: Var -> assigned value, Not -> 1 - v,
     And -> A_s, Or -> R_s, Xor -> x + y - 2 A_s.
 
@@ -501,7 +499,7 @@ def copula_prob(expr: BoolExpr, assignment: Mapping[str, "UnitValue | float"],
             f"compositional copula evaluation may disagree with "
             f"truth-table semantics", CompositionalityWarning, stacklevel=2)
     env = {name: _unit(v) for name, v in assignment.items()}
-    # connectives keep values inside [0,1] up to rounding; UnitValue
-    # absorbs the few-ulp dust
-    return UnitValue(_copula_value(expr, env, s))
+    # connectives keep values inside [0,1] up to rounding; _unit clamps
+    # the few-ulp dust
+    return _unit(_copula_value(expr, env, s))
 

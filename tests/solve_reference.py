@@ -4,13 +4,14 @@ This is the solver as it was before its bisection stopped at the fixed
 point of the bracket, kept verbatim: it always runs all 200 steps.  The
 bracket is a pure function of itself, so once a step leaves (lo, hi)
 unchanged the remaining steps repeat it, and both solvers must return the
-same CopulaParam, or raise the same error with the same message.
+same CopulaParam, or raise the same error with the same message.  Its
+inputs pass unit_reference's _unit and frechet_bounds, as they did then.
 """
 
 from __future__ import annotations
 
-from xorlab.copula import (SOLVE_TOL, CopulaParam, _frank_raw, _unit,
-                           frechet_bounds)
+from unit_reference import _unit, frechet_bounds
+from xorlab.copula import SOLVE_TOL, CopulaParam, _frank_raw
 from xorlab.errors import InfeasibleProbabilityError
 
 BISECT_ITERS = 200

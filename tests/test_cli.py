@@ -175,6 +175,15 @@ def test_logic_table(capsys):
     assert doc["rows"] == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
+def test_logic_table_refuses_more_than_16_variables(capsys):
+    # 2^17 rows; the limit is checked before any row is built
+    expr = " xor ".join(f"v{i}" for i in range(17))
+    code, out, err = run(capsys, "logic", "table", "--expr", expr)
+    assert code == 1
+    assert out == ""
+    assert err == "error: a truth table takes at most 16 variables, got 17\n"
+
+
 def test_logic_freq_check(capsys):
     doc = run_json(capsys, "logic", "freq", "--data", "fig2_1", "--check",
                    "--format", "json")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorlab.copula import (CopulaParam, UnitValue, frank_and, frank_or,
+from xorlab.copula import (CopulaParam, _unit, frank_and, frank_or,
                            frechet_bounds, heaviside, solve_s, xor_f)
 from xorlab.errors import DomainError, InfeasibleProbabilityError
 
@@ -15,20 +15,20 @@ unit = st.floats(0.0, 1.0)
 
 
 def test_unit_value_clamps_dust_and_rejects_junk():
-    assert float(UnitValue(-1e-13)) == 0.0
-    assert float(UnitValue(1.0 + 1e-13)) == 1.0
-    assert float(UnitValue(0.25)) == 0.25
+    assert float(_unit(-1e-13)) == 0.0
+    assert float(_unit(1.0 + 1e-13)) == 1.0
+    assert float(_unit(0.25)) == 0.25
     with pytest.raises(DomainError):
-        UnitValue(1.5)
+        _unit(1.5)
     with pytest.raises(DomainError):
-        UnitValue(-0.1)
+        _unit(-0.1)
 
 
 def test_nan_is_rejected_not_clamped():
     # min(1, max(0, nan)) would be 0.0: NaN must fail the range test
     nan = math.nan
     with pytest.raises(DomainError):
-        UnitValue(nan)
+        _unit(nan)
     with pytest.raises(DomainError):
         frank_and(CopulaParam.finite(2.0), nan, 0.5)
     with pytest.raises(DomainError):

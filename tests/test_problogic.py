@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorlab.copula import (CopulaParam, UnitValue, _and_value, _unit,
-                           frank_and, xor_f)
+from xorlab.copula import CopulaParam, _and_value, _unit, frank_and, xor_f
 from xorlab.datasets import builtin
 from xorlab.errors import (DomainError, ExprSyntaxError,
                            UnboundVariableError)
@@ -333,7 +332,7 @@ def _ref_copula_prob(expr, assignment, s):
             f"compositional copula evaluation may disagree with "
             f"truth-table semantics", CompositionalityWarning, stacklevel=2)
     env = {name: _unit(v) for name, v in assignment.items()}
-    return UnitValue(_ref_copula_value(expr, env, s))
+    return _unit(_ref_copula_value(expr, env, s))
 
 
 def _prob_outcome(fn, expr, assignment, s):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import classify_reference
 from xorlab import kernels, network, trainer
 from xorlab.copula import CopulaParam, xor_f, xor_f_lattice
-from xorlab.datasets import Dataset, builtin
+from xorlab.datasets import Dataset, builtin, grid_axis
 from xorlab.errors import DivergenceError, DomainError, ShapeError
 from xorlab.linalg import Matrix, least_squares
 from xorlab.network import Network, collapse_linear, forward, parse_spec
@@ -344,7 +344,7 @@ def _same_label(a, b):
 
 # scan values, the One window |t - 1/2| <= 2.5e-7 and its edges, and both
 # dispatch thresholds (s = 1e-8 at t ~ 1e-8, s = 1e8 at t ~ 1 - 1e-8).
-# Just above s = 1e-8 the closed form leaves the UnitValue window and
+# Just above s = 1e-8 the closed form leaves _unit's window and
 # xor_f raises DomainError; the lattice must raise the same error.
 PARITY_TS = ([k / 50.0 for k in range(1, 50)]
              + [0.5 + d for d in (0.0, 1e-9, -1e-7, 2.4e-7, -2.5e-7, 2.5e-7,
@@ -387,10 +387,20 @@ def test_xor_f_lattice_matches_xor_f_bitwise():
         assert _outcome(xor_f_lattice, p, axis) == _outcome(want), p
 
 
+@pytest.mark.parametrize("grid", [2, 21, 101])
+@pytest.mark.parametrize("s", [CopulaParam.zero(), CopulaParam.one(),
+                               CopulaParam.infinity()], ids=lambda s: s.kind)
+def test_limit_lattices_match_xor_f(s, grid):
+    # the limit branch calls _frank_raw once per point, as xor_f does
+    axis = grid_axis(0.0, 1.0, grid)
+    assert repr(xor_f_lattice(s, axis)) == \
+        repr([xor_f(s, x, y) for x in axis for y in axis])
+
+
 def test_xor_f_lattice_validates_axis():
     with pytest.raises(DomainError):
         xor_f_lattice(CopulaParam.finite(2.0), [0.0, 1.5])
-    # inside the UnitValue window: clamped, as xor_f clamps
+    # inside _unit's window: clamped, as xor_f clamps
     assert xor_f_lattice(CopulaParam.one(), [-1e-13, 1.0 + 1e-13]) == \
         [float(xor_f(CopulaParam.one(), x, y))
          for x in (0.0, 1.0) for y in (0.0, 1.0)]
