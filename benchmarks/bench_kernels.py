@@ -12,7 +12,9 @@ one process, so that drift in the host's speed hits them alike.  Have
 loads, only the Python backend is timed.  project_grid is timed once per
 pair class of the 2-2-1 net: two first-layer weights (L1xL1), a
 first-layer and an output weight (L1xL2), and two output weights
-(L2xL2).
+(L2xL2).  fs_scorer is timed as one F_s fit's golden-section steps: a
+scorer built from 21x21 outputs drawn from --seed, then one score at
+each of 42 values of s spread over the fit's range.
 
 Library section, on the default backend: surface.landscape_stats and
 surface.emit_grid_csv over the 101x101 grids of all 36 weight pairs of
@@ -57,7 +59,7 @@ import time
 from pathlib import Path
 
 import xorlab
-from xorlab import _pycore, network, surface
+from xorlab import _pycore, network, surface, trainer
 from xorlab.copula import CopulaParam, frank_and, solve_s, xor_f_lattice
 from xorlab.datasets import builtin
 from xorlab.kernels import BACKEND, available_backends, get_backend
@@ -80,6 +82,9 @@ RELU_MOVING = (10, 14, 16)
 
 # one flat slot pair per class: w1_11 x w1_22, w1_11 x w2_11, w2_11 x w2_12
 PAIR_CLASSES = (("L1xL1", 0, 4), ("L1xL2", 0, 6), ("L2xL2", 6, 7))
+
+# the golden-section steps of one F_s fit (40, and the two first probes)
+FS_STEPS = 42
 
 
 def _timings(fns, repeats):
@@ -131,13 +136,26 @@ def _workloads(args):
         return lambda mod: mod.project_grid(SIZES, ACTS, base, XOR_XS,
                                             XOR_TS, ia, ib, axis, axis)
 
+    # F_s steps as classify's fit takes them: one scorer per fit, then one
+    # score per s, at FS_STEPS values of t spread over the search's range
+    rng = random.Random(args.seed)
+    fs_axis = trainer._axis(21)
+    fs_outs = [rng.uniform(-0.2, 1.2) for _ in range(21 * 21)]
+    fs_ss = [trainer._fs_s(0.0101 + k * (0.99 - 0.0101) / (FS_STEPS - 1))
+             for k in range(FS_STEPS)]
+
+    def fs_steps(mod):
+        score = mod.fs_scorer(fs_outs, fs_axis)[1]
+        return [score(s) for s in fs_ss]
+
     return [(f"train_run {args.iters} iters per-sample", train),
             (f"train_run relu {args.iters} iters at rest",
              relu(RELU_AT_REST)),
             (f"train_run relu {args.iters} iters moving",
              relu(RELU_MOVING))] + [
         (f"project_grid {args.steps}x{args.steps} {cls}", grid(ia, ib))
-        for cls, ia, ib in PAIR_CLASSES]
+        for cls, ia, ib in PAIR_CLASSES] + [
+        (f"fs_scorer 21x21, {FS_STEPS} F_s steps", fs_steps)]
 
 
 # converged boolean-xor nets (trainer seeds 0 at lr 0.5, and 29), both

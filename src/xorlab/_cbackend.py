@@ -2,10 +2,11 @@
 
 load(path) binds the library that xorlab.kernels built from kern.c and
 returns a namespace with the same exports as xorlab._pycore (BACKEND,
-SSE_BLOWUP, sse_dataset, train_run, project_grid), taking and returning
-the same Python types.  The library has two kernels, train_run and
-project_grid; sse_dataset is _pycore's, the one cell of project_grid
-that leaves the weights as they are, run on this project_grid.
+SSE_BLOWUP, sse_dataset, train_run, project_grid, fs_scorer), taking and
+returning the same Python types.  The library has three kernels,
+train_run, project_grid and fs_deviation (behind fs_scorer); sse_dataset
+is _pycore's, the one cell of project_grid that leaves the weights as
+they are, run on this project_grid.
 
 The C side trusts its buffers, so shapes are checked here.  ctypes would
 wrap an int too large for a C int silently; such a value (a size, a
@@ -19,11 +20,15 @@ from __future__ import annotations
 import ctypes
 import functools
 import operator
+from array import array
 from ctypes import POINTER, byref, c_double, c_int, c_uint64, c_void_p
 from types import SimpleNamespace
 
-from ._pycore import (MASK64, SSE_BLOWUP, _offsets, check_network,
-                      check_weights, sse_dataset)
+from ._pycore import (MASK64, SSE_BLOWUP, _fs_lattice, _max_abs_diff,
+                      _offsets, check_lattice, check_network, check_weights,
+                      sse_dataset)
+from .copula import (INF_DISPATCH, ONE_WINDOW, ZERO_DISPATCH, _unit,
+                     _unit_axis)
 
 _INT_MAX = 2 ** (8 * ctypes.sizeof(c_int) - 1) - 1
 _DP = POINTER(c_double)
@@ -35,8 +40,16 @@ _SIGNATURES = {
         c_double, c_int, _DP, _IP, _DP, POINTER(_DP)]),
     "project_grid": (c_int, _NET + [
         _DP, _DP, _DP, c_int, c_int, c_int, _DP, c_int, _DP, c_int, _DP]),
+    "fs_deviation": (c_double, [c_int, _DP, _DP, c_double, _DP, _DP]),
     "kern_free": (None, [c_void_p]),
 }
+
+
+def _closed_form(s) -> bool:
+    """s is 1.0 or an s that xor_f_lattice evaluates in closed form: the
+    range of the fs_deviation kernel."""
+    return s == 1.0 or (ZERO_DISPATCH <= s <= INF_DISPATCH
+                        and abs(s - 1.0) > ONE_WINDOW)
 
 
 def _cint(value) -> int:
@@ -47,7 +60,10 @@ def _cint(value) -> int:
 
 
 def _doubles(values):
-    return (c_double * len(values))(*values)
+    # through array.array: five times faster than c_double's constructor
+    # on a list of 441 floats, with the same conversions and errors
+    buf = array("d", values)
+    return (c_double * len(buf)).from_buffer(buf)
 
 
 def _ok(rc: int) -> int:
@@ -118,7 +134,33 @@ def load(path: str) -> SimpleNamespace:
                              _doubles(avals), na, _doubles(bvals), nb, out))
         return out[:]
 
+    def fs_scorer(outs, axis):
+        """(scan, score) for the F_s fit; semantics identical to
+        _pycore.fs_scorer.  The outputs and the axis become C arrays once
+        here, so each score is one kernel call; an s outside the kernel's
+        range (_closed_form) is scored by _pycore's lattice instead."""
+        xs = _unit_axis(tuple(axis))
+        n = _cint(len(xs))
+        check_lattice(outs, n)
+        args = (n, _doubles(xs), _doubles(outs[:n * n]))
+        ex, bad = (c_double * n)(), c_double()
+        fs_deviation, pbad = lib.fs_deviation, ctypes.pointer(bad)
+
+        def score(s):
+            if not _closed_form(s):
+                return _max_abs_diff(outs, _fs_lattice(s, xs))
+            dev = fs_deviation(*args, s, ex, pbad)
+            if dev < 0.0:
+                _unit(bad.value)    # outside the window: _unit raises
+            return dev
+
+        def scan(ss):
+            return [score(s) for s in ss]
+
+        return scan, score
+
     return SimpleNamespace(BACKEND="c", SSE_BLOWUP=SSE_BLOWUP,
                            sse_dataset=functools.partial(
                                sse_dataset, project_grid=project_grid),
-                           train_run=train_run, project_grid=project_grid)
+                           train_run=train_run, project_grid=project_grid,
+                           fs_scorer=fs_scorer)

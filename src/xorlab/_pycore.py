@@ -1,10 +1,13 @@
-"""Pure-Python training and projection kernels, and network's forward
-and gradient passes.
+"""Pure-Python training, projection and F_s-fit kernels, and network's
+forward and gradient passes.
 
-A backend has two kernels: train_run runs gradient descent, and
-project_grid gives the SSE at every cell of a plane of two weights.
-sse_dataset is the one cell of project_grid that leaves the weights as
-they are.
+A backend has three kernels: train_run runs gradient descent,
+project_grid gives the SSE at every cell of a plane of two weights, and
+fs_scorer scores the s that classify's F_s fit tries against a lattice
+of outputs.  sse_dataset is the one cell of project_grid that leaves the
+weights as they are.  fs_scorer is copula.xor_f_lattice scored by
+_max_abs_diff, the deviation rule classify uses for every candidate; it
+generates no code.
 
 Each kernel runs straight-line Python generated once per network shape:
 every weight lives in a local w0..wN, each unit's dot product, backward
@@ -62,6 +65,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+
+from .copula import CopulaParam, _unit_axis, xor_f_lattice
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -554,3 +559,62 @@ def sse_dataset(sizes, acts, w, xs, ts, project_grid=project_grid) -> float:
     w = list(w)
     keep = w[:1]
     return project_grid(sizes, acts, w, xs, ts, 0, 0, keep, keep)[0]
+
+
+# ---------------------------------------------------------------------------
+# the F_s fit's scorer
+
+def check_lattice(outs, n: int) -> None:
+    """IndexError when outs is too short for an n x n lattice; extra
+    outputs are ignored."""
+    if len(outs) < n * n:
+        raise IndexError(f"{len(outs)} outputs, the lattice has {n * n}")
+
+
+def _max_abs_diff(outs, ref, points=None) -> float:
+    """Largest |out - ref| over a lattice, or over its flat indices points
+    (ref then holds the reference at those points); inf when points is
+    empty.  outs must be finite, since max() keeps or skips a NaN
+    depending on where it sits."""
+    if points is not None:
+        outs = map(outs.__getitem__, points)
+    return max(map(abs, map(operator.sub, outs, ref)), default=math.inf)
+
+
+def _fs_lattice(s: float, axis: tuple) -> "list[float]":
+    return xor_f_lattice(CopulaParam.finite(s), axis)
+
+
+# scan(ss) keeps the lattices of its tuple of s per axis, up to an axis of
+# this many points (49 lattices of 64 x 64 floats, about 5 MB); beyond it
+# they are built on every scan
+_SCAN_CACHE_GRID = 64
+
+
+@functools.lru_cache(maxsize=2)
+def _scan_lattices(ss: tuple, axis: tuple) -> "tuple[tuple[float, ...], ...]":
+    return tuple(tuple(_fs_lattice(s, axis)) for s in ss)
+
+
+def fs_scorer(outs, axis):
+    """The F_s fit's scores of the lattice outputs outs (row-major over
+    axis x axis), as a pair (scan, score).  score(s) is the largest
+    |out - F_s| over the lattice, F_s being copula.xor_f_lattice at
+    CopulaParam.finite(s), and raises its DomainError; scan(ss) is
+    [score(s) for s in ss], with the lattices of the tuple ss cached per
+    axis (see _SCAN_CACHE_GRID).  IndexError if outs is too short, and
+    _unit's DomainError if an axis value is not a probability.
+    """
+    axis = _unit_axis(tuple(axis))
+    check_lattice(outs, len(axis))
+
+    def score(s):
+        return _max_abs_diff(outs, _fs_lattice(s, axis))
+
+    def scan(ss):
+        if len(axis) > _SCAN_CACHE_GRID:
+            return [score(s) for s in ss]
+        return [_max_abs_diff(outs, ref)
+                for ref in _scan_lattices(tuple(ss), axis)]
+
+    return scan, score

@@ -12,9 +12,11 @@ evaluate there like any finite s, and frechet_bounds is (A_inf, A_0).
 The closed form is evaluated as log1p(expm1(xL) expm1(yL) / expm1(L)) / L
 with L = ln s, which is stable in both quadrants (for s < 1 all three
 expm1 terms are negative and the quotient is positive).  It is written in
-two places: _frank_raw, one point at a time, for every scalar; and
+three places: _frank_raw, one point at a time, for every scalar;
 xor_f_lattice, which evaluates F_s over a whole lattice with expm1(xL)
-computed once per axis value, in the same float order.
+computed once per axis value, in the same float order; and kern.c's
+fs_deviation, the compiled F_s fit, which follows xor_f_lattice's float
+order and _unit's window and clamp.
 
 Probabilities are plain floats.  _unit is the one rule for them: it takes
 anything float() takes, rejects NaN and values more than UNIT_EPS outside
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleProbabilityError
 
-UNIT_EPS = 1e-12        # clamp window around [0, 1]
+UNIT_EPS = 1e-12        # clamp window around [0, 1]; kern.c copies it
 ONE_WINDOW = 1e-6       # |s - 1| below this is the One variant
 ZERO_DISPATCH = 1e-8    # finite s below this evaluates via the s->0 limit
 INF_DISPATCH = 1e8      # finite s above this evaluates via the s->inf limit

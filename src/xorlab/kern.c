@@ -1,7 +1,7 @@
-/* Compiled training and projection kernels, bound through ctypes by
- * xorlab._cbackend: train_run and project_grid.  The SSE at a network's
- * own weights is the one cell of project_grid that leaves them as they
- * are, so it has no kernel of its own.
+/* Compiled training, projection and F_s-fit kernels, bound through
+ * ctypes by xorlab._cbackend: train_run, project_grid and fs_deviation.
+ * The SSE at a network's own weights is the one cell of project_grid
+ * that leaves them as they are, so it has no kernel of its own.
  *
  * Mirrors the loop reference in tests/loop_kernels.py operation for
  * operation: the same splitmix64 stream as _pycore.py, the same
@@ -34,6 +34,11 @@
  * hoists the units the varied weights cannot reach out of the loops,
  * which changes how often each float is computed, not its value.
  *
+ * fs_deviation mirrors copula.xor_f_lattice and _unit instead: the
+ * closed form of Frank's A_s is written there (and in _frank_raw), here
+ * and nowhere else, and the Python backend scores F_s with
+ * xor_f_lattice itself.
+ *
  * The caller checks shapes and passes buffers of the right lengths.
  * Functions that allocate return -1 when an allocation fails, 0 otherwise;
  * train_run returns its status code 0..3 instead of 0.
@@ -49,6 +54,7 @@
 #define INV53 (1.0 / 9007199254740992.0)  /* 2 ** -53 */
 #define SSE_BLOWUP 1e6
 #define REST_EVERY 256  /* epochs between checks for weights at rest */
+#define UNIT_EPS 1e-12  /* copula.UNIT_EPS, _unit's window around [0, 1] */
 
 static uint64_t sm_next(uint64_t *state)
 {
@@ -388,4 +394,44 @@ int project_grid(int nlayers, const int *sizes, const int *acts, double *w,
     }
     net_free(&n);
     return 0;
+}
+
+/* max |outs - F_s| over the n x n lattice of axis, row-major, with F_s in
+ * copula.xor_f_lattice's float order: L = log(s), expm1(x L) once per
+ * axis value (into ex), x + y - 2 (log1p(ex ey / expm1(L)) / L) at each
+ * point, or x + y - 2 (x y) when L == 0 (s == 1, the One variant); then
+ * _unit's clamp.  axis must already have passed _unit, and s must lie in
+ * the closed-form range (the caller checks both).  The maximum is taken
+ * as Python's max() takes it: the first point's deviation, then any
+ * larger one.  Returns -1 after writing to *bad the first F_s value, in
+ * row-major order, outside _unit's window [-UNIT_EPS, 1 + UNIT_EPS]. */
+double fs_deviation(int n, const double *axis, const double *outs,
+                    double s, double *ex, double *bad)
+{
+    double L = log(s), dL = expm1(L), worst = 0.0;
+    if (L != 0.0)
+        for (int i = 0; i < n; i++)
+            ex[i] = expm1(axis[i] * L);
+    for (int i = 0; i < n; i++) {
+        double x = axis[i];
+        const double *row = outs + (size_t)i * n;
+        for (int j = 0; j < n; j++) {
+            double y = axis[j], f, d;
+            if (L == 0.0)
+                f = x + y - 2.0 * (x * y);
+            else
+                f = x + y - 2.0 * (log1p(ex[i] * ex[j] / dL) / L);
+            if (!(f >= 0.0 && f <= 1.0)) {
+                if (!(f >= -UNIT_EPS && f <= 1.0 + UNIT_EPS)) {
+                    *bad = f;
+                    return -1.0;
+                }
+                f = f < 0.0 ? 0.0 : 1.0;
+            }
+            d = fabs(row[j] - f);
+            if ((i == 0 && j == 0) || d > worst)
+                worst = d;
+        }
+    }
+    return worst;
 }

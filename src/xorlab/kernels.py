@@ -1,13 +1,15 @@
-"""Backend selection for the training and projection kernels.
+"""Backend selection for the training, projection and F_s-fit kernels.
 
 Two interchangeable implementations exist: compiled C (kern.c, built
 into a shared library and bound through ctypes by xorlab._cbackend) and
 pure Python (xorlab._pycore, which generates straight-line code per
 network shape on first use).
-Each has two kernels, train_run and project_grid; sse_dataset is the one
+Each has three kernels, train_run, project_grid and fs_scorer (the
+score of each s that classify's F_s fit tries); sse_dataset is the one
 cell of project_grid that leaves the weights as they are.  Both produce
-results bit-identical to the loop reference in tests/loop_kernels.py;
-the compiled one is just faster.  In both, train_run stops early once
+results bit-identical to the loop reference in tests/loop_kernels.py
+(fs_scorer: to the Python one, copula.xor_f_lattice scored by
+_max_abs_diff); the compiled one is just faster.  In both, train_run stops early once
 no epoch could move any weight (it checks after epoch 1 and every 256th
 epoch), with the outputs the full run would give (see _pycore).
 
@@ -33,7 +35,7 @@ from .errors import DomainError
 
 __all__ = [
     "BACKEND", "SSE_BLOWUP", "sse_dataset", "train_run", "project_grid",
-    "get_backend", "available_backends",
+    "fs_scorer", "get_backend", "available_backends",
 ]
 
 # -ffp-contract=off keeps the compiled arithmetic bit-identical to the
@@ -143,3 +145,4 @@ SSE_BLOWUP = _impl.SSE_BLOWUP
 sse_dataset = _impl.sse_dataset
 train_run = _impl.train_run
 project_grid = _impl.project_grid
+fs_scorer = _impl.fs_scorer

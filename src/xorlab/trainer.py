@@ -8,10 +8,19 @@ trainer owns validation, Network packing, and divergence reporting.
 Classification evaluates a Network once over the lattice, through
 network.forward_lattice: one generated pass per shape, cached in
 _pycore._net_pass as "<xorlab forward_lattice 2-2-1 tanh-tanh>".  Every
-candidate is a reference lattice scored by the largest |out - ref|
-(_max_abs_diff): the fixed ones come from one table per grid
-(_candidates), each F_s the fit tries from xor_f_lattice, and the edge
-bound below is scored the same way.
+fixed candidate is a reference lattice scored by the largest
+|out - ref| (_max_abs_diff), from one table per grid (_candidates), and
+the edge bound below is scored the same way.
+
+When no fixed candidate fits, classify fits s with a 49-point scan and a
+golden-section search on t = s / (1 + s).  The scan, the bracket, the
+search and the snap of t / (1 - t) onto the One window (_fs_s) are
+written here once; each s they try is scored by the backend's F_s
+scorer (kernels.fs_scorer), built once per fit from the outputs.  The
+compiled scorer takes max |out - F_s| in kern.c's fs_deviation, one
+call per s; the Python one scores F_s from xor_f_lattice with
+_max_abs_diff and caches the scan's lattices per grid.  Both give the
+same floats and the same errors.
 
 The fit runs only when it can change the label.  F_s(x, 0) = x and
 F_s(0, y) = y exactly for every s the fit tries (A_s is grounded, and
@@ -20,18 +29,19 @@ the outputs' deviation on those two edges.  When that edge deviation is
 already no better than the best fixed candidate's, classify returns
 Unclassified with the fixed deviation, as the fit would have.
 
-The lattice axis (grid_axis) and sse come from datasets, the F_s
-lattice (xor_f_lattice) from copula.
+The lattice axis (grid_axis) and sse come from datasets, the F1 and
+Finf lattices (xor_f_lattice) from copula.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 
 from . import kernels
+from ._pycore import _max_abs_diff
 from .copula import CopulaParam, xor_f_lattice
 from .datasets import Dataset, grid_axis, sse
 from .errors import DivergenceError, DomainError
@@ -175,9 +185,10 @@ def _candidates(grid: int) -> dict:
     more than one lattice step (index-space Chebyshev, so the exclusion
     is exact) away from either zero corner."""
     axis, step = _axis(grid), grid - 1
-    interior = tuple(i * grid + j
-                     for i in range(1, step) for j in range(1, step)
-                     if max(i, j) > 1 and max(step - i, step - j) > 1)
+    # rows and columns 1 to step - 1, less their first and last points,
+    # (1, 1) and (step - 1, step - 1), which are one point at grid 3
+    rows = (range(i * grid + 1, i * grid + step) for i in range(1, step))
+    interior = tuple(itertools.chain.from_iterable(rows))[1:-1]
     return {
         # not xor_f_lattice(CopulaParam.zero()): x + y - 2 min(x, y)
         # differs from |x - y| in the last ulp at 254 of the 441 points of
@@ -190,43 +201,17 @@ def _candidates(grid: int) -> dict:
     }
 
 
-def _max_abs_diff(outs, ref, points=None) -> float:
-    """Largest |out - ref| over a lattice, or over its flat indices points
-    (ref then holds the reference at those points); inf when points is
-    empty.  outs must be finite, since max() keeps or skips a NaN
-    depending on where it sits."""
-    if points is not None:
-        outs = map(outs.__getitem__, points)
-    return max(map(abs, map(operator.sub, outs, ref)), default=math.inf)
-
-
-def _fs_lattice(grid: int, t: float) -> "list[float]":
-    """F_s over the lattice at s = t / (1 - t)."""
-    return xor_f_lattice(CopulaParam.finite(t / (1.0 - t)), _axis(grid))
-
-
-def _fs_deviation(outs, grid: int, t: float) -> float:
-    return _max_abs_diff(outs, _fs_lattice(grid, t))
-
-
-# the points t = k/50 the F_s fit scans before its golden-section search;
-# their lattices do not depend on the network, so they are built once per
-# grid, up to a grid of _SCAN_CACHE_GRID (49 x 64 x 64 floats, about 5 MB),
-# and once per fit beyond it
+# the points t = k/50 the F_s fit scans before its golden-section search
 _SCAN_TS = tuple(k / 50.0 for k in range(1, 50))
-_SCAN_CACHE_GRID = 64
 
 
-@functools.lru_cache(maxsize=2)
-def _scan_lattices(grid: int) -> "tuple[tuple[float, ...], ...]":
-    return tuple(tuple(_fs_lattice(grid, t)) for t in _SCAN_TS)
+def _fs_s(t: float) -> float:
+    """The s the fit scores at t: t / (1 - t), snapped onto 1 inside the
+    One window (CopulaParam.finite)."""
+    return CopulaParam.finite(t / (1.0 - t)).s
 
 
-def _scan_deviations(outs, grid: int) -> "list[float]":
-    """_fs_deviation at each scan point, in order."""
-    lattices = (_scan_lattices(grid) if grid <= _SCAN_CACHE_GRID
-                else (_fs_lattice(grid, t) for t in _SCAN_TS))
-    return [_max_abs_diff(outs, ref) for ref in lattices]
+_SCAN_S = tuple(map(_fs_s, _SCAN_TS))
 
 
 def _check_tol(tol: float) -> None:
@@ -298,12 +283,12 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
         return FunctionLabel("Unclassified", best_dev)
 
     # fall back to fitting a finite parameter on t = s/(1+s)
-    devs = _scan_deviations(outs, grid)
+    scan, score = kernels.fs_scorer(outs, axis)
+    devs = scan(_SCAN_S)
     k = devs.index(min(devs))
     lo = _SCAN_TS[k - 1] if k > 0 else 0.02 / 2.0
     hi = _SCAN_TS[k + 1] if k < len(_SCAN_TS) - 1 else (0.98 + 1.0) / 2.0
-    t_star, fit_dev = _golden_min(lambda t: _fs_deviation(outs, grid, t),
-                                  lo, hi)
+    t_star, fit_dev = _golden_min(lambda t: score(_fs_s(t)), lo, hi)
     if fit_dev <= tol:
         return FunctionLabel("Fs", fit_dev, s=t_star / (1.0 - t_star))
     return FunctionLabel("Unclassified", min(best_dev, fit_dev))

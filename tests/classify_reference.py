@@ -1,14 +1,30 @@
 """trainer.classify as it was before it skipped the F_s fit, kept as the
 reference the label-equality tests compare the library against: whenever
 no fixed candidate fits, it always runs the 49-point scan and the
-golden-section search.  It builds its own axis and fixed candidates and
-takes each deviation itself; only the lattice, the F_s fit's deviation
-and the search come from trainer, and other tests pin those."""
+golden-section search, each step scored on the F_s lattice of
+copula.xor_f_lattice.  It builds its own axis and fixed candidates and
+takes each deviation itself, so it does not go through either backend's
+F_s scorer; only the lattice and the search come from trainer, and other
+tests pin those."""
 
+import functools
 import math
+import operator
 
 from xorlab.copula import CopulaParam, xor_f_lattice
-from xorlab.trainer import FunctionLabel, _fs_deviation, _golden_min, _lattice
+from xorlab.trainer import FunctionLabel, _golden_min, _lattice
+
+
+# every F_s lattice the fit tries; the 49 scan lattices of a grid stay in
+# the cache, since every fit tries them again
+@functools.lru_cache(maxsize=256)
+def _fs_lattice(axis, t):
+    return xor_f_lattice(CopulaParam.finite(t / (1.0 - t)), axis)
+
+
+def fs_deviation(outs, axis, t):
+    """max |out - F_s| over the lattice, s = t / (1 - t)."""
+    return max(map(abs, map(operator.sub, outs, _fs_lattice(axis, t))))
 
 
 def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
@@ -20,7 +36,7 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
         return FunctionLabel("Unclassified", math.inf)
 
     step = grid - 1
-    axis = [i / step for i in range(grid)]
+    axis = tuple(i / step for i in range(grid))
     fixed = (("F0", [abs(x - y) for x in axis for y in axis]),
              ("F1", xor_f_lattice(CopulaParam.one(), axis)),
              ("Finf", xor_f_lattice(CopulaParam.infinity(), axis)),
@@ -38,11 +54,11 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
 
     # fall back to fitting a finite parameter on t = s/(1+s)
     ts = [k / 50.0 for k in range(1, 50)]
-    devs = [_fs_deviation(outs, grid, t) for t in ts]
+    devs = [fs_deviation(outs, axis, t) for t in ts]
     k = devs.index(min(devs))
     lo = ts[k - 1] if k > 0 else 0.02 / 2.0
     hi = ts[k + 1] if k < len(ts) - 1 else (0.98 + 1.0) / 2.0
-    t_star, fit_dev = _golden_min(lambda t: _fs_deviation(outs, grid, t),
+    t_star, fit_dev = _golden_min(lambda t: fs_deviation(outs, axis, t),
                                   lo, hi)
     if fit_dev <= tol:
         return FunctionLabel("Fs", fit_dev, s=t_star / (1.0 - t_star))

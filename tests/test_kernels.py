@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_kernels
-from xorlab import _pycore, kernels
+from xorlab import _pycore, copula, kernels, trainer
 from xorlab.datasets import builtin
 from xorlab.errors import DomainError
 from xorlab.trainer import TrainConfig, sweep
@@ -633,3 +633,116 @@ def test_at_rest_tells_the_sign_of_zero():
     assert _at_rest(*RELU, False, 0.1, w)
     # hidden unit 0 and the output are alive at the sample (1, 0)
     assert not _at_rest(*RELU, True, 0.1, [1.0, -1.0, 0.0] + w[3:8] + [0.0])
+
+
+# -- the F_s fit's scorer: the fs_deviation kernel against the Python twin --
+
+def _fs_cases(n_lattices=300, per_lattice=10, seed=23):
+    """3,000 drawn (outs, axis, s): grids 2, 3, 5, 21 and 64, outputs in
+    [-0.2, 1.2], and per lattice ten s from t drawn in [0.0101, 0.99],
+    from the 49 scan points and from the One window t = 0.5 +- 3e-7,
+    snapped as classify snaps them."""
+    rng = random.Random(seed)
+    scan = [k / 50.0 for k in range(1, 50)]
+    for _ in range(n_lattices):
+        grid = rng.choice([2, 3, 5, 21, 64])
+        axis = trainer._axis(grid)
+        outs = [rng.uniform(-0.2, 1.2) for _ in range(grid * grid)]
+        ts = [rng.choice((rng.uniform(0.0101, 0.99), rng.choice(scan),
+                          0.5 + rng.uniform(-3e-7, 3e-7)))
+              for _ in range(per_lattice)]
+        yield outs, axis, [trainer._fs_s(t) for t in ts]
+
+
+def _scored(score, s):
+    """repr of score(s), or the type and message of the error raised."""
+    try:
+        return repr(score(s))
+    except DomainError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_fs_scorer_parity_on_drawn_lattices(ckern):
+    py = kernels.get_backend("python")
+    n, scanned = 0, set()
+    for outs, axis, ss in _fs_cases():
+        (c_scan, c_score), (py_scan, py_score) = (
+            ckern.fs_scorer(outs, axis), py.fs_scorer(outs, axis))
+        for s in ss:
+            assert _scored(c_score, s) == _scored(py_score, s), (axis, s)
+            n += 1
+        if axis not in scanned:     # the whole scan, once per grid
+            scanned.add(axis)
+            assert repr(c_scan(trainer._SCAN_S)) == \
+                repr(py_scan(trainer._SCAN_S))
+    assert n == 3000 and len(scanned) == 5
+
+
+def test_fs_scorer_parity_beyond_the_kernel_range(ckern):
+    # the One window's interior, the dispatch thresholds and the limits go
+    # through the Python lattice, on both backends alike
+    py = kernels.get_backend("python")
+    axis = trainer._axis(21)
+    rng = random.Random(5)
+    outs = [rng.uniform(-0.2, 1.2) for _ in range(21 * 21)]
+    c_score, py_score = ckern.fs_scorer(outs, axis)[1], \
+        py.fs_scorer(outs, axis)[1]
+    for s in (1.0, 1.0 + 1e-7, 1.0 - 1e-6, 1.0 + 1.1e-6, 1e-8, 9.9e-9,
+              1e8, 1.1e8, 0.0, -1.0, math.inf, math.nan, 1.00000001e-8):
+        assert _scored(c_score, s) == _scored(py_score, s), s
+
+
+def _raw_fs_deviation(c_package, axis, outs, s):
+    """The library's fs_deviation called directly: (return, *bad)."""
+    import ctypes
+    from conftest import library_path
+    lib = ctypes.CDLL(str(library_path(c_package)))
+    fn = lib.fs_deviation
+    dp = ctypes.POINTER(ctypes.c_double)
+    fn.restype = ctypes.c_double
+    fn.argtypes = [ctypes.c_int, dp, dp, ctypes.c_double, dp, dp]
+    n = len(axis)
+    bad = ctypes.c_double(0.0)
+    got = fn(n, (ctypes.c_double * n)(*axis),
+             (ctypes.c_double * len(outs))(*outs), s,
+             (ctypes.c_double * n)(), ctypes.byref(bad))
+    return got, bad.value
+
+
+def test_fs_kernel_reports_the_first_value_outside_the_window(c_package,
+                                                             ckern):
+    # at s = 2e-8 the closed form leaves _unit's window near (1, 1): here
+    # at (a, a), (a, 1), (1, a) and (1, 1), with F_s(a, a) reported first
+    a = 0.9999999999996374
+    axis, s = (0.0, a, 1.0), 2e-8
+    L = math.log(s)
+    ea = math.expm1(a * L)
+    first = a + a - 2.0 * (math.log1p(ea * ea / math.expm1(L)) / L)
+    assert first != 1.0 + 1.0 - 2.0 * (math.log1p(math.expm1(L)) / L)
+    got, bad = _raw_fs_deviation(c_package, axis, [0.5] * 9, s)
+    assert (got, repr(bad)) == (-1.0, repr(first))
+    with pytest.raises(DomainError) as want:
+        copula._unit(first)
+    for mod in (ckern, kernels.get_backend("python")):
+        with pytest.raises(DomainError) as err:
+            mod.fs_scorer([0.5] * 9, axis)[1](s)
+        assert str(err.value) == str(want.value)
+    # kern.c's copy of the window
+    source = (c_package / "xorlab" / "kern.c").read_text()
+    assert f"#define UNIT_EPS {copula.UNIT_EPS!r} " in source
+    # inside the window the value is clamped, as _unit clamps: at s = 0.2
+    # the closed form gives F_s(1, 1) = -8.9e-16, and 1.0 - 0.0 is 1.0
+    outs = [0.0, 1.0, 1.0, 1.0]
+    assert _raw_fs_deviation(c_package, (0.0, 1.0), outs, 0.2) == (1.0, 0.0)
+    assert kernels.get_backend("python").fs_scorer(outs, (0.0, 1.0))[1](
+        0.2) == 1.0
+
+
+def test_fs_scorer_checks_its_lattice(kern):
+    with pytest.raises(IndexError):
+        kern.fs_scorer([0.5] * 8, (0.0, 0.5, 1.0))
+    with pytest.raises(DomainError):
+        kern.fs_scorer([0.5] * 4, (0.0, 1.5))
+    # outputs past the lattice are ignored; -0.0 on the axis becomes 0.0
+    scan, score = kern.fs_scorer([0.0, 1.0, 1.0, 0.0, 9.0], (-0.0, 1.0))
+    assert repr(score(1.0)) == repr(scan([1.0, 3.0])[0]) == "0.0"

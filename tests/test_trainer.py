@@ -1,21 +1,23 @@
 """Training driver, function classification, sweeps."""
 
+import contextlib
 import math
 import random
+import shutil
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import classify_reference
-from xorlab import kernels, network, trainer
+from xorlab import _pycore, kernels, network, trainer
 from xorlab.copula import CopulaParam, xor_f, xor_f_lattice
 from xorlab.datasets import Dataset, builtin, grid_axis
 from xorlab.errors import DivergenceError, DomainError, ShapeError
 from xorlab.linalg import Matrix, least_squares
 from xorlab.network import Network, collapse_linear, forward, parse_spec
-from xorlab.trainer import (FunctionLabel, TrainConfig, _fs_deviation,
-                            _golden_min, classify, envelope_check,
+from xorlab.trainer import (FunctionLabel, TrainConfig, _golden_min,
+                            classify, envelope_check,
                             label_histogram, run_metadata, sse, sweep, train)
 
 XOR = builtin("boolean_xor")
@@ -210,6 +212,21 @@ def test_classify_step_surface_ignores_corner_neighborhoods():
     assert classify(soft).kind == "StepAbs"
 
 
+@pytest.mark.parametrize("grids", [range(2, 80), [101]],
+                         ids=["2-79", "101"])
+def test_step_interior_matches_the_chebyshev_rule(grids):
+    # the flat indices of the open interior more than one lattice step
+    # (Chebyshev, in index space) away from either zero corner, as the
+    # rule was first written
+    for grid in grids:
+        step = grid - 1
+        want = tuple(i * grid + j
+                     for i in range(1, step) for j in range(1, step)
+                     if max(i, j) > 1 and max(step - i, step - j) > 1)
+        points, ref = trainer._candidates(grid)["StepAbs"]
+        assert points == want and ref == (1.0,) * len(want), grid
+
+
 def test_classify_fits_finite_s():
     p = CopulaParam.finite(3.0)
     label = classify(lambda x, y: float(xor_f(p, x, y)))
@@ -342,6 +359,32 @@ def _same_label(a, b):
         (b.kind, repr(b.max_deviation), repr(b.s))
 
 
+@pytest.fixture(scope="session")
+def fs_scorers(request):
+    """Each backend's F_s scorer by name; the compiled one when cc is on
+    PATH (the ckern fixture)."""
+    scorers = {"python": _pycore.fs_scorer}
+    if shutil.which("cc") is not None:
+        scorers["c"] = request.getfixturevalue("ckern").fs_scorer
+    return scorers
+
+
+@contextlib.contextmanager
+def _fit_on(scorer):
+    """classify's F_s fit on one backend's scorer; yields the list of the
+    fits started meanwhile (one entry per fs_scorer call)."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "fs_scorer",
+                   lambda *args: calls.append(args) or scorer(*args))
+        yield calls
+
+
+def _fs_deviation(fs_scorer, outs, grid, t):
+    """A backend's F_s deviation at t, snapped as classify snaps it."""
+    return fs_scorer(outs, trainer._axis(grid))[1](trainer._fs_s(t))
+
+
 # scan values, the One window |t - 1/2| <= 2.5e-7 and its edges, and both
 # dispatch thresholds (s = 1e-8 at t ~ 1e-8, s = 1e8 at t ~ 1 - 1e-8).
 # Just above s = 1e-8 the closed form leaves _unit's window and
@@ -368,12 +411,14 @@ def _parity_outputs(grid):
 
 
 @pytest.mark.parametrize("grid", [21, 11, 2])
-def test_fs_deviation_matches_pointwise_fit_exactly(grid):
+def test_fs_deviation_matches_pointwise_fit_exactly(grid, fs_scorers):
     pts, cases = _parity_outputs(grid)
     for outs in cases:
         for t in PARITY_TS:
-            assert _outcome(_fs_deviation, outs, grid, t) == \
-                _outcome(_ref_fs_deviation, pts, outs, t), t
+            want = _outcome(_ref_fs_deviation, pts, outs, t)
+            for scorer in fs_scorers.values():
+                assert _outcome(_fs_deviation, scorer, outs, grid, t) == \
+                    want, t
 
 
 def test_xor_f_lattice_matches_xor_f_bitwise():
@@ -501,7 +546,8 @@ def test_fs_edges_are_exact_at_drawn_t(t, grid):
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from([2, 5, 21]),
        st.one_of(st.floats(0.01, 0.99), st.sampled_from(FIT_TS)))
-def test_fs_deviation_is_at_least_the_edge_deviation(data, grid, t):
+def test_fs_deviation_is_at_least_the_edge_deviation(fs_scorers, data, grid,
+                                                      t):
     # the edges drawn, wide and near [0, 1]; the interior from a seed
     value = st.one_of(st.floats(-0.5, 1.5),
                       st.floats(allow_nan=False, allow_infinity=False))
@@ -509,7 +555,9 @@ def test_fs_deviation_is_at_least_the_edge_deviation(data, grid, t):
     outs = [rng.uniform(-0.5, 1.5) for _ in range(grid * grid)]
     for k in sorted({i * grid for i in range(grid)} | set(range(grid))):
         outs[k] = data.draw(value)
-    assert _fs_deviation(outs, grid, t) >= _edge_deviation(outs, grid)
+    for scorer in fs_scorers.values():
+        assert _fs_deviation(scorer, outs, grid, t) >= \
+            _edge_deviation(outs, grid)
 
 
 @st.composite
@@ -537,11 +585,13 @@ def _hostile_lattices(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_hostile_lattices(), st.sampled_from([0.05, 0.1]))
-def test_classify_matches_full_fit_on_drawn_lattices(case, tol):
+def test_classify_matches_full_fit_on_drawn_lattices(fs_scorers, case, tol):
     grid, outs = case
     lat = trainer._Lattice(grid, outs)
-    assert repr(classify(lat, tol=tol, grid=grid)) == \
-        repr(classify_reference.classify(lat, tol=tol, grid=grid))
+    want = repr(classify_reference.classify(lat, tol=tol, grid=grid))
+    for scorer in fs_scorers.values():
+        with _fit_on(scorer):
+            assert repr(classify(lat, tol=tol, grid=grid)) == want
 
 
 @settings(max_examples=120, deadline=None)
@@ -559,9 +609,9 @@ def test_envelope_check_matches_pointwise_bounds_on_drawn_lattices(case,
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.2])
-def test_classify_matches_full_fit_beyond_the_scan_cache(noise):
-    # past _SCAN_CACHE_GRID the scan builds its lattices per fit
-    grid = trainer._SCAN_CACHE_GRID + 1
+def test_classify_matches_full_fit_beyond_the_scan_cache(noise, fs_scorers):
+    # past _SCAN_CACHE_GRID the Python scan builds its lattices per fit
+    grid = _pycore._SCAN_CACHE_GRID + 1
     axis = trainer._axis(grid)
     rng = random.Random(11)
     outs = [f + rng.uniform(-noise, noise)
@@ -569,23 +619,27 @@ def test_classify_matches_full_fit_beyond_the_scan_cache(noise):
     for i, x in enumerate(axis):
         outs[i * grid] = outs[i] = x        # exact edges: the fit runs
     lat = trainer._Lattice(grid, outs)
-    misses = trainer._scan_lattices.cache_info().misses
-    label = classify(lat, tol=0.05, grid=grid)
-    assert trainer._scan_lattices.cache_info().misses == misses
-    assert label.kind == ("Fs" if noise == 0.0 else "Unclassified")
-    assert repr(label) == \
-        repr(classify_reference.classify(lat, tol=0.05, grid=grid))
+    want = repr(classify_reference.classify(lat, tol=0.05, grid=grid))
+    for scorer in fs_scorers.values():
+        misses = _pycore._scan_lattices.cache_info().misses
+        with _fit_on(scorer) as fits:
+            label = classify(lat, tol=0.05, grid=grid)
+        assert _pycore._scan_lattices.cache_info().misses == misses
+        assert len(fits) == 1
+        assert label.kind == ("Fs" if noise == 0.0 else "Unclassified")
+        assert repr(label) == want
 
 
 @pytest.fixture
-def fit_calls(monkeypatch):
-    """The arguments of every F_s deviation the classifier's fit computes
-    past its scan, which reads lattices cached per grid."""
-    calls = []
-    real = trainer._fs_deviation
-    monkeypatch.setattr(trainer, "_fs_deviation", lambda *args: (
-        calls.append(args) or real(*args)))
-    return calls
+def fit_calls(fs_scorers):
+    """Iterate fit_calls() to run a loop body once per backend: it yields
+    each backend's name and the list of the F_s fits classify starts (one
+    entry per fs_scorer call) while the body runs on that backend."""
+    def each():
+        for name, scorer in fs_scorers.items():
+            with _fit_on(scorer) as calls:
+                yield name, calls
+    return each
 
 
 def test_classify_skips_the_fit_only_when_the_edges_settle_it(fit_calls):
@@ -600,11 +654,12 @@ def test_classify_skips_the_fit_only_when_the_edges_settle_it(fit_calls):
     # (outputs, label kind, whether the fit runs)
     for outs, kind, fits in ((fs3, "Fs", True), (noisy, "Unclassified", True),
                              (far, "Unclassified", False)):
-        fit_calls.clear()
         lat = trainer._Lattice(21, outs)
-        got = classify(lat, tol=0.05)
-        assert got.kind == kind and bool(fit_calls) == fits
-        assert repr(got) == repr(classify_reference.classify(lat, tol=0.05))
+        want = repr(classify_reference.classify(lat, tol=0.05))
+        for _, calls in fit_calls():
+            got = classify(lat, tol=0.05)
+            assert got.kind == kind and len(calls) == fits
+            assert repr(got) == want
 
 
 @pytest.mark.parametrize("spec, lr", [("2-2-1/inp-tanh-tanh", 0.5),
@@ -617,13 +672,31 @@ def test_classify_matches_full_fit_on_sweep_restarts(spec, lr, fit_calls):
         for grid in (2, 5, 21):
             lat = trainer._lattice(e.result.final_net, grid)
             for tol in (0.05, 0.1):
-                fit_calls.clear()
-                got = classify(lat, tol=tol, grid=grid)
-                fitted.append(bool(fit_calls))
-                assert repr(got) == \
-                    repr(classify_reference.classify(lat, tol=tol, grid=grid))
+                want = repr(classify_reference.classify(lat, tol=tol,
+                                                        grid=grid))
+                for _, calls in fit_calls():
+                    got = classify(lat, tol=tol, grid=grid)
+                    fitted.append(len(calls))
+                    assert repr(got) == want
     # the skip is taken; the fit is pinned by the drawn lattices above
     assert not all(fitted)
+
+
+def test_sweep_relu_labels_match_full_fit_on_both_backends(fit_calls):
+    # the 480 restarts of the sweep-relu benchmark workload at seed 601
+    entries = sweep("2-2-1/inp-relu-relu", XOR, TrainConfig(seed=601000),
+                    480)
+    fits = dict.fromkeys(("python", "c"), 0)
+    for e in entries:
+        assert not e.result.diverged
+        lat = trainer._lattice(e.result.final_net, 21)
+        want = repr(classify_reference.classify(lat))
+        assert repr(e.label) == want
+        for backend, calls in fit_calls():
+            assert repr(classify(lat)) == want
+            fits[backend] += len(calls)
+    assert fits["python"] > 0
+    assert fits["c"] in (0, fits["python"])
 
 
 # -- sweeps ------------------------------------------------------------------
