@@ -14,7 +14,10 @@ pair class of the 2-2-1 net: two first-layer weights (L1xL1), a
 first-layer and an output weight (L1xL2), and two output weights
 (L2xL2).  fs_scorer is timed as one F_s fit's golden-section steps: a
 scorer built from 21x21 outputs drawn from --seed, then one score at
-each of 42 values of s spread over the fit's range.
+each of 42 values of s spread over the fit's range.  solve_t is timed
+as the bisections of copula.solve_s over the queries of the library
+section's solve_s item that reach it (those it does not snap to a
+limit or refuse).
 
 Library section, on the default backend: surface.landscape_stats and
 surface.emit_grid_csv over the 101x101 grids of all 36 weight pairs of
@@ -59,8 +62,9 @@ import time
 from pathlib import Path
 
 import xorlab
-from xorlab import _pycore, network, surface, trainer
-from xorlab.copula import CopulaParam, frank_and, solve_s, xor_f_lattice
+from xorlab import _pycore, copula, network, surface, trainer
+from xorlab.copula import (SOLVE_TOL, CopulaParam, frank_and, frechet_bounds,
+                           solve_s, xor_f_lattice)
 from xorlab.datasets import builtin
 from xorlab.kernels import BACKEND, available_backends, get_backend
 from xorlab.linalg import Matrix
@@ -148,6 +152,18 @@ def _workloads(args):
         score = mod.fs_scorer(fs_outs, fs_axis)[1]
         return [score(s) for s in fs_ss]
 
+    # the queries that solve_s bisects: p strictly inside the bounds,
+    # farther than SOLVE_TOL from each
+    solves = []
+    for x, y, p in solve_queries(args.seed):
+        lower, upper = frechet_bounds(x, y)
+        if lower + SOLVE_TOL < p < upper - SOLVE_TOL:
+            solves.append((x, y, p))
+
+    def solve_steps(mod):
+        return [mod.solve_t(x, y, p, copula._BISECT_ITERS)
+                for x, y, p in solves]
+
     return [(f"train_run {args.iters} iters per-sample", train),
             (f"train_run relu {args.iters} iters at rest",
              relu(RELU_AT_REST)),
@@ -155,7 +171,8 @@ def _workloads(args):
              relu(RELU_MOVING))] + [
         (f"project_grid {args.steps}x{args.steps} {cls}", grid(ia, ib))
         for cls, ia, ib in PAIR_CLASSES] + [
-        (f"fs_scorer 21x21, {FS_STEPS} F_s steps", fs_steps)]
+        (f"fs_scorer 21x21, {FS_STEPS} F_s steps", fs_steps),
+        (f"solve_t, {len(solves):,} bisections", solve_steps)]
 
 
 # converged boolean-xor nets (trainer seeds 0 at lr 0.5, and 29), both

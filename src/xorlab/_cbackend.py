@@ -2,11 +2,11 @@
 
 load(path) binds the library that xorlab.kernels built from kern.c and
 returns a namespace with the same exports as xorlab._pycore (BACKEND,
-SSE_BLOWUP, sse_dataset, train_run, project_grid, fs_scorer), taking and
-returning the same Python types.  The library has three kernels,
-train_run, project_grid and fs_deviation (behind fs_scorer); sse_dataset
-is _pycore's, the one cell of project_grid that leaves the weights as
-they are, run on this project_grid.
+SSE_BLOWUP, sse_dataset, train_run, project_grid, fs_scorer, solve_t),
+taking and returning the same Python types.  The library has four
+kernels, train_run, project_grid, fs_deviation (behind fs_scorer) and
+solve_t; sse_dataset is _pycore's, the one cell of project_grid that
+leaves the weights as they are, run on this project_grid.
 
 The C side trusts its buffers, so shapes are checked here.  ctypes would
 wrap an int too large for a C int silently; such a value (a size, a
@@ -41,6 +41,7 @@ _SIGNATURES = {
     "project_grid": (c_int, _NET + [
         _DP, _DP, _DP, c_int, c_int, c_int, _DP, c_int, _DP, c_int, _DP]),
     "fs_deviation": (c_double, [c_int, _DP, _DP, c_double, _DP, _DP]),
+    "solve_t": (c_double, [c_double, c_double, c_double, c_int]),
     "kern_free": (None, [c_void_p]),
 }
 
@@ -159,8 +160,15 @@ def load(path: str) -> SimpleNamespace:
 
         return scan, score
 
+    kern_solve_t = lib.solve_t
+
+    def solve_t(x, y, p, iters):
+        """copula.solve_s's bisection; semantics identical to
+        _pycore.solve_t."""
+        return kern_solve_t(x, y, p, _cint(iters))
+
     return SimpleNamespace(BACKEND="c", SSE_BLOWUP=SSE_BLOWUP,
                            sse_dataset=functools.partial(
                                sse_dataset, project_grid=project_grid),
                            train_run=train_run, project_grid=project_grid,
-                           fs_scorer=fs_scorer)
+                           fs_scorer=fs_scorer, solve_t=solve_t)

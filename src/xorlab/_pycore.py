@@ -1,13 +1,14 @@
-"""Pure-Python training, projection and F_s-fit kernels, and network's
-forward and gradient passes.
+"""Pure-Python training, projection, F_s-fit and copula-solve kernels,
+and network's forward and gradient passes.
 
-A backend has three kernels: train_run runs gradient descent,
-project_grid gives the SSE at every cell of a plane of two weights, and
+A backend has four kernels: train_run runs gradient descent,
+project_grid gives the SSE at every cell of a plane of two weights,
 fs_scorer scores the s that classify's F_s fit tries against a lattice
-of outputs.  sse_dataset is the one cell of project_grid that leaves the
-weights as they are.  fs_scorer is copula.xor_f_lattice scored by
-_max_abs_diff, the deviation rule classify uses for every candidate; it
-generates no code.
+of outputs, and solve_t runs copula.solve_s's bisection.  sse_dataset is
+the one cell of project_grid that leaves the weights as they are.
+fs_scorer is copula.xor_f_lattice scored by _max_abs_diff, the deviation
+rule classify uses for every candidate; it and solve_t, a loop over
+copula._frank_raw, generate no code.
 
 Each kernel runs straight-line Python generated once per network shape:
 every weight lives in a local w0..wN, each unit's dot product, backward
@@ -66,7 +67,7 @@ import functools
 import math
 import operator
 
-from .copula import CopulaParam, _unit_axis, xor_f_lattice
+from .copula import CopulaParam, _frank_raw, _unit_axis, xor_f_lattice
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -618,3 +619,32 @@ def fs_scorer(outs, axis):
                 for ref in _scan_lattices(tuple(ss), axis)]
 
     return scan, score
+
+
+# ---------------------------------------------------------------------------
+# copula.solve_s's bisection
+
+def solve_t(x: float, y: float, p: float, iters: int) -> float:
+    """The t = s / (1 + s) in (0, 1) at which A_s(x, y) = p, by bisection.
+
+    A_s decreases in s, so each step halves the bracket (lo, hi) of t,
+    starting from (0, 1).  A step is a pure function of the bracket, so the
+    search stops as soon as one cannot move it (its midpoint equals the
+    end it would replace), and at most after iters steps; it returns the
+    midpoint of the final bracket.  x, y and p must have passed
+    copula._unit, and p must be at least max(x + y - 1, 0), so that the
+    bracket never reaches t = 1.
+    """
+    lo, hi = 0.0, 1.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        s_mid = mid / (1.0 - mid)
+        if _frank_raw(s_mid, x, y) > p:
+            if mid == lo:
+                break         # at rest: every later step is this one
+            lo = mid          # need more s to bring A down
+        else:
+            if mid == hi:
+                break
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -15,8 +15,13 @@ expm1 terms are negative and the quotient is positive).  It is written in
 three places: _frank_raw, one point at a time, for every scalar;
 xor_f_lattice, which evaluates F_s over a whole lattice with expm1(xL)
 computed once per axis value, in the same float order; and kern.c's
-fs_deviation, the compiled F_s fit, which follows xor_f_lattice's float
-order and _unit's window and clamp.
+frank_closed.  kern.c uses it in fs_deviation, the compiled F_s fit,
+which follows xor_f_lattice's float order and _unit's window and clamp,
+and in frank_raw, a copy of _frank_raw's dispatch.
+
+solve_s checks its input, snaps to the limits and builds the result here;
+its bisection is a kernel, kernels.solve_t: _pycore.solve_t, a loop over
+_frank_raw, or kern.c's solve_t, the same loop over frank_raw.
 
 Probabilities are plain floats.  _unit is the one rule for them: it takes
 anything float() takes, rejects NaN and values more than UNIT_EPS outside
@@ -38,6 +43,9 @@ ZERO_DISPATCH = 1e-8    # finite s below this evaluates via the s->0 limit
 INF_DISPATCH = 1e8      # finite s above this evaluates via the s->inf limit
 SOLVE_TOL = 1e-9        # bound snapping tolerance in solve_s
 _BISECT_ITERS = 200
+# kernels.solve_t, bound on the first solve_s call: kernels imports
+# _pycore, which imports this module, so it cannot be imported here
+_solve_t = None
 _LIMIT_S = {"zero": 0.0, "one": 1.0, "inf": math.inf}   # s of each limit
 
 
@@ -216,11 +224,12 @@ def solve_s(x: float, y: float, p: float) -> CopulaParam:
     the root.  p within SOLVE_TOL of a Frechet bound returns the Zero or
     Infinity variant; p outside the bounds is infeasible.
 
-    Each step is a pure function of the bracket (lo, hi), so the bisection
-    stops as soon as a step cannot move it (its midpoint equals the end it
-    would replace), which takes about 55 steps in double precision, and at
-    most after _BISECT_ITERS steps.  The result is the one the full
-    _BISECT_ITERS steps give, bit for bit.
+    The bisection is the kernel kernels.solve_t.  Each step is a pure
+    function of the bracket (lo, hi), so it stops as soon as a step cannot
+    move it (its midpoint equals the end it would replace), which takes
+    about 55 steps in double precision, and at most after _BISECT_ITERS
+    steps.  The result is the one the full _BISECT_ITERS steps give, bit
+    for bit, on both backends.
 
     Near s = 1 the One window (1e-6 on s) is wider than the solve tolerance
     maps to (~4e-8 on p), so for targets in that annulus the returned One
@@ -238,20 +247,15 @@ def solve_s(x: float, y: float, p: float) -> CopulaParam:
         return CopulaParam.zero()
     if pv <= lower + SOLVE_TOL:
         return CopulaParam.infinity()
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        s_mid = mid / (1.0 - mid)
-        if _frank_raw(s_mid, xv, yv) > pv:
-            if mid == lo:
-                break         # at rest: every later step is this one
-            lo = mid          # need more s to bring A down
-        else:
-            if mid == hi:
-                break
-            hi = mid
-    t = 0.5 * (lo + hi)
+    t = (_solve_t or _bind_solve_t())(xv, yv, pv, _BISECT_ITERS)
     return CopulaParam.finite(t / (1.0 - t))
+
+
+def _bind_solve_t():
+    global _solve_t
+    from .kernels import solve_t
+    _solve_t = solve_t
+    return solve_t
 
 
 def heaviside(t: float) -> float:

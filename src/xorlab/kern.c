@@ -1,5 +1,6 @@
-/* Compiled training, projection and F_s-fit kernels, bound through
- * ctypes by xorlab._cbackend: train_run, project_grid and fs_deviation.
+/* Compiled training, projection, F_s-fit and copula-solve kernels,
+ * bound through ctypes by xorlab._cbackend: train_run, project_grid,
+ * fs_deviation and solve_t.
  * The SSE at a network's own weights is the one cell of project_grid
  * that leaves them as they are, so it has no kernel of its own.
  *
@@ -34,10 +35,11 @@
  * hoists the units the varied weights cannot reach out of the loops,
  * which changes how often each float is computed, not its value.
  *
- * fs_deviation mirrors copula.xor_f_lattice and _unit instead: the
- * closed form of Frank's A_s is written there (and in _frank_raw), here
- * and nowhere else, and the Python backend scores F_s with
- * xor_f_lattice itself.
+ * fs_deviation mirrors copula.xor_f_lattice and _unit instead, and
+ * solve_t mirrors _pycore.solve_t, the bisection of copula.solve_s, with
+ * frank_raw in copula._frank_raw's float order and dispatch.  Both take
+ * the closed form of Frank's A_s from frank_closed, its one copy here;
+ * in Python it is written in _frank_raw and xor_f_lattice.
  *
  * The caller checks shapes and passes buffers of the right lengths.
  * Functions that allocate return -1 when an allocation fails, 0 otherwise;
@@ -55,6 +57,8 @@
 #define SSE_BLOWUP 1e6
 #define REST_EVERY 256  /* epochs between checks for weights at rest */
 #define UNIT_EPS 1e-12  /* copula.UNIT_EPS, _unit's window around [0, 1] */
+#define ZERO_DISPATCH 1e-8  /* copula.ZERO_DISPATCH: below it, A_s = A_0 */
+#define INF_DISPATCH 1e8    /* copula.INF_DISPATCH: above it, A_s = A_inf */
 
 static uint64_t sm_next(uint64_t *state)
 {
@@ -396,6 +400,13 @@ int project_grid(int nlayers, const int *sizes, const int *acts, double *w,
     return 0;
 }
 
+/* Frank's A_s(x, y) in closed form, from ex = expm1(x L), ey = expm1(y L)
+ * and dL = expm1(L), with L = log(s) != 0. */
+static double frank_closed(double ex, double ey, double dL, double L)
+{
+    return log1p(ex * ey / dL) / L;
+}
+
 /* max |outs - F_s| over the n x n lattice of axis, row-major, with F_s in
  * copula.xor_f_lattice's float order: L = log(s), expm1(x L) once per
  * axis value (into ex), x + y - 2 (log1p(ex ey / expm1(L)) / L) at each
@@ -420,7 +431,7 @@ double fs_deviation(int n, const double *axis, const double *outs,
             if (L == 0.0)
                 f = x + y - 2.0 * (x * y);
             else
-                f = x + y - 2.0 * (log1p(ex[i] * ex[j] / dL) / L);
+                f = x + y - 2.0 * frank_closed(ex[i], ex[j], dL, L);
             if (!(f >= 0.0 && f <= 1.0)) {
                 if (!(f >= -UNIT_EPS && f <= 1.0 + UNIT_EPS)) {
                     *bad = f;
@@ -434,4 +445,47 @@ double fs_deviation(int n, const double *axis, const double *outs,
         }
     }
     return worst;
+}
+
+/* A_s(x, y) as copula._frank_raw takes it: min(x, y) below ZERO_DISPATCH
+ * and max(x + y - 1, 0) above INF_DISPATCH, each picking its operand as
+ * Python's min and max do; x y when log(s) == 0 (s == 1 bitwise); the
+ * closed form everywhere else. */
+static double frank_raw(double s, double x, double y)
+{
+    double L, v;
+    if (s < ZERO_DISPATCH)
+        return y < x ? y : x;
+    if (s > INF_DISPATCH) {
+        v = x + y - 1.0;
+        return 0.0 > v ? 0.0 : v;
+    }
+    L = log(s);
+    if (L == 0.0)
+        return x * y;
+    return frank_closed(expm1(x * L), expm1(y * L), expm1(L), L);
+}
+
+/* The t = s / (1 + s) in (0, 1) at which A_s(x, y) = p, by the bisection
+ * of _pycore.solve_t, step for step: at most iters steps, each stopping
+ * the search once it cannot move the bracket, and the midpoint of the
+ * final bracket.  x, y and p must have passed copula._unit, and p must be
+ * at least max(x + y - 1, 0), so that the bracket never reaches t = 1;
+ * copula.solve_s passes a p strictly between the Frechet bounds. */
+double solve_t(double x, double y, double p, int iters)
+{
+    double lo = 0.0, hi = 1.0, mid;
+    for (int k = 0; k < iters; k++) {
+        mid = 0.5 * (lo + hi);
+        if (frank_raw(mid / (1.0 - mid), x, y) > p) {
+            if (mid == lo)
+                break;
+            lo = mid;
+        } else {
+            if (mid == hi)
+                break;
+            hi = mid;
+        }
+    }
+    return 0.5 * (lo + hi);
 }

@@ -1,17 +1,20 @@
-"""Backend selection for the training, projection and F_s-fit kernels.
+"""Backend selection for the training, projection, F_s-fit and
+copula-solve kernels.
 
 Two interchangeable implementations exist: compiled C (kern.c, built
 into a shared library and bound through ctypes by xorlab._cbackend) and
 pure Python (xorlab._pycore, which generates straight-line code per
 network shape on first use).
-Each has three kernels, train_run, project_grid and fs_scorer (the
-score of each s that classify's F_s fit tries); sse_dataset is the one
-cell of project_grid that leaves the weights as they are.  Both produce
-results bit-identical to the loop reference in tests/loop_kernels.py
-(fs_scorer: to the Python one, copula.xor_f_lattice scored by
-_max_abs_diff); the compiled one is just faster.  In both, train_run stops early once
-no epoch could move any weight (it checks after epoch 1 and every 256th
-epoch), with the outputs the full run would give (see _pycore).
+Each has four kernels, train_run, project_grid, fs_scorer (the score
+of each s that classify's F_s fit tries) and solve_t (copula.solve_s's
+bisection); sse_dataset is the one cell of project_grid that leaves the
+weights as they are.  Both produce results bit-identical to the loop
+reference in tests/loop_kernels.py (fs_scorer: to the Python one,
+copula.xor_f_lattice scored by _max_abs_diff; solve_t: to
+_pycore.solve_t); the compiled one is just faster.  In both, train_run
+stops early once no epoch could move any weight (it checks after epoch 1
+and every 256th epoch), with the outputs the full run would give (see
+_pycore).
 
 The compiled backend runs when a library loads, and Python otherwise;
 without a library, ctypes is never imported.  This module is the one
@@ -35,7 +38,7 @@ from .errors import DomainError
 
 __all__ = [
     "BACKEND", "SSE_BLOWUP", "sse_dataset", "train_run", "project_grid",
-    "fs_scorer", "get_backend", "available_backends",
+    "fs_scorer", "solve_t", "get_backend", "available_backends",
 ]
 
 # -ffp-contract=off keeps the compiled arithmetic bit-identical to the
@@ -146,3 +149,4 @@ sse_dataset = _impl.sse_dataset
 train_run = _impl.train_run
 project_grid = _impl.project_grid
 fs_scorer = _impl.fs_scorer
+solve_t = _impl.solve_t
