@@ -13,8 +13,9 @@ loads, only the Python backend is timed.  project_grid is timed once per
 pair class of the 2-2-1 net: two first-layer weights (L1xL1), a
 first-layer and an output weight (L1xL2), and two output weights
 (L2xL2).  fs_scorer is timed as one F_s fit's golden-section steps: a
-scorer built from 21x21 outputs drawn from --seed, then one score at
-each of 42 values of s spread over the fit's range.  solve_t is timed
+scorer, score(s), built from 21x21 outputs drawn from --seed, then one
+score at each of 42 values s = t / (1 - t), t spread over the fit's
+range, passed unsnapped as classify passes them.  solve_t is timed
 as the bisections of copula.solve_s over the queries of the library
 section's solve_s item that reach it (those it does not snap to a
 limit or refuse).
@@ -145,11 +146,12 @@ def _workloads(args):
     rng = random.Random(args.seed)
     fs_axis = trainer._axis(21)
     fs_outs = [rng.uniform(-0.2, 1.2) for _ in range(21 * 21)]
-    fs_ss = [trainer._fs_s(0.0101 + k * (0.99 - 0.0101) / (FS_STEPS - 1))
+    fs_ts = [0.0101 + k * (0.99 - 0.0101) / (FS_STEPS - 1)
              for k in range(FS_STEPS)]
+    fs_ss = [t / (1.0 - t) for t in fs_ts]
 
     def fs_steps(mod):
-        score = mod.fs_scorer(fs_outs, fs_axis)[1]
+        score = mod.fs_scorer(fs_outs, fs_axis)
         return [score(s) for s in fs_ss]
 
     # the queries that solve_s bisects: p strictly inside the bounds,

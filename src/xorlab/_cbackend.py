@@ -4,7 +4,8 @@ load(path) binds the library that xorlab.kernels built from kern.c and
 returns a namespace with the same exports as xorlab._pycore (BACKEND,
 SSE_BLOWUP, sse_dataset, train_run, project_grid, fs_scorer, solve_t),
 taking and returning the same Python types.  The library has four
-kernels, train_run, project_grid, fs_deviation (behind fs_scorer) and
+kernels, train_run, project_grid, fs_deviation (behind fs_scorer, which
+scores every s in C and raises the Python backend's errors) and
 solve_t; sse_dataset is _pycore's, the one cell of project_grid that
 leaves the weights as they are, run on this project_grid.
 
@@ -24,11 +25,9 @@ from array import array
 from ctypes import POINTER, byref, c_double, c_int, c_uint64, c_void_p
 from types import SimpleNamespace
 
-from ._pycore import (MASK64, SSE_BLOWUP, _fs_lattice, _max_abs_diff,
-                      _offsets, check_lattice, check_network, check_weights,
-                      sse_dataset)
-from .copula import (INF_DISPATCH, ONE_WINDOW, ZERO_DISPATCH, _unit,
-                     _unit_axis)
+from ._pycore import (MASK64, SSE_BLOWUP, _offsets, check_lattice,
+                      check_network, check_weights, sse_dataset)
+from .copula import CopulaParam, _unit, _unit_axis
 
 _INT_MAX = 2 ** (8 * ctypes.sizeof(c_int) - 1) - 1
 _DP = POINTER(c_double)
@@ -44,13 +43,6 @@ _SIGNATURES = {
     "solve_t": (c_double, [c_double, c_double, c_double, c_int]),
     "kern_free": (None, [c_void_p]),
 }
-
-
-def _closed_form(s) -> bool:
-    """s is 1.0 or an s that xor_f_lattice evaluates in closed form: the
-    range of the fs_deviation kernel."""
-    return s == 1.0 or (ZERO_DISPATCH <= s <= INF_DISPATCH
-                        and abs(s - 1.0) > ONE_WINDOW)
 
 
 def _cint(value) -> int:
@@ -136,10 +128,9 @@ def load(path: str) -> SimpleNamespace:
         return out[:]
 
     def fs_scorer(outs, axis):
-        """(scan, score) for the F_s fit; semantics identical to
+        """score(s) for the F_s fit; semantics identical to
         _pycore.fs_scorer.  The outputs and the axis become C arrays once
-        here, so each score is one kernel call; an s outside the kernel's
-        range (_closed_form) is scored by _pycore's lattice instead."""
+        here, so each score is one kernel call, for every s."""
         xs = _unit_axis(tuple(axis))
         n = _cint(len(xs))
         check_lattice(outs, n)
@@ -148,17 +139,15 @@ def load(path: str) -> SimpleNamespace:
         fs_deviation, pbad = lib.fs_deviation, ctypes.pointer(bad)
 
         def score(s):
-            if not _closed_form(s):
-                return _max_abs_diff(outs, _fs_lattice(s, xs))
             dev = fs_deviation(*args, s, ex, pbad)
             if dev < 0.0:
-                _unit(bad.value)    # outside the window: _unit raises
+                # s <= 0 or NaN: finite raises; otherwise _unit raises on
+                # the first F_s value outside its window
+                CopulaParam.finite(s)
+                _unit(bad.value)
             return dev
 
-        def scan(ss):
-            return [score(s) for s in ss]
-
-        return scan, score
+        return score
 
     kern_solve_t = lib.solve_t
 

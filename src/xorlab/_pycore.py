@@ -6,9 +6,10 @@ project_grid gives the SSE at every cell of a plane of two weights,
 fs_scorer scores the s that classify's F_s fit tries against a lattice
 of outputs, and solve_t runs copula.solve_s's bisection.  sse_dataset is
 the one cell of project_grid that leaves the weights as they are.
-fs_scorer is copula.xor_f_lattice scored by _max_abs_diff, the deviation
-rule classify uses for every candidate; it and solve_t, a loop over
-copula._frank_raw, generate no code.
+fs_scorer returns score(s), copula.xor_f_lattice at CopulaParam.finite(s)
+scored by _max_abs_diff, the deviation rule classify uses for every
+candidate; it and solve_t, a loop over copula._frank_raw, generate no
+code.
 
 Each kernel runs straight-line Python generated once per network shape:
 every weight lives in a local w0..wN, each unit's dot product, backward
@@ -582,43 +583,21 @@ def _max_abs_diff(outs, ref, points=None) -> float:
     return max(map(abs, map(operator.sub, outs, ref)), default=math.inf)
 
 
-def _fs_lattice(s: float, axis: tuple) -> "list[float]":
-    return xor_f_lattice(CopulaParam.finite(s), axis)
-
-
-# scan(ss) keeps the lattices of its tuple of s per axis, up to an axis of
-# this many points (49 lattices of 64 x 64 floats, about 5 MB); beyond it
-# they are built on every scan
-_SCAN_CACHE_GRID = 64
-
-
-@functools.lru_cache(maxsize=2)
-def _scan_lattices(ss: tuple, axis: tuple) -> "tuple[tuple[float, ...], ...]":
-    return tuple(tuple(_fs_lattice(s, axis)) for s in ss)
-
-
 def fs_scorer(outs, axis):
-    """The F_s fit's scores of the lattice outputs outs (row-major over
-    axis x axis), as a pair (scan, score).  score(s) is the largest
-    |out - F_s| over the lattice, F_s being copula.xor_f_lattice at
-    CopulaParam.finite(s), and raises its DomainError; scan(ss) is
-    [score(s) for s in ss], with the lattices of the tuple ss cached per
-    axis (see _SCAN_CACHE_GRID).  IndexError if outs is too short, and
-    _unit's DomainError if an axis value is not a probability.
+    """The F_s fit's score of the lattice outputs outs (row-major over
+    axis x axis): score(s) is the largest |out - F_s| over the lattice,
+    F_s being copula.xor_f_lattice at CopulaParam.finite(s), which snaps
+    s onto the One window and raises DomainError for s <= 0 or NaN; score
+    raises xor_f_lattice's DomainError too.  IndexError if outs is too
+    short, and _unit's DomainError if an axis value is not a probability.
     """
     axis = _unit_axis(tuple(axis))
     check_lattice(outs, len(axis))
 
     def score(s):
-        return _max_abs_diff(outs, _fs_lattice(s, axis))
+        return _max_abs_diff(outs, xor_f_lattice(CopulaParam.finite(s), axis))
 
-    def scan(ss):
-        if len(axis) > _SCAN_CACHE_GRID:
-            return [score(s) for s in ss]
-        return [_max_abs_diff(outs, ref)
-                for ref in _scan_lattices(tuple(ss), axis)]
-
-    return scan, score
+    return score
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,16 @@ expm1 terms are negative and the quotient is positive).  It is written in
 three places: _frank_raw, one point at a time, for every scalar;
 xor_f_lattice, which evaluates F_s over a whole lattice with expm1(xL)
 computed once per axis value, in the same float order; and kern.c's
-frank_closed.  kern.c uses it in fs_deviation, the compiled F_s fit,
-which follows xor_f_lattice's float order and _unit's window and clamp,
-and in frank_raw, a copy of _frank_raw's dispatch.
+frank_closed.  kern.c uses it in frank_raw, a copy of _frank_raw's
+dispatch, and in fs_deviation, the compiled F_s fit, which follows
+xor_f_lattice for every s: CopulaParam.finite's One window, the closed
+form in xor_f_lattice's float order, frank_raw for the rest, and
+_unit's window and clamp.
 
 solve_s checks its input, snaps to the limits and builds the result here;
-its bisection is a kernel, kernels.solve_t: _pycore.solve_t, a loop over
-_frank_raw, or kern.c's solve_t, the same loop over frank_raw.
+its bisection is a kernel, kernels.solve_t, looked up on every call:
+_pycore.solve_t, a loop over _frank_raw, or kern.c's solve_t, the same
+loop over frank_raw.
 
 Probabilities are plain floats.  _unit is the one rule for them: it takes
 anything float() takes, rejects NaN and values more than UNIT_EPS outside
@@ -38,14 +41,16 @@ from dataclasses import dataclass
 from .errors import DomainError, InfeasibleProbabilityError
 
 UNIT_EPS = 1e-12        # clamp window around [0, 1]; kern.c copies it
-ONE_WINDOW = 1e-6       # |s - 1| below this is the One variant
+ONE_WINDOW = 1e-6       # |s - 1| within this is One; kern.c copies it
 ZERO_DISPATCH = 1e-8    # finite s below this evaluates via the s->0 limit
 INF_DISPATCH = 1e8      # finite s above this evaluates via the s->inf limit
 SOLVE_TOL = 1e-9        # bound snapping tolerance in solve_s
 _BISECT_ITERS = 200
-# kernels.solve_t, bound on the first solve_s call: kernels imports
-# _pycore, which imports this module, so it cannot be imported here
-_solve_t = None
+# the kernels module, bound on the first solve_s call: kernels imports
+# _pycore, which imports this module, so it cannot be imported here.
+# solve_s looks up kernels.solve_t on every call, so a wrapper put there
+# (a tracer's, a test's) sees each solve.
+_kernels = None
 _LIMIT_S = {"zero": 0.0, "one": 1.0, "inf": math.inf}   # s of each limit
 
 
@@ -247,15 +252,15 @@ def solve_s(x: float, y: float, p: float) -> CopulaParam:
         return CopulaParam.zero()
     if pv <= lower + SOLVE_TOL:
         return CopulaParam.infinity()
-    t = (_solve_t or _bind_solve_t())(xv, yv, pv, _BISECT_ITERS)
+    t = (_kernels or _bind_kernels()).solve_t(xv, yv, pv, _BISECT_ITERS)
     return CopulaParam.finite(t / (1.0 - t))
 
 
-def _bind_solve_t():
-    global _solve_t
-    from .kernels import solve_t
-    _solve_t = solve_t
-    return solve_t
+def _bind_kernels():
+    global _kernels
+    from . import kernels
+    _kernels = kernels
+    return kernels
 
 
 def heaviside(t: float) -> float:

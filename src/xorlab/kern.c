@@ -35,11 +35,13 @@
  * hoists the units the varied weights cannot reach out of the loops,
  * which changes how often each float is computed, not its value.
  *
- * fs_deviation mirrors copula.xor_f_lattice and _unit instead, and
- * solve_t mirrors _pycore.solve_t, the bisection of copula.solve_s, with
- * frank_raw in copula._frank_raw's float order and dispatch.  Both take
- * the closed form of Frank's A_s from frank_closed, its one copy here;
- * in Python it is written in _frank_raw and xor_f_lattice.
+ * fs_deviation mirrors copula.xor_f_lattice at CopulaParam.finite(s)
+ * and _unit instead, for every s: it snaps s onto the One window
+ * (ONE_WINDOW) and refuses s <= 0 and NaN itself.  solve_t mirrors
+ * _pycore.solve_t, the bisection of copula.solve_s.  Both take A_s from
+ * frank_raw, in copula._frank_raw's float order and dispatch, and the
+ * closed form of Frank's A_s from frank_closed, its one copy here; in
+ * Python it is written in _frank_raw and xor_f_lattice.
  *
  * The caller checks shapes and passes buffers of the right lengths.
  * Functions that allocate return -1 when an allocation fails, 0 otherwise;
@@ -59,6 +61,7 @@
 #define UNIT_EPS 1e-12  /* copula.UNIT_EPS, _unit's window around [0, 1] */
 #define ZERO_DISPATCH 1e-8  /* copula.ZERO_DISPATCH: below it, A_s = A_0 */
 #define INF_DISPATCH 1e8    /* copula.INF_DISPATCH: above it, A_s = A_inf */
+#define ONE_WINDOW 1e-6     /* copula.ONE_WINDOW: |s - 1| within it is 1 */
 
 static uint64_t sm_next(uint64_t *state)
 {
@@ -407,46 +410,6 @@ static double frank_closed(double ex, double ey, double dL, double L)
     return log1p(ex * ey / dL) / L;
 }
 
-/* max |outs - F_s| over the n x n lattice of axis, row-major, with F_s in
- * copula.xor_f_lattice's float order: L = log(s), expm1(x L) once per
- * axis value (into ex), x + y - 2 (log1p(ex ey / expm1(L)) / L) at each
- * point, or x + y - 2 (x y) when L == 0 (s == 1, the One variant); then
- * _unit's clamp.  axis must already have passed _unit, and s must lie in
- * the closed-form range (the caller checks both).  The maximum is taken
- * as Python's max() takes it: the first point's deviation, then any
- * larger one.  Returns -1 after writing to *bad the first F_s value, in
- * row-major order, outside _unit's window [-UNIT_EPS, 1 + UNIT_EPS]. */
-double fs_deviation(int n, const double *axis, const double *outs,
-                    double s, double *ex, double *bad)
-{
-    double L = log(s), dL = expm1(L), worst = 0.0;
-    if (L != 0.0)
-        for (int i = 0; i < n; i++)
-            ex[i] = expm1(axis[i] * L);
-    for (int i = 0; i < n; i++) {
-        double x = axis[i];
-        const double *row = outs + (size_t)i * n;
-        for (int j = 0; j < n; j++) {
-            double y = axis[j], f, d;
-            if (L == 0.0)
-                f = x + y - 2.0 * (x * y);
-            else
-                f = x + y - 2.0 * frank_closed(ex[i], ex[j], dL, L);
-            if (!(f >= 0.0 && f <= 1.0)) {
-                if (!(f >= -UNIT_EPS && f <= 1.0 + UNIT_EPS)) {
-                    *bad = f;
-                    return -1.0;
-                }
-                f = f < 0.0 ? 0.0 : 1.0;
-            }
-            d = fabs(row[j] - f);
-            if ((i == 0 && j == 0) || d > worst)
-                worst = d;
-        }
-    }
-    return worst;
-}
-
 /* A_s(x, y) as copula._frank_raw takes it: min(x, y) below ZERO_DISPATCH
  * and max(x + y - 1, 0) above INF_DISPATCH, each picking its operand as
  * Python's min and max do; x y when log(s) == 0 (s == 1 bitwise); the
@@ -464,6 +427,58 @@ static double frank_raw(double s, double x, double y)
     if (L == 0.0)
         return x * y;
     return frank_closed(expm1(x * L), expm1(y * L), expm1(L), L);
+}
+
+/* max |outs - F_s| over the n x n lattice of axis, row-major, as
+ * _pycore.fs_scorer takes it from copula.xor_f_lattice at
+ * CopulaParam.finite(s): s within ONE_WINDOW of 1 is snapped to 1; in the
+ * closed-form range, L = log(s), expm1(x L) once per axis value (into ex),
+ * and x + y - 2 (log1p(ex ey / expm1(L)) / L) at each point; everywhere
+ * else (the dispatched s, s == 1 and s == inf) x + y - 2 frank_raw(s, x,
+ * y); then _unit's clamp.  axis must already have passed _unit (the
+ * caller checks it).  The maximum is taken as Python's max() takes it:
+ * the first point's deviation, then any larger one.  Returns -1 without
+ * writing *bad when !(s > 0), where CopulaParam.finite raises; returns -1
+ * after writing to *bad the first F_s value, in row-major order, outside
+ * _unit's window [-UNIT_EPS, 1 + UNIT_EPS]. */
+double fs_deviation(int n, const double *axis, const double *outs,
+                    double s, double *ex, double *bad)
+{
+    double L = 0.0, dL = 0.0, worst = 0.0;
+    int closed;
+    if (!(s > 0.0))
+        return -1.0;
+    if (fabs(s - 1.0) <= ONE_WINDOW)
+        s = 1.0;
+    closed = s != 1.0 && s >= ZERO_DISPATCH && s <= INF_DISPATCH;
+    if (closed) {
+        L = log(s);
+        dL = expm1(L);
+        for (int i = 0; i < n; i++)
+            ex[i] = expm1(axis[i] * L);
+    }
+    for (int i = 0; i < n; i++) {
+        double x = axis[i];
+        const double *row = outs + (size_t)i * n;
+        for (int j = 0; j < n; j++) {
+            double y = axis[j], f, d;
+            if (closed)
+                f = x + y - 2.0 * frank_closed(ex[i], ex[j], dL, L);
+            else
+                f = x + y - 2.0 * frank_raw(s, x, y);
+            if (!(f >= 0.0 && f <= 1.0)) {
+                if (!(f >= -UNIT_EPS && f <= 1.0 + UNIT_EPS)) {
+                    *bad = f;
+                    return -1.0;
+                }
+                f = f < 0.0 ? 0.0 : 1.0;
+            }
+            d = fabs(row[j] - f);
+            if ((i == 0 && j == 0) || d > worst)
+                worst = d;
+        }
+    }
+    return worst;
 }
 
 /* The t = s / (1 + s) in (0, 1) at which A_s(x, y) = p, by the bisection

@@ -5,13 +5,15 @@ Two interchangeable implementations exist: compiled C (kern.c, built
 into a shared library and bound through ctypes by xorlab._cbackend) and
 pure Python (xorlab._pycore, which generates straight-line code per
 network shape on first use).
-Each has four kernels, train_run, project_grid, fs_scorer (the score
-of each s that classify's F_s fit tries) and solve_t (copula.solve_s's
-bisection); sse_dataset is the one cell of project_grid that leaves the
-weights as they are.  Both produce results bit-identical to the loop
-reference in tests/loop_kernels.py (fs_scorer: to the Python one,
-copula.xor_f_lattice scored by _max_abs_diff; solve_t: to
-_pycore.solve_t); the compiled one is just faster.  In both, train_run
+Each has four kernels, train_run, project_grid, fs_scorer (one
+function, score(s), per F_s fit: the score of each s that classify's fit
+tries, s snapped onto the One window by the scorer) and solve_t
+(copula.solve_s's bisection); sse_dataset is the one cell of
+project_grid that leaves the weights as they are.  Both produce results
+bit-identical to the loop reference in tests/loop_kernels.py (fs_scorer:
+to the Python one, copula.xor_f_lattice scored by _max_abs_diff, with
+the same errors; solve_t: to _pycore.solve_t); the compiled one is just
+faster.  In both, train_run
 stops early once no epoch could move any weight (it checks after epoch 1
 and every 256th epoch), with the outputs the full run would give (see
 _pycore).

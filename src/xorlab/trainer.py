@@ -13,14 +13,14 @@ fixed candidate is a reference lattice scored by the largest
 the edge bound below is scored the same way.
 
 When no fixed candidate fits, classify fits s with a 49-point scan and a
-golden-section search on t = s / (1 + s).  The scan, the bracket, the
-search and the snap of t / (1 - t) onto the One window (_fs_s) are
-written here once; each s they try is scored by the backend's F_s
-scorer (kernels.fs_scorer), built once per fit from the outputs.  The
-compiled scorer takes max |out - F_s| in kern.c's fs_deviation, one
-call per s; the Python one scores F_s from xor_f_lattice with
-_max_abs_diff and caches the scan's lattices per grid.  Both give the
-same floats and the same errors.
+golden-section search on t = s / (1 + s).  The scan, the bracket and the
+search are written here once; each s = t / (1 - t) they try is scored
+by the backend's F_s scorer, score = kernels.fs_scorer(outs, axis),
+built once per fit from the outputs.  The scorer snaps s onto the One
+window itself.  The compiled one takes max |out - F_s| in kern.c's
+fs_deviation, one call per s; the Python one scores F_s from
+xor_f_lattice with _max_abs_diff.  Both give the same floats and the
+same errors.
 
 The fit runs only when it can change the label.  F_s(x, 0) = x and
 F_s(0, y) = y exactly for every s the fit tries (A_s is grounded, and
@@ -201,17 +201,10 @@ def _candidates(grid: int) -> dict:
     }
 
 
-# the points t = k/50 the F_s fit scans before its golden-section search
+# the points t = k/50 the F_s fit scans before its golden-section search,
+# and the s = t / (1 - t) it scores there
 _SCAN_TS = tuple(k / 50.0 for k in range(1, 50))
-
-
-def _fs_s(t: float) -> float:
-    """The s the fit scores at t: t / (1 - t), snapped onto 1 inside the
-    One window (CopulaParam.finite)."""
-    return CopulaParam.finite(t / (1.0 - t)).s
-
-
-_SCAN_S = tuple(map(_fs_s, _SCAN_TS))
+_SCAN_S = tuple(t / (1.0 - t) for t in _SCAN_TS)
 
 
 def _check_tol(tol: float) -> None:
@@ -283,12 +276,12 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
         return FunctionLabel("Unclassified", best_dev)
 
     # fall back to fitting a finite parameter on t = s/(1+s)
-    scan, score = kernels.fs_scorer(outs, axis)
-    devs = scan(_SCAN_S)
+    score = kernels.fs_scorer(outs, axis)
+    devs = [score(s) for s in _SCAN_S]
     k = devs.index(min(devs))
     lo = _SCAN_TS[k - 1] if k > 0 else 0.02 / 2.0
     hi = _SCAN_TS[k + 1] if k < len(_SCAN_TS) - 1 else (0.98 + 1.0) / 2.0
-    t_star, fit_dev = _golden_min(lambda t: score(_fs_s(t)), lo, hi)
+    t_star, fit_dev = _golden_min(lambda t: score(t / (1.0 - t)), lo, hi)
     if fit_dev <= tol:
         return FunctionLabel("Fs", fit_dev, s=t_star / (1.0 - t_star))
     return FunctionLabel("Unclassified", min(best_dev, fit_dev))

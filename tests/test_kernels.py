@@ -641,7 +641,7 @@ def _fs_cases(n_lattices=300, per_lattice=10, seed=23):
     """3,000 drawn (outs, axis, s): grids 2, 3, 5, 21 and 64, outputs in
     [-0.2, 1.2], and per lattice ten s from t drawn in [0.0101, 0.99],
     from the 49 scan points and from the One window t = 0.5 +- 3e-7,
-    snapped as classify snaps them."""
+    as classify passes them: s = t / (1 - t), which the scorer snaps."""
     rng = random.Random(seed)
     scan = [k / 50.0 for k in range(1, 50)]
     for _ in range(n_lattices):
@@ -651,7 +651,7 @@ def _fs_cases(n_lattices=300, per_lattice=10, seed=23):
         ts = [rng.choice((rng.uniform(0.0101, 0.99), rng.choice(scan),
                           0.5 + rng.uniform(-3e-7, 3e-7)))
               for _ in range(per_lattice)]
-        yield outs, axis, [trainer._fs_s(t) for t in ts]
+        yield outs, axis, [t / (1.0 - t) for t in ts]
 
 
 def _scored(score, s):
@@ -666,29 +666,33 @@ def test_fs_scorer_parity_on_drawn_lattices(ckern):
     py = kernels.get_backend("python")
     n, scanned = 0, set()
     for outs, axis, ss in _fs_cases():
-        (c_scan, c_score), (py_scan, py_score) = (
-            ckern.fs_scorer(outs, axis), py.fs_scorer(outs, axis))
+        c_score, py_score = (ckern.fs_scorer(outs, axis),
+                             py.fs_scorer(outs, axis))
         for s in ss:
             assert _scored(c_score, s) == _scored(py_score, s), (axis, s)
             n += 1
         if axis not in scanned:     # the whole scan, once per grid
             scanned.add(axis)
-            assert repr(c_scan(trainer._SCAN_S)) == \
-                repr(py_scan(trainer._SCAN_S))
+            assert repr([c_score(s) for s in trainer._SCAN_S]) == \
+                repr([py_score(s) for s in trainer._SCAN_S])
     assert n == 3000 and len(scanned) == 5
 
 
 def test_fs_scorer_parity_beyond_the_kernel_range(ckern):
-    # the One window's interior, the dispatch thresholds and the limits go
-    # through the Python lattice, on both backends alike
+    # the One window's interior and edge, the dispatch thresholds, the
+    # limits and the s <= 0 and NaN that raise: kern.c's fs_deviation
+    # evaluates (or refuses) each s itself, as xor_f_lattice does
     py = kernels.get_backend("python")
+    inside = 1.0 + copula.ONE_WINDOW
+    outside = math.nextafter(inside, 2.0)
+    assert abs(inside - 1.0) <= copula.ONE_WINDOW < abs(outside - 1.0)
     axis = trainer._axis(21)
     rng = random.Random(5)
     outs = [rng.uniform(-0.2, 1.2) for _ in range(21 * 21)]
-    c_score, py_score = ckern.fs_scorer(outs, axis)[1], \
-        py.fs_scorer(outs, axis)[1]
-    for s in (1.0, 1.0 + 1e-7, 1.0 - 1e-6, 1.0 + 1.1e-6, 1e-8, 9.9e-9,
-              1e8, 1.1e8, 0.0, -1.0, math.inf, math.nan, 1.00000001e-8):
+    c_score, py_score = ckern.fs_scorer(outs, axis), py.fs_scorer(outs, axis)
+    for s in (1.0, 1.0 + 1e-7, 1.0 - 1e-6, 1.0 + 1.1e-6, inside, outside,
+              1e-8, 9.9e-9, 1e8, 1.1e8, 0.0, -0.0, -1.0, 5e-324, 1e-300,
+              1e300, math.inf, math.nan, 1.00000001e-8):
         assert _scored(c_score, s) == _scored(py_score, s), s
 
 
@@ -725,8 +729,12 @@ def test_fs_kernel_reports_the_first_value_outside_the_window(c_package,
         copula._unit(first)
     for mod in (ckern, kernels.get_backend("python")):
         with pytest.raises(DomainError) as err:
-            mod.fs_scorer([0.5] * 9, axis)[1](s)
+            mod.fs_scorer([0.5] * 9, axis)(s)
         assert str(err.value) == str(want.value)
+    # s <= 0 and NaN return -1 without writing *bad
+    for s in (0.0, math.nan):
+        assert _raw_fs_deviation(c_package, axis, [0.5] * 9, s) == \
+            (-1.0, 0.0)
     # kern.c's copy of the window
     source = (c_package / "xorlab" / "kern.c").read_text()
     assert f"#define UNIT_EPS {copula.UNIT_EPS!r} " in source
@@ -734,7 +742,7 @@ def test_fs_kernel_reports_the_first_value_outside_the_window(c_package,
     # the closed form gives F_s(1, 1) = -8.9e-16, and 1.0 - 0.0 is 1.0
     outs = [0.0, 1.0, 1.0, 1.0]
     assert _raw_fs_deviation(c_package, (0.0, 1.0), outs, 0.2) == (1.0, 0.0)
-    assert kernels.get_backend("python").fs_scorer(outs, (0.0, 1.0))[1](
+    assert kernels.get_backend("python").fs_scorer(outs, (0.0, 1.0))(
         0.2) == 1.0
 
 
@@ -744,5 +752,5 @@ def test_fs_scorer_checks_its_lattice(kern):
     with pytest.raises(DomainError):
         kern.fs_scorer([0.5] * 4, (0.0, 1.5))
     # outputs past the lattice are ignored; -0.0 on the axis becomes 0.0
-    scan, score = kern.fs_scorer([0.0, 1.0, 1.0, 0.0, 9.0], (-0.0, 1.0))
-    assert repr(score(1.0)) == repr(scan([1.0, 3.0])[0]) == "0.0"
+    score = kern.fs_scorer([0.0, 1.0, 1.0, 0.0, 9.0], (-0.0, 1.0))
+    assert repr(score(1.0)) == "0.0"

@@ -47,7 +47,7 @@ def solve_ts(request):
 def _solve_on(solve_t):
     """solve_s on one backend's solve_t; yields the MonkeyPatch."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(copula, "_solve_t", solve_t)
+        mp.setattr(kernels, "solve_t", solve_t)
         yield mp
 
 
@@ -185,8 +185,9 @@ def test_compiled_solve_t_matches_python(ckern):
 
 
 def test_kern_c_dispatches_where_copula_does():
-    # kern.c's frank_raw copies _frank_raw's dispatch thresholds
+    # kern.c's frank_raw copies _frank_raw's dispatch thresholds, and its
+    # fs_deviation copies CopulaParam.finite's One window
     source = (Path(kernels.__file__).parent / "kern.c").read_text()
-    for name in ("ZERO_DISPATCH", "INF_DISPATCH"):
+    for name in ("ZERO_DISPATCH", "INF_DISPATCH", "ONE_WINDOW"):
         m = re.search(rf"^#define {name} (\S+)", source, re.M)
         assert m and float(m.group(1)) == getattr(copula, name), name
