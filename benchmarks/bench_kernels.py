@@ -2,14 +2,15 @@
 
 Kernel section: every available backend is driven through the same raw
 entry points with identical arguments, results are checked for bitwise
-equality first, then each workload is timed.  train_run is timed on a
-tanh run and on two sets of relu runs (lr 0.1): seeds whose weights are
-at rest after epoch 1 (every unit dead at the initial weights), where
-train_run stops at the first check, and seeds whose weights move for
-all --iters epochs.  The backends are timed call by call in turn, in
-one process, so that drift in the host's speed hits them alike.  Have
-`cc` on PATH to time the compiled backend too; without a library that
-loads, only the Python backend is timed.  project_grid is timed once per
+equality (of their repr) first, then each workload is timed.  train_run
+is timed on a tanh run and on two sets of relu runs (lr 0.1): seeds
+whose weights are at rest after epoch 1 (every unit dead at the initial
+weights), where train_run stops at the first check, and seeds whose
+weights move for all --iters epochs.  The backends are timed call by
+call in turn, in one process, so that drift in the host's speed hits
+them alike.  Have `cc` on PATH to time the compiled backend too;
+without a library that loads, only the Python backend is timed.
+project_grid is timed once per
 pair class of the 2-2-1 net: two first-layer weights (L1xL1), a
 first-layer and an output weight (L1xL2), and two output weights
 (L2xL2).  fs_scorer is timed as one F_s fit's golden-section steps: a
@@ -18,7 +19,9 @@ score at each of 42 values s = t / (1 - t), t spread over the fit's
 range, passed unsnapped as classify passes them.  solve_t is timed
 as the bisections of copula.solve_s over the queries of the library
 section's solve_s item that reach it (those it does not snap to a
-limit or refuse).
+limit or refuse).  grid_stats and grid_csv are timed on the L1xL1 grid
+of the 2-2-1 net, as surface.landscape_stats and surface.emit_grid_csv
+pass it: the statistics, and the CSV text as bytes.
 
 Library section, on the default backend: surface.landscape_stats and
 surface.emit_grid_csv over the 101x101 grids of all 36 weight pairs of
@@ -166,6 +169,11 @@ def _workloads(args):
         return [mod.solve_t(x, y, p, copula._BISECT_ITERS)
                 for x, y, p in solves]
 
+    # one surface grid, as surface hands it to the kernels: its cells
+    # a-major in one list
+    cells = _pycore.project_grid(SIZES, ACTS, base, XOR_XS, XOR_TS, 0, 4,
+                                 axis, axis)
+
     return [(f"train_run {args.iters} iters per-sample", train),
             (f"train_run relu {args.iters} iters at rest",
              relu(RELU_AT_REST)),
@@ -174,7 +182,11 @@ def _workloads(args):
         (f"project_grid {args.steps}x{args.steps} {cls}", grid(ia, ib))
         for cls, ia, ib in PAIR_CLASSES] + [
         (f"fs_scorer 21x21, {FS_STEPS} F_s steps", fs_steps),
-        (f"solve_t, {len(solves):,} bisections", solve_steps)]
+        (f"solve_t, {len(solves):,} bisections", solve_steps),
+        (f"grid_stats {args.steps}x{args.steps}",
+         lambda mod: mod.grid_stats(cells, args.steps)),
+        (f"grid_csv {args.steps}x{args.steps}",
+         lambda mod: mod.grid_csv(b"wa,wb,err\n", axis, axis, cells))]
 
 
 # converged boolean-xor nets (trainer seeds 0 at lr 0.5, and 29), both
@@ -227,7 +239,7 @@ def _kernel_section(args, items):
 
     print(f"kernels: {', '.join(names)}")
     for label, work in _workloads(args):
-        results = [work(mod) for mod in backends]
+        results = [repr(work(mod)) for mod in backends]
         if any(r != results[0] for r in results[1:]):
             print(f"{label}: BACKEND MISMATCH")
             return 1

@@ -2,12 +2,15 @@
 
 load(path) binds the library that xorlab.kernels built from kern.c and
 returns a namespace with the same exports as xorlab._pycore (BACKEND,
-SSE_BLOWUP, sse_dataset, train_run, project_grid, fs_scorer, solve_t),
-taking and returning the same Python types.  The library has four
-kernels, train_run, project_grid, fs_deviation (behind fs_scorer, which
-scores every s in C and raises the Python backend's errors) and
-solve_t; sse_dataset is _pycore's, the one cell of project_grid that
-leaves the weights as they are, run on this project_grid.
+SSE_BLOWUP, sse_dataset, train_run, project_grid, fs_scorer, solve_t,
+grid_stats, grid_csv), taking and returning the same Python types.  The
+library has six kernels, train_run, project_grid, fs_deviation (behind
+fs_scorer, which scores every s in C and raises the Python backend's
+errors), solve_t, grid_stats and grid_csv (which formats each number
+by an exact integer path or snprintf into a buffer the library
+allocates, copied here into bytes); sse_dataset is _pycore's, the one
+cell of project_grid that leaves the weights as they are, run on this
+project_grid.
 
 The C side trusts its buffers, so shapes are checked here.  ctypes would
 wrap an int too large for a C int silently; such a value (a size, a
@@ -22,10 +25,11 @@ import ctypes
 import functools
 import operator
 from array import array
-from ctypes import POINTER, byref, c_double, c_int, c_uint64, c_void_p
+from ctypes import (POINTER, byref, c_char_p, c_double, c_int, c_longlong,
+                    c_size_t, c_uint64, c_void_p)
 from types import SimpleNamespace
 
-from ._pycore import (MASK64, SSE_BLOWUP, _offsets, check_lattice,
+from ._pycore import (MASK64, SSE_BLOWUP, _offsets, check_cells,
                       check_network, check_weights, sse_dataset)
 from .copula import CopulaParam, _unit, _unit_axis
 
@@ -41,6 +45,9 @@ _SIGNATURES = {
         _DP, _DP, _DP, c_int, c_int, c_int, _DP, c_int, _DP, c_int, _DP]),
     "fs_deviation": (c_double, [c_int, _DP, _DP, c_double, _DP, _DP]),
     "solve_t": (c_double, [c_double, c_double, c_double, c_int]),
+    "grid_stats": (None, [c_int, _DP, _DP, _IP]),
+    "grid_csv": (c_longlong, [c_char_p, c_size_t, _DP, c_int, _DP, c_int,
+                              _DP, POINTER(c_void_p)]),
     "kern_free": (None, [c_void_p]),
 }
 
@@ -133,7 +140,7 @@ def load(path: str) -> SimpleNamespace:
         here, so each score is one kernel call, for every s."""
         xs = _unit_axis(tuple(axis))
         n = _cint(len(xs))
-        check_lattice(outs, n)
+        check_cells(outs, n * n)
         args = (n, _doubles(xs), _doubles(outs[:n * n]))
         ex, bad = (c_double * n)(), c_double()
         fs_deviation, pbad = lib.fs_deviation, ctypes.pointer(bad)
@@ -156,8 +163,32 @@ def load(path: str) -> SimpleNamespace:
         _pycore.solve_t."""
         return kern_solve_t(x, y, p, _cint(iters))
 
+    def grid_stats(values, n):
+        """(min, its flat index, max, strict minima, plateau cells);
+        semantics identical to _pycore.grid_stats."""
+        n = _cint(n)
+        check_cells(values, _cint(n * n))
+        lohi, counts = (c_double * 2)(), (c_int * 3)()
+        lib.grid_stats(n, _doubles(values), lohi, counts)
+        return lohi[0], counts[0], lohi[1], counts[1], counts[2]
+
+    def grid_csv(header, axis_a, axis_b, values):
+        """The CSV text as bytes; semantics identical to
+        _pycore.grid_csv."""
+        na, nb = _cint(len(axis_a)), _cint(len(axis_b))
+        check_cells(values, na * nb)
+        text = c_void_p()
+        try:
+            size = _ok(lib.grid_csv(header, len(header), _doubles(axis_a),
+                                    na, _doubles(axis_b), nb,
+                                    _doubles(values), byref(text)))
+            return ctypes.string_at(text, size)
+        finally:
+            lib.kern_free(text)
+
     return SimpleNamespace(BACKEND="c", SSE_BLOWUP=SSE_BLOWUP,
                            sse_dataset=functools.partial(
                                sse_dataset, project_grid=project_grid),
                            train_run=train_run, project_grid=project_grid,
-                           fs_scorer=fs_scorer, solve_t=solve_t)
+                           fs_scorer=fs_scorer, solve_t=solve_t,
+                           grid_stats=grid_stats, grid_csv=grid_csv)

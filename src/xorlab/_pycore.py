@@ -1,15 +1,17 @@
-"""Pure-Python training, projection, F_s-fit and copula-solve kernels,
-and network's forward and gradient passes.
+"""Pure-Python training, projection, F_s-fit, copula-solve and surface
+kernels, and network's forward and gradient passes.
 
-A backend has four kernels: train_run runs gradient descent,
+A backend has six kernels: train_run runs gradient descent,
 project_grid gives the SSE at every cell of a plane of two weights,
 fs_scorer scores the s that classify's F_s fit tries against a lattice
-of outputs, and solve_t runs copula.solve_s's bisection.  sse_dataset is
-the one cell of project_grid that leaves the weights as they are.
-fs_scorer returns score(s), copula.xor_f_lattice at CopulaParam.finite(s)
-scored by _max_abs_diff, the deviation rule classify uses for every
-candidate; it and solve_t, a loop over copula._frank_raw, generate no
-code.
+of outputs, solve_t runs copula.solve_s's bisection, grid_stats scans a
+surface grid for its minimum, maximum, strict minima and plateau cells,
+and grid_csv writes a grid's CSV text.  sse_dataset is the one cell of
+project_grid that leaves the weights as they are.  fs_scorer returns
+score(s), copula.xor_f_lattice at CopulaParam.finite(s) scored by
+_max_abs_diff, the deviation rule classify uses for every candidate; it,
+solve_t (a loop over copula._frank_raw), grid_stats (a row-wise scan)
+and grid_csv (a row template) generate no code.
 
 Each kernel runs straight-line Python generated once per network shape:
 every weight lives in a local w0..wN, each unit's dot product, backward
@@ -566,11 +568,11 @@ def sse_dataset(sizes, acts, w, xs, ts, project_grid=project_grid) -> float:
 # ---------------------------------------------------------------------------
 # the F_s fit's scorer
 
-def check_lattice(outs, n: int) -> None:
-    """IndexError when outs is too short for an n x n lattice; extra
-    outputs are ignored."""
-    if len(outs) < n * n:
-        raise IndexError(f"{len(outs)} outputs, the lattice has {n * n}")
+def check_cells(values, cells: int) -> None:
+    """IndexError when values is too short for a lattice or grid of cells
+    cells; extra values are ignored."""
+    if len(values) < cells:
+        raise IndexError(f"{len(values)} values, the grid has {cells}")
 
 
 def _max_abs_diff(outs, ref, points=None) -> float:
@@ -592,7 +594,7 @@ def fs_scorer(outs, axis):
     short, and _unit's DomainError if an axis value is not a probability.
     """
     axis = _unit_axis(tuple(axis))
-    check_lattice(outs, len(axis))
+    check_cells(outs, len(axis) ** 2)
 
     def score(s):
         return _max_abs_diff(outs, xor_f_lattice(CopulaParam.finite(s), axis))
@@ -627,3 +629,87 @@ def solve_t(x: float, y: float, p: float, iters: int) -> float:
                 break
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# surface statistics and CSV text
+
+_PLATEAU_TOL = 1e-12
+
+
+def grid_stats(values, n: int) -> tuple:
+    """(min, its flat index, max, strict minima, plateau cells) of the
+    n x n a-major grid values, n >= 3, by a brute-force 4-neighbourhood
+    scan.
+
+    A strict local minimum beats every existing neighbour with raw <;
+    a plateau cell lies within 1e-12 of at least one.  The minimum is the
+    first cell in row-major order that no earlier cell beats with <, and
+    NaN cells never count for the minimum or the maximum (+inf and -inf
+    when every cell is NaN).
+
+    The scan runs row by row: each row is zipped with the rows above and
+    below and with its copies shifted left and right, a missing neighbour
+    being +inf for the strict test and NaN for the plateau test, neither
+    of which can change a verdict.  min() and max() do not skip a NaN,
+    so they take each row without its NaN cells.
+    """
+    check_cells(values, n * n)
+    v = [tuple(values[i * n:(i + 1) * n]) for i in range(n)]
+    min_val = math.inf
+    max_val = -math.inf
+    min_idx = 0
+    strict = 0
+    plateau = 0
+    tol = _PLATEAU_TOL
+    inf, nan = math.inf, math.nan
+    inf_row, nan_row = (inf,) * n, (nan,) * n
+    for i, row in enumerate(v):
+        total = sum(row)
+        # a NaN cell makes the sum NaN
+        cells = row if total == total else [x for x in row if x == x]
+        if cells:
+            low = min(cells)
+            if low < min_val:
+                min_val = low
+                min_idx = i * n + row.index(low)
+            high = max(cells)
+            if high > max_val:
+                max_val = high
+        above = v[i - 1] if i > 0 else None
+        below = v[i + 1] if i < n - 1 else None
+        left, right = row[:-1], row[1:]
+        strict += sum(1 for x, u, d, l, r in zip(
+            row, above or inf_row, below or inf_row, (inf,) + left,
+            right + (inf,))
+            if x < u and x < d and x < l and x < r)
+        plateau += sum(1 for x, u, d, l, r in zip(
+            row, above or nan_row, below or nan_row, (nan,) + left,
+            right + (nan,))
+            if abs(x - u) <= tol or abs(x - d) <= tol
+            or abs(x - l) <= tol or abs(x - r) <= tol)
+    return min_val, min_idx, max_val, strict, plateau
+
+
+def grid_csv(header: bytes, axis_a, axis_b, values) -> bytes:
+    """header, then one line "a,b,value" per cell of the a-major grid
+    values over axis_a x axis_b, every number as '%.17g' writes it.
+
+    axis_b is formatted once into a row template, so each row is one
+    '%' operation; '%.17g' % x is format(x, '.17g') for every float, inf
+    and NaN included (NaN is "nan", whatever its sign).  Each row is
+    encoded on its own and the rows are joined once: one large block,
+    where joining the text and then encoding it would allocate two, and
+    glibc would return both to the system (and fault them in again) on
+    every grid.
+    """
+    na, nb = len(axis_a), len(axis_b)
+    check_cells(values, na * nb)
+    row_format = "".join(f"%s,{format(b, '.17g')},%.17g\n" for b in axis_b)
+    cells = [None] * (2 * nb)
+    rows = [header]
+    for i in range(na):
+        cells[0::2] = [format(axis_a[i], ".17g")] * nb
+        cells[1::2] = values[i * nb:(i + 1) * nb]
+        rows.append((row_format % tuple(cells)).encode())
+    return b"".join(rows)

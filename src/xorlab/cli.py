@@ -17,6 +17,7 @@ import sys
 import warnings
 from pathlib import Path
 
+from . import kernels
 from . import surface as surface_mod
 from . import trainer as trainer_mod
 from .copula import CopulaParam, frank_and, frank_or, solve_s, xor_f
@@ -144,9 +145,8 @@ def _cmd_copula_grid(args):
     if args.format == "json" and not args.out:
         _emit(args, {**summary, "rows": list(points)}, [])
         return 0
-    text = "x,y,value\n" + "".join(
-        f"{format(x, '.17g')},{format(y, '.17g')},{format(v, '.17g')}\n"
-        for x, y, v in points)
+    text = kernels.grid_csv(b"x,y,value\n", axis, axis,
+                            [v for _, _, v in points]).decode()
     if args.out:
         _write_text(args.out, text)
         _emit(args, {**summary, "out": args.out}, [f"wrote {args.out}"])

@@ -1,6 +1,6 @@
-/* Compiled training, projection, F_s-fit and copula-solve kernels,
- * bound through ctypes by xorlab._cbackend: train_run, project_grid,
- * fs_deviation and solve_t.
+/* Compiled training, projection, F_s-fit, copula-solve and surface
+ * kernels, bound through ctypes by xorlab._cbackend: train_run,
+ * project_grid, fs_deviation, solve_t, grid_stats and grid_csv.
  * The SSE at a network's own weights is the one cell of project_grid
  * that leaves them as they are, so it has no kernel of its own.
  *
@@ -43,14 +43,25 @@
  * closed form of Frank's A_s from frank_closed, its one copy here; in
  * Python it is written in _frank_raw and xor_f_lattice.
  *
+ * grid_stats is _pycore.grid_stats's scan as one loop.  grid_csv writes
+ * a grid's CSV text as Python's '%.17g' writes each number: a normal
+ * double from 1e-6 up to 2^53 by an exact integer path (digits17: its
+ * 17 digits m 10^p / 2^-e, rounded half to even in 128-bit integers,
+ * then layout17: laid out as "%g" lays them out), everything else by
+ * snprintf("%.17g"), as is every value where the compiler has no 128-bit
+ * integers; NaN as "nan" whatever its sign, as Python writes it.
+ *
  * The caller checks shapes and passes buffers of the right lengths.
  * Functions that allocate return -1 when an allocation fails, 0 otherwise;
- * train_run returns its status code 0..3 instead of 0.
+ * train_run returns its status code 0..3 instead of 0, and grid_csv the
+ * length of its text.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define GAMMA 0x9E3779B97F4A7C15ULL
 #define MIX1 0xBF58476D1CE4E5B9ULL
@@ -503,4 +514,258 @@ double solve_t(double x, double y, double p, int iters)
         }
     }
     return 0.5 * (lo + hi);
+}
+
+/* The minimum and the flat index of its cell, the maximum, and the
+ * strict-minimum and plateau counts of the n x n a-major grid v, as
+ * _pycore.grid_stats counts them: the minimum is the first cell in
+ * row-major order that no earlier cell beats with <, so NaN cells never
+ * count for it or for the maximum; a strict minimum beats every existing
+ * 4-neighbour with <, and a plateau cell lies within PLATEAU_TOL of at
+ * least one.  lohi gets the minimum and maximum (+inf and -inf when every
+ * cell is NaN), counts the index, the strict minima and the plateau
+ * cells. */
+#define PLATEAU_TOL 1e-12   /* surface's tolerance for a flat neighbour */
+
+void grid_stats(int n, const double *v, double *lohi, int *counts)
+{
+    double lo = INFINITY, hi = -INFINITY;
+    int at = 0, strict = 0, plateau = 0;
+    for (int i = 0; i < n; i++) {
+        for (int j = 0; j < n; j++) {
+            int k = i * n + j, below = 1, near = 0;
+            double x = v[k];
+            if (x < lo) {
+                lo = x;
+                at = k;
+            }
+            if (x > hi)
+                hi = x;
+            if (i > 0) {
+                below &= x < v[k - n];
+                near |= fabs(x - v[k - n]) <= PLATEAU_TOL;
+            }
+            if (i < n - 1) {
+                below &= x < v[k + n];
+                near |= fabs(x - v[k + n]) <= PLATEAU_TOL;
+            }
+            if (j > 0) {
+                below &= x < v[k - 1];
+                near |= fabs(x - v[k - 1]) <= PLATEAU_TOL;
+            }
+            if (j < n - 1) {
+                below &= x < v[k + 1];
+                near |= fabs(x - v[k + 1]) <= PLATEAU_TOL;
+            }
+            strict += below;
+            plateau += near;
+        }
+    }
+    lohi[0] = lo;
+    lohi[1] = hi;
+    counts[0] = at;
+    counts[1] = strict;
+    counts[2] = plateau;
+}
+
+/* The longest "%.17g" text: -d.dddddddddddddddde-308. */
+#define CELL_MAX 24
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const uint64_t POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL,
+    10000000ULL, 100000000ULL, 1000000000ULL, 10000000000ULL,
+    100000000000ULL, 1000000000000ULL, 10000000000000ULL,
+    100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL,
+    10000000000000000000ULL,
+};
+
+/* 10^p for 0 <= p <= 22, exact */
+static u128 pow10_128(int p)
+{
+    return p < 20 ? POW10[p] : (u128)POW10[p - 19] * POW10[19];
+}
+
+/* The 17 significant digits of the normal double x = m 2^e (m with its
+ * implicit bit) and the decimal exponent k of the first, correctly
+ * rounded (half to even) as "%.17g" rounds them: D = m 10^p / 2^-e
+ * rounded, p = 16 - k, with 10^16 <= D < 10^17, exact in 128-bit
+ * integers.  Returns 0, leaving the value to snprintf, when e >= 0 or p
+ * falls outside 0..22 (10^22 is the largest power of ten that m 10^p
+ * keeps inside 128 bits). */
+static int digits17(uint64_t m, int e, uint64_t *d, int *k)
+{
+    /* floor(log10 2^(e + 52)), k itself or one less */
+    int dk = ((e + 52) * 78913) >> 18;
+    for (;;) {
+        int p = 16 - dk, s = -e;
+        u128 num, rem, half;
+        uint64_t q;
+        if (e >= 0 || p < 0 || p > 22)
+            return 0;
+        num = (u128)m * pow10_128(p);
+        q = (uint64_t)(num >> s);
+        rem = num - ((u128)q << s);
+        half = (u128)1 << (s - 1);
+        if (rem > half || (rem == half && (q & 1)))
+            q++;
+        if (q < POW10[16]) {
+            dk--;
+        } else if (q > POW10[17]) {
+            dk++;
+        } else {
+            if (q == POW10[17]) {   /* the rounding carried a decade */
+                q = POW10[16];
+                dk++;
+            }
+            *d = q;
+            *k = dk;
+            return 1;
+        }
+    }
+}
+
+/* The 17 digits D at decimal exponent k laid out as "%g" lays them out:
+ * trailing zeros stripped, fixed notation for -4 <= k < 17, otherwise
+ * d.ddde+XX. */
+static int layout17(uint64_t d, int k, char *out)
+{
+    char dig[17], *o = out;
+    int nd = 17;
+    for (int i = 16; i >= 0; i--) {
+        dig[i] = (char)('0' + d % 10);
+        d /= 10;
+    }
+    while (dig[nd - 1] == '0')
+        nd--;
+    if (k >= 17 || k < -4) {
+        int ak = k < 0 ? -k : k;
+        *o++ = dig[0];
+        if (nd > 1) {
+            *o++ = '.';
+            memcpy(o, dig + 1, nd - 1);
+            o += nd - 1;
+        }
+        *o++ = 'e';
+        *o++ = k < 0 ? '-' : '+';
+        if (ak >= 100)
+            *o++ = (char)('0' + ak / 100);
+        *o++ = (char)('0' + ak / 10 % 10);
+        *o++ = (char)('0' + ak % 10);
+    } else if (k >= 0) {
+        memcpy(o, dig, k + 1);
+        o += k + 1;
+        if (nd > k + 1) {
+            *o++ = '.';
+            memcpy(o, dig + k + 1, nd - k - 1);
+            o += nd - k - 1;
+        }
+    } else {
+        *o++ = '0';
+        *o++ = '.';
+        for (int z = -1; z > k; z--)
+            *o++ = '0';
+        memcpy(o, dig, nd);
+        o += nd;
+    }
+    return (int)(o - out);
+}
+#endif
+
+/* x as "%.17g" writes it, at out, which has room for CELL_MAX + 1 bytes;
+ * NaN as "nan", whatever its sign, as Python writes it (glibc writes
+ * -nan for a negative one).  Returns the length, without a NUL. */
+static int fmt17(double x, char *out)
+{
+#ifdef __SIZEOF_INT128__
+    uint64_t bits, d;
+    int biased, k;
+    memcpy(&bits, &x, sizeof bits);
+    biased = (int)(bits >> 52) & 0x7ff;
+    if (biased != 0 && biased != 0x7ff
+        && digits17((bits & ((1ULL << 52) - 1)) | (1ULL << 52),
+                    biased - 1075, &d, &k)) {
+        int sign = (int)(bits >> 63);
+        if (sign)
+            *out = '-';
+        return sign + layout17(d, k, out + sign);
+    }
+#endif
+    if (isnan(x)) {
+        memcpy(out, "nan", 3);
+        return 3;
+    }
+    return snprintf(out, CELL_MAX + 1, "%.17g", x);
+}
+
+/* Each of the n values x as fmt17 writes it, one after the other at
+ * text (room for n (CELL_MAX + 1) bytes), and its length in len; returns
+ * the total length. */
+static size_t fmt_axis(const double *x, int n, char *text, int *len)
+{
+    size_t total = 0;
+    for (int i = 0; i < n; i++) {
+        len[i] = fmt17(x[i], text + total);
+        total += len[i];
+    }
+    return total;
+}
+
+/* The CSV text header, then one line "a,b,value" per cell of the na x nb
+ * a-major grid v, each number as fmt17 writes it, into a malloc'd
+ * buffer at *out that the caller releases with kern_free.  Each axis
+ * value and each cell is formatted once, and the buffer is sized from
+ * the axis texts plus CELL_MAX bytes per cell.  Returns the length of
+ * the text, or -1 (with *out NULL) when an allocation fails. */
+long long grid_csv(const char *header, size_t hlen, const double *a, int na,
+                   const double *b, int nb, const double *v, char **out)
+{
+    char *atext = malloc(((size_t)na + nb) * (CELL_MAX + 1) + 1);
+    int *alen = malloc(((size_t)na + nb + 1) * sizeof(int));
+    char *btext, *buf = NULL, *o = NULL;
+    const char *at;
+    int *blen;
+    size_t asum, bsum, cap;
+
+    *out = NULL;
+    if (atext == NULL || alen == NULL)
+        goto done;
+    asum = fmt_axis(a, na, atext, alen);
+    btext = atext + asum;
+    blen = alen + na;
+    bsum = fmt_axis(b, nb, btext, blen);
+    /* a, two commas, b, the value (at most CELL_MAX) and a newline per
+     * cell, and room for snprintf's NUL after the last */
+    cap = hlen + asum * nb + bsum * na + (size_t)na * nb * (CELL_MAX + 3)
+          + 1;
+    buf = malloc(cap);
+    if (buf == NULL)
+        goto done;
+    memcpy(buf, header, hlen);
+    o = buf + hlen;
+    at = atext;
+    for (int i = 0; i < na; i++) {
+        const double *row = v + (size_t)i * nb;
+        const char *bt = btext;
+        for (int j = 0; j < nb; j++) {
+            memcpy(o, at, alen[i]);
+            o += alen[i];
+            *o++ = ',';
+            memcpy(o, bt, blen[j]);
+            o += blen[j];
+            bt += blen[j];
+            *o++ = ',';
+            o += fmt17(row[j], o);
+            *o++ = '\n';
+        }
+        at += alen[i];
+    }
+    *out = buf;
+done:
+    free(atext);
+    free(alen);
+    return buf == NULL ? -1 : (long long)(o - buf);
 }

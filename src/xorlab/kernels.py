@@ -1,19 +1,24 @@
-"""Backend selection for the training, projection, F_s-fit and
-copula-solve kernels.
+"""Backend selection for the training, projection, F_s-fit, copula-solve
+and surface kernels.
 
 Two interchangeable implementations exist: compiled C (kern.c, built
 into a shared library and bound through ctypes by xorlab._cbackend) and
 pure Python (xorlab._pycore, which generates straight-line code per
 network shape on first use).
-Each has four kernels, train_run, project_grid, fs_scorer (one
+Each has six kernels, train_run, project_grid, fs_scorer (one
 function, score(s), per F_s fit: the score of each s that classify's fit
-tries, s snapped onto the One window by the scorer) and solve_t
-(copula.solve_s's bisection); sse_dataset is the one cell of
+tries, s snapped onto the One window by the scorer), solve_t
+(copula.solve_s's bisection), grid_stats (a surface grid's minimum and
+its index, maximum, strict minima and plateau cells) and grid_csv (a
+grid's CSV text as bytes, each number as '%.17g' writes it, NaN as
+"nan" whatever its sign; the C one by an exact integer path for most
+doubles and snprintf for the rest); sse_dataset is the one cell of
 project_grid that leaves the weights as they are.  Both produce results
 bit-identical to the loop reference in tests/loop_kernels.py (fs_scorer:
 to the Python one, copula.xor_f_lattice scored by _max_abs_diff, with
-the same errors; solve_t: to _pycore.solve_t); the compiled one is just
-faster.  In both, train_run
+the same errors; solve_t: to _pycore.solve_t; grid_stats and grid_csv:
+to the Python ones and tests/surface_reference.py); the compiled one is
+just faster.  In both, train_run
 stops early once no epoch could move any weight (it checks after epoch 1
 and every 256th epoch), with the outputs the full run would give (see
 _pycore).
@@ -40,7 +45,8 @@ from .errors import DomainError
 
 __all__ = [
     "BACKEND", "SSE_BLOWUP", "sse_dataset", "train_run", "project_grid",
-    "fs_scorer", "solve_t", "get_backend", "available_backends",
+    "fs_scorer", "solve_t", "grid_stats", "grid_csv", "get_backend",
+    "available_backends",
 ]
 
 # -ffp-contract=off keeps the compiled arithmetic bit-identical to the
@@ -152,3 +158,5 @@ train_run = _impl.train_run
 project_grid = _impl.project_grid
 fs_scorer = _impl.fs_scorer
 solve_t = _impl.solve_t
+grid_stats = _impl.grid_stats
+grid_csv = _impl.grid_csv

@@ -421,7 +421,6 @@ def empirical_frequencies(data: "Dataset") -> dict[str, float]:
 class ConsistencyCheck:
     name: str
     ok: bool
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -446,21 +445,12 @@ def check_consistency(px: float, py: float, pand: float,
     x, y = _unit(px), _unit(py)
     a, r = _unit(pand), _unit(por)
     checks = (
-        ConsistencyCheck(
-            "and_lower_bound", a >= -_AXIOM_TOL,
-            f"0 <= Pr[and]: {a!r}"),
-        ConsistencyCheck(
-            "and_upper_bound", a <= min(x, y) + _AXIOM_TOL,
-            f"Pr[and] {a!r} <= min(px, py) {min(x, y)!r}"),
-        ConsistencyCheck(
-            "or_lower_bound", r >= max(x, y) - _AXIOM_TOL,
-            f"max(px, py) {max(x, y)!r} <= Pr[or] {r!r}"),
-        ConsistencyCheck(
-            "or_upper_bound", r <= 1.0 + _AXIOM_TOL,
-            f"Pr[or] <= 1: {r!r}"),
-        ConsistencyCheck(
-            "additivity", abs((a + r) - (x + y)) <= _AXIOM_TOL,
-            f"Pr[and] + Pr[or] = {a + r!r} vs px + py = {x + y!r}"),
+        ConsistencyCheck("and_lower_bound", a >= -_AXIOM_TOL),
+        ConsistencyCheck("and_upper_bound", a <= min(x, y) + _AXIOM_TOL),
+        ConsistencyCheck("or_lower_bound", r >= max(x, y) - _AXIOM_TOL),
+        ConsistencyCheck("or_upper_bound", r <= 1.0 + _AXIOM_TOL),
+        ConsistencyCheck("additivity",
+                         abs((a + r) - (x + y)) <= _AXIOM_TOL),
     )
     return ConsistencyVerdict(checks)
 

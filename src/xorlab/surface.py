@@ -168,64 +168,28 @@ class LandscapeStats:
     plateau_fraction: float
 
 
-_PLATEAU_TOL = 1e-12
+def _flat(values) -> list:
+    """The grid's cells, a-major, as one list."""
+    return list(itertools.chain.from_iterable(values))
 
 
 def landscape_stats(grid: SurfaceGrid) -> LandscapeStats:
-    """Brute-force 4-neighborhood scan.
+    """Brute-force 4-neighborhood scan, by kernels.grid_stats.
 
     A strict local minimum beats every existing neighbor with raw <; ties
     count toward the plateau fraction instead (cells equal to at least one
     neighbor within 1e-12).  The minimum is the first cell in row-major
     order that no earlier cell beats with <, and NaN cells never count
     for the minimum or the maximum.
-
-    The scan runs row by row: each row is zipped with the rows above and
-    below and with its copies shifted left and right, a missing neighbor
-    being +inf for the strict test and NaN for the plateau test, neither
-    of which can change a verdict.  min() and max() do not skip a NaN,
-    so they take each row without its NaN cells.
     """
     n = grid.steps
     if n < 3:
         raise DomainError(f"landscape_stats needs steps >= 3, got {n}")
-    v = grid.values
-    min_val = math.inf
-    max_val = -math.inf
-    min_idx = (0, 0)
-    strict = 0
-    plateau = 0
-    tol = _PLATEAU_TOL
-    inf, nan = math.inf, math.nan
-    inf_row, nan_row = (inf,) * n, (nan,) * n
-    for i in range(n):
-        row = tuple(v[i])
-        total = sum(row)
-        # a NaN cell makes the sum NaN
-        cells = row if total == total else [x for x in row if x == x]
-        if cells:
-            low = min(cells)
-            if low < min_val:
-                min_val = low
-                min_idx = (i, row.index(low))
-            high = max(cells)
-            if high > max_val:
-                max_val = high
-        above = v[i - 1] if i > 0 else None
-        below = v[i + 1] if i < n - 1 else None
-        left, right = row[:-1], row[1:]
-        strict += sum(1 for x, u, d, l, r in zip(
-            row, above or inf_row, below or inf_row, (inf,) + left,
-            right + (inf,))
-            if x < u and x < d and x < l and x < r)
-        plateau += sum(1 for x, u, d, l, r in zip(
-            row, above or nan_row, below or nan_row, (nan,) + left,
-            right + (nan,))
-            if abs(x - u) <= tol or abs(x - d) <= tol
-            or abs(x - l) <= tol or abs(x - r) <= tol)
-    point = (grid.axis_a[min_idx[0]], grid.axis_b[min_idx[1]])
-    return LandscapeStats(min_val, min_idx, point, max_val, strict,
-                          plateau / (n * n))
+    low, at, high, strict, plateau = kernels.grid_stats(_flat(grid.values),
+                                                        n)
+    i, j = divmod(at, n)
+    return LandscapeStats(low, (i, j), (grid.axis_a[i], grid.axis_b[j]),
+                          high, strict, plateau / (n * n))
 
 
 def emit_grid_csv(grid: SurfaceGrid, path: "str | Path",
@@ -233,21 +197,16 @@ def emit_grid_csv(grid: SurfaceGrid, path: "str | Path",
     """CSV (wa,wb,err; wa-major; 17 significant digits) plus a companion
     metadata document at <path>.meta.json.
 
-    The axis_b column is formatted once per grid into a row template, and
-    each row is one write; '%.17g' % x is format(x, '.17g') for every
-    float, inf and NaN included.
+    The text is kernels.grid_csv's bytes: every number as '%.17g' writes
+    it, NaN as "nan" whatever its sign.  The compiled kernel formats each
+    axis value once and each cell once, by an exact integer path for
+    most doubles and snprintf for the rest; the Python one by a row
+    template.
     """
     path = Path(path)
-    n = grid.steps
-    row_format = "".join(f"%s,{format(b, '.17g')},%.17g\n"
-                         for b in grid.axis_b)
-    cells = [None] * (2 * n)
-    with open(path, "w", newline="") as fh:
-        fh.write("wa,wb,err\n")
-        for i in range(n):
-            cells[0::2] = [format(grid.axis_a[i], ".17g")] * n
-            cells[1::2] = grid.values[i]
-            fh.write(row_format % tuple(cells))
+    with open(path, "wb") as fh:
+        fh.write(kernels.grid_csv(b"wa,wb,err\n", grid.axis_a, grid.axis_b,
+                                  _flat(grid.values)))
     meta = {
         "coord_a": grid.coord_a.render(),
         "coord_b": grid.coord_b.render(),

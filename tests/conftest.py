@@ -8,7 +8,8 @@ The c_package and ckern fixtures build the compiled kernels once per
 session with the package's own build rule (xorlab.kernels.build), into
 the __pycache__ of a temporary copy of the package, so the
 backend-parity tests compare the library its import loads.  They skip
-only when no cc is on PATH; a failed compile is an error.
+only when no cc is on PATH; a failed compile is an error.  The kern
+fixture is each backend in turn.
 """
 
 import re
@@ -63,6 +64,14 @@ def ckern(c_package):
     """The compiled backend, loaded from c_package."""
     from xorlab import _cbackend
     return _cbackend.load(str(library_path(c_package)))
+
+
+@pytest.fixture(scope="session", params=["python", "c"])
+def kern(request):
+    """Each backend in turn; the c one skips when no cc is on PATH."""
+    if request.param == "c":
+        return request.getfixturevalue("ckern")
+    return kernels.get_backend("python")
 
 
 _CRITERION = re.compile(r"test_criterion_(\d{2})_(\w+?)(?:\[|$)")

@@ -339,7 +339,7 @@ def test_criterion_14_problogic_suite():
         assert {k: float(v) for k, v in freqs.items()} == table
         verdict = check_consistency(freqs["x1"], freqs["x2"],
                                     freqs["and"], freqs["or"])
-        assert verdict.consistent, verdict.failures()
+        assert verdict.consistent, (verdict.failures(), freqs)
 
     expr = parse_expr("x1 xor x2")
     rng = random.Random(5150)

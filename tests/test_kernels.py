@@ -12,8 +12,11 @@ import math
 import os
 import random
 import shutil
+import struct
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -291,14 +294,6 @@ def test_trajectory_grows_with_iterations_run(backend, request):
 # -- the generated Python kernels and C against the loop reference ----------
 
 SEEDS = (0, 1, 7, 2**63, 2**64 - 1, -5)
-
-
-@pytest.fixture(scope="session", params=["python", "c"])
-def kern(request):
-    """Each backend in turn; the c one skips when no cc is on PATH."""
-    if request.param == "c":
-        return request.getfixturevalue("ckern")
-    return kernels.get_backend("python")
 
 
 def _n_weights(sizes):
@@ -754,3 +749,133 @@ def test_fs_scorer_checks_its_lattice(kern):
     # outputs past the lattice are ignored; -0.0 on the axis becomes 0.0
     score = kern.fs_scorer([0.0, 1.0, 1.0, 0.0, 9.0], (-0.0, 1.0))
     assert repr(score(1.0)) == "0.0"
+
+
+# -- the surface kernels: grid_csv against '%.17g', grid_stats ---------------
+
+def _drawn_doubles(n=200_000, seed=26):
+    """n doubles: random bit patterns (NaNs of either sign and every
+    exponent among them), random subnormals, values uniform on +-5 and
+    +-1000 and log-uniform over 1e-8 to 1e20, and 2^53 +- k."""
+    rng = random.Random(seed)
+    out = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+           -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    out += [float(2 ** 53 + k) for k in range(-64, 65)]
+    out += [-float(2 ** 53 + k) for k in range(-64, 65, 7)]
+    draws = (
+        lambda: struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0],
+        lambda: struct.unpack("<d", struct.pack(
+            "<Q", rng.getrandbits(52) | rng.getrandbits(1) << 63))[0],
+        lambda: rng.uniform(-5.0, 5.0),
+        lambda: rng.uniform(-1000.0, 1000.0),
+        lambda: math.copysign(math.exp(rng.uniform(math.log(1e-8),
+                                                   math.log(1e20))),
+                              rng.random() - 0.5),
+    )
+    while len(out) < n:
+        out.append(rng.choice(draws)())
+    return out
+
+
+def _ties(seed=17):
+    """Doubles of exactly 18 significant digits, the last a 5, so that
+    rounding them to 17 is a tie: n + k / 2^j with n of d digits and k
+    odd has j = 18 - d fraction digits, for d = 0 (n = 0, x >= 0.1) to
+    15."""
+    rng = random.Random(seed)
+    out = []
+    for d in range(16):
+        j = 18 - d
+        for _ in range(40):
+            n = rng.randrange(10 ** (d - 1), 10 ** d) if d else 0
+            lo = 2 ** j // 10 + 1 if d == 0 else 1
+            out.append(n + (rng.randrange(lo, 2 ** j) | 1) / 2 ** j)
+    return out
+
+
+def _edge_doubles():
+    """Every power of ten from 1e-330 to 1e308 and its two neighbours, the
+    %g switch points 1e-5 and 1e17 with theirs, 1e-4's lower one, and the
+    ties."""
+    out = _ties()
+    for k in range(-330, 309):
+        x = float(f"1e{k}")
+        out += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    for x in (1e-5, 1e17, 1e-4, 1e16, 2.0 ** 53):
+        out += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return out + [-x for x in out]
+
+
+def _csv_17g(header, axis_a, axis_b, values):
+    nb = len(axis_b)
+    return header + "".join(
+        f"{'%.17g' % a},{'%.17g' % b},{'%.17g' % values[i * nb + j]}\n"
+        for i, a in enumerate(axis_a) for j, b in enumerate(axis_b)).encode()
+
+
+def _first_difference(got, want):
+    for k, (g, w) in enumerate(zip(got.split(b"\n"), want.split(b"\n"))):
+        if g != w:
+            return k, g, w
+    return len(got), len(want)
+
+
+@pytest.mark.parametrize("draw", [_drawn_doubles, _edge_doubles])
+def test_grid_csv_writes_percent_17g(kern, draw):
+    values = draw()
+    got = kern.grid_csv(b"h\n", [0.1], values, values)
+    want = _csv_17g(b"h\n", [0.1], values, values)
+    assert got == want, _first_difference(got, want)
+
+
+def test_grid_csv_covers_the_digit_carries():
+    # 17-digit rounding carries 1e-14's double, just below 1e-14, into
+    # the next decade, and 10.0's first estimate of its exponent is one
+    # short, so its 17 digits first read 10^17
+    assert "%.17g" % 1e-14 == "1e-14" and 1e-14 < Fraction(1, 10 ** 14)
+    assert 1e-14 in _edge_doubles() and 10.0 in _edge_doubles()
+    assert "%.17g" % math.nextafter(1e-4, 0.0) == "9.9999999999999991e-05"
+    # each tie is exact: 18 significant digits, the last a 5
+    for x in _ties():
+        digits = Decimal(x).as_tuple().digits
+        assert (len(digits), digits[-1]) == (18, 5), x
+
+
+def test_grid_csv_lays_out_an_a_major_grid(kern):
+    axis_a, axis_b = (-1.5, 0.0, 2.0), (0.25, -0.0)
+    values = [1.0, math.nan, -math.inf, 1e-7, 123456.789, -0.0]
+    got = kern.grid_csv(b"wa,wb,err\n", axis_a, axis_b, values + [9.0])
+    assert got == _csv_17g(b"wa,wb,err\n", axis_a, axis_b, values)
+    assert got.split(b"\n")[1:3] == [b"-1.5,0.25,1", b"-1.5,-0,nan"]
+    assert kern.grid_csv(b"h\n", (), axis_b, []) == b"h\n"
+    assert kern.grid_csv(b"", axis_a, (), []) == b""
+    with pytest.raises(IndexError):
+        kern.grid_csv(b"h\n", axis_a, axis_b, values[:5])
+
+
+def test_grid_stats_matches_across_backends(kern):
+    py = kernels.get_backend("python")
+    rng = random.Random(41)
+    pool = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 1.0 + 1e-12,
+            1.0 - 5e-13, 2.0]
+    for n in (3, 4, 7, 12):
+        for _ in range(200):
+            values = [rng.choice(pool) if rng.random() < 0.5
+                      else rng.uniform(-3.0, 3.0) for _ in range(n * n)]
+            assert (repr(kern.grid_stats(values, n))
+                    == repr(py.grid_stats(values, n))), (n, values)
+    # of tied zeros the minimum and the maximum are the first, whatever
+    # their signs
+    got = kern.grid_stats([1.0, 0.0, -0.0, 5.0, 5.0, 0.0, 7.0, 7.0,
+                           math.nan, 99.0], 3)
+    assert repr(got) == repr((0.0, 1, 7.0, 0, 7))
+    got = kern.grid_stats([-1.0, -0.0, -2.0, 0.0, -3.0, -1.0, -4.0, -1.0,
+                           -1.0], 3)
+    assert repr(got) == repr((-4.0, 6, -0.0, 4, 3))
+    with pytest.raises(IndexError):
+        kern.grid_stats([0.0] * 8, 3)
+
+
+def test_grid_stats_plateau_tolerance_is_surface_s(c_package):
+    source = (c_package / "xorlab" / "kern.c").read_text()
+    assert f"#define PLATEAU_TOL {_pycore._PLATEAU_TOL!r} " in source

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import surface_reference
 
+from xorlab import kernels
 from xorlab.datasets import builtin, grid_axis
 from xorlab.errors import DomainError, InvalidCoordError, ShapeError
 from xorlab.linalg import Matrix
@@ -290,10 +291,19 @@ def _hostile_grids(draw):
                        tuple(map(tuple, rows)), _HOSTILE_NET, "toy")
 
 
+@pytest.fixture
+def surface_kern(kern, monkeypatch):
+    """surface's statistics and CSV text from kern's grid_stats and
+    grid_csv, each backend in turn."""
+    monkeypatch.setattr(kernels, "grid_stats", kern.grid_stats)
+    monkeypatch.setattr(kernels, "grid_csv", kern.grid_csv)
+    return kern
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_hostile_grids())
-def test_hostile_grids_match_reference(tmp_path, grid):
+def test_hostile_grids_match_reference(surface_kern, tmp_path, grid):
     assert (repr(landscape_stats(grid))
             == repr(surface_reference.landscape_stats(grid)))
     emit_grid_csv(grid, tmp_path / "new.csv", model_ref="m.json")
@@ -319,7 +329,7 @@ def test_projections_match_reference(spec, tmp_path):
                 == (tmp_path / "ref.csv").read_bytes())
 
 
-def test_landscape_stats_skips_nan_and_keeps_the_first_tie():
+def test_landscape_stats_skips_nan_and_keeps_the_first_tie(surface_kern):
     nan, inf = math.nan, math.inf
     grid = _tiny_grid([[nan, 3, -0.0],
                        [0.0, nan, inf],
