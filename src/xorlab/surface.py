@@ -1,8 +1,10 @@
 """Error-surface projections: full-dataset SSE as a function of two chosen
 weights with every other weight frozen at a base network's values.
 
-Grids are a-major: values[i][j] is the SSE with coord_a set to axis_a[i]
-and coord_b set to axis_b[j].  Axis values are computed once here, by
+Grids are one flat a-major tuple, the layout kernels.project_grid
+writes and kernels.grid_stats and kernels.grid_csv read:
+values[i * steps + j] is the SSE with coord_a set to axis_a[i] and
+coord_b set to axis_b[j].  Axis values are computed once here, by
 datasets.grid_axis (the one evenly spaced axis of the package), and
 handed to the kernel, so both kernel backends see identical lattices.
 A range must give finite axis values; the SSE cells may still be inf or
@@ -120,7 +122,7 @@ class SurfaceGrid:
     steps: int
     axis_a: tuple
     axis_b: tuple
-    values: tuple            # values[i][j], coord_a major
+    values: tuple            # values[i * steps + j], coord_a major
     base_net: Network
     dataset_name: str
 
@@ -152,10 +154,8 @@ def project(net: Network, data: Dataset, a: WeightCoord, b: WeightCoord,
     flat = kernels.project_grid(list(topo.layer_sizes), topo.codes,
                                 net.flat_weights, xs, ts, ia, ib,
                                 list(axis_a), list(axis_b))
-    values = tuple(tuple(flat[i * steps:(i + 1) * steps])
-                   for i in range(steps))
     return SurfaceGrid(a, b, (lo_a, hi_a), (lo_b, hi_b), steps,
-                       axis_a, axis_b, values, net, data.name)
+                       axis_a, axis_b, tuple(flat), net, data.name)
 
 
 @dataclass(frozen=True)
@@ -166,11 +166,6 @@ class LandscapeStats:
     max_value: float
     strict_minima: int
     plateau_fraction: float
-
-
-def _flat(values) -> list:
-    """The grid's cells, a-major, as one list."""
-    return list(itertools.chain.from_iterable(values))
 
 
 def landscape_stats(grid: SurfaceGrid) -> LandscapeStats:
@@ -185,8 +180,7 @@ def landscape_stats(grid: SurfaceGrid) -> LandscapeStats:
     n = grid.steps
     if n < 3:
         raise DomainError(f"landscape_stats needs steps >= 3, got {n}")
-    low, at, high, strict, plateau = kernels.grid_stats(_flat(grid.values),
-                                                        n)
+    low, at, high, strict, plateau = kernels.grid_stats(grid.values, n)
     i, j = divmod(at, n)
     return LandscapeStats(low, (i, j), (grid.axis_a[i], grid.axis_b[j]),
                           high, strict, plateau / (n * n))
@@ -206,7 +200,7 @@ def emit_grid_csv(grid: SurfaceGrid, path: "str | Path",
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(kernels.grid_csv(b"wa,wb,err\n", grid.axis_a, grid.axis_b,
-                                  _flat(grid.values)))
+                                  grid.values))
     meta = {
         "coord_a": grid.coord_a.render(),
         "coord_b": grid.coord_b.render(),

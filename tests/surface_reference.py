@@ -1,6 +1,8 @@
 """The surface scan and CSV writer as they were before the row-wise
-scan and the row template, kept verbatim as the reference the
-hostile-grid tests compare the library against."""
+scan and the row template, kept as the reference the hostile-grid tests
+compare the library against.  They are the old code except for the cell
+reads: SurfaceGrid.values is now one flat a-major tuple, so v[i][j]
+became v[i * n + j]."""
 
 import json
 import math
@@ -30,7 +32,7 @@ def landscape_stats(grid: SurfaceGrid) -> LandscapeStats:
     plateau = 0
     for i in range(n):
         for j in range(n):
-            x = v[i][j]
+            x = v[i * n + j]
             if x < min_val:
                 min_val = x
                 min_idx = (i, j)
@@ -38,13 +40,13 @@ def landscape_stats(grid: SurfaceGrid) -> LandscapeStats:
                 max_val = x
             neigh = []
             if i > 0:
-                neigh.append(v[i - 1][j])
+                neigh.append(v[(i - 1) * n + j])
             if i < n - 1:
-                neigh.append(v[i + 1][j])
+                neigh.append(v[(i + 1) * n + j])
             if j > 0:
-                neigh.append(v[i][j - 1])
+                neigh.append(v[i * n + j - 1])
             if j < n - 1:
-                neigh.append(v[i][j + 1])
+                neigh.append(v[i * n + j + 1])
             if all(x < y for y in neigh):
                 strict += 1
             if any(abs(x - y) <= _PLATEAU_TOL for y in neigh):
@@ -61,11 +63,12 @@ def emit_grid_csv(grid: SurfaceGrid, path: "str | Path",
     path = Path(path)
     with open(path, "w", newline="") as fh:
         fh.write("wa,wb,err\n")
-        for i in range(grid.steps):
+        n = grid.steps
+        for i in range(n):
             wa = format(grid.axis_a[i], ".17g")
-            for j in range(grid.steps):
+            for j in range(n):
                 fh.write(f"{wa},{format(grid.axis_b[j], '.17g')},"
-                         f"{format(grid.values[i][j], '.17g')}\n")
+                         f"{format(grid.values[i * n + j], '.17g')}\n")
     meta = {
         "coord_a": grid.coord_a.render(),
         "coord_b": grid.coord_b.render(),

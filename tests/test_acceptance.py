@@ -308,7 +308,9 @@ def test_criterion_12_surface_facts():
                    steps=101)
     stats = landscape_stats(grid)
     assert stats.strict_minima == 1
-    for line in list(grid.values) + list(zip(*grid.values)):
+    n, cells = grid.steps, grid.values
+    for line in ([cells[i * n:(i + 1) * n] for i in range(n)]
+                 + [cells[j::n] for j in range(n)]):
         for u, v, w in zip(line, line[1:], line[2:]):
             assert u - 2.0 * v + w >= -1e-9
 

@@ -244,3 +244,14 @@ def test_corner_agreement_with_boolean_xor():
               CopulaParam.finite(0.7), CopulaParam.infinity()):
         for (x, y), want in table.items():
             assert float(xor_f(p, x, y)) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=DomainError, reason=(
+    "program defect: at x = y = 1 the closed form overshoots A_s = 1 by "
+    "more than the unit window for ln s in about [-18.4, -12.5] "
+    "(1 + 6.0e-12 at ln s = -15), so frank_and raises DomainError there"))
+def test_frank_and_at_the_corner_for_small_s(capsys):
+    from xorlab.cli import main
+    assert frank_and(CopulaParam.finite(math.exp(-15.0)), 1.0, 1.0) == 1.0
+    assert main(["copula", "grid", "--fn", "and", "--s", "1e-7",
+                 "--steps", "3"]) == 0

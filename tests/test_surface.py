@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import loop_kernels
 import surface_reference
 
 from xorlab import kernels
@@ -93,7 +94,8 @@ def test_project_matches_direct_sse():
             moved = replace_weights(net, [(a, grid.axis_a[i]),
                                           (b, grid.axis_b[j])])
             direct = sse(moved.predictor(), XOR)
-            assert grid.values[i][j] == pytest.approx(direct, abs=1e-12)
+            assert grid.values[i * 9 + j] == pytest.approx(direct,
+                                                           abs=1e-12)
 
 
 def test_project_base_point_cell_recovers_base_sse():
@@ -103,8 +105,8 @@ def test_project_base_point_cell_recovers_base_sse():
     # range lower bounds sit exactly on the base values 0.1 and -0.1
     grid = project(net, XOR, a, b, range_a=(0.1, 1.1), range_b=(-0.1, 0.9),
                    steps=11)
-    assert grid.values[0][0] == pytest.approx(sse(net.predictor(), XOR),
-                                              abs=1e-12)
+    assert grid.values[0] == pytest.approx(sse(net.predictor(), XOR),
+                                           abs=1e-12)
 
 
 def test_project_validation():
@@ -156,17 +158,15 @@ def test_project_keeps_wide_finite_ranges():
                    range_a=(-1e200, 1e200), range_b=(-1e200, 1e200),
                    steps=5)
     assert grid.axis_a == (-1e200, -5e199, 0.0, 5e199, 1e200)
-    flat = [v for row in grid.values for v in row]
-    assert math.inf in flat
+    assert math.inf in grid.values
 
 
-def _tiny_grid(values):
-    n = len(values)
+def _tiny_grid(rows):
+    n = len(rows)
     axis = tuple(float(k) for k in range(n))
     return SurfaceGrid(parse_coord("w1_11"), parse_coord("w1_12"),
                        (0.0, float(n - 1)), (0.0, float(n - 1)), n,
-                       axis, axis, tuple(tuple(map(float, r))
-                                         for r in values),
+                       axis, axis, tuple(float(v) for r in rows for v in r),
                        _base_net(), "toy")
 
 
@@ -208,7 +208,9 @@ def test_id_projection_has_unique_strict_minimum():
     stats = landscape_stats(grid)
     assert stats.strict_minima == 1
     # quadratic slice: every row and column is convex
-    for line in list(grid.values) + list(zip(*grid.values)):
+    n, cells = grid.steps, grid.values
+    for line in ([cells[i * n:(i + 1) * n] for i in range(n)]
+                 + [cells[j::n] for j in range(n)]):
         for u, v, w in zip(line, line[1:], line[2:]):
             assert u - 2 * v + w >= -1e-9
 
@@ -221,8 +223,7 @@ def test_id_projection_input_pair_bitwise_tie():
                    steps=101)
     stats = landscape_stats(grid)
     assert stats.strict_minima == 0
-    flat = [v for row in grid.values for v in row]
-    assert flat.count(stats.min_value) == 2
+    assert grid.values.count(stats.min_value) == 2
 
 
 def test_relu_projection_has_plateau():
@@ -245,7 +246,7 @@ def test_emit_grid_csv_and_meta(tmp_path):
     # wa-major ordering and 17g re-parse fidelity
     assert float(rows[1][0]) == -1.0 and float(rows[1][1]) == -1.0
     assert float(rows[2][1]) == -0.5
-    assert float(rows[1][2]) == grid.values[0][0]
+    assert float(rows[1][2]) == grid.values[0]
     meta = json.loads((tmp_path / "grid.csv.meta.json").read_text())
     assert meta == {"coord_a": "w1_11", "coord_b": "w2_12",
                     "range_a": [-1.0, 1.0], "range_b": [-1.0, 1.0],
@@ -282,13 +283,12 @@ _HOSTILE_NET = _base_net()
 @st.composite
 def _hostile_grids(draw):
     n = draw(st.integers(3, 12))
-    rows = draw(st.lists(st.lists(_HOSTILE, min_size=n, max_size=n),
-                         min_size=n, max_size=n))
+    cells = draw(st.lists(_HOSTILE, min_size=n * n, max_size=n * n))
     axis_a = tuple(draw(st.lists(_HOSTILE, min_size=n, max_size=n)))
     axis_b = tuple(draw(st.lists(_HOSTILE, min_size=n, max_size=n)))
     return SurfaceGrid(parse_coord("w1_11"), parse_coord("w1_12"),
                        (-1.0, 1.0), (-1.0, 1.0), n, axis_a, axis_b,
-                       tuple(map(tuple, rows)), _HOSTILE_NET, "toy")
+                       tuple(cells), _HOSTILE_NET, "toy")
 
 
 @pytest.fixture
@@ -329,6 +329,25 @@ def test_projections_match_reference(spec, tmp_path):
                 == (tmp_path / "ref.csv").read_bytes())
 
 
+@pytest.mark.parametrize("pair", [("w1_11", "w1_12"), ("w1_21", "w2_12"),
+                                  ("w2_11", "w2_13")])
+def test_values_are_project_grids_flat_output(kern, monkeypatch, pair):
+    """values is project_grid's a-major list as a tuple, cell for cell:
+    values[i * steps + j] is the SSE at (axis_a[i], axis_b[j])."""
+    monkeypatch.setattr(kernels, "project_grid", kern.project_grid)
+    net = _base_net("2-2-1/inp-tanh-tanh")
+    a, b = map(parse_coord, pair)
+    grid = project(net, XOR, a, b, range_a=(-3, 2), range_b=(-1, 4),
+                   steps=7)
+    topo = net.topology
+    want = loop_kernels.project_grid(
+        topo.layer_sizes, topo.codes, net.flat_weights,
+        [x for xs, _ in XOR.single() for x in xs],
+        [t for _, t in XOR.single()], flat_index(a, topo),
+        flat_index(b, topo), grid_axis(-3.0, 2.0, 7), grid_axis(-1.0, 4.0, 7))
+    assert repr(list(grid.values)) == repr(want)
+
+
 def test_landscape_stats_skips_nan_and_keeps_the_first_tie(surface_kern):
     nan, inf = math.nan, math.inf
     grid = _tiny_grid([[nan, 3, -0.0],
@@ -338,9 +357,8 @@ def test_landscape_stats_skips_nan_and_keeps_the_first_tie(surface_kern):
     assert repr(stats) == repr(surface_reference.landscape_stats(grid))
     assert (repr(stats.min_value), stats.min_index) == ("-0.0", (0, 2))
     assert stats.max_value == inf
-    as_lists = dataclasses.replace(grid,
-                                   values=[list(r) for r in grid.values])
-    assert repr(landscape_stats(as_lists)) == repr(stats)
+    as_list = dataclasses.replace(grid, values=list(grid.values))
+    assert repr(landscape_stats(as_list)) == repr(stats)
     all_nan = _tiny_grid([[nan] * 3] * 3)
     stats = landscape_stats(all_nan)
     assert (stats.min_value, stats.min_index, stats.max_value) == (
