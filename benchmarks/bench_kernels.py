@@ -32,8 +32,9 @@ s = 3 (which runs the fit and is labelled Fs), and on both nets
 classify's 21x21 lattice, as 441 network.forward calls and as one
 network.forward_lattice call, network.gradient over the four
 boolean-xor samples, and copula.solve_s over 2,000 queries drawn from
---seed as perfbench's logic workload draws its solve_s queries (the time
-per call).
+--seed as perfbench's logic workload draws its solve_s queries, and
+problogic.parse_expr over 2,000 texts drawn from --seed as that workload
+draws its copula_prob texts (each the time per call).
 
 First-call section: the time the first network.forward call, then the
 first network.gradient call and then the first network.forward_lattice
@@ -66,7 +67,7 @@ import time
 from pathlib import Path
 
 import xorlab
-from xorlab import _pycore, copula, network, surface, trainer
+from xorlab import _pycore, copula, network, problogic, surface, trainer
 from xorlab.copula import (SOLVE_TOL, CopulaParam, frank_and, frechet_bounds,
                            solve_s, xor_f_lattice)
 from xorlab.datasets import builtin
@@ -226,6 +227,30 @@ def solve_queries(seed, n=2000):
     return queries
 
 
+def prob_texts(seed, n=2000):
+    """n texts for parse_expr, drawn like the logic workload's: 2 to 4
+    distinct variables x1, x2, ... shuffled, split at random points into
+    a tree of and, or and xor, each node negated with probability 0.3,
+    and written fully parenthesized."""
+    rng = random.Random(seed)
+
+    def draw(names):
+        if len(names) == 1:
+            text = names[0]
+        else:
+            cut = rng.randint(1, len(names) - 1)
+            op = rng.choice(("and", "or", "xor"))
+            text = f"({draw(names[:cut])} {op} {draw(names[cut:])})"
+        return f"not ({text})" if rng.random() < 0.3 else text
+
+    texts = []
+    for _ in range(n):
+        names = [f"x{i}" for i in range(1, rng.randint(2, 4) + 1)]
+        rng.shuffle(names)
+        texts.append(draw(names))
+    return texts
+
+
 def _fixed_net(spec, flat_layers):
     topo = parse_spec(spec)
     return Network(topo, tuple(
@@ -308,6 +333,13 @@ def _library_section(args, items):
         args.repeats)
     items.append(_item(f"solve_s, {len(queries):,} drawn round trips, "
                        f"per call", BACKEND, seconds, per=len(queries)))
+    _show(items[-1])
+    texts = prob_texts(args.seed)
+    seconds, = _timings(
+        [lambda: [problogic.parse_expr(text) for text in texts]],
+        args.repeats)
+    items.append(_item(f"parse_expr, {len(texts):,} drawn texts, per call",
+                       BACKEND, seconds, per=len(texts)))
     _show(items[-1])
 
 

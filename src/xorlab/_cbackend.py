@@ -1,9 +1,10 @@
 """ctypes front end to the compiled kernels in kern.c.
 
 load(path) binds the library that xorlab.kernels built from kern.c and
-returns a namespace with the same exports as xorlab._pycore (BACKEND,
-SSE_BLOWUP, sse_dataset, train_run, project_grid, fs_scorer, solve_t,
-grid_stats, grid_csv), taking and returning the same Python types.  The
+returns a namespace with BACKEND and the same functions as
+xorlab._pycore (sse_dataset, train_run, project_grid, fs_scorer,
+solve_t, grid_stats, grid_csv), taking and returning the same Python
+types.  The
 library has six kernels, train_run, project_grid, fs_deviation (behind
 fs_scorer, which scores every s in C and raises the Python backend's
 errors), solve_t, grid_stats and grid_csv (which formats each number
@@ -29,8 +30,8 @@ from ctypes import (POINTER, byref, c_char_p, c_double, c_int, c_longlong,
                     c_size_t, c_uint64, c_void_p)
 from types import SimpleNamespace
 
-from ._pycore import (MASK64, SSE_BLOWUP, _offsets, check_cells,
-                      check_network, check_weights, sse_dataset)
+from ._pycore import (MASK64, _offsets, check_cells, check_network,
+                      check_weights, sse_dataset)
 from .copula import CopulaParam, _unit, _unit_axis
 
 _INT_MAX = 2 ** (8 * ctypes.sizeof(c_int) - 1) - 1
@@ -86,11 +87,6 @@ def _problem(sizes, acts, xs, ts):
     return net, _doubles(xs), _doubles(ts), n_samples, n_weights
 
 
-def _weights(w, n_weights):
-    check_weights(w, n_weights)
-    return _doubles(w)
-
-
 def load(path: str) -> SimpleNamespace:
     """Bind the library at path; ImportError if it cannot be used."""
     try:
@@ -125,7 +121,8 @@ def load(path: str) -> SimpleNamespace:
     def project_grid(sizes, acts, w, xs, ts, ia, ib, avals, bvals):
         """SSE at every (avals[i], bvals[j]) written into flat slots ia/ib."""
         net, cxs, cts, n_samples, n_weights = _problem(sizes, acts, xs, ts)
-        work = _weights(w, n_weights)
+        check_weights(w, n_weights)
+        work = _doubles(w)
         slots = range(len(work))
         na, nb = _cint(len(avals)), _cint(len(bvals))
         out = (c_double * (na * nb))()
@@ -186,7 +183,7 @@ def load(path: str) -> SimpleNamespace:
         finally:
             lib.kern_free(text)
 
-    return SimpleNamespace(BACKEND="c", SSE_BLOWUP=SSE_BLOWUP,
+    return SimpleNamespace(BACKEND="c",
                            sse_dataset=functools.partial(
                                sse_dataset, project_grid=project_grid),
                            train_run=train_run, project_grid=project_grid,

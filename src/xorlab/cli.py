@@ -167,7 +167,6 @@ def _cmd_logic_prob(args):
     expr = parse_expr(args.expr)
     assign = _parse_assign(args.assign)
     s = CopulaParam.parse(args.s)
-    caught = []
     with warnings.catch_warnings(record=True) as grabbed:
         warnings.simplefilter("always")
         value = float(copula_prob(expr, assign, s))

@@ -24,7 +24,8 @@ _unit's window and clamp.
 solve_s checks its input, snaps to the limits and builds the result here;
 its bisection is a kernel, kernels.solve_t, looked up on every call:
 _pycore.solve_t, a loop over _frank_raw, or kern.c's solve_t, the same
-loop over frank_raw.
+loop over frank_raw.  kernels is imported at the end of this module:
+its backends import names from here, which are all defined by then.
 
 Probabilities are plain floats.  _unit is the one rule for them: it takes
 anything float() takes, rejects NaN and values more than UNIT_EPS outside
@@ -46,11 +47,6 @@ ZERO_DISPATCH = 1e-8    # finite s below this evaluates via the s->0 limit
 INF_DISPATCH = 1e8      # finite s above this evaluates via the s->inf limit
 SOLVE_TOL = 1e-9        # bound snapping tolerance in solve_s
 _BISECT_ITERS = 200
-# the kernels module, bound on the first solve_s call: kernels imports
-# _pycore, which imports this module, so it cannot be imported here.
-# solve_s looks up kernels.solve_t on every call, so a wrapper put there
-# (a tracer's, a test's) sees each solve.
-_kernels = None
 _LIMIT_S = {"zero": 0.0, "one": 1.0, "inf": math.inf}   # s of each limit
 
 
@@ -170,9 +166,8 @@ def xor_f_lattice(s: CopulaParam, axis) -> "list[float]":
     limits and the dispatched s call _frank_raw directly.
     """
     xs = _unit_axis(tuple(axis))
-    if s.kind == "finite" and ZERO_DISPATCH <= s.s <= INF_DISPATCH:
-        # a finite s is never 1, so L != 0
-        L = math.log(s.s)
+    if s.s != 1.0 and ZERO_DISPATCH <= s.s <= INF_DISPATCH:
+        L = math.log(s.s)       # s != 1, so L != 0
         dL = math.expm1(L)
         pts = list(zip(xs, [math.expm1(x * L) for x in xs]))
         log1p = math.log1p
@@ -252,17 +247,13 @@ def solve_s(x: float, y: float, p: float) -> CopulaParam:
         return CopulaParam.zero()
     if pv <= lower + SOLVE_TOL:
         return CopulaParam.infinity()
-    t = (_kernels or _bind_kernels()).solve_t(xv, yv, pv, _BISECT_ITERS)
+    t = kernels.solve_t(xv, yv, pv, _BISECT_ITERS)
     return CopulaParam.finite(t / (1.0 - t))
-
-
-def _bind_kernels():
-    global _kernels
-    from . import kernels
-    _kernels = kernels
-    return kernels
 
 
 def heaviside(t: float) -> float:
     """Unit step: 1 for t > 0, 0 for t <= 0."""
     return 1.0 if t > 0.0 else 0.0
+
+
+from . import kernels   # last: _pycore and _cbackend take names from here

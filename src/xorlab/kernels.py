@@ -12,8 +12,7 @@ tries, s snapped onto the One window by the scorer), solve_t
 its index, maximum, strict minima and plateau cells) and grid_csv (a
 grid's CSV text as bytes, each number as '%.17g' writes it, NaN as
 "nan" whatever its sign; the C one by an exact integer path for most
-doubles and snprintf for the rest); sse_dataset is the one cell of
-project_grid that leaves the weights as they are.  Both produce results
+doubles and snprintf for the rest).  Both produce results
 bit-identical to the loop reference in tests/loop_kernels.py (fs_scorer:
 to the Python one, copula.xor_f_lattice scored by _max_abs_diff, with
 the same errors; solve_t: to _pycore.solve_t; grid_stats and grid_csv:
@@ -22,6 +21,11 @@ just faster.  In both, train_run
 stops early once no epoch could move any weight (it checks after epoch 1
 and every 256th epoch), with the outputs the full run would give (see
 _pycore).
+
+This module re-exports the default backend's six kernels and BACKEND,
+and SSE_BLOWUP, the divergence limit that _pycore writes once.  Each
+backend object that get_backend returns also has sse_dataset, the one
+cell of project_grid that leaves the weights as they are.
 
 The compiled backend runs when a library loads, and Python otherwise;
 without a library, ctypes is never imported.  This module is the one
@@ -44,9 +48,8 @@ from . import _pycore
 from .errors import DomainError
 
 __all__ = [
-    "BACKEND", "SSE_BLOWUP", "sse_dataset", "train_run", "project_grid",
-    "fs_scorer", "solve_t", "grid_stats", "grid_csv", "get_backend",
-    "available_backends",
+    "BACKEND", "SSE_BLOWUP", "train_run", "project_grid", "fs_scorer",
+    "solve_t", "grid_stats", "grid_csv", "get_backend", "available_backends",
 ]
 
 # -ffp-contract=off keeps the compiled arithmetic bit-identical to the
@@ -152,8 +155,7 @@ def available_backends() -> tuple[str, ...]:
 _impl = _pycore if _compiled is None else _compiled
 
 BACKEND = _impl.BACKEND
-SSE_BLOWUP = _impl.SSE_BLOWUP
-sse_dataset = _impl.sse_dataset
+SSE_BLOWUP = _pycore.SSE_BLOWUP
 train_run = _impl.train_run
 project_grid = _impl.project_grid
 fs_scorer = _impl.fs_scorer

@@ -16,6 +16,8 @@ left-associative):
 
 A fully parenthesized xor formula reads the same under any precedence, so
 this ordering is purely a convention; it is documented in the CLI help.
+The tokenizer is one regular-expression scan; it skips what
+str.isspace() accepts and refuses the first character no token starts.
 
 parse_expr refuses (ExprSyntaxError) a tree more than MAX_DEPTH = 100
 levels deep and a text that nests more than MAX_DEPTH parentheses.  It
@@ -88,7 +90,8 @@ class BoolExpr:
         return f"({text})" if needs else text
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
+_IDENT = r"[A-Za-z_]\w*"
+_IDENT_RE = re.compile(_IDENT + r"\Z")
 _KEYWORDS = ("not", "and", "or", "xor")
 
 
@@ -211,7 +214,8 @@ class Or(_Binary):
 # ---------------------------------------------------------------------------
 # parser
 
-_TOKEN_RE = re.compile(r"[A-Za-z_]\w*|[01()]")
+# whitespace, then a token (group 1) or the character refused (group 2)
+_TOKEN_RE = re.compile(rf"\s*(?:({_IDENT}|[01()])|(\S))")
 _TOKEN_KIND = {"(": "lparen", ")": "rparen", "0": "const", "1": "const",
                **{keyword: keyword for keyword in _KEYWORDS}}
 _ATOM_EXPECTED = ("identifier", "'('", "'not'", "'0'", "'1'")
@@ -227,21 +231,15 @@ MAX_DEPTH = 100
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, offset) of each token, then ("end", "", len(text))."""
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
+    for m in _TOKEN_RE.finditer(text):
+        tok, bad = m.groups()
+        if bad:
+            pos = m.start(2)
             raise ExprSyntaxError(
                 f"syntax error at offset {pos}: unexpected character "
-                f"{text[pos]!r}", pos, _ATOM_EXPECTED)
-        tok = m.group()
-        tokens.append((_TOKEN_KIND.get(tok, "name"), tok, pos))
-        pos = m.end()
-    tokens.append(("end", "", n))
+                f"{bad!r}", pos, _ATOM_EXPECTED)
+        tokens.append((_TOKEN_KIND.get(tok, "name"), tok, m.start(1)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 

@@ -25,9 +25,13 @@ from xorlab.problogic import (MAX_DEPTH, And, BoolExpr, Const, Not, Or, Var,
 
 _TOO_DEEP = f"expression nested more than {MAX_DEPTH} levels deep"
 
-# tokens, near-tokens and characters the tokenizer refuses
+# tokens, near-tokens and characters the tokenizer refuses; the
+# whitespace pieces hold parse_expr's \s to the reference's
+# str.isspace(), and the non-ASCII letters and digits exercise \w
 _PIECES = ("(", ")", "not", "and", "or", "xor", "a", "b", "x1", "_", "0",
-           "1", "01", "2", "$", "é", "\t", " ", "\ud800")
+           "1", "01", "2", "$", "é", "\t", " ", "\ud800", "\n", "\x0b",
+           "\x1c", "\x85", "\u00a0", "\u2003", "\u200b", "\u0663",
+           "x\u0663", "a\u00e9", "\u00b2")
 
 
 def _outcome(parse, text):
