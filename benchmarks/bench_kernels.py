@@ -171,7 +171,7 @@ def _workloads(args):
                 for x, y, p in solves]
 
     # one surface grid, as surface hands it to the kernels: its cells
-    # a-major in one list
+    # a-major in the array('d') project_grid returns
     cells = _pycore.project_grid(SIZES, ACTS, base, XOR_XS, XOR_TS, 0, 4,
                                  axis, axis)
 

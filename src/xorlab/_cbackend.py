@@ -5,13 +5,15 @@ returns a namespace with BACKEND and the same functions as
 xorlab._pycore (sse_dataset, train_run, project_grid, fs_scorer,
 solve_t, grid_stats, grid_csv), taking and returning the same Python
 types.  The
-library has six kernels, train_run, project_grid, fs_deviation (behind
-fs_scorer, which scores every s in C and raises the Python backend's
-errors), solve_t, grid_stats and grid_csv (which formats each number
-by an exact integer path or snprintf into a buffer the library
-allocates, copied here into bytes); sse_dataset is _pycore's, the one
-cell of project_grid that leaves the weights as they are, run on this
-project_grid.
+library has six kernels, train_run, project_grid (which writes each
+cell straight into the buffer of the array('d') it returns),
+fs_deviation (behind fs_scorer, which scores every s in C and raises
+the Python backend's errors), solve_t, grid_stats and grid_csv (which
+formats each number by an exact integer path or snprintf into a buffer
+the library allocates, copied here into bytes); sse_dataset is
+_pycore's, the one cell of project_grid that leaves the weights as they
+are, run on this project_grid.  A grid handed back to grid_stats or
+grid_csv as that array('d') reaches C by one buffer copy (_doubles).
 
 The C side trusts its buffers, so shapes are checked here.  ctypes would
 wrap an int too large for a C int silently; such a value (a size, a
@@ -62,7 +64,8 @@ def _cint(value) -> int:
 
 def _doubles(values):
     # through array.array: five times faster than c_double's constructor
-    # on a list of 441 floats, with the same conversions and errors
+    # on a list of 441 floats, with the same conversions and errors; an
+    # array('d') is copied as one block
     buf = array("d", values)
     return (c_double * len(buf)).from_buffer(buf)
 
@@ -125,11 +128,12 @@ def load(path: str) -> SimpleNamespace:
         work = _doubles(w)
         slots = range(len(work))
         na, nb = _cint(len(avals)), _cint(len(bvals))
-        out = (c_double * (na * nb))()
+        out = array("d", [0.0]) * (na * nb)
         _ok(lib.project_grid(*net, work, cxs, cts, n_samples,
                              _cint(slots[ia]), _cint(slots[ib]),
-                             _doubles(avals), na, _doubles(bvals), nb, out))
-        return out[:]
+                             _doubles(avals), na, _doubles(bvals), nb,
+                             (c_double * len(out)).from_buffer(out)))
+        return out
 
     def fs_scorer(outs, axis):
         """score(s) for the F_s fit; semantics identical to

@@ -35,8 +35,10 @@ and every other float operation of the one Python forward and backward
 pass, as in the loop reference kept in tests/loop_kernels.py, which
 kern.c (bound through ctypes by _cbackend) also mirrors, so every
 backend produces bit-identical floats; keep them in lockstep when
-editing any of them.  (Hoisting a unit out of the project_grid loops
-changes how often it is computed, not its operands or their order.)
+editing any of them.  (Both backends' project_grid hoist each unit out
+of the grid loops by one rule, _Source.project_grid's, which kern.c
+works out for itself; that changes how often a unit is computed, not its
+operands or their order.)
 network's activations compile apply and slope from _ACT and _SLOPE, so
 each is written once in Python.
 
@@ -69,6 +71,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from array import array
 
 from .copula import CopulaParam, _frank_raw, _unit_axis, xor_f_lattice
 
@@ -427,7 +430,7 @@ class _Source:
             f"        for {'_' if b is None else f'w{b}'} in bvals:",
             *_indent(blocks[2], 3),
             "            out.append(sse)",
-            "    return out",
+            "    return array('d', out)",
         ]
 
     def forward(self) -> list:
@@ -470,7 +473,7 @@ class _Source:
 
 _NAMESPACE = {"tanh": math.tanh, "isfinite": math.isfinite, "inf": math.inf,
               "_sigmoid": _sigmoid, "_SplitMix": _SplitMix, "_same": _same,
-              "SSE_BLOWUP": SSE_BLOWUP}
+              "SSE_BLOWUP": SSE_BLOWUP, "array": array}
 
 
 def _build(kernel: str, lines: list, filename: str):
@@ -538,7 +541,8 @@ def train_run(sizes, acts, xs, ts, lr, max_iters, tol, per_sample,
 
 def project_grid(sizes, acts, w, xs, ts, ia, ib, avals, bvals):
     """SSE over the dataset at every (avals[i], bvals[j]) written into the
-    two flat weight slots ia/ib; returns a row-major flat list (a-major).
+    two flat weight slots ia/ib; returns a row-major flat array('d')
+    (a-major), the type the compiled backend returns too.
 
     IndexError if a slot lies outside w.  A slot past the network's own
     weights changes nothing, and when ia == ib the b value wins, so such

@@ -30,10 +30,11 @@
  * with the weights, iteration count, SSE, status and trajectory the full
  * run gives.  The reference runs every epoch; the exit only saves time.
  *
- * project_grid here keeps the plain loop of the reference, a full
- * forward pass per cell; the Python backend's generated project_grid
- * hoists the units the varied weights cannot reach out of the loops,
- * which changes how often each float is computed, not its value.
+ * project_grid computes each unit once per grid, once per row or once
+ * per cell, at the outermost loop its inputs allow, by the rule of the
+ * Python backend's generated project_grid; the reference runs a full
+ * forward pass per cell.  Hoisting changes how often each float is
+ * computed, not its operands or their order.
  *
  * fs_deviation mirrors copula.xor_f_lattice at CopulaParam.finite(s)
  * and _unit instead, for every s: it snaps s onto the One window
@@ -158,8 +159,18 @@ static void net_free(Net *n)
     free(n->pre);
 }
 
-/* Fills pre/post; returns the scalar output.  Accumulation order is
- * pinned: ascending input index, bias last. */
+/* The pre-activation of the unit whose weight row is row, from the
+ * outputs a of the layer below.  Accumulation order is pinned: ascending
+ * input index, bias last. */
+static double pre_act(const double *row, const double *a, int n_prev)
+{
+    double z = 0.0;
+    for (int j = 0; j < n_prev; j++)
+        z += row[j] * a[j];
+    return z + row[n_prev];
+}
+
+/* Fills pre/post; returns the scalar output. */
 static double forward(const Net *n, const double *w, const double *x)
 {
     const double *a = x;
@@ -168,11 +179,7 @@ static double forward(const Net *n, const double *w, const double *x)
         const double *block = w + n->offs[l];
         double *zs = n->pre + n->uoffs[l], *avs = n->post + n->uoffs[l];
         for (int i = 0; i < width; i++) {
-            const double *row = block + i * (n_prev + 1);
-            double z = 0.0;
-            for (int j = 0; j < n_prev; j++)
-                z += row[j] * a[j];
-            z += row[n_prev];
+            double z = pre_act(block + i * (n_prev + 1), a, n_prev);
             zs[i] = z;
             avs[i] = act(code, z);
         }
@@ -393,23 +400,95 @@ void kern_free(void *p)
     free(p);
 }
 
+/* The outputs of the units of level lev, per sample, in layer order, into
+ * vals (n_samples rows of one slot per unit); of the top layer only the
+ * first unit, the one that feeds the error. */
+static void grid_units(const Net *n, const double *w, const double *xs,
+                       int n_samples, const int *level, int lev,
+                       double *vals)
+{
+    int units = n->uoffs[n->nlayers], n_in = n->sizes[0];
+    for (int k = 0; k < n_samples; k++) {
+        double *v = vals + (size_t)k * units;
+        for (int l = 0; l < n->nlayers; l++) {
+            int n_prev = n->sizes[l];
+            int width = l == n->nlayers - 1 ? 1 : n->sizes[l + 1];
+            const double *a = l > 0 ? v + n->uoffs[l - 1]
+                                    : xs + (size_t)k * n_in;
+            for (int i = 0; i < width; i++) {
+                int u = n->uoffs[l] + i;
+                if (level[u] == lev)
+                    v[u] = act(n->acts[l], pre_act(
+                        w + n->offs[l] + i * (n_prev + 1), a, n_prev));
+            }
+        }
+    }
+}
+
 /* SSE at every (avals[i], bvals[j]) written into slots ia/ib of w, which
- * is overwritten there; out is row-major, a-major. */
+ * is overwritten there; out is row-major, a-major.
+ *
+ * Each unit is computed per sample at the outermost loop its inputs
+ * allow, by the rule of _pycore._Source.project_grid: level 0, before
+ * both loops, when neither slot reaches it; level 1, once per avals
+ * entry, when only ia does; level 2, once per cell, when ib does (when
+ * ia == ib, b wins).  A slot reaches the unit whose weight row holds it
+ * and every unit above that one; a slot past the network reaches none.
+ * Each unit is forward()'s pre_act and act, and each cell's SSE is
+ * summed in sample order, so every float is the one a full forward pass
+ * per cell gives. */
 int project_grid(int nlayers, const int *sizes, const int *acts, double *w,
                  const double *xs, const double *ts, int n_samples,
                  int ia, int ib, const double *avals, int na,
                  const double *bvals, int nb, double *out)
 {
     Net n;
+    int units, below = 0, top, *level;
+    double *vals;
     if (net_init(&n, nlayers, sizes, acts) < 0)
         return -1;
+    units = n.uoffs[nlayers];
+    top = n.uoffs[nlayers - 1];
+    level = malloc((size_t)units * sizeof(int));
+    /* one spare slot: with no samples, malloc(0) may return NULL */
+    vals = malloc(((size_t)n_samples * units + 1) * sizeof(double));
+    if (level == NULL || vals == NULL) {
+        free(level);
+        free(vals);
+        net_free(&n);
+        return -1;
+    }
+    for (int l = 0; l < nlayers; l++) {
+        int n_prev = sizes[l], highest = 0;
+        for (int i = 0; i < sizes[l + 1]; i++) {
+            int row = n.offs[l] + i * (n_prev + 1), lev = below;
+            if (row <= ib && ib <= row + n_prev)
+                lev = 2;
+            else if (ia != ib && row <= ia && ia <= row + n_prev && lev < 1)
+                lev = 1;
+            level[n.uoffs[l] + i] = lev;
+            if (lev > highest)
+                highest = lev;
+        }
+        below = highest;
+    }
+    grid_units(&n, w, xs, n_samples, level, 0, vals);
     for (int i = 0; i < na; i++) {
         w[ia] = avals[i];
+        grid_units(&n, w, xs, n_samples, level, 1, vals);
         for (int j = 0; j < nb; j++) {
+            double total = 0.0;
             w[ib] = bvals[j];
-            out[(size_t)i * nb + j] = sse(&n, w, xs, ts, n_samples);
+            grid_units(&n, w, xs, n_samples, level, 2, vals);
+            for (int k = 0; k < n_samples; k++) {
+                double d = vals[(size_t)k * units + top] - ts[k];
+                total += d * d;
+            }
+            out[(size_t)i * nb + j] = total;
         }
     }
+    free(level);
+    free(vals);
     net_free(&n);
     return 0;
 }

@@ -5,7 +5,8 @@ Two interchangeable implementations exist: compiled C (kern.c, built
 into a shared library and bound through ctypes by xorlab._cbackend) and
 pure Python (xorlab._pycore, which generates straight-line code per
 network shape on first use).
-Each has six kernels, train_run, project_grid, fs_scorer (one
+Each has six kernels, train_run, project_grid (the SSE at every cell
+of a plane of two weights, as one a-major array('d')), fs_scorer (one
 function, score(s), per F_s fit: the score of each s that classify's fit
 tries, s snapped onto the One window by the scorer), solve_t
 (copula.solve_s's bisection), grid_stats (a surface grid's minimum and

@@ -1,8 +1,8 @@
 """Error-surface projections: full-dataset SSE as a function of two chosen
 weights with every other weight frozen at a base network's values.
 
-Grids are one flat a-major tuple, the layout kernels.project_grid
-writes and kernels.grid_stats and kernels.grid_csv read:
+Grids are one flat a-major array('d'), the array kernels.project_grid
+returns, handed as it is to kernels.grid_stats and kernels.grid_csv:
 values[i * steps + j] is the SSE with coord_a set to axis_a[i] and
 coord_b set to axis_b[j].  Axis values are computed once here, by
 datasets.grid_axis (the one evenly spaced axis of the package), and
@@ -17,7 +17,8 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import kernels
@@ -122,7 +123,9 @@ class SurfaceGrid:
     steps: int
     axis_a: tuple
     axis_b: tuple
-    values: tuple            # values[i * steps + j], coord_a major
+    # kernels.project_grid's array('d'): values[i * steps + j], coord_a
+    # major; left out of the hash, as an array has none
+    values: array = field(hash=False)
     base_net: Network
     dataset_name: str
 
@@ -155,7 +158,7 @@ def project(net: Network, data: Dataset, a: WeightCoord, b: WeightCoord,
                                 net.flat_weights, xs, ts, ia, ib,
                                 list(axis_a), list(axis_b))
     return SurfaceGrid(a, b, (lo_a, hi_a), (lo_b, hi_b), steps,
-                       axis_a, axis_b, tuple(flat), net, data.name)
+                       axis_a, axis_b, flat, net, data.name)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -332,7 +333,7 @@ def test_projections_match_reference(spec, tmp_path):
 @pytest.mark.parametrize("pair", [("w1_11", "w1_12"), ("w1_21", "w2_12"),
                                   ("w2_11", "w2_13")])
 def test_values_are_project_grids_flat_output(kern, monkeypatch, pair):
-    """values is project_grid's a-major list as a tuple, cell for cell:
+    """values is project_grid's a-major array('d') itself, cell for cell:
     values[i * steps + j] is the SSE at (axis_a[i], axis_b[j])."""
     monkeypatch.setattr(kernels, "project_grid", kern.project_grid)
     net = _base_net("2-2-1/inp-tanh-tanh")
@@ -346,6 +347,20 @@ def test_values_are_project_grids_flat_output(kern, monkeypatch, pair):
         [t for _, t in XOR.single()], flat_index(a, topo),
         flat_index(b, topo), grid_axis(-3.0, 2.0, 7), grid_axis(-1.0, 4.0, 7))
     assert repr(list(grid.values)) == repr(want)
+    assert type(grid.values) is array and grid.values.typecode == "d"
+    hash(grid)      # values is left out of the hash
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_HOSTILE, min_size=16, max_size=16))
+def test_grid_kernels_read_an_array_a_list_and_a_tuple_alike(kern, cells):
+    # surface hands them project_grid's array('d'); xorlab copula grid
+    # and callers of the library may hand them a list or a tuple
+    axis = (-1.0, 0.0, 0.5, 1.0)
+    results = {repr((kern.grid_stats(values, 4),
+                     kern.grid_csv(b"wa,wb,err\n", axis, axis, values)))
+               for values in (array("d", cells), cells, tuple(cells))}
+    assert len(results) == 1
 
 
 def test_landscape_stats_skips_nan_and_keeps_the_first_tie(surface_kern):
