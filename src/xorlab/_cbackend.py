@@ -4,16 +4,17 @@ load(path) binds the library that xorlab.kernels built from kern.c and
 returns a namespace with BACKEND and the same functions as
 xorlab._pycore (sse_dataset, train_run, project_grid, fs_scorer,
 solve_t, grid_stats, grid_csv), taking and returning the same Python
-types.  The
-library has six kernels, train_run, project_grid (which writes each
-cell straight into the buffer of the array('d') it returns),
-fs_deviation (behind fs_scorer, which scores every s in C and raises
-the Python backend's errors), solve_t, grid_stats and grid_csv (which
-formats each number by an exact integer path or snprintf into a buffer
-the library allocates, copied here into bytes); sse_dataset is
-_pycore's, the one cell of project_grid that leaves the weights as they
-are, run on this project_grid.  A grid handed back to grid_stats or
-grid_csv as that array('d') reaches C by one buffer copy (_doubles).
+types.  The library has six kernels, train_run, project_grid (which
+runs each unit at the loop level _pycore.grid_levels gives it and writes
+each cell straight into the buffer of the array('d') it returns),
+fs_deviation (behind fs_scorer, which scores every s in C and leaves the
+error of an s the kernel refuses to the Python scorer), solve_t,
+grid_stats and grid_csv (which formats each number by an exact integer
+path or snprintf into a buffer the library allocates, copied here into
+bytes); sse_dataset is _pycore's, the one cell of project_grid that
+leaves the weights as they are, run on this project_grid.  A grid
+handed back to grid_stats or grid_csv as that array('d') reaches C by
+one buffer copy (_doubles).
 
 The C side trusts its buffers, so shapes are checked here.  ctypes would
 wrap an int too large for a C int silently; such a value (a size, a
@@ -32,9 +33,10 @@ from ctypes import (POINTER, byref, c_char_p, c_double, c_int, c_longlong,
                     c_size_t, c_uint64, c_void_p)
 from types import SimpleNamespace
 
+from . import _pycore
 from ._pycore import (MASK64, _offsets, check_cells, check_network,
-                      check_weights, sse_dataset)
-from .copula import CopulaParam, _unit, _unit_axis
+                      check_weights, grid_levels, sse_dataset)
+from .copula import _unit_axis
 
 _INT_MAX = 2 ** (8 * ctypes.sizeof(c_int) - 1) - 1
 _DP = POINTER(c_double)
@@ -45,8 +47,9 @@ _SIGNATURES = {
         _DP, _DP, c_int, c_double, c_int, c_double, c_int, c_uint64,
         c_double, c_int, _DP, _IP, _DP, POINTER(_DP)]),
     "project_grid": (c_int, _NET + [
-        _DP, _DP, _DP, c_int, c_int, c_int, _DP, c_int, _DP, c_int, _DP]),
-    "fs_deviation": (c_double, [c_int, _DP, _DP, c_double, _DP, _DP]),
+        _DP, _DP, _DP, c_int, c_int, c_int, _IP, _DP, c_int, _DP, c_int,
+        _DP]),
+    "fs_deviation": (c_double, [c_int, _DP, _DP, c_double, _DP]),
     "solve_t": (c_double, [c_double, c_double, c_double, c_int]),
     "grid_stats": (None, [c_int, _DP, _DP, _IP]),
     "grid_csv": (c_longlong, [c_char_p, c_size_t, _DP, c_int, _DP, c_int,
@@ -127,10 +130,12 @@ def load(path: str) -> SimpleNamespace:
         check_weights(w, n_weights)
         work = _doubles(w)
         slots = range(len(work))
+        ia, ib = _cint(slots[ia]), _cint(slots[ib])
+        level = grid_levels(sizes, ia, ib)
         na, nb = _cint(len(avals)), _cint(len(bvals))
         out = array("d", [0.0]) * (na * nb)
-        _ok(lib.project_grid(*net, work, cxs, cts, n_samples,
-                             _cint(slots[ia]), _cint(slots[ib]),
+        _ok(lib.project_grid(*net, work, cxs, cts, n_samples, ia, ib,
+                             (c_int * len(level))(*level),
                              _doubles(avals), na, _doubles(bvals), nb,
                              (c_double * len(out)).from_buffer(out)))
         return out
@@ -143,16 +148,16 @@ def load(path: str) -> SimpleNamespace:
         n = _cint(len(xs))
         check_cells(outs, n * n)
         args = (n, _doubles(xs), _doubles(outs[:n * n]))
-        ex, bad = (c_double * n)(), c_double()
-        fs_deviation, pbad = lib.fs_deviation, ctypes.pointer(bad)
+        ex = (c_double * n)()
+        fs_deviation = lib.fs_deviation
 
         def score(s):
-            dev = fs_deviation(*args, s, ex, pbad)
+            dev = fs_deviation(*args, s, ex)
             if dev < 0.0:
-                # s <= 0 or NaN: finite raises; otherwise _unit raises on
-                # the first F_s value outside its window
-                CopulaParam.finite(s)
-                _unit(bad.value)
+                # the reference raises for every s the kernel refuses
+                _pycore.fs_scorer(outs, xs)(s)
+                raise RuntimeError(f"fs_deviation refused s = {s!r}, "
+                                   "which the Python scorer accepts")
             return dev
 
         return score

@@ -36,8 +36,9 @@ pass, as in the loop reference kept in tests/loop_kernels.py, which
 kern.c (bound through ctypes by _cbackend) also mirrors, so every
 backend produces bit-identical floats; keep them in lockstep when
 editing any of them.  (Both backends' project_grid hoist each unit out
-of the grid loops by one rule, _Source.project_grid's, which kern.c
-works out for itself; that changes how often a unit is computed, not its
+of the grid loops by one rule, written once in grid_levels: the
+generated kernel is laid out from its list, and _cbackend hands the same
+list to kern.c.  Hoisting changes how often a unit is computed, not its
 operands or their order.)
 network's activations compile apply and slope from _ACT and _SLOPE, so
 each is written once in Python.
@@ -367,31 +368,27 @@ class _Source:
         """SSE per cell with weight a bound to each avals entry in the
         outer loop and weight b to each bvals entry in the inner one.
 
-        A slot given as None changes nothing.  Each unit is computed once
-        per sample at the outermost loop its inputs allow: before both
-        loops (level 0) when neither slot reaches it, once per avals
-        entry (level 1) when only a does, once per cell (level 2)
-        otherwise.  The per-sample values a later level reads are carried
-        in a list of tuples per level, in sample order, and sse is summed
-        at the output unit's level, so every float is the one the loop
-        reference computes.  Only the first output unit feeds the error;
-        the other output units are not computed.
+        Each unit is computed once per sample at its grid_levels level:
+        before both loops (0), once per avals entry (1) or once per cell
+        (2).  When a == b both loops bind one local, so b wins; a slot
+        past the network is a local that nothing reads.  The per-sample
+        values a later level reads are carried in a list of tuples per
+        level, in sample order, and sse is summed at the output unit's
+        level, so every float is the one the loop reference computes.
+        Only the first output unit feeds the error; the other output
+        units are not computed.
         """
         n_in = self.sizes[0]
-        slot_level = {a: 1, b: 2}   # a is None when it equals b: b wins
+        levels = grid_levels(self.sizes, a, b)
         names = [f"a0_{j}" for j in range(n_in)] + ["t"]
         level = dict.fromkeys(names, 0)
         uses = {}           # unit output (and "sse") -> the values read
         work = ([], [], [])         # the forward lines of each level
         for l in range(1, self.top + 1):
-            n_prev = self.sizes[l - 1]
-            ins = [f"a{l - 1}_{j}" for j in range(n_prev)]
+            ins = [f"a{l - 1}_{j}" for j in range(self.sizes[l - 1])]
             for i in range(self.sizes[l] if l < self.top else 1):
-                row = self.offs[l - 1] + i * (n_prev + 1)
                 out = f"a{l}_{i}"
-                level[out] = max([slot_level.get(row + j, 0)
-                                  for j in range(n_prev + 1)]
-                                 + [level[v] for v in ins])
+                level[out] = levels[sum(self.sizes[1:l]) + i]
                 names.append(out)
                 uses[out] = ins
                 work[level[out]].extend(self._unit(l, i))
@@ -425,9 +422,9 @@ class _Source:
             f"    {self.weights} = w",
             *_indent(blocks[0], 1),
             "    out = []",
-            f"    for {'_' if a is None else f'w{a}'} in avals:",
+            f"    for w{a} in avals:",
             *_indent(blocks[1], 2),
-            f"        for {'_' if b is None else f'w{b}'} in bvals:",
+            f"        for w{b} in bvals:",
             *_indent(blocks[2], 3),
             "            out.append(sse)",
             "    return array('d', out)",
@@ -510,16 +507,12 @@ _GRID_KERNELS = 128
 
 
 @functools.lru_cache(maxsize=_GRID_KERNELS)
-def _grid_kernel(sizes: tuple, acts: tuple, a, b):
+def _grid_kernel(sizes: tuple, acts: tuple, a: int, b: int):
     """The generated project_grid for one shape and one pair of varied
-    weight slots (None for a slot that changes nothing), built on first
-    use.  A cache of its own, so that the pairs of an all-pairs run do
-    not evict the training kernels."""
-    def slot(k):
-        return "none" if k is None else f"w{k}"
+    weight slots, built on first use.  A cache of its own, so that the
+    pairs of an all-pairs run do not evict the training kernels."""
     return _build("project_grid", _Source(sizes, acts).project_grid(a, b),
-                  f"<xorlab project_grid {_tag(sizes, acts)} "
-                  f"a={slot(a)} b={slot(b)}>")
+                  f"<xorlab project_grid {_tag(sizes, acts)} a=w{a} b=w{b}>")
 
 
 # ---------------------------------------------------------------------------
@@ -539,25 +532,38 @@ def train_run(sizes, acts, xs, ts, lr, max_iters, tol, per_sample,
                float(init_range), record)
 
 
+def grid_levels(sizes, ia, ib) -> list:
+    """The loop level of every unit of a project_grid over the flat
+    weight slots ia and ib (each in range), in flat unit order: 2 if the
+    unit's weight row holds ib, 1 if it holds ia, else 0, and never below
+    the highest level of the layer beneath.  A slot past the network
+    reaches no unit.  The one copy of project_grid's hoisting rule."""
+    offs, levels, below = _offsets(sizes), [], 0
+    for l in range(1, len(sizes)):
+        width = sizes[l - 1] + 1            # the slots of one weight row
+        layer = [max(below, 2 if k <= ib < k + width
+                     else 1 if k <= ia < k + width else 0)
+                 for k in range(offs[l - 1], offs[l], width)]
+        levels += layer
+        below = max(layer)
+    return levels
+
+
 def project_grid(sizes, acts, w, xs, ts, ia, ib, avals, bvals):
     """SSE over the dataset at every (avals[i], bvals[j]) written into the
     two flat weight slots ia/ib; returns a row-major flat array('d')
     (a-major), the type the compiled backend returns too.
 
     IndexError if a slot lies outside w.  A slot past the network's own
-    weights changes nothing, and when ia == ib the b value wins, so such
-    an a slot is left out of the generated kernel.
+    weights changes nothing, and when ia == ib the b value wins.
     """
     sizes, acts = _shape(sizes, acts)
     w = list(w)
     n_weights = _offsets(sizes)[-1]
     check_weights(w, n_weights)
     slots = range(len(w))
-    ia, ib = slots[ia], slots[ib]
-    a = ia if ia < n_weights and ia != ib else None
-    b = ib if ib < n_weights else None
-    return _grid_kernel(sizes, acts, a, b)(w[:n_weights], list(xs), list(ts),
-                                           avals, bvals)
+    return _grid_kernel(sizes, acts, slots[ia], slots[ib])(
+        w[:n_weights], list(xs), list(ts), avals, bvals)
 
 
 def sse_dataset(sizes, acts, w, xs, ts, project_grid=project_grid) -> float:

@@ -31,14 +31,15 @@
  * run gives.  The reference runs every epoch; the exit only saves time.
  *
  * project_grid computes each unit once per grid, once per row or once
- * per cell, at the outermost loop its inputs allow, by the rule of the
- * Python backend's generated project_grid; the reference runs a full
- * forward pass per cell.  Hoisting changes how often each float is
- * computed, not its operands or their order.
+ * per cell, at the level _pycore.grid_levels gives it, the one copy of
+ * the rule the Python backend's project_grid is generated from too; the
+ * reference runs a full forward pass per cell.  Hoisting changes how
+ * often each float is computed, not its operands or their order.
  *
  * fs_deviation mirrors copula.xor_f_lattice at CopulaParam.finite(s)
  * and _unit instead, for every s: it snaps s onto the One window
- * (ONE_WINDOW) and refuses s <= 0 and NaN itself.  solve_t mirrors
+ * (ONE_WINDOW) and returns -1 for every s it refuses, for which the
+ * caller raises the Python scorer's error.  solve_t mirrors
  * _pycore.solve_t, the bisection of copula.solve_s.  Both take A_s from
  * frank_raw, in copula._frank_raw's float order and dispatch, and the
  * closed form of Frank's A_s from frank_closed, its one copy here; in
@@ -426,51 +427,29 @@ static void grid_units(const Net *n, const double *w, const double *xs,
 }
 
 /* SSE at every (avals[i], bvals[j]) written into slots ia/ib of w, which
- * is overwritten there; out is row-major, a-major.
- *
- * Each unit is computed per sample at the outermost loop its inputs
- * allow, by the rule of _pycore._Source.project_grid: level 0, before
- * both loops, when neither slot reaches it; level 1, once per avals
- * entry, when only ia does; level 2, once per cell, when ib does (when
- * ia == ib, b wins).  A slot reaches the unit whose weight row holds it
- * and every unit above that one; a slot past the network reaches none.
- * Each unit is forward()'s pre_act and act, and each cell's SSE is
- * summed in sample order, so every float is the one a full forward pass
- * per cell gives. */
+ * is overwritten there (when ia == ib, b wins); out is row-major,
+ * a-major.  Each unit is computed per sample at its level in level, the
+ * list _pycore.grid_levels gives: before both loops (0), once per avals
+ * entry (1) or once per cell (2).  Each unit is forward()'s pre_act and
+ * act, and each cell's SSE is summed in sample order, so every float is
+ * the one a full forward pass per cell gives. */
 int project_grid(int nlayers, const int *sizes, const int *acts, double *w,
                  const double *xs, const double *ts, int n_samples,
-                 int ia, int ib, const double *avals, int na,
-                 const double *bvals, int nb, double *out)
+                 int ia, int ib, const int *level, const double *avals,
+                 int na, const double *bvals, int nb, double *out)
 {
     Net n;
-    int units, below = 0, top, *level;
+    int units, top;
     double *vals;
     if (net_init(&n, nlayers, sizes, acts) < 0)
         return -1;
     units = n.uoffs[nlayers];
     top = n.uoffs[nlayers - 1];
-    level = malloc((size_t)units * sizeof(int));
     /* one spare slot: with no samples, malloc(0) may return NULL */
     vals = malloc(((size_t)n_samples * units + 1) * sizeof(double));
-    if (level == NULL || vals == NULL) {
-        free(level);
-        free(vals);
+    if (vals == NULL) {
         net_free(&n);
         return -1;
-    }
-    for (int l = 0; l < nlayers; l++) {
-        int n_prev = sizes[l], highest = 0;
-        for (int i = 0; i < sizes[l + 1]; i++) {
-            int row = n.offs[l] + i * (n_prev + 1), lev = below;
-            if (row <= ib && ib <= row + n_prev)
-                lev = 2;
-            else if (ia != ib && row <= ia && ia <= row + n_prev && lev < 1)
-                lev = 1;
-            level[n.uoffs[l] + i] = lev;
-            if (lev > highest)
-                highest = lev;
-        }
-        below = highest;
     }
     grid_units(&n, w, xs, n_samples, level, 0, vals);
     for (int i = 0; i < na; i++) {
@@ -487,7 +466,6 @@ int project_grid(int nlayers, const int *sizes, const int *acts, double *w,
             out[(size_t)i * nb + j] = total;
         }
     }
-    free(level);
     free(vals);
     net_free(&n);
     return 0;
@@ -527,12 +505,12 @@ static double frank_raw(double s, double x, double y)
  * else (the dispatched s, s == 1 and s == inf) x + y - 2 frank_raw(s, x,
  * y); then _unit's clamp.  axis must already have passed _unit (the
  * caller checks it).  The maximum is taken as Python's max() takes it:
- * the first point's deviation, then any larger one.  Returns -1 without
- * writing *bad when !(s > 0), where CopulaParam.finite raises; returns -1
- * after writing to *bad the first F_s value, in row-major order, outside
- * _unit's window [-UNIT_EPS, 1 + UNIT_EPS]. */
+ * the first point's deviation, then any larger one.  Returns -1 for
+ * every s it refuses: !(s > 0), where CopulaParam.finite raises, and an
+ * s with an F_s value outside _unit's window [-UNIT_EPS, 1 + UNIT_EPS];
+ * the caller raises the Python scorer's error for that s. */
 double fs_deviation(int n, const double *axis, const double *outs,
-                    double s, double *ex, double *bad)
+                    double s, double *ex)
 {
     double L = 0.0, dL = 0.0, worst = 0.0;
     int closed;
@@ -557,10 +535,8 @@ double fs_deviation(int n, const double *axis, const double *outs,
             else
                 f = x + y - 2.0 * frank_raw(s, x, y);
             if (!(f >= 0.0 && f <= 1.0)) {
-                if (!(f >= -UNIT_EPS && f <= 1.0 + UNIT_EPS)) {
-                    *bad = f;
+                if (!(f >= -UNIT_EPS && f <= 1.0 + UNIT_EPS))
                     return -1.0;
-                }
                 f = f < 0.0 ? 0.0 : 1.0;
             }
             d = fabs(row[j] - f);

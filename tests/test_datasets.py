@@ -175,3 +175,12 @@ def test_load_csv_rejects_malformed(tmp_path):
     worse.write_text("x1,x2,target\n0,zero,0\n")
     with pytest.raises(CsvFormatError):
         load_csv(worse)
+    for text, error, message in (
+            ("x1,x2,target\n", CsvFormatError, "no data rows"),
+            ("x1,x2,target\n0,1.5,1\n", DomainError,
+             r"value 1.5 outside \[0, 1\]"),
+            ("x1,target,x2\n0,1,0\n", CsvFormatError,
+             "line 1: input column 'x2' after a target column")):
+        worse.write_text(text)
+        with pytest.raises(error, match=message):
+            load_csv(worse)

@@ -412,6 +412,31 @@ def test_random_shapes_match_loop_reference(kern, sizes, codes, seed,
             == repr(loop_kernels.project_grid(*args)))
 
 
+def _levels_by_definition(sizes, ia, ib):
+    """Each unit's loop level: the highest slot level (1 for ia, 2 for
+    ib, which wins when the two are equal) over its own weight row and
+    the rows of every unit below it."""
+    slot_level = {ia: 1, ib: 2}
+    rows, start = [], 0         # (layer, slots of the weight row)
+    for l in range(1, len(sizes)):
+        for _ in range(sizes[l]):
+            rows.append((l, range(start, start + sizes[l - 1] + 1)))
+            start += sizes[l - 1] + 1
+    return [max(slot_level.get(k, 0) for m, row in rows
+                if m < l or row == own for k in row)
+            for l, own in rows]
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c[0])))
+def test_grid_levels_match_their_definition(case):
+    sizes, _ = case
+    slots = range(_n_weights(sizes) + 2)      # two scratch slots
+    for ia, ib in _slot_pairs(len(slots)):
+        ia, ib = slots[ia], slots[ib]
+        assert (_pycore.grid_levels(sizes, ia, ib)
+                == _levels_by_definition(sizes, ia, ib)), (ia, ib)
+
+
 # (ia, ib, tanh calls) of a 2-2-1 tanh grid over 3 a values and 5 b
 # values: tanh runs once per unit and sample, so 4 samples give 4 per unit
 # computed before the loops, 12 per unit computed per a value and
@@ -459,27 +484,35 @@ static double counted_tanh(double z)
 """
 
 
+def _variant_library(c_package, tmp, prelude):
+    """The path of a build, in tmp, of c_package's kern.c with the C
+    text prelude force-included ahead of its first line."""
+    header, lib = tmp / "prelude.h", tmp / "kern_variant.so"
+    header.write_text(prelude)
+    subprocess.run(["cc", *kernels.CFLAGS, "-include", str(header), "-o",
+                    str(lib), str(c_package / "xorlab" / "kern.c"),
+                    *kernels.LIBS], check=True, capture_output=True)
+    return str(lib)
+
+
 @pytest.fixture(scope="session")
 def counting_ckern(c_package, tmp_path_factory):
     """The compiled backend of a build of c_package's kern.c that counts
     its tanh calls, and that count as a ctypes c_longlong."""
     import ctypes
     from xorlab import _cbackend
-    tmp = tmp_path_factory.mktemp("counting")
-    header, lib = tmp / "count_tanh.h", tmp / "kern_counting.so"
-    header.write_text(_COUNT_TANH)
-    subprocess.run(["cc", *kernels.CFLAGS, "-include", str(header), "-o",
-                    str(lib), str(c_package / "xorlab" / "kern.c"),
-                    *kernels.LIBS], check=True, capture_output=True)
-    calls = ctypes.c_longlong.in_dll(ctypes.CDLL(str(lib)), "kern_tanh_calls")
-    return _cbackend.load(str(lib)), calls
+    lib = _variant_library(c_package, tmp_path_factory.mktemp("counting"),
+                           _COUNT_TANH)
+    calls = ctypes.c_longlong.in_dll(ctypes.CDLL(lib), "kern_tanh_calls")
+    return _cbackend.load(lib), calls
 
 
 @pytest.mark.parametrize("ia, ib, calls", HOISTED)
 def test_compiled_project_grid_hoists_units_as_python_does(counting_ckern,
                                                           ia, ib, calls):
-    # kern.c works out each unit's loop level itself, by the rule of the
-    # generated Python kernel, so both evaluate tanh equally often
+    # kern.c runs each unit at the loop level _pycore.grid_levels gives
+    # it, the list the generated Python kernel is laid out from, so both
+    # evaluate tanh equally often
     kern, tanh_calls = counting_ckern
     tanh_calls.value = 0
     args = ([2, 2, 1], [1, 1], HOIST_W, XOR_XS, XOR_TS, ia, ib, *HOIST_AXES)
@@ -518,16 +551,6 @@ def test_all_pairs_builds_one_kernel_per_pair(monkeypatch, tmp_path):
     assert _pycore._train_kernel.cache_info().hits == 1
 
 
-def test_grid_kernel_key_drops_slots_that_change_nothing():
-    _pycore._grid_kernel.cache_clear()
-    w = [0.1] * 10                      # slot 9 is past the 2-2-1 net
-    for ia, ib in ((3, 3), (9, 3), (-7, -7), (3, -7)):
-        _pycore.project_grid([2, 2, 1], [1, 1], w, XOR_XS, XOR_TS, ia, ib,
-                             [0.0], [1.0])
-    info = _pycore._grid_kernel.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-
-
 def test_generated_code_names_its_shape():
     run = _pycore._train_kernel((2, 2, 1), (3, 3), True)
     assert (run.__code__.co_filename
@@ -535,9 +558,9 @@ def test_generated_code_names_its_shape():
     grid = _pycore._grid_kernel((2, 2, 1), (1, 1), 0, 6)
     assert (grid.__code__.co_filename
             == "<xorlab project_grid 2-2-1 tanh-tanh a=w0 b=w6>")
-    grid = _pycore._grid_kernel((2, 3, 1), (2, 0), None, 12)
+    grid = _pycore._grid_kernel((2, 3, 1), (2, 0), 13, 12)
     assert (grid.__code__.co_filename
-            == "<xorlab project_grid 2-3-1 sigmoid-id a=none b=w12>")
+            == "<xorlab project_grid 2-3-1 sigmoid-id a=w13 b=w12>")
     fwd = _pycore._net_pass("forward", (2, 2, 1), (1, 1))
     assert fwd.__code__.co_filename == "<xorlab forward 2-2-1 tanh-tanh>"
     lattice = _pycore._net_pass("forward_lattice", (2, 2, 1), (1, 1))
@@ -743,20 +766,18 @@ def test_fs_scorer_parity_beyond_the_kernel_range(ckern):
 
 
 def _raw_fs_deviation(c_package, axis, outs, s):
-    """The library's fs_deviation called directly: (return, *bad)."""
+    """The library's fs_deviation called directly."""
     import ctypes
     from conftest import library_path
     lib = ctypes.CDLL(str(library_path(c_package)))
     fn = lib.fs_deviation
     dp = ctypes.POINTER(ctypes.c_double)
     fn.restype = ctypes.c_double
-    fn.argtypes = [ctypes.c_int, dp, dp, ctypes.c_double, dp, dp]
+    fn.argtypes = [ctypes.c_int, dp, dp, ctypes.c_double, dp]
     n = len(axis)
-    bad = ctypes.c_double(0.0)
-    got = fn(n, (ctypes.c_double * n)(*axis),
-             (ctypes.c_double * len(outs))(*outs), s,
-             (ctypes.c_double * n)(), ctypes.byref(bad))
-    return got, bad.value
+    return fn(n, (ctypes.c_double * n)(*axis),
+              (ctypes.c_double * len(outs))(*outs), s,
+              (ctypes.c_double * n)())
 
 
 def test_fs_kernel_reports_the_first_value_outside_the_window(c_package,
@@ -769,27 +790,47 @@ def test_fs_kernel_reports_the_first_value_outside_the_window(c_package,
     ea = math.expm1(a * L)
     first = a + a - 2.0 * (math.log1p(ea * ea / math.expm1(L)) / L)
     assert first != 1.0 + 1.0 - 2.0 * (math.log1p(math.expm1(L)) / L)
-    got, bad = _raw_fs_deviation(c_package, axis, [0.5] * 9, s)
-    assert (got, repr(bad)) == (-1.0, repr(first))
+    # the kernel refuses s; both scorers raise _unit's error on F_s(a, a)
+    assert _raw_fs_deviation(c_package, axis, [0.5] * 9, s) == -1.0
     with pytest.raises(DomainError) as want:
         copula._unit(first)
     for mod in (ckern, kernels.get_backend("python")):
         with pytest.raises(DomainError) as err:
             mod.fs_scorer([0.5] * 9, axis)(s)
         assert str(err.value) == str(want.value)
-    # s <= 0 and NaN return -1 without writing *bad
+    # s <= 0 and NaN are refused too
     for s in (0.0, math.nan):
-        assert _raw_fs_deviation(c_package, axis, [0.5] * 9, s) == \
-            (-1.0, 0.0)
+        assert _raw_fs_deviation(c_package, axis, [0.5] * 9, s) == -1.0
     # kern.c's copy of the window
     source = (c_package / "xorlab" / "kern.c").read_text()
     assert f"#define UNIT_EPS {copula.UNIT_EPS!r} " in source
     # inside the window the value is clamped, as _unit clamps: at s = 0.2
     # the closed form gives F_s(1, 1) = -8.9e-16, and 1.0 - 0.0 is 1.0
     outs = [0.0, 1.0, 1.0, 1.0]
-    assert _raw_fs_deviation(c_package, (0.0, 1.0), outs, 0.2) == (1.0, 0.0)
+    assert _raw_fs_deviation(c_package, (0.0, 1.0), outs, 0.2) == 1.0
     assert kernels.get_backend("python").fs_scorer(outs, (0.0, 1.0))(
         0.2) == 1.0
+
+
+# a kern.c whose expm1 is NaN refuses every s in the closed-form range
+_NAN_EXPM1 = """#include <math.h>
+static double nan_expm1(double x)
+{
+    return x - x + NAN;
+}
+#define expm1 nan_expm1
+"""
+
+
+def test_c_scorer_raises_when_only_the_kernel_refuses(c_package, tmp_path):
+    from xorlab import _cbackend
+    kern = _cbackend.load(_variant_library(c_package, tmp_path, _NAN_EXPM1))
+    score = kern.fs_scorer([0.5] * 4, (0.0, 1.0))
+    assert score(1.0) == 0.5            # s == 1 takes no expm1
+    with pytest.raises(RuntimeError, match="refused s = 2.0"):
+        score(2.0)
+    with pytest.raises(DomainError):
+        score(-1.0)
 
 
 def test_fs_scorer_checks_its_lattice(kern):

@@ -111,6 +111,24 @@ def test_forward_trace_shapes():
         forward(net, (0.5,))
 
 
+def test_scalar_output_of_a_two_output_net_is_refused():
+    trace = forward(_net("2-2/inp-id", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                    (0.25, 0.5))
+    assert trace.outputs == (0.25, 0.5)
+    with pytest.raises(ShapeError, match="from a 2-wide final layer"):
+        trace.output
+
+
+def test_topology_refuses_a_malformed_shape():
+    tanh = ACTIVATIONS["tanh"]
+    with pytest.raises(SpecSyntaxError, match="at least input and output"):
+        Topology((2,), ())
+    with pytest.raises(SpecSyntaxError, match="must be positive"):
+        Topology((2, 0, 1), (tanh, tanh))
+    with pytest.raises(ArityError, match="3 layers need 2 activations, got 1"):
+        Topology((2, 2, 1), (tanh,))
+
+
 def test_network_weight_shape_validation():
     topo = parse_spec("2-2-1/inp-id-id")
     with pytest.raises(ShapeError):
@@ -354,4 +372,9 @@ def test_load_model_rejects_malformed(tmp_path):
             load_model(wrong)
     wrong.write_bytes(b"\xff\xfe")
     with pytest.raises(ModelFormatError):
+        load_model(wrong)
+    wrong.write_text(json.dumps({"spec": "2-1/inp-id", "weights": [
+        {"rows": 1, "cols": 3, "data": [0.5, 0.25]}]}))
+    with pytest.raises(ModelFormatError,
+                       match=r"weights\[0\] says 1x3 but carries 2 values"):
         load_model(wrong)

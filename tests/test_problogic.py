@@ -103,6 +103,17 @@ def test_space_weights_validation():
         SampleSpace.from_rows(("a",), [((0, 1), 1)])    # arity mismatch
     with pytest.raises(DomainError):
         SampleSpace.from_rows(("a",), [((2,), 1)])      # not a bit
+    with pytest.raises(DomainError, match="weights must be positive"):
+        SampleSpace(("a",), (((0,), Fraction(0)), ((1,), Fraction(1))))
+    with pytest.raises(DomainError, match="total weight must be positive"):
+        SampleSpace.from_rows(("a",), [((0,), 0), ((1,), 0)])
+
+
+def test_names_and_constants_are_checked():
+    with pytest.raises(DomainError, match="invalid variable name 'and'"):
+        Var("and")
+    with pytest.raises(DomainError, match="constant must be 0 or 1, got 2"):
+        Const(2)
 
 
 def test_from_rows_normalizes():

@@ -40,6 +40,9 @@ def test_parse_coord_round_trip():
     assert c == WeightCoord(0, 0, 1)     # 0-based layer, row, col
     assert c.render() == "w1_12"
     assert parse_coord("w2_13") == WeightCoord(1, 0, 2)
+    # an index past 9 takes explicit underscores
+    assert WeightCoord(0, 1, 9).render() == "w1_2_10"
+    assert parse_coord("w1_2_10") == WeightCoord(0, 1, 9)
 
 
 def test_parse_coord_rejections():
