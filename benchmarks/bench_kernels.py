@@ -32,9 +32,11 @@ s = 3 (which runs the fit and is labelled Fs), and on both nets
 classify's 21x21 lattice, as 441 network.forward calls and as one
 network.forward_lattice call, network.gradient over the four
 boolean-xor samples, and copula.solve_s over 2,000 queries drawn from
---seed as perfbench's logic workload draws its solve_s queries, and
+--seed as perfbench's logic workload draws its solve_s queries,
 problogic.parse_expr over 2,000 texts drawn from --seed as that workload
-draws its copula_prob texts (each the time per call).
+draws its copula_prob texts, and problogic.copula_prob over those texts,
+parsed once, with the assignments and s that workload draws (each the
+time per call).
 
 First-call section: the time the first network.forward call, then the
 first network.gradient call and then the first network.forward_lattice
@@ -251,6 +253,27 @@ def prob_texts(seed, n=2000):
     return texts
 
 
+def prob_queries(seed, n=2000):
+    """n (expr, assignment, s) for copula_prob, drawn like the logic
+    workload's: the n prob_texts, parsed, each variable uniform on [0, 1],
+    and s the Zero, One or Infinity variant or finite (a quarter each),
+    finite s log-uniform on [e^-6, e^6] and more than 1e-3 from 1."""
+    rng = random.Random(seed + 1)       # a stream apart from the texts'
+    queries = []
+    for text in prob_texts(seed, n):
+        expr = problogic.parse_expr(text)
+        assignment = {name: rng.random() for name in expr.variables()}
+        kind = rng.choice(("zero", "one", "inf", "finite"))
+        if kind == "finite":
+            s = 1.0
+            while abs(s - 1.0) <= 1e-3:
+                s = math.exp(rng.uniform(-6.0, 6.0))
+            queries.append((expr, assignment, CopulaParam.finite(s)))
+        else:
+            queries.append((expr, assignment, CopulaParam(kind)))
+    return queries
+
+
 def _fixed_net(spec, flat_layers):
     topo = parse_spec(spec)
     return Network(topo, tuple(
@@ -340,6 +363,14 @@ def _library_section(args, items):
         args.repeats)
     items.append(_item(f"parse_expr, {len(texts):,} drawn texts, per call",
                        BACKEND, seconds, per=len(texts)))
+    _show(items[-1])
+    queries = prob_queries(args.seed)
+    seconds, = _timings(
+        [lambda: [problogic.copula_prob(expr, assignment, s)
+                  for expr, assignment, s in queries]],
+        args.repeats)
+    items.append(_item(f"copula_prob, {len(queries):,} drawn queries, "
+                       f"per call", BACKEND, seconds, per=len(queries)))
     _show(items[-1])
 
 

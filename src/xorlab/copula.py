@@ -8,6 +8,9 @@ F_s = R_s - A_s = x + y - 2 A_s.
 The three limits are written once, in _frank_raw, which takes every s in
 [0, inf]: the Zero, One and Infinity variants carry s = 0, 1 and inf and
 evaluate there like any finite s, and frechet_bounds is (A_inf, A_0).
+A_s on a bare float s is _frank_raw itself; _or_value and _xor_value
+build R_s and F_s from it, also on a float s.  frank_and, frank_or,
+xor_f and problogic.copula_prob take a CopulaParam and read its s once.
 
 The closed form is evaluated as log1p(expm1(xL) expm1(yL) / expm1(L)) / L
 with L = ln s, which is stable in both quadrants (for s < 1 all three
@@ -179,26 +182,22 @@ def xor_f_lattice(s: CopulaParam, axis) -> "list[float]":
     return [f if 0.0 <= f <= 1.0 else _unit(f) for f in fs]
 
 
-def _and_value(s: CopulaParam, x: float, y: float) -> float:
-    return _frank_raw(s.s, x, y)
+def _or_value(s: float, x: float, y: float) -> float:
+    return x + y - _frank_raw(s, x, y)
 
 
-def _or_value(s: CopulaParam, x: float, y: float) -> float:
-    return x + y - _and_value(s, x, y)
-
-
-def _xor_value(s: CopulaParam, x: float, y: float) -> float:
-    return x + y - 2.0 * _and_value(s, x, y)
+def _xor_value(s: float, x: float, y: float) -> float:
+    return x + y - 2.0 * _frank_raw(s, x, y)
 
 
 def frank_and(s: CopulaParam, x: float, y: float) -> float:
     """A_s(x, y), the copula extension of 'and'."""
-    return _unit(_and_value(s, _unit(x), _unit(y)))
+    return _unit(_frank_raw(s.s, _unit(x), _unit(y)))
 
 
 def frank_or(s: CopulaParam, x: float, y: float) -> float:
     """R_s(x, y) = x + y - A_s(x, y), the dual extension of 'or'."""
-    return _unit(_or_value(s, _unit(x), _unit(y)))
+    return _unit(_or_value(s.s, _unit(x), _unit(y)))
 
 
 def xor_f(s: CopulaParam, x: float, y: float) -> float:
@@ -206,7 +205,7 @@ def xor_f(s: CopulaParam, x: float, y: float) -> float:
 
     F_0 = |x - y|, F_1 = x + y - 2xy, F_inf = min(x+y, 1) - max(x+y-1, 0).
     """
-    return _unit(_xor_value(s, _unit(x), _unit(y)))
+    return _unit(_xor_value(s.s, _unit(x), _unit(y)))
 
 
 def frechet_bounds(x: float, y: float) -> tuple[float, float]:
@@ -249,11 +248,6 @@ def solve_s(x: float, y: float, p: float) -> CopulaParam:
         return CopulaParam.infinity()
     t = kernels.solve_t(xv, yv, pv, _BISECT_ITERS)
     return CopulaParam.finite(t / (1.0 - t))
-
-
-def heaviside(t: float) -> float:
-    """Unit step: 1 for t > 0, 0 for t <= 0."""
-    return 1.0 if t > 0.0 else 0.0
 
 
 from . import kernels   # last: _pycore and _cbackend take names from here

@@ -69,8 +69,8 @@
 #define MIX1 0xBF58476D1CE4E5B9ULL
 #define MIX2 0x94D049BB133111EBULL
 #define INV53 (1.0 / 9007199254740992.0)  /* 2 ** -53 */
-#define SSE_BLOWUP 1e6
-#define REST_EVERY 256  /* epochs between checks for weights at rest */
+#define SSE_BLOWUP 1e6  /* _pycore.SSE_BLOWUP: a larger SSE diverged */
+#define REST_EVERY 256  /* _pycore._REST_EVERY: epochs per at-rest check */
 #define UNIT_EPS 1e-12  /* copula.UNIT_EPS, _unit's window around [0, 1] */
 #define ZERO_DISPATCH 1e-8  /* copula.ZERO_DISPATCH: below it, A_s = A_0 */
 #define INF_DISPATCH 1e8    /* copula.INF_DISPATCH: above it, A_s = A_inf */

@@ -64,13 +64,6 @@ class Matrix:
         return (self.rows, self.cols)
 
 
-def identity(n: int) -> Matrix:
-    entries = [0.0] * (n * n)
-    for i in range(n):
-        entries[i * n + i] = 1.0
-    return Matrix(n, n, tuple(entries))
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Standard matrix product a @ b."""
     if a.cols != b.rows:
@@ -85,13 +78,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 acc += arow[k] * b.entries[k * b.cols + j]
             out[i * b.cols + j] = acc
     return Matrix(a.rows, b.cols, tuple(out))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise ShapeError(f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}")
-    return Matrix(a.rows, a.cols,
-                  tuple(x + y for x, y in zip(a.entries, b.entries)))
 
 
 def transpose(a: Matrix) -> Matrix:

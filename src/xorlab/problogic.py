@@ -3,7 +3,10 @@
 An AST over named statements with not/and/or/xor, a text parser, exact
 truth-table probabilities over weighted sample spaces, empirical
 frequencies, the four-axiom consistency check, and compositional
-copula-based evaluation.
+copula-based evaluation.  copula_prob reads s from its CopulaParam once
+and asks the root for its _value; each node computes its value from its
+children's, left before right: a Var its assigned value, a Const its bit,
+Not 1 - v, and And, Or and Xor A_s, R_s and F_s of their operands.
 
 Grammar (precedence not > and > xor > or, binary connectives
 left-associative):
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .copula import CopulaParam, _and_value, _or_value, _unit, _xor_value
+from .copula import CopulaParam, _frank_raw, _or_value, _unit, _xor_value
 from .errors import DomainError, ExprSyntaxError, UnboundVariableError
 
 if TYPE_CHECKING:
@@ -71,6 +74,10 @@ class BoolExpr:
         raise NotImplementedError
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
+        raise NotImplementedError
+
+    def _value(self, env: Mapping[str, float], s: float) -> float:
+        """Probability under the copula semantics, with Frank parameter s."""
         raise NotImplementedError
 
     def render(self) -> str:
@@ -108,8 +115,11 @@ class Var(BoolExpr):
         seen[self.name] += 1
 
     def evaluate(self, assignment):
+        return 1 if self._value(assignment, None) else 0
+
+    def _value(self, env, s):
         try:
-            return 1 if assignment[self.name] else 0
+            return env[self.name]
         except KeyError:
             raise UnboundVariableError(
                 f"unbound variable {self.name!r}") from None
@@ -137,6 +147,9 @@ class Const(BoolExpr):
     def evaluate(self, assignment):
         return self.value
 
+    def _value(self, env, s):
+        return float(self.value)
+
     def render(self):
         return str(self.value)
 
@@ -154,6 +167,9 @@ class Not(BoolExpr):
 
     def evaluate(self, assignment):
         return 1 - self.child.evaluate(assignment)
+
+    def _value(self, env, s):
+        return 1.0 - self.child._value(env, s)
 
     def render(self):
         return f"not {self._wrap(self.child, right=False)}"
@@ -178,6 +194,10 @@ class _Binary(BoolExpr):
         return self._truth(self.left.evaluate(assignment),
                            self.right.evaluate(assignment))
 
+    def _value(self, env, s):
+        return self._copula(s, self.left._value(env, s),
+                            self.right._value(env, s))
+
     def render(self):
         return (f"{self._wrap(self.left, right=False)} {self._KEYWORD} "
                 f"{self._wrap(self.right, right=True)}")
@@ -194,7 +214,7 @@ class And(_Binary):
     _PREC = 3
     _KEYWORD = "and"
     _truth = staticmethod(operator.and_)
-    _copula = staticmethod(_and_value)
+    _copula = staticmethod(_frank_raw)
 
 
 class Xor(_Binary):
@@ -453,22 +473,6 @@ def check_consistency(px: float, py: float, pand: float,
     return ConsistencyVerdict(checks)
 
 
-def _copula_value(expr: BoolExpr, env: Mapping[str, float],
-                  s: CopulaParam) -> float:
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UnboundVariableError(
-                f"unbound variable {expr.name!r}") from None
-    if isinstance(expr, Const):
-        return float(expr.value)
-    if isinstance(expr, Not):
-        return 1.0 - _copula_value(expr.child, env, s)
-    return expr._copula(s, _copula_value(expr.left, env, s),
-                        _copula_value(expr.right, env, s))
-
-
 def copula_prob(expr: BoolExpr, assignment: Mapping[str, float],
                 s: CopulaParam) -> float:
     """Compositional evaluation: Var -> assigned value, Not -> 1 - v,
@@ -489,5 +493,5 @@ def copula_prob(expr: BoolExpr, assignment: Mapping[str, float],
     env = {name: _unit(v) for name, v in assignment.items()}
     # connectives keep values inside [0,1] up to rounding; _unit clamps
     # the few-ulp dust
-    return _unit(_copula_value(expr, env, s))
+    return _unit(expr._value(env, s.s))
 

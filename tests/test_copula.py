@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xorlab.copula import (CopulaParam, _unit, frank_and, frank_or,
-                           frechet_bounds, heaviside, solve_s, xor_f)
+                           frechet_bounds, solve_s, xor_f)
 from xorlab.errors import DomainError, InfeasibleProbabilityError
 
 unit = st.floats(0.0, 1.0)
@@ -229,13 +229,6 @@ def test_solve_s_round_trip(x, y, frac):
     p = lo + frac * (hi - lo)
     param = solve_s(x, y, p)
     assert abs(float(frank_and(param, x, y)) - p) < 1e-7
-
-
-def test_heaviside():
-    assert heaviside(-1.0) == 0.0
-    assert heaviside(0.0) == 0.0
-    assert heaviside(1e-300) == 1.0
-    assert heaviside(2.0) == 1.0
 
 
 def test_corner_agreement_with_boolean_xor():

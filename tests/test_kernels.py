@@ -11,12 +11,14 @@ anything that stops the build or the load selects python silently."""
 import math
 import os
 import random
+import re
 import shutil
 import struct
 import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -690,6 +692,17 @@ def test_tanh_run_is_never_at_rest(monkeypatch):
     got, draws = _draws(monkeypatch, *args)
     assert (got[1], got[3], draws) == (600, 1, 9 + 3 * 600)
     assert repr(got) == repr(loop_kernels.train_run(*args))
+
+
+def test_kern_c_trains_with_pycore_constants():
+    # kern.c's train_run copies the divergence threshold and the period of
+    # the at-rest check; no parity test would notice another period,
+    # because the at-rest exit is exact
+    source = (Path(kernels.__file__).parent / "kern.c").read_text()
+    for name, value in (("SSE_BLOWUP", _pycore.SSE_BLOWUP),
+                        ("REST_EVERY", _pycore._REST_EVERY)):
+        m = re.search(rf"^#define {name} (\S+)", source, re.M)
+        assert m and float(m.group(1)) == value, name
 
 
 def test_at_rest_tells_the_sign_of_zero():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorlab.copula import CopulaParam, _and_value, _unit, frank_and, xor_f
+from xorlab.copula import CopulaParam, _frank_raw, _unit, frank_and, xor_f
 from xorlab.datasets import builtin
 from xorlab.errors import (DomainError, ExprSyntaxError,
                            UnboundVariableError)
@@ -315,11 +315,11 @@ def _ref_copula_value(expr, env, s):
     left = _ref_copula_value(expr.left, env, s)
     right = _ref_copula_value(expr.right, env, s)
     if isinstance(expr, And):
-        return _and_value(s, left, right)
+        return _frank_raw(s.s, left, right)
     if isinstance(expr, Or):
-        return left + right - _and_value(s, left, right)
+        return left + right - _frank_raw(s.s, left, right)
     if isinstance(expr, Xor):
-        return left + right - 2.0 * _and_value(s, left, right)
+        return left + right - 2.0 * _frank_raw(s.s, left, right)
     raise TypeError(f"unknown node {expr!r}")
 
 
@@ -352,7 +352,7 @@ def _prob_outcome(fn, expr, assignment, s):
         warnings.simplefilter("always")
         try:
             out = repr(fn(expr, assignment, s))
-        except DomainError as err:
+        except (DomainError, UnboundVariableError) as err:
             out = f"{type(err).__name__}: {err}"
     return out, [(w.category, str(w.message)) for w in caught]
 
@@ -364,3 +364,24 @@ def test_random_tree_copula_prob_matches_reference(e, values, s):
     assignment = dict(zip(_NAMES, values))
     assert _prob_outcome(copula_prob, e, assignment, s) \
         == _prob_outcome(_ref_copula_prob, e, assignment, s)
+
+
+@pytest.mark.parametrize("text, assignment, error", [
+    ("a and not a", {}, "UnboundVariableError"),
+    ("a xor (b or a)", {"a": 0.5}, "UnboundVariableError"),
+    ("a and not a", {"a": 1.5}, "DomainError"),
+    ("a and not a", {"a": math.nan}, "DomainError"),
+    # z is not in the expression, but its value is still checked
+    ("(a or b) and a", {"a": 0.5, "b": 0.5, "z": -0.1}, "DomainError"),
+])
+def test_copula_prob_warns_before_it_raises(text, assignment, error):
+    """A repeated variable warns before an unbound name or a value outside
+    [0, 1] raises, as in the reference."""
+    expr = parse_expr(text)
+    for s in (CopulaParam.zero(), CopulaParam.finite(3.0)):
+        out, caught = _prob_outcome(copula_prob, expr, assignment, s)
+        assert out.startswith(f"{error}: ")
+        assert [category for category, _ in caught] \
+            == [CompositionalityWarning]
+        assert (out, caught) \
+            == _prob_outcome(_ref_copula_prob, expr, assignment, s)

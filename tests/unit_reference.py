@@ -3,8 +3,9 @@
 Every probability used to pass through copula.UnitValue, a frozen
 dataclass, and the connectives returned one.  The class, the _unit that
 unwrapped it and the functions that returned or took it are kept here
-verbatim (annotations and imports aside), so that tests/test_unit.py can
-check that copula._unit and the float-returning functions give float() of
+verbatim (annotations and imports aside, and s.s passed where copula's
+helpers now take s as a float), so that tests/test_unit.py can check
+that copula._unit and the float-returning functions give float() of
 what these gave, and the same errors.  solve_reference.py validates its
 inputs with this _unit.
 """
@@ -15,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from xorlab.copula import (UNIT_EPS, CopulaParam, _and_value, _frank_raw,
-                           _or_value, _xor_value)
+from xorlab.copula import (UNIT_EPS, CopulaParam, _frank_raw, _or_value,
+                           _xor_value)
 from xorlab.errors import DomainError
 from xorlab.problogic import SampleSpace, truth_table_prob_exact
 
@@ -51,17 +52,17 @@ def _unit(x: "UnitValue | float") -> float:
 
 def frank_and(s: CopulaParam, x, y) -> UnitValue:
     """A_s(x, y), the copula extension of 'and'."""
-    return UnitValue(_and_value(s, _unit(x), _unit(y)))
+    return UnitValue(_frank_raw(s.s, _unit(x), _unit(y)))
 
 
 def frank_or(s: CopulaParam, x, y) -> UnitValue:
     """R_s(x, y) = x + y - A_s(x, y), the dual extension of 'or'."""
-    return UnitValue(_or_value(s, _unit(x), _unit(y)))
+    return UnitValue(_or_value(s.s, _unit(x), _unit(y)))
 
 
 def xor_f(s: CopulaParam, x, y) -> UnitValue:
     """F_s(x, y) = x + y - 2 A_s(x, y), the xor family."""
-    return UnitValue(_xor_value(s, _unit(x), _unit(y)))
+    return UnitValue(_xor_value(s.s, _unit(x), _unit(y)))
 
 
 def frechet_bounds(x, y) -> tuple[float, float]:
