@@ -31,12 +31,11 @@ Unclassified, so neither runs the F_s fit) and on the F_s lattice at
 s = 3 (which runs the fit and is labelled Fs), and on both nets
 classify's 21x21 lattice, as 441 network.forward calls and as one
 network.forward_lattice call, network.gradient over the four
-boolean-xor samples, and copula.solve_s over 2,000 queries drawn from
---seed as perfbench's logic workload draws its solve_s queries,
-problogic.parse_expr over 2,000 texts drawn from --seed as that workload
-draws its copula_prob texts, and problogic.copula_prob over those texts,
-parsed once, with the assignments and s that workload draws (each the
-time per call).
+boolean-xor samples, and, over the queries perfbench's logic workload
+draws from --seed (perfbench/workloads.py), copula.solve_s over its
+2,000 solve_s queries, problogic.parse_expr over its 2,000 copula_prob
+texts, and problogic.copula_prob over those texts, parsed once, with
+their assignments and s (each the time per call).
 
 First-call section: the time the first network.forward call, then the
 first network.gradient call and then the first network.forward_lattice
@@ -48,7 +47,8 @@ Every item reports the best of --repeats timings and their spread (the
 median and the worst).  --json PATH also writes them, with the Python
 version and the backends, as one JSON document.
 
-Run from a checkout with the package installed:
+Run from a checkout with the package installed (the logic queries come
+from the checkout's perfbench/, whose oracles need numpy):
 
     python benchmarks/bench_kernels.py
     python benchmarks/bench_kernels.py --iters 5000 --steps 161
@@ -56,8 +56,8 @@ Run from a checkout with the package installed:
 """
 
 import argparse
+import importlib.util
 import json
-import math
 import os
 import platform
 import random
@@ -70,13 +70,22 @@ from pathlib import Path
 
 import xorlab
 from xorlab import _pycore, copula, network, problogic, surface, trainer
-from xorlab.copula import (SOLVE_TOL, CopulaParam, frank_and, frechet_bounds,
-                           solve_s, xor_f_lattice)
+from xorlab.copula import (SOLVE_TOL, CopulaParam, frechet_bounds, solve_s,
+                           xor_f_lattice)
 from xorlab.datasets import builtin
 from xorlab.kernels import BACKEND, available_backends, get_backend
 from xorlab.linalg import Matrix
 from xorlab.network import Network, parse_spec
 from xorlab.trainer import classify
+
+# perfbench's workloads, for the logic workload's queries; it imports its
+# neighbours netspec and oracles by name
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(_PERFBENCH))
+_spec = importlib.util.spec_from_file_location(
+    "workloads", _PERFBENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 # boolean xor, flattened sample-major
 XOR_XS = [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
@@ -163,10 +172,11 @@ def _workloads(args):
     # the queries that solve_s bisects: p strictly inside the bounds,
     # farther than SOLVE_TOL from each
     solves = []
-    for x, y, p in solve_queries(args.seed):
-        lower, upper = frechet_bounds(x, y)
-        if lower + SOLVE_TOL < p < upper - SOLVE_TOL:
-            solves.append((x, y, p))
+    for kind, x, y, p, *_ in logic_queries(args.seed):
+        if kind == "solve":
+            lower, upper = frechet_bounds(x, y)
+            if lower + SOLVE_TOL < p < upper - SOLVE_TOL:
+                solves.append((x, y, p))
 
     def solve_steps(mod):
         return [mod.solve_t(x, y, p, copula._BISECT_ITERS)
@@ -206,72 +216,14 @@ FIXED_NETS = (
 )
 
 
-def solve_queries(seed, n=2000):
-    """n (x, y, p) for solve_s, drawn like the logic workload's: x and y
-    uniform on [0.001, 0.999]; p = min(x, y), max(x + y - 1, 0) or
-    x * y +- 1e-8 (5% each), else the round trip p = A_s(x, y) for s
-    log-uniform on [1e-8, 1e8]."""
-    rng = random.Random(seed)
-    queries = []
-    for _ in range(n):
-        x, y = rng.uniform(0.001, 0.999), rng.uniform(0.001, 0.999)
-        r = rng.random()
-        if r < 0.05:
-            p = min(x, y)
-        elif r < 0.10:
-            p = max(x + y - 1.0, 0.0)
-        elif r < 0.15:
-            p = x * y + rng.uniform(-1e-8, 1e-8)
-        else:
-            s = math.exp(rng.uniform(-1.0, 1.0) * math.log(1e8))
-            p = float(frank_and(CopulaParam.finite(s), x, y))
-        queries.append((x, y, p))
-    return queries
-
-
-def prob_texts(seed, n=2000):
-    """n texts for parse_expr, drawn like the logic workload's: 2 to 4
-    distinct variables x1, x2, ... shuffled, split at random points into
-    a tree of and, or and xor, each node negated with probability 0.3,
-    and written fully parenthesized."""
-    rng = random.Random(seed)
-
-    def draw(names):
-        if len(names) == 1:
-            text = names[0]
-        else:
-            cut = rng.randint(1, len(names) - 1)
-            op = rng.choice(("and", "or", "xor"))
-            text = f"({draw(names[:cut])} {op} {draw(names[cut:])})"
-        return f"not ({text})" if rng.random() < 0.3 else text
-
-    texts = []
-    for _ in range(n):
-        names = [f"x{i}" for i in range(1, rng.randint(2, 4) + 1)]
-        rng.shuffle(names)
-        texts.append(draw(names))
-    return texts
-
-
-def prob_queries(seed, n=2000):
-    """n (expr, assignment, s) for copula_prob, drawn like the logic
-    workload's: the n prob_texts, parsed, each variable uniform on [0, 1],
-    and s the Zero, One or Infinity variant or finite (a quarter each),
-    finite s log-uniform on [e^-6, e^6] and more than 1e-3 from 1."""
-    rng = random.Random(seed + 1)       # a stream apart from the texts'
-    queries = []
-    for text in prob_texts(seed, n):
-        expr = problogic.parse_expr(text)
-        assignment = {name: rng.random() for name in expr.variables()}
-        kind = rng.choice(("zero", "one", "inf", "finite"))
-        if kind == "finite":
-            s = 1.0
-            while abs(s - 1.0) <= 1e-3:
-                s = math.exp(rng.uniform(-6.0, 6.0))
-            queries.append((expr, assignment, CopulaParam.finite(s)))
-        else:
-            queries.append((expr, assignment, CopulaParam(kind)))
-    return queries
+def logic_queries(seed):
+    """The queries of perfbench's logic workload at seed, in its draw
+    order: ("solve", x, y, p), ("prob", text, tree, assignment, kind, s,
+    CopulaParam) and ("consistency", x, y, kind, s, CopulaParam), 2,000
+    of each."""
+    logic = workloads.Logic()
+    logic.setup(seed, None)
+    return logic.queries
 
 
 def _fixed_net(spec, flat_layers):
@@ -350,21 +302,23 @@ def _library_section(args, items):
             seconds, = _timings([fn], args.repeats)
             items.append(_item(f"{label}, {tag} net", BACKEND, seconds))
             _show(items[-1])
-    queries = solve_queries(args.seed)
+    drawn = logic_queries(args.seed)
+    queries = [q[1:4] for q in drawn if q[0] == "solve"]
     seconds, = _timings(
         [lambda: [solve_s(x, y, p) for x, y, p in queries]],
         args.repeats)
     items.append(_item(f"solve_s, {len(queries):,} drawn round trips, "
                        f"per call", BACKEND, seconds, per=len(queries)))
     _show(items[-1])
-    texts = prob_texts(args.seed)
+    probs = [q for q in drawn if q[0] == "prob"]
+    texts = [q[1] for q in probs]
     seconds, = _timings(
         [lambda: [problogic.parse_expr(text) for text in texts]],
         args.repeats)
     items.append(_item(f"parse_expr, {len(texts):,} drawn texts, per call",
                        BACKEND, seconds, per=len(texts)))
     _show(items[-1])
-    queries = prob_queries(args.seed)
+    queries = [(problogic.parse_expr(q[1]), q[3], q[6]) for q in probs]
     seconds, = _timings(
         [lambda: [problogic.copula_prob(expr, assignment, s)
                   for expr, assignment, s in queries]],

@@ -40,8 +40,9 @@ of the grid loops by one rule, written once in grid_levels: the
 generated kernel is laid out from its list, and _cbackend hands the same
 list to kern.c.  Hoisting changes how often a unit is computed, not its
 operands or their order.)
-network's activations compile apply and slope from _ACT and _SLOPE, so
-each is written once in Python.
+Each activation and its slope are written once in Python, in _ACT and
+_SLOPE.  SSE_BLOWUP, _REST_EVERY and _PLATEAU_TOL are kern.c's values
+too: xorlab.kernels passes each to its build as a -D flag.
 
 Layout conventions shared with the compiled kernel:
   - sizes: layer widths including input, e.g. [2, 2, 1]

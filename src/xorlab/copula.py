@@ -22,7 +22,8 @@ frank_closed.  kern.c uses it in frank_raw, a copy of _frank_raw's
 dispatch, and in fs_deviation, the compiled F_s fit, which follows
 xor_f_lattice for every s: CopulaParam.finite's One window, the closed
 form in xor_f_lattice's float order, frank_raw for the rest, and
-_unit's window and clamp.
+_unit's window and clamp.  kern.c reads UNIT_EPS, ONE_WINDOW and the
+dispatch thresholds from here: kernels passes them to its build.
 
 solve_s checks its input, snaps to the limits and builds the result here;
 its bisection is a kernel, kernels.solve_t, looked up on every call:
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleProbabilityError
 
-UNIT_EPS = 1e-12        # clamp window around [0, 1]; kern.c copies it
-ONE_WINDOW = 1e-6       # |s - 1| within this is One; kern.c copies it
+UNIT_EPS = 1e-12        # clamp window around [0, 1]
+ONE_WINDOW = 1e-6       # |s - 1| within this is One
 ZERO_DISPATCH = 1e-8    # finite s below this evaluates via the s->0 limit
 INF_DISPATCH = 1e8      # finite s above this evaluates via the s->inf limit
 SOLVE_TOL = 1e-9        # bound snapping tolerance in solve_s

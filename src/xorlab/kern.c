@@ -15,6 +15,11 @@
  * -fno-tree-vectorize, because vectorizing the 2- to 9-term dot products
  * only adds overhead.
  *
+ * SSE_BLOWUP, REST_EVERY, PLATEAU_TOL, UNIT_EPS, ZERO_DISPATCH,
+ * INF_DISPATCH and ONE_WINDOW are not defined here: the build passes
+ * each as a -D flag (xorlab.kernels.DEFINES) with the value of its one
+ * copy in _pycore or copula.
+ *
  * Layout conventions (see _pycore.py):
  *   sizes[0..nlayers]  layer widths including the input
  *   acts[0..nlayers-1] one code per non-input layer:
@@ -69,12 +74,6 @@
 #define MIX1 0xBF58476D1CE4E5B9ULL
 #define MIX2 0x94D049BB133111EBULL
 #define INV53 (1.0 / 9007199254740992.0)  /* 2 ** -53 */
-#define SSE_BLOWUP 1e6  /* _pycore.SSE_BLOWUP: a larger SSE diverged */
-#define REST_EVERY 256  /* _pycore._REST_EVERY: epochs per at-rest check */
-#define UNIT_EPS 1e-12  /* copula.UNIT_EPS, _unit's window around [0, 1] */
-#define ZERO_DISPATCH 1e-8  /* copula.ZERO_DISPATCH: below it, A_s = A_0 */
-#define INF_DISPATCH 1e8    /* copula.INF_DISPATCH: above it, A_s = A_inf */
-#define ONE_WINDOW 1e-6     /* copula.ONE_WINDOW: |s - 1| within it is 1 */
 
 static uint64_t sm_next(uint64_t *state)
 {
@@ -580,8 +579,6 @@ double solve_t(double x, double y, double p, int iters)
  * least one.  lohi gets the minimum and maximum (+inf and -inf when every
  * cell is NaN), counts the index, the strict minima and the plateau
  * cells. */
-#define PLATEAU_TOL 1e-12   /* surface's tolerance for a flat neighbour */
-
 void grid_stats(int n, const double *v, double *lohi, int *counts)
 {
     double lo = INFINITY, hi = -INFINITY;

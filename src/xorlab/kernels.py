@@ -32,7 +32,10 @@ The compiled backend runs when a library loads, and Python otherwise;
 without a library, ctypes is never imported.  This module is the one
 place that builds and finds the library: the build of kern.c in this
 package's __pycache__, named by a key of kern.c's bytes and the
-compiler flags (cache_name).  On a miss the import compiles it there
+compiler flags (cache_name).  The flags include DEFINES, one -D flag
+per numeric policy kern.c shares with Python, each with the value of
+its one copy in _pycore or copula, so a changed value names another
+library.  On a miss the import compiles it there
 with `cc` (build), so the package runs the compiled kernels wherever
 `cc` is on PATH and its __pycache__ can be written, and removes the
 libraries built from earlier versions of kern.c.  A missing compiler, a
@@ -45,7 +48,7 @@ from __future__ import annotations
 import os
 import zlib
 
-from . import _pycore
+from . import _pycore, copula
 from .errors import DomainError
 
 __all__ = [
@@ -53,12 +56,19 @@ __all__ = [
     "solve_t", "grid_stats", "grid_csv", "get_backend", "available_backends",
 ]
 
+# kern.c's numeric policies, each taken from its one home in Python;
+# kern.c does not compile without them
+DEFINES = tuple(f"-D{name}={value!r}" for name, value in (
+    ("SSE_BLOWUP", _pycore.SSE_BLOWUP), ("REST_EVERY", _pycore._REST_EVERY),
+    ("PLATEAU_TOL", _pycore._PLATEAU_TOL), ("UNIT_EPS", copula.UNIT_EPS),
+    ("ZERO_DISPATCH", copula.ZERO_DISPATCH),
+    ("INF_DISPATCH", copula.INF_DISPATCH), ("ONE_WINDOW", copula.ONE_WINDOW)))
 # -ffp-contract=off keeps the compiled arithmetic bit-identical to the
 # pure-Python backend (no FMA contraction).  The dot products are 2 to 9
 # terms long: vectorized, each pays for a vector prologue and epilogue,
 # and project_grid ran 25% slower, hence -fno-tree-vectorize.
 CFLAGS = ("-O3", "-fno-tree-vectorize", "-ffp-contract=off", "-shared",
-          "-fPIC")
+          "-fPIC", *DEFINES)
 LIBS = ("-lm",)
 TIMEOUT_S = 60
 

@@ -8,10 +8,9 @@ forward, forward_lattice and gradient run the straight-line code
 xorlab._pycore generates per network shape (cached in _pycore._net_pass;
 forward_lattice runs forward's unit lines in a loop over a lattice): the
 accumulation order (ascending input index, bias last) is pinned there and
-mirrored in kern.c.
-Activations compile apply and slope from the same templates.  The flat
-weight layout is worked out once, by _pycore._offsets; from_flat,
-flat_weights (computed once per network) and count_weights follow it.
+mirrored in kern.c.  The flat weight layout is worked out once, by
+_pycore._offsets; from_flat, flat_weights (computed once per network)
+and count_weights follow it.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._pycore import _ACT, _ACT_NAMES, _SLOPE, _build, _net_pass, _offsets
+from ._pycore import _ACT_NAMES, _net_pass, _offsets
 from .errors import (ArityError, ModelFormatError, NotLinearError,
                      ShapeError, SpecSyntaxError)
 from .linalg import Matrix, mat_mul
@@ -36,25 +35,14 @@ __all__ = [
 
 
 class Activation:
-    """A scalar activation and its derivative.
+    """A scalar activation: its tag and its code, the index of its
+    function and slope in _pycore._ACT and _SLOPE and in kern.c."""
 
-    slope() takes both the pre-activation z and the activation value a so
-    each tag can use whichever is cheaper (tanh and sigmoid differentiate
-    through a, relu through z).
-    """
-
-    __slots__ = ("tag", "code", "apply", "slope")
+    __slots__ = ("tag", "code")
 
     def __init__(self, tag, code):
         self.tag = tag
         self.code = code      # stable integer id shared with the kernels
-        self.apply = _build("apply", [
-            "def apply(z):", "    return " + _ACT[code].format(z="z")],
-            f"<xorlab apply {_ACT_NAMES[code]}>")
-        self.slope = _build("slope", [
-            "def slope(z, a):",
-            "    return " + _SLOPE[code].format(z="z", a="a")],
-            f"<xorlab slope {_ACT_NAMES[code]}>")
 
     def __repr__(self):
         return f"Activation({self.tag})"

@@ -11,7 +11,6 @@ anything that stops the build or the load selects python silently."""
 import math
 import os
 import random
-import re
 import shutil
 import struct
 import subprocess
@@ -172,6 +171,65 @@ def test_library_outside_the_cache_is_ignored(bare_package):
     assert _run_kernels(bare_package, LOADER) == "c ('c', 'python') True"
     assert len(_cached(bare_package)) == 1
     assert stray.read_bytes() == b"not a library\n"
+
+
+# kern.c's numeric policies by macro name, from their one Python home
+KERN_C_POLICIES = {
+    "SSE_BLOWUP": _pycore.SSE_BLOWUP, "REST_EVERY": _pycore._REST_EVERY,
+    "PLATEAU_TOL": _pycore._PLATEAU_TOL, "UNIT_EPS": copula.UNIT_EPS,
+    "ZERO_DISPATCH": copula.ZERO_DISPATCH,
+    "INF_DISPATCH": copula.INF_DISPATCH, "ONE_WINDOW": copula.ONE_WINDOW,
+}
+
+
+@needs_cc
+def test_defines_give_c_the_python_values(tmp_path):
+    # a C program built with the defines prints each macro as C reads it;
+    # -Werror=format makes REST_EVERY an int, as kern.c counts epochs
+    probe = tmp_path / "probe.c"
+    probe.write_text("#include <stdio.h>\nint main(void)\n{\n" + "".join(
+        f'    printf("{name} %d\\n", {name});\n' if name == "REST_EVERY"
+        else f'    printf("{name} %.17g\\n", (double)({name}));\n'
+        for name in KERN_C_POLICIES) + "    return 0;\n}\n")
+    exe = tmp_path / "probe"
+    subprocess.run(["cc", "-Werror=format", *kernels.DEFINES, "-o", str(exe),
+                    str(probe)], check=True, capture_output=True)
+    out = subprocess.run([str(exe)], check=True, capture_output=True,
+                         text=True).stdout
+    got = dict(line.split() for line in out.splitlines())
+    assert {k: float(v) for k, v in got.items()} == KERN_C_POLICIES
+    assert len(kernels.DEFINES) == len(KERN_C_POLICIES)
+
+
+@needs_cc
+def test_kern_c_needs_the_defines(tmp_path):
+    # kern.c keeps no copy of the values: without the defines every one
+    # of them is undeclared
+    flags = [f for f in kernels.CFLAGS if f not in kernels.DEFINES]
+    assert len(flags) == len(kernels.CFLAGS) - len(kernels.DEFINES)
+    src = Path(kernels.__file__).parent / "kern.c"
+    run = subprocess.run(["cc", *flags, "-o", str(tmp_path / "kern.so"),
+                          str(src), *kernels.LIBS], capture_output=True,
+                         text=True, env=dict(os.environ, LC_ALL="C"))
+    assert run.returncode != 0
+    for name in KERN_C_POLICIES:
+        # gcc's message, or clang's
+        assert (f"'{name}' undeclared" in run.stderr
+                or f"undeclared identifier '{name}'" in run.stderr), name
+
+
+def test_cache_name_keys_on_the_defines(monkeypatch):
+    # a value changed in Python names another library, so a stale build
+    # of the old value is never loaded
+    source = b"/* kern.c */\n"
+    names = {kernels.cache_name(source)}
+    flags = kernels.CFLAGS
+    for define in kernels.DEFINES:
+        name = define.partition("=")[0]
+        monkeypatch.setattr(kernels, "CFLAGS", tuple(
+            f"{name}=0" if f == define else f for f in flags))
+        names.add(kernels.cache_name(source))
+    assert len(names) == 1 + len(kernels.DEFINES)
 
 
 def test_sse_dataset_parity(ckern):
@@ -694,17 +752,6 @@ def test_tanh_run_is_never_at_rest(monkeypatch):
     assert repr(got) == repr(loop_kernels.train_run(*args))
 
 
-def test_kern_c_trains_with_pycore_constants():
-    # kern.c's train_run copies the divergence threshold and the period of
-    # the at-rest check; no parity test would notice another period,
-    # because the at-rest exit is exact
-    source = (Path(kernels.__file__).parent / "kern.c").read_text()
-    for name, value in (("SSE_BLOWUP", _pycore.SSE_BLOWUP),
-                        ("REST_EVERY", _pycore._REST_EVERY)):
-        m = re.search(rf"^#define {name} (\S+)", source, re.M)
-        assert m and float(m.group(1)) == value, name
-
-
 def test_at_rest_tells_the_sign_of_zero():
     # dead hidden units and a dead output: every delta is +-0.0, so each
     # weight stays, but the output bias -0.0 minus lr * -0.0 is +0.0
@@ -814,9 +861,6 @@ def test_fs_kernel_reports_the_first_value_outside_the_window(c_package,
     # s <= 0 and NaN are refused too
     for s in (0.0, math.nan):
         assert _raw_fs_deviation(c_package, axis, [0.5] * 9, s) == -1.0
-    # kern.c's copy of the window
-    source = (c_package / "xorlab" / "kern.c").read_text()
-    assert f"#define UNIT_EPS {copula.UNIT_EPS!r} " in source
     # inside the window the value is clamped, as _unit clamps: at s = 0.2
     # the closed form gives F_s(1, 1) = -8.9e-16, and 1.0 - 0.0 is 1.0
     outs = [0.0, 1.0, 1.0, 1.0]
@@ -979,8 +1023,3 @@ def test_grid_stats_matches_across_backends(kern):
     assert repr(got) == repr((-4.0, 6, -0.0, 4, 3))
     with pytest.raises(IndexError):
         kern.grid_stats([0.0] * 8, 3)
-
-
-def test_grid_stats_plateau_tolerance_is_surface_s(c_package):
-    source = (c_package / "xorlab" / "kern.c").read_text()
-    assert f"#define PLATEAU_TOL {_pycore._PLATEAU_TOL!r} " in source

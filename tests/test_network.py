@@ -9,12 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loop_kernels
+from xorlab._pycore import _ACT, _SLOPE, _build
 from xorlab.errors import (ArityError, DomainError, ModelFormatError,
                            NotLinearError, ShapeError, SpecSyntaxError)
 from xorlab.linalg import Matrix
-from xorlab.network import (ACTIVATIONS, Network, Topology, collapse_linear,
-                            count_weights, forward, forward_lattice, gradient,
-                            load_model, parse_sizes, parse_spec, save_model)
+from xorlab.network import (ACTIVATIONS, RELU, SIGMOID, Activation, Network,
+                            Topology, collapse_linear, count_weights,
+                            forward, forward_lattice, gradient, load_model,
+                            parse_sizes, parse_spec, save_model)
 
 
 def _net(spec, *layers):
@@ -49,11 +51,29 @@ def test_parse_spec_errors():
         parse_spec("2-2-1/inp-tanh")
 
 
+def _apply(code):
+    """The activation of code as the generated kernels write it."""
+    return _build("apply", ["def apply(z):",
+                            "    return " + _ACT[code].format(z="z")],
+                  "<test apply>")
+
+
+def _slope(code):
+    """The slope of code as the generated kernels write it."""
+    return _build("slope", ["def slope(z, a):", "    return "
+                            + _SLOPE[code].format(z="z", a="a")],
+                  "<test slope>")
+
+
 def test_activation_registry():
     assert set(ACTIVATIONS) == {"id", "tanh", "sigmoid", "relu"}
-    assert ACTIVATIONS["relu"].apply(-2.0) == 0.0
-    assert ACTIVATIONS["relu"].apply(2.0) == 2.0
-    assert ACTIVATIONS["sigmoid"].apply(0.0) == 0.5
+    assert repr(ACTIVATIONS["tanh"]) == "Activation(Tanh)"
+    assert ACTIVATIONS["relu"] == Activation("Relu", 3)
+    assert [a.code for a in ACTIVATIONS.values()] == [0, 1, 2, 3]
+    relu, sigmoid = _apply(RELU.code), _apply(SIGMOID.code)
+    assert relu(-2.0) == 0.0
+    assert relu(2.0) == 2.0
+    assert sigmoid(0.0) == 0.5
 
 
 _BY_CODE = sorted(ACTIVATIONS.values(), key=lambda a: a.code)
@@ -63,11 +83,12 @@ def test_activations_match_loop_reference():
     zs = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 20.0, -20.0, 710.0, -710.0,
           math.inf, -math.inf, math.nan]
     for act in _BY_CODE:
+        apply, slope = _apply(act.code), _slope(act.code)
         for z in zs:
-            assert (repr(act.apply(z))
+            assert (repr(apply(z))
                     == repr(loop_kernels._act(act.code, z)))
-            for a in zs + [act.apply(z)]:
-                assert (repr(act.slope(z, a))
+            for a in zs + [apply(z)]:
+                assert (repr(slope(z, a))
                         == repr(loop_kernels._slope(act.code, z, a)))
 
 

@@ -15,9 +15,7 @@ directly, on p whose root lies beyond the dispatch thresholds too.
 import contextlib
 import math
 import random
-import re
 import shutil
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -182,12 +180,3 @@ def test_compiled_solve_t_matches_python(ckern):
             repr(_pycore.solve_t(0.3, 0.6, 0.1, iters))
     with pytest.raises(OverflowError):
         ckern.solve_t(0.3, 0.6, 0.1, 2 ** 31)
-
-
-def test_kern_c_dispatches_where_copula_does():
-    # kern.c's frank_raw copies _frank_raw's dispatch thresholds, and its
-    # fs_deviation copies CopulaParam.finite's One window
-    source = (Path(kernels.__file__).parent / "kern.c").read_text()
-    for name in ("ZERO_DISPATCH", "INF_DISPATCH", "ONE_WINDOW"):
-        m = re.search(rf"^#define {name} (\S+)", source, re.M)
-        assert m and float(m.group(1)) == getattr(copula, name), name
