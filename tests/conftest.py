@@ -15,25 +15,11 @@ fixture is each backend in turn.
 import re
 import shutil
 import subprocess
-from pathlib import Path
 
 import pytest
 
+from package_copy import copy_package, library_path
 from xorlab import kernels
-
-
-def copy_package(dest: Path) -> Path:
-    """Copy the xorlab package, without its __pycache__, into dest."""
-    shutil.copytree(Path(kernels.__file__).parent, dest / "xorlab",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    return dest
-
-
-def library_path(root: Path) -> Path:
-    """Where the copy of xorlab in root keeps its compiled kernels."""
-    pkg = root / "xorlab"
-    name = kernels.cache_name((pkg / "kern.c").read_bytes())
-    return pkg / "__pycache__" / name
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import copy_package
+from package_copy import copy_package
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SCRIPT = _ROOT / "benchmarks" / "cli_bytes.py"

@@ -218,6 +218,17 @@ def test_kern_c_needs_the_defines(tmp_path):
                 or f"undeclared identifier '{name}'" in run.stderr), name
 
 
+@needs_cc
+def test_kern_c_builds_without_warnings(tmp_path):
+    # an unused static helper, among others, fails this build
+    src = Path(kernels.__file__).parent / "kern.c"
+    run = subprocess.run(["cc", *kernels.CFLAGS, "-Wall", "-Wextra",
+                          "-Werror", "-o", str(tmp_path / "kern.so"),
+                          str(src), *kernels.LIBS], capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_cache_name_keys_on_the_defines(monkeypatch):
     # a value changed in Python names another library, so a stale build
     # of the old value is never loaded
@@ -764,6 +775,77 @@ def test_at_rest_tells_the_sign_of_zero():
     assert not _at_rest(*RELU, True, 0.1, [1.0, -1.0, 0.0] + w[3:8] + [0.0])
 
 
+# kern.c's static at_rest, exported by a probe that includes kern.c: on
+# chosen weights, with train_run's scratch and its order of the samples
+# before any shuffle
+_AT_REST_PROBE = """#include "{kern_c}"
+
+int probe_at_rest(int nlayers, const int *sizes, const int *acts,
+                  const double *xs, const double *ts, int n_samples,
+                  double lr, int per_sample, const double *w)
+{{
+    Net n;
+    int order[16], rest = -1;
+    double scratch[2 * 64];
+    if (n_samples > 16 || net_init(&n, nlayers, sizes, acts) < 0)
+        return -1;
+    for (int k = 0; k < n_samples; k++)
+        order[k] = k;
+    if (n.offs[nlayers] <= 64)
+        rest = at_rest(&n, w, xs, ts, order, n_samples, lr, per_sample,
+                       scratch + n.offs[nlayers], scratch);
+    net_free(&n);
+    return rest;
+}}
+"""
+
+
+@pytest.fixture(scope="module")
+def c_at_rest(c_package, tmp_path_factory):
+    """kern.c's at_rest(sizes, acts, per_sample, lr, w) on the xor data,
+    built with kernels.CFLAGS from c_package's kern.c."""
+    from ctypes import CDLL, c_double, c_int
+    tmp = tmp_path_factory.mktemp("at_rest")
+    src, lib = tmp / "probe.c", tmp / "probe.so"
+    src.write_text(_AT_REST_PROBE.format(
+        kern_c=c_package / "xorlab" / "kern.c"))
+    subprocess.run(["cc", *kernels.CFLAGS, "-o", str(lib), str(src),
+                    *kernels.LIBS], check=True, capture_output=True)
+    probe = CDLL(str(lib)).probe_at_rest
+
+    def array(kind, values):
+        return (kind * len(values))(*values)
+
+    def at_rest(sizes, acts, per_sample, lr, w):
+        rest = probe(len(acts), array(c_int, sizes), array(c_int, acts),
+                     array(c_double, XOR_XS), array(c_double, XOR_TS),
+                     len(XOR_TS), c_double(lr), int(per_sample),
+                     array(c_double, w))
+        assert rest in (0, 1)
+        return bool(rest)
+
+    return at_rest
+
+
+def test_c_at_rest_agrees_with_python(c_at_rest):
+    # the sign-of-zero weights, and the weights of a per-sample and of a
+    # full-batch run, the latter at rest only in full batch
+    dead = [-1.0] * 6 + [0.5, 0.5, -0.0]
+    runs = [_pycore.train_run(*RELU, XOR_XS, XOR_TS, 0.1, 1000, 1e-3,
+                              per_sample, seed, 1.0, 0)[0]
+            for per_sample, seed in ((1, 2), (0, 4))]
+    verdicts = []
+    for w in (dead, dead[:8] + [0.0], [1.0, -1.0, 0.0] + dead[3:8] + [0.0],
+              *runs):
+        for per_sample in (True, False):
+            want = _at_rest(*RELU, per_sample, 0.1, w)
+            assert c_at_rest(*RELU, per_sample, 0.1, w) == want, (w,
+                                                                  per_sample)
+            verdicts.append(want)
+    assert verdicts == [False, True, True, True, False, False, True, True,
+                        False, True]
+
+
 # -- the F_s fit's scorer: the fs_deviation kernel against the Python twin --
 
 def _fs_cases(n_lattices=300, per_lattice=10, seed=23):
@@ -828,7 +910,7 @@ def test_fs_scorer_parity_beyond_the_kernel_range(ckern):
 def _raw_fs_deviation(c_package, axis, outs, s):
     """The library's fs_deviation called directly."""
     import ctypes
-    from conftest import library_path
+    from package_copy import library_path
     lib = ctypes.CDLL(str(library_path(c_package)))
     fn = lib.fs_deviation
     dp = ctypes.POINTER(ctypes.c_double)
@@ -898,6 +980,14 @@ def test_fs_scorer_checks_its_lattice(kern):
     # outputs past the lattice are ignored; -0.0 on the axis becomes 0.0
     score = kern.fs_scorer([0.0, 1.0, 1.0, 0.0, 9.0], (-0.0, 1.0))
     assert repr(score(1.0)) == "0.0"
+    # the maximum over no points is _max_abs_diff's default, inf; over one
+    # point it is that point's deviation (at s = 1, F_s(1, 1) = 0)
+    assert kern.fs_scorer([], ())(3.0) == math.inf
+    with pytest.raises(DomainError):
+        kern.fs_scorer([], ())(-1.0)
+    assert kern.fs_scorer([0.9], (1.0,))(1.0) == 0.9
+    assert repr(kern.fs_scorer([0.25], (0.5,))(3.0)) == repr(
+        kernels.get_backend("python").fs_scorer([0.25], (0.5,))(3.0))
 
 
 # -- the surface kernels: grid_csv against '%.17g', grid_stats ---------------
@@ -969,12 +1059,43 @@ def _first_difference(got, want):
     return len(got), len(want)
 
 
+# kern.c as a compiler without 128-bit integers builds it: grid_csv then
+# writes every number with snprintf
+_NO_INT128 = "#undef __SIZEOF_INT128__\n"
+
+
+@pytest.fixture(scope="module", params=["python", "c", "c-no-int128"])
+def csv_kern(request):
+    """Each backend in turn, then the compiled one built without 128-bit
+    integers; the c ones skip when no cc is on PATH."""
+    if request.param == "python":
+        return kernels.get_backend("python")
+    if request.param == "c":
+        return request.getfixturevalue("ckern")
+    from xorlab import _cbackend
+    c_package = request.getfixturevalue("c_package")
+    tmp = request.getfixturevalue("tmp_path_factory").mktemp("no_int128")
+    return _cbackend.load(_variant_library(c_package, tmp, _NO_INT128))
+
+
 @pytest.mark.parametrize("draw", [_drawn_doubles, _edge_doubles])
-def test_grid_csv_writes_percent_17g(kern, draw):
+def test_grid_csv_writes_percent_17g(csv_kern, draw):
     values = draw()
-    got = kern.grid_csv(b"h\n", [0.1], values, values)
+    got = csv_kern.grid_csv(b"h\n", [0.1], values, values)
     want = _csv_17g(b"h\n", [0.1], values, values)
     assert got == want, _first_difference(got, want)
+
+
+def test_no_int128_build_has_no_integer_path(c_package, tmp_path):
+    # so the c-no-int128 runs above test the snprintf path alone
+    src = c_package / "xorlab" / "kern.c"
+    header = tmp_path / "prelude.h"
+    header.write_text(_NO_INT128)
+    text = subprocess.run(["cc", "-E", *kernels.DEFINES, "-include",
+                           str(header), str(src)], check=True,
+                          capture_output=True, text=True).stdout
+    assert "digits17" in src.read_text() and "digits17" not in text
+    assert "snprintf" in text
 
 
 def test_grid_csv_covers_the_digit_carries():
