@@ -10,13 +10,17 @@ weights move for all --iters epochs.  The backends are timed call by
 call in turn, in one process, so that drift in the host's speed hits
 them alike.  Have `cc` on PATH to time the compiled backend too;
 without a library that loads, only the Python backend is timed.
-project_grid is timed once per
-pair class of the 2-2-1 net: two first-layer weights (L1xL1), a
-first-layer and an output weight (L1xL2), and two output weights
-(L2xL2).  fs_scorer is timed as one F_s fit's golden-section steps: a
-scorer, score(s), built from 21x21 outputs drawn from --seed, then one
-score at each of 42 values s = t / (1 - t), t spread over the fit's
-range, passed unsnapped as classify passes them.  solve_t is timed
+project_grid is timed once per pair class of the 2-2-1 net: two
+first-layer weights (L1xL1), a first-layer and an output weight
+(L1xL2), and two output weights (L2xL2).  forward_lattice is timed on
+the 2-2-1 tanh net at those weights over classify's 21x21 lattice.
+fixed_scorer is timed as one score, by the scorer classify caches
+(trainer._fixed_scorer), of 21x21 outputs drawn from --seed against
+classify's rows at grid 21: its five fixed candidates and its edge row.
+fs_scorer is timed as one F_s fit's golden-section steps: a scorer,
+score(s), built from the same outputs, then one score at each of 42
+values s = t / (1 - t), t spread over the fit's range, passed unsnapped
+as classify passes them.  solve_t is timed
 as the bisections of copula.solve_s over the queries of the library
 section's solve_s item that reach it (those it does not snap to a
 limit or refuse).  grid_stats and grid_csv are timed on the L1xL1 grid
@@ -169,6 +173,9 @@ def _workloads(args):
         score = mod.fs_scorer(fs_outs, fs_axis)
         return [score(s) for s in fs_ss]
 
+    def fixed_score(mod):
+        return trainer._fixed_scorer(21, mod.fixed_scorer)(fs_outs)
+
     # the queries that solve_s bisects: p strictly inside the bounds,
     # farther than SOLVE_TOL from each
     solves = []
@@ -194,6 +201,9 @@ def _workloads(args):
              relu(RELU_MOVING))] + [
         (f"project_grid {args.steps}x{args.steps} {cls}", grid(ia, ib))
         for cls, ia, ib in PAIR_CLASSES] + [
+        ("forward_lattice 21x21",
+         lambda mod: mod.forward_lattice(SIZES, ACTS, base, fs_axis)),
+        ("fixed_scorer 21x21, one score", fixed_score),
         (f"fs_scorer 21x21, {FS_STEPS} F_s steps", fs_steps),
         (f"solve_t, {len(solves):,} bisections", solve_steps),
         (f"grid_stats {args.steps}x{args.steps}",

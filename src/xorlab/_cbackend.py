@@ -2,19 +2,22 @@
 
 load(path) binds the library that xorlab.kernels built from kern.c and
 returns a namespace with BACKEND and the same functions as
-xorlab._pycore (sse_dataset, train_run, project_grid, fs_scorer,
-solve_t, grid_stats, grid_csv), taking and returning the same Python
-types.  The library has six kernels, train_run, project_grid (which
-runs each unit at the loop level _pycore.grid_levels gives it and writes
-each cell straight into the buffer of the array('d') it returns),
-fs_deviation (behind fs_scorer, which scores every s in C and leaves the
-error of an s the kernel refuses to the Python scorer), solve_t,
-grid_stats and grid_csv (which formats each number by an exact integer
-path or snprintf into a buffer the library allocates, copied here into
-bytes); sse_dataset is _pycore's, the one cell of project_grid that
-leaves the weights as they are, run on this project_grid.  A grid
-handed back to grid_stats or grid_csv as that array('d') reaches C by
-one buffer copy (_doubles).
+xorlab._pycore (sse_dataset, train_run, project_grid, forward_lattice,
+fixed_scorer, fs_scorer, solve_t, grid_stats, grid_csv), taking and
+returning the same Python types.  The library has eight kernels,
+train_run, project_grid (which runs each unit at the loop level
+_pycore.grid_levels gives it and writes each cell straight into the
+buffer of the array('d') it returns), forward_lattice (kern.c's
+forward() at every lattice point), fixed_scores (behind fixed_scorer,
+which packs its rows into C arrays once, so each score copies the
+outputs once and is one call), fs_deviation (behind fs_scorer, which
+scores every s in C and leaves the error of an s the kernel refuses to
+the Python scorer), solve_t, grid_stats and grid_csv (which formats each
+number by an exact integer path or snprintf into a buffer the library
+allocates, copied here into bytes); sse_dataset is _pycore's, the one
+cell of project_grid that leaves the weights as they are, run on this
+project_grid.  A grid handed back to grid_stats or grid_csv as that
+array('d') reaches C by one buffer copy (_doubles).
 
 The C side trusts its buffers, so shapes are checked here.  ctypes would
 wrap an int too large for a C int silently; such a value (a size, a
@@ -34,8 +37,9 @@ from ctypes import (POINTER, byref, c_char_p, c_double, c_int, c_longlong,
 from types import SimpleNamespace
 
 from . import _pycore
-from ._pycore import (MASK64, _offsets, check_cells, check_network,
-                      check_weights, grid_levels, sse_dataset)
+from ._pycore import (MASK64, _offsets, check_cells, check_lattice,
+                      check_network, check_weights, fixed_rows, grid_levels,
+                      sse_dataset)
 from .copula import _unit_axis
 
 _INT_MAX = 2 ** (8 * ctypes.sizeof(c_int) - 1) - 1
@@ -49,6 +53,8 @@ _SIGNATURES = {
     "project_grid": (c_int, _NET + [
         _DP, _DP, _DP, c_int, c_int, c_int, _IP, _DP, c_int, _DP, c_int,
         _DP]),
+    "forward_lattice": (c_int, _NET + [_DP, _DP, c_int, _DP]),
+    "fixed_scores": (None, [c_int, _IP, _IP, _DP, _DP, _DP]),
     "fs_deviation": (c_double, [c_int, _DP, _DP, c_double, _DP]),
     "solve_t": (c_double, [c_double, c_double, c_double, c_int]),
     "grid_stats": (None, [c_int, _DP, _DP, _IP]),
@@ -79,17 +85,22 @@ def _ok(rc: int) -> int:
     return rc
 
 
-def _problem(sizes, acts, xs, ts):
-    """C arguments for a network and a dataset, plus the weight count."""
+def _net(sizes, acts):
+    """C arguments for a network, plus its weight count."""
     sizes = [_cint(s) for s in sizes]
     check_network(sizes, acts)
     nlayers = len(sizes) - 1
-    n_weights = _cint(_offsets(sizes)[-1])
-    n_samples = _cint(len(ts))
-    if len(xs) < n_samples * sizes[0]:
-        raise IndexError(f"{len(xs)} inputs for {n_samples} samples")
     net = (nlayers, (c_int * len(sizes))(*sizes),
            (c_int * nlayers)(*[_cint(a) for a in acts[:nlayers]]))
+    return net, _cint(_offsets(sizes)[-1])
+
+
+def _problem(sizes, acts, xs, ts):
+    """C arguments for a network and a dataset, plus the weight count."""
+    net, n_weights = _net(sizes, acts)
+    n_samples = _cint(len(ts))
+    if len(xs) < n_samples * net[1][0]:
+        raise IndexError(f"{len(xs)} inputs for {n_samples} samples")
     return net, _doubles(xs), _doubles(ts), n_samples, n_weights
 
 
@@ -139,6 +150,47 @@ def load(path: str) -> SimpleNamespace:
                              _doubles(avals), na, _doubles(bvals), nb,
                              (c_double * len(out)).from_buffer(out)))
         return out
+
+    def forward_lattice(sizes, acts, w, axis):
+        """The first output at every (x, y) of axis x axis, as a list;
+        semantics identical to _pycore.forward_lattice."""
+        net, n_weights = _net(sizes, acts)
+        check_lattice(net[1])
+        check_weights(w, n_weights)
+        n = _cint(len(axis))
+        out = array("d", [0.0]) * (n * n)
+        _ok(lib.forward_lattice(*net, _doubles(w[:n_weights]),
+                                _doubles(axis), n,
+                                (c_double * len(out)).from_buffer(out)))
+        return out.tolist()
+
+    def fixed_scorer(rows):
+        """score(outs), the deviation of each row; semantics identical to
+        _pycore.fixed_scorer.  The rows become C arrays once here, so each
+        score copies outs once and is one kernel call."""
+        rows, cells = fixed_rows(rows)
+        # C ints and doubles, with no Python object per point: a row at
+        # grid 1001 holds a million points
+        start, points, refs = array("i", [0]), array("i"), array("d")
+        for row_points, ref in rows:
+            points.extend(range(len(ref)) if row_points is None
+                          else row_points)
+            refs.extend(ref)
+            start.append(len(points))
+        nrows = _cint(len(rows))
+        args = (nrows, (c_int * len(start)).from_buffer(start),
+                (c_int * len(points)).from_buffer(points),
+                (c_double * len(refs)).from_buffer(refs))
+        fixed_scores, devs_type = lib.fixed_scores, c_double * nrows
+
+        def score(outs):
+            check_cells(outs, cells)
+            # the call releases the GIL, so each call has its own devs
+            devs = devs_type()
+            fixed_scores(*args, _doubles(outs), devs)
+            return devs[:]
+
+        return score
 
     def fs_scorer(outs, axis):
         """score(s) for the F_s fit; semantics identical to
@@ -196,5 +248,7 @@ def load(path: str) -> SimpleNamespace:
                            sse_dataset=functools.partial(
                                sse_dataset, project_grid=project_grid),
                            train_run=train_run, project_grid=project_grid,
+                           forward_lattice=forward_lattice,
+                           fixed_scorer=fixed_scorer,
                            fs_scorer=fs_scorer, solve_t=solve_t,
                            grid_stats=grid_stats, grid_csv=grid_csv)

@@ -1,17 +1,20 @@
-"""Pure-Python training, projection, F_s-fit, copula-solve and surface
-kernels, and network's forward and gradient passes.
+"""Pure-Python training, projection, lattice, scoring, copula-solve and
+surface kernels, and network's forward and gradient passes.
 
-A backend has six kernels: train_run runs gradient descent,
+A backend has eight kernels: train_run runs gradient descent,
 project_grid gives the SSE at every cell of a plane of two weights,
-fs_scorer scores the s that classify's F_s fit tries against a lattice
-of outputs, solve_t runs copula.solve_s's bisection, grid_stats scans a
-surface grid for its minimum, maximum, strict minima and plateau cells,
-and grid_csv writes a grid's CSV text.  sse_dataset is the one cell of
-project_grid that leaves the weights as they are.  fs_scorer returns
-score(s), copula.xor_f_lattice at CopulaParam.finite(s) scored by
-_max_abs_diff, the deviation rule classify uses for every candidate; it,
-solve_t (a loop over copula._frank_raw), grid_stats (a row-wise scan)
-and grid_csv (a row template) generate no code.
+forward_lattice gives a network's output at every point of a lattice,
+fixed_scorer scores a lattice of outputs against classify's fixed
+candidates, fs_scorer scores the s that classify's F_s fit tries against
+it, solve_t runs copula.solve_s's bisection, grid_stats scans a surface
+grid for its minimum, maximum, strict minima and plateau cells, and
+grid_csv writes a grid's CSV text.  sse_dataset is the one cell of
+project_grid that leaves the weights as they are.  fixed_scorer returns
+score(outs), _max_abs_diff for each of its rows, the deviation rule
+classify uses for every candidate; fs_scorer returns score(s),
+copula.xor_f_lattice at CopulaParam.finite(s) scored by _max_abs_diff.
+Those two, solve_t (a loop over copula._frank_raw), grid_stats (a
+row-wise scan) and grid_csv (a row template) generate no code.
 
 Each kernel runs straight-line Python generated once per network shape:
 every weight lives in a local w0..wN, each unit's dot product, backward
@@ -567,6 +570,29 @@ def project_grid(sizes, acts, w, xs, ts, ia, ib, avals, bvals):
         w[:n_weights], list(xs), list(ts), avals, bvals)
 
 
+def check_lattice(sizes) -> None:
+    """ValueError unless the network takes two inputs, a lattice point's
+    x and y."""
+    if sizes[0] != 2:
+        raise ValueError(f"a lattice pass needs 2 inputs, got {sizes[0]}")
+
+
+def forward_lattice(sizes, acts, w, axis) -> list:
+    """The first output of the network at every (x, y) of axis x axis,
+    row-major, as a list: entry i * len(axis) + j is the output at
+    (axis[i], axis[j]), from network's generated lattice pass.
+
+    ValueError unless the network has two inputs, IndexError if w is too
+    short; extra weights are ignored.
+    """
+    sizes, acts = _shape(sizes, acts)
+    check_lattice(sizes)
+    n_weights = _offsets(sizes)[-1]
+    check_weights(w, n_weights)
+    return _net_pass("forward_lattice", sizes, acts)(
+        w[:n_weights], [float(v) for v in axis])
+
+
 def sse_dataset(sizes, acts, w, xs, ts, project_grid=project_grid) -> float:
     """Sum of squared errors of the network over the dataset: the one
     cell of project_grid that leaves the weights as they are.  Another
@@ -577,7 +603,7 @@ def sse_dataset(sizes, acts, w, xs, ts, project_grid=project_grid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the F_s fit's scorer
+# classify's scorers
 
 def check_cells(values, cells: int) -> None:
     """IndexError when values is too short for a lattice or grid of cells
@@ -594,6 +620,45 @@ def _max_abs_diff(outs, ref, points=None) -> float:
     if points is not None:
         outs = map(outs.__getitem__, points)
     return max(map(abs, map(operator.sub, outs, ref)), default=math.inf)
+
+
+def fixed_rows(rows) -> tuple:
+    """The rows of a fixed scorer as tuples, and the number of outputs
+    they read: a row (points, ref) reads outs[points[k]] for each k, or
+    outs[k] for each k of ref when points is None.  ValueError when a
+    row's points and ref differ in length, IndexError for a negative
+    point."""
+    rows = tuple((None if points is None else tuple(points), tuple(ref))
+                 for points, ref in rows)
+    cells = 0
+    for points, ref in rows:
+        if points is None:
+            cells = max(cells, len(ref))
+        elif len(points) != len(ref):
+            raise ValueError(f"{len(points)} points for {len(ref)} "
+                             "reference values")
+        elif points:
+            if min(points) < 0:
+                raise IndexError(f"point {min(points)} is negative")
+            cells = max(cells, max(points) + 1)
+    return rows, cells
+
+
+def fixed_scorer(rows):
+    """score(outs) for a lattice of outputs outs: the list of the largest
+    |out - ref| of each row (points, ref) of rows, over the flat indices
+    points of outs (every index of ref when points is None), by
+    _max_abs_diff, so inf for an empty row.  Built once per set of rows;
+    score raises IndexError if outs is too short for a row, and
+    fixed_rows's errors are raised here.
+    """
+    rows, cells = fixed_rows(rows)
+
+    def score(outs):
+        check_cells(outs, cells)
+        return [_max_abs_diff(outs, ref, points) for points, ref in rows]
+
+    return score
 
 
 def fs_scorer(outs, axis):

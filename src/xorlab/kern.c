@@ -1,8 +1,9 @@
-/* Compiled training, projection, F_s-fit, copula-solve and surface
- * kernels, bound through ctypes by xorlab._cbackend: train_run,
- * project_grid, fs_deviation, solve_t, grid_stats and grid_csv.
- * The SSE at a network's own weights is the one cell of project_grid
- * that leaves them as they are, so it has no kernel of its own.
+/* Compiled training, projection, lattice, scoring, copula-solve and
+ * surface kernels, bound through ctypes by xorlab._cbackend: the eight
+ * kernels train_run, project_grid, forward_lattice, fixed_scores,
+ * fs_deviation, solve_t, grid_stats and grid_csv.  The SSE at a
+ * network's own weights is the one cell of project_grid that leaves them
+ * as they are, so it has no kernel of its own.
  *
  * Mirrors the loop reference in tests/loop_kernels.py operation for
  * operation: the same splitmix64 stream as _pycore.py, the same
@@ -44,8 +45,14 @@
  * reference runs a full forward pass per cell.  Hoisting changes how
  * often each float is computed, not its operands or their order.
  *
+ * forward_lattice runs forward() at every point of a lattice, so the
+ * forward pass has one C copy.  fixed_scores is _pycore._max_abs_diff
+ * over several rows of (points, reference) at once: classify's fixed
+ * candidates and its edge bound.
+ *
  * fs_deviation mirrors copula.xor_f_lattice at CopulaParam.finite(s)
- * and _unit instead, for every s: it snaps s onto the One window
+ * and _unit instead, for every s, over the upper triangle of the
+ * lattice, F_s being symmetric: it snaps s onto the One window
  * (ONE_WINDOW) and returns -1 for every s it refuses, for which the
  * caller raises the Python scorer's error.  solve_t mirrors
  * _pycore.solve_t, the bisection of copula.solve_s.  Both take A_s from
@@ -189,6 +196,24 @@ static double forward(const Net *n, const double *w, const double *x)
         a = avs;
     }
     return a[0];
+}
+
+/* The first output of a network of two inputs at every (axis[i],
+ * axis[j]), into out[i * n + j]: forward() at each point, so every float
+ * is the one a pointwise forward pass gives. */
+int forward_lattice(int nlayers, const int *sizes, const int *acts,
+                    const double *w, const double *axis, int n, double *out)
+{
+    Net net;
+    if (net_init(&net, nlayers, sizes, acts) < 0)
+        return -1;
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++) {
+            double x[2] = {axis[i], axis[j]};
+            out[(size_t)i * n + j] = forward(&net, w, x);
+        }
+    net_free(&net);
+    return 0;
 }
 
 static double sse(const Net *n, const double *w, const double *xs,
@@ -491,12 +516,18 @@ static double frank_raw(double s, double x, double y)
  * and x + y - 2 (log1p(ex ey / expm1(L)) / L) at each point; everywhere
  * else (the dispatched s, s == 1 and s == inf) x + y - 2 frank_raw(s, x,
  * y); then _unit's clamp.  axis must already have passed _unit (the
- * caller checks it).  The maximum is taken as Python's max() takes it:
- * the first point's deviation, then any larger one, and inf for an empty
- * lattice, as _pycore._max_abs_diff's default.  Returns -1 for every s
- * it refuses: !(s > 0), where CopulaParam.finite raises, and an s with
- * an F_s value outside _unit's window [-UNIT_EPS, 1 + UNIT_EPS]; the
- * caller raises the Python scorer's error for that s. */
+ * caller checks it).  F_s(x, y) and F_s(y, x) are one float (IEEE
+ * addition and multiplication commute, and frank_raw's min and max give
+ * the same value either way), so each value is computed once, over the
+ * upper triangle i <= j, and compared with both outs[i n + j] and
+ * outs[j n + i].  The maximum is taken as Python's max() takes it: the
+ * first point's deviation, (0, 0) in either order, then any larger one,
+ * and inf for an empty lattice, as _pycore._max_abs_diff's default; so
+ * the order of the other points cannot change it.  Returns -1 for every
+ * s it refuses: !(s > 0), where CopulaParam.finite raises, and an s with
+ * an F_s value outside _unit's window [-UNIT_EPS, 1 + UNIT_EPS], which
+ * comes with its mirror image; the caller raises the Python scorer's
+ * error for that s. */
 double fs_deviation(int n, const double *axis, const double *outs,
                     double s, double *ex)
 {
@@ -515,8 +546,7 @@ double fs_deviation(int n, const double *axis, const double *outs,
     }
     for (int i = 0; i < n; i++) {
         double x = axis[i];
-        const double *row = outs + (size_t)i * n;
-        for (int j = 0; j < n; j++) {
+        for (int j = i; j < n; j++) {
             double y = axis[j], f, d;
             if (closed)
                 f = x + y - 2.0 * frank_closed(ex[i], ex[j], dL, L);
@@ -527,12 +557,35 @@ double fs_deviation(int n, const double *axis, const double *outs,
                     return -1.0;
                 f = f < 0.0 ? 0.0 : 1.0;
             }
-            d = fabs(row[j] - f);
+            d = fabs(outs[(size_t)i * n + j] - f);
             if ((i == 0 && j == 0) || d > worst)
                 worst = d;
+            if (j != i) {
+                d = fabs(outs[(size_t)j * n + i] - f);
+                if (d > worst)
+                    worst = d;
+            }
         }
     }
     return worst;
+}
+
+/* For each of the nrows rows, max |outs[points[k]] - ref[k]| over k from
+ * start[r] to start[r + 1] - 1, into devs[r], as _pycore._max_abs_diff
+ * takes it: the row's first deviation, then any larger one, and inf for
+ * an empty row.  The caller checks that every point lies in outs. */
+void fixed_scores(int nrows, const int *start, const int *points,
+                  const double *ref, const double *outs, double *devs)
+{
+    for (int r = 0; r < nrows; r++) {
+        double worst = INFINITY;
+        for (int k = start[r]; k < start[r + 1]; k++) {
+            double d = fabs(outs[points[k]] - ref[k]);
+            if (k == start[r] || d > worst)
+                worst = d;
+        }
+        devs[r] = worst;
+    }
 }
 
 /* The t = s / (1 + s) in (0, 1) at which A_s(x, y) = p, by the bisection

@@ -1,29 +1,34 @@
-"""Backend selection for the training, projection, F_s-fit, copula-solve
-and surface kernels.
+"""Backend selection for the training, projection, lattice, scoring,
+copula-solve and surface kernels.
 
 Two interchangeable implementations exist: compiled C (kern.c, built
 into a shared library and bound through ctypes by xorlab._cbackend) and
 pure Python (xorlab._pycore, which generates straight-line code per
 network shape on first use).
-Each has six kernels, train_run, project_grid (the SSE at every cell
-of a plane of two weights, as one a-major array('d')), fs_scorer (one
-function, score(s), per F_s fit: the score of each s that classify's fit
-tries, s snapped onto the One window by the scorer), solve_t
-(copula.solve_s's bisection), grid_stats (a surface grid's minimum and
-its index, maximum, strict minima and plateau cells) and grid_csv (a
-grid's CSV text as bytes, each number as '%.17g' writes it, NaN as
-"nan" whatever its sign; the C one by an exact integer path for most
-doubles and snprintf for the rest).  Both produce results
-bit-identical to the loop reference in tests/loop_kernels.py (fs_scorer:
-to the Python one, copula.xor_f_lattice scored by _max_abs_diff, with
-the same errors; solve_t: to _pycore.solve_t; grid_stats and grid_csv:
-to the Python ones and tests/surface_reference.py); the compiled one is
-just faster.  In both, train_run
+Each has eight kernels, train_run, project_grid (the SSE at every cell
+of a plane of two weights, as one a-major array('d')), forward_lattice
+(a 2-input network's first output at every point of axis x axis, as a
+list), fixed_scorer (one function, score(outs), per set of rows: the
+largest |out - ref| of each (points, ref) row, classify's fixed
+candidates and edge bound), fs_scorer (one function, score(s), per F_s
+fit: the score of each s that classify's fit tries, s snapped onto the
+One window by the scorer), solve_t (copula.solve_s's bisection),
+grid_stats (a surface grid's minimum and its index, maximum, strict
+minima and plateau cells) and grid_csv (a grid's CSV text as bytes, each
+number as '%.17g' writes it, NaN as "nan" whatever its sign; the C one
+by an exact integer path for most doubles and snprintf for the rest).
+Both produce results bit-identical to the loop reference in
+tests/loop_kernels.py (forward_lattice: to network.forward at each
+point; fixed_scorer: to _max_abs_diff row by row; fs_scorer: to the
+Python one, copula.xor_f_lattice scored by _max_abs_diff, with the same
+errors; solve_t: to _pycore.solve_t; grid_stats and grid_csv: to the
+Python ones and tests/surface_reference.py); the compiled one is just
+faster.  In both, train_run
 stops early once no epoch could move any weight (it checks after epoch 1
 and every 256th epoch), with the outputs the full run would give (see
 _pycore).
 
-This module re-exports the default backend's six kernels and BACKEND,
+This module re-exports the default backend's eight kernels and BACKEND,
 and SSE_BLOWUP, the divergence limit that _pycore writes once.  Each
 backend object that get_backend returns also has sse_dataset, the one
 cell of project_grid that leaves the weights as they are.
@@ -52,8 +57,9 @@ from . import _pycore, copula
 from .errors import DomainError
 
 __all__ = [
-    "BACKEND", "SSE_BLOWUP", "train_run", "project_grid", "fs_scorer",
-    "solve_t", "grid_stats", "grid_csv", "get_backend", "available_backends",
+    "BACKEND", "SSE_BLOWUP", "train_run", "project_grid", "forward_lattice",
+    "fixed_scorer", "fs_scorer", "solve_t", "grid_stats", "grid_csv",
+    "get_backend", "available_backends",
 ]
 
 # kern.c's numeric policies, each taken from its one home in Python;
@@ -169,6 +175,8 @@ BACKEND = _impl.BACKEND
 SSE_BLOWUP = _pycore.SSE_BLOWUP
 train_run = _impl.train_run
 project_grid = _impl.project_grid
+forward_lattice = _impl.forward_lattice
+fixed_scorer = _impl.fixed_scorer
 fs_scorer = _impl.fs_scorer
 solve_t = _impl.solve_t
 grid_stats = _impl.grid_stats

@@ -4,11 +4,13 @@ The weight matrix of layer l has shape n_{l+1} x (n_l + 1): the last
 column is the bias, so the layer computes f(W . [prev; 1]).  Published
 weight tables in that convention paste in directly.
 
-forward, forward_lattice and gradient run the straight-line code
-xorlab._pycore generates per network shape (cached in _pycore._net_pass;
-forward_lattice runs forward's unit lines in a loop over a lattice): the
+forward and gradient run the straight-line code xorlab._pycore
+generates per network shape (cached in _pycore._net_pass): the
 accumulation order (ascending input index, bias last) is pinned there and
-mirrored in kern.c.  The flat weight layout is worked out once, by
+mirrored in kern.c.  forward_lattice is a kernel of the default backend,
+kernels.forward_lattice: the Python one runs forward's unit lines in a
+loop over a lattice (also cached in _net_pass), the compiled one kern.c's
+forward() at each point.  The flat weight layout is worked out once, by
 _pycore._offsets; from_flat, flat_weights (computed once per network)
 and count_weights follow it.
 """
@@ -20,6 +22,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import kernels
 from ._pycore import _ACT_NAMES, _net_pass, _offsets
 from .errors import (ArityError, ModelFormatError, NotLinearError,
                      ShapeError, SpecSyntaxError)
@@ -262,13 +265,14 @@ def forward(net: Network, inputs) -> ForwardTrace:
 def forward_lattice(net: Network, axis) -> list[float]:
     """The output of a 2-in 1-out network at every (x, y) of axis x axis,
     row-major: entry i * len(axis) + j is forward(net, (axis[i],
-    axis[j])).output bit for bit, from one generated pass."""
+    axis[j])).output bit for bit, from one kernels.forward_lattice
+    call."""
     topo = net.topology
     if topo.n_inputs != 2 or topo.n_outputs != 1:
         raise ShapeError(f"a lattice pass needs a 2-in 1-out network, got "
                          f"{topo.render()}")
-    return _net_pass("forward_lattice", topo.layer_sizes, topo.codes)(
-        net.flat_weights, [float(v) for v in axis])
+    return kernels.forward_lattice(topo.layer_sizes, topo.codes,
+                                   net.flat_weights, [float(v) for v in axis])
 
 
 def gradient(net: Network, inputs, target: float) -> tuple[Matrix, ...]:

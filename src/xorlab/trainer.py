@@ -6,11 +6,14 @@ Training runs through the kernels backend (compiled when available); the
 trainer owns validation, Network packing, and divergence reporting.
 
 Classification evaluates a Network once over the lattice, through
-network.forward_lattice: one generated pass per shape, cached in
+network.forward_lattice: the backend's forward_lattice kernel, kern.c's
+forward() at each point, or one generated pass per shape, cached in
 _pycore._net_pass as "<xorlab forward_lattice 2-2-1 tanh-tanh>".  Every
 fixed candidate is a reference lattice scored by the largest
 |out - ref| (_max_abs_diff), from one table per grid (_candidates), and
-the edge bound below is scored the same way.
+the edge bound below is scored the same way, in the same call: the
+backend's fixed scorer, kernels.fixed_scorer, built once per grid
+(_fixed_scorer), scores every row of that table and the edge row.
 
 When no fixed candidate fits, classify fits s with a 49-point scan and a
 golden-section search on t = s / (1 + s).  The scan, the bracket and the
@@ -41,7 +44,6 @@ import math
 from dataclasses import dataclass, replace
 
 from . import kernels
-from ._pycore import _max_abs_diff
 from .copula import CopulaParam, xor_f_lattice
 from .datasets import Dataset, grid_axis, sse
 from .errors import DivergenceError, DomainError
@@ -201,6 +203,17 @@ def _candidates(grid: int) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=8)
+def _fixed_scorer(grid: int, build):
+    """score(outs) over the grid x grid lattice: the deviation of each
+    fixed candidate, in _candidates order, then the edge deviation, the
+    largest |out - x| over the points (x, 0) and (0, x).  build is the
+    backend's kernels.fixed_scorer, so each backend has its own."""
+    axis = _axis(grid)
+    edges = (*range(0, grid * grid, grid), *range(grid))
+    return build([*_candidates(grid).values(), (edges, axis + axis)])
+
+
 # the points t = k/50 the F_s fit scans before its golden-section search,
 # and the s = t / (1 - t) it scores there
 _SCAN_TS = tuple(k / 50.0 for k in range(1, 50))
@@ -263,20 +276,18 @@ def classify(net, tol: float = 0.05, grid: int = 21) -> FunctionLabel:
     if not all(map(math.isfinite, outs)):
         return FunctionLabel("Unclassified", math.inf)
 
-    scored = [(_max_abs_diff(outs, ref, points), kind)
-              for kind, (points, ref) in _candidates(grid).items()]
-    best_dev, best_kind = min(scored, key=lambda sc: sc[0])
+    *devs, edge_dev = _fixed_scorer(grid, kernels.fixed_scorer)(outs)
+    best_dev, best_kind = min(zip(devs, _candidates(grid)),
+                              key=lambda sc: sc[0])
     if best_dev <= tol:
         return FunctionLabel(best_kind, best_dev)
 
     # no F_s the fit tries gets below the edge deviation (docstring)
-    axis = _axis(grid)
-    edges = (*range(0, grid * grid, grid), *range(grid))
-    if _max_abs_diff(outs, axis + axis, edges) >= best_dev:
+    if edge_dev >= best_dev:
         return FunctionLabel("Unclassified", best_dev)
 
     # fall back to fitting a finite parameter on t = s/(1+s)
-    score = kernels.fs_scorer(outs, axis)
+    score = kernels.fs_scorer(outs, _axis(grid))
     devs = [score(s) for s in _SCAN_S]
     k = devs.index(min(devs))
     lo = _SCAN_TS[k - 1] if k > 0 else 0.02 / 2.0

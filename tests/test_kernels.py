@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loop_kernels
@@ -988,6 +988,278 @@ def test_fs_scorer_checks_its_lattice(kern):
     assert kern.fs_scorer([0.9], (1.0,))(1.0) == 0.9
     assert repr(kern.fs_scorer([0.25], (0.5,))(3.0)) == repr(
         kernels.get_backend("python").fs_scorer([0.25], (0.5,))(3.0))
+
+
+# -- classify's lattice pass and fixed scorer, and the triangle F_s scorer ----
+
+def _loop_lattice(sizes, acts, w, axis):
+    """The loop reference's first output at every (x, y) of axis x axis."""
+    offs = loop_kernels._offsets(sizes)
+    pre = [[0.0] * n for n in sizes[1:]]
+    post = [[0.0] * n for n in sizes[1:]]
+    return [loop_kernels._forward(sizes, acts, w, offs, (x, y), pre, post)
+            for x in axis for y in axis]
+
+
+# weights that reach inf and NaN, as in test_network's lattice examples
+_WILD = st.one_of(st.sampled_from([0.0, -0.0, 1e200, -1e200, 1e300, -1e300]),
+                  st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _lattice_nets(draw):
+    """Two inputs, depth 1-3, widths 1-5, any activations, and weights."""
+    depth = draw(st.integers(1, 3))
+    sizes = [2] + [draw(st.integers(1, 5)) for _ in range(depth)]
+    acts = [draw(st.integers(0, 3)) for _ in range(depth)]
+    return sizes, acts, draw(st.lists(_WILD, min_size=_n_weights(sizes),
+                                      max_size=_n_weights(sizes)))
+
+
+# lattice axes of 1, 2, 11 and 21 points
+_AXES = [(0.5,), *map(trainer._axis, (2, 11, 21))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_nets(), st.sampled_from(_AXES))
+@example(net=([2, 1, 1], [0, 0], [1e200, 1e200, 0.0, 1e200, 0.0]),
+         axis=_AXES[1])
+@example(net=([2, 2, 1], [0, 0], [1e300, 0.0, 0.0, 1e300, 0.0, 0.0,
+                                  1e300, -1e300, 0.0]), axis=_AXES[1])
+def test_forward_lattice_matches_pointwise_forward(kern, net, axis):
+    # test_network's examples: inf off the origin, and inf - inf, NaN at
+    # x = 1
+    sizes, acts, w = net
+    got = kern.forward_lattice(sizes, acts, w, axis)
+    assert type(got) is list
+    assert repr(got) == repr(_loop_lattice(sizes, acts, w, axis))
+
+
+def test_forward_lattice_checks_its_network(kern):
+    w = [0.1] * 9
+    for sizes, acts in (([2, 0, 1], [1, 1]), ([2], [1]), ([2, 2, 1], [1])):
+        with pytest.raises(ValueError, match="not a network"):
+            kern.forward_lattice(sizes, acts, w, [0.0, 1.0])
+    with pytest.raises(ValueError, match="needs 2 inputs"):
+        kern.forward_lattice([3, 1], [0], w, [0.0, 1.0])
+    with pytest.raises(IndexError):
+        kern.forward_lattice([2, 2, 1], [1, 1], w[:8], [0.0, 1.0])
+    # extra weights are ignored, and an empty axis is an empty lattice
+    assert (kern.forward_lattice([2, 2, 1], [1, 1], w + [5.0], [0.0, 1.0])
+            == kern.forward_lattice([2, 2, 1], [1, 1], w, [0.0, 1.0]))
+    assert kern.forward_lattice([2, 2, 1], [1, 1], w, []) == []
+
+
+def _classify_rows(grid):
+    """classify's rows at grid: its fixed candidates, then the edges."""
+    axis = trainer._axis(grid)
+    edges = (*range(0, grid * grid, grid), *range(grid))
+    return [*trainer._candidates(grid).values(), (edges, axis + axis)]
+
+
+def _near_refs(rng, refs):
+    """A value at, or a few ulps from, one of refs, or a signed zero or a
+    subnormal, or anything in [-0.5, 1.5]."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        v = rng.choice(refs)
+        for _ in range(rng.randrange(3)):
+            v = math.nextafter(v, rng.choice((-math.inf, math.inf)))
+        return v
+    if kind == 1:
+        return rng.choice((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+                           -1e-310))
+    if kind == 2:
+        return rng.choice(refs) + rng.uniform(-1e-15, 1e-15)
+    return rng.uniform(-0.5, 1.5)
+
+
+def test_fixed_scorer_matches_max_abs_diff(kern):
+    # classify's rows at several grids, plus an empty row, a row with
+    # repeated points and a row of signed zeros; drawn outputs at and near
+    # the references
+    rng = random.Random(34)
+    for grid in (2, 3, 4, 5, 21):
+        cells = grid * grid
+        rows = _classify_rows(grid) + [
+            ((), ()),
+            ([cells - 1, 0, cells - 1], [0.5, -0.0, 1.0]),
+            (None, [-0.0, 0.0] * (cells // 2))]
+        refs = [v for _, ref in rows for v in ref] or [0.5]
+        score = kern.fixed_scorer(rows)
+        for _ in range(60):
+            outs = [_near_refs(rng, refs) for _ in range(cells)]
+            got = score(outs)
+            want = [_pycore._max_abs_diff(outs, ref, points)
+                    for points, ref in rows]
+            assert repr(got) == repr(want), (grid, outs)
+            assert got[len(rows) - 3] == math.inf
+    assert kern.fixed_scorer([])([]) == []
+    assert kern.fixed_scorer([((), ())] * 2)([]) == [math.inf, math.inf]
+
+
+def test_fixed_scorer_checks_its_rows(kern):
+    rows = _classify_rows(3)
+    score = kern.fixed_scorer(rows)
+    # too short for a row: IndexError from check_cells, before any read
+    for outs in ([0.5] * 8, [], [0.5]):
+        with pytest.raises(IndexError, match="the grid has 9"):
+            score(outs)
+    with pytest.raises(IndexError, match="the grid has 5"):
+        kern.fixed_scorer([([4], [0.5])])([0.5] * 4)
+    with pytest.raises(IndexError, match="the grid has 3"):
+        kern.fixed_scorer([(None, [0.5] * 3)])([0.5] * 2)
+    # outputs past every row are ignored
+    assert score([0.5] * 9 + [7.0]) == score([0.5] * 9)
+    with pytest.raises(ValueError, match="2 points for 1 reference"):
+        kern.fixed_scorer([([0, 1], [0.5])])
+    with pytest.raises(IndexError, match="negative"):
+        kern.fixed_scorer([([0, -1], [0.5, 0.5])])
+    # the rows are copied when the scorer is built
+    points, ref = [0], [0.5]
+    score = kern.fixed_scorer([(points, ref)])
+    points[0], ref[0] = 5, 9.0
+    assert score([1.0]) == [0.5]
+
+
+# s at the One window's edges and at the dispatch thresholds, with the
+# neighbouring floats on either side, and s that the kernel refuses
+_EDGE_S = sorted({v for s in (1.0 - copula.ONE_WINDOW, 1.0 + copula.ONE_WINDOW,
+                              copula.ZERO_DISPATCH, copula.INF_DISPATCH, 2e-8)
+                  for v in (math.nextafter(s, 0.0), s,
+                            math.nextafter(s, math.inf))}
+                 | {1.0, 5e-324, 1e-300, 1e300, math.inf, 0.0, -0.0, -1.0})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.floats(1e-10, 1e10), st.sampled_from(_EDGE_S),
+                 st.just(math.nan)),
+       st.sampled_from([(0.5,), *map(trainer._axis, (2, 3, 5, 21))]),
+       st.integers(0, 2**32))
+def test_fs_triangle_matches_python_scorer(ckern, s, axis, seed):
+    # fs_deviation scores F_s(x, y) once for (x, y) and (y, x); drawn
+    # outputs that are not symmetric, so each mirror point counts
+    rng = random.Random(seed)
+    outs = [rng.uniform(-0.2, 1.2) for _ in range(len(axis) ** 2)]
+    assert _scored(ckern.fs_scorer(outs, axis), s) == \
+        _scored(_pycore.fs_scorer(outs, axis), s)
+
+
+# a probe built from kern.c with AddressSanitizer and
+# UndefinedBehaviorSanitizer: every buffer is a heap block of exactly its
+# length, so a read or write past one is reported, and any report fails
+_SANITIZED_PROBE = """#include "{kern_c}"
+
+static const double *heap(const double *v, int n)
+{{
+    double *p = malloc((size_t)n * sizeof(double) + (n == 0));
+    memcpy(p, v, (size_t)n * sizeof(double));
+    return p;
+}}
+
+static const int *iheap(const int *v, int n)
+{{
+    int *p = malloc((size_t)n * sizeof(int) + (n == 0));
+    memcpy(p, v, (size_t)n * sizeof(int));
+    return p;
+}}
+
+static void show(const double *v, int n)
+{{
+    for (int i = 0; i < n; i++)
+        printf("%a\\n", v[i]);
+}}
+
+int main(void)
+{{
+{body}    return 0;
+}}
+"""
+
+# one lattice per n: forward_lattice on a 2-3-2-1 net, fs_deviation at
+# each s, and fixed_scores on classify's rows and two empty ones
+_PROBE_CASE = """    {{
+        static const int sizes[] = {{2, 3, 2, 1}}, acts[] = {{1, 3, 2}};
+        static const double w0[] = {{{w}}}, axis0[] = {{{axis}}},
+            outs0[] = {{{outs}}}, ref0[] = {{{ref}}}, ss[] = {{{ss}}};
+        static const int start0[] = {{{start}}}, points0[] = {{{points}}};
+        const double *w = heap(w0, {nw}), *axis = heap(axis0, {n}),
+            *outs = heap(outs0, {cells}), *ref = heap(ref0, {npoints});
+        const int *start = iheap(start0, {nstart}),
+            *points = iheap(points0, {npoints});
+        double *lattice = malloc({cells} * sizeof(double)),
+            *ex = malloc({n} * sizeof(double)),
+            *devs = malloc({nrows} * sizeof(double));
+        if (forward_lattice(3, sizes, acts, w, axis, {n}, lattice) != 0)
+            return 1;
+        show(lattice, {cells});
+        for (int k = 0; k < {nss}; k++)
+            printf("%a\\n", fs_deviation({n}, axis, outs, ss[k], ex));
+        fixed_scores({nrows}, start, points, ref, outs, devs);
+        show(devs, {nrows});
+        free((void *)w); free((void *)axis); free((void *)outs);
+        free((void *)ref); free((void *)start); free((void *)points);
+        free(lattice); free(ex); free(devs);
+    }}
+"""
+
+_SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+
+
+def _c_doubles(values):
+    return ", ".join(v.hex() if math.isfinite(v) else
+                     ("INFINITY" if v > 0 else "-INFINITY") for v in values)
+
+
+@needs_cc
+def test_new_kernels_run_clean_under_sanitizers(tmp_path):
+    rng = random.Random(21)
+    sizes, acts = [2, 3, 2, 1], [1, 3, 2]
+    w = [rng.uniform(-2.0, 2.0) for _ in range(_n_weights(sizes))]
+    ss = [0.5, 1.0, 3.0, 1e-9, 1e9, math.inf, 0.0]
+    body, want = [], []
+    py = kernels.get_backend("python")
+    for n in (2, 3, 21):
+        axis = trainer._axis(n)
+        outs = [rng.uniform(-0.2, 1.2) for _ in range(n * n)]
+        rows = _classify_rows(n) + [((), ())] * 2
+        start, points, ref = [0], [], []
+        for row_points, row_ref in rows:
+            points += range(len(row_ref)) if row_points is None \
+                else row_points
+            ref += row_ref
+            start.append(len(points))
+        body.append(_PROBE_CASE.format(
+            w=_c_doubles(w), axis=_c_doubles(axis), outs=_c_doubles(outs),
+            ref=_c_doubles(ref), ss=_c_doubles(ss),
+            start=", ".join(map(str, start)),
+            points=", ".join(map(str, points)), nw=len(w), n=n,
+            cells=n * n, npoints=len(points), nstart=len(start),
+            nrows=len(rows), nss=len(ss)))
+        want += py.forward_lattice(sizes, acts, w, axis)
+        for s in ss:
+            try:
+                want.append(py.fs_scorer(outs, axis)(s))
+            except DomainError:
+                want.append(-1.0)
+        want += py.fixed_scorer(rows)(outs)
+    src, exe = tmp_path / "probe.c", tmp_path / "probe"
+    src.write_text(_SANITIZED_PROBE.format(
+        kern_c=Path(kernels.__file__).parent / "kern.c",
+        body="".join(body)))
+    flags = [f for f in kernels.CFLAGS if f not in ("-shared", "-fPIC")]
+    build = subprocess.run(["cc", *flags, "-g", *_SANITIZE, "-o", str(exe),
+                            str(src), *kernels.LIBS], capture_output=True,
+                           text=True)
+    assert build.returncode == 0, build.stderr
+    run = subprocess.run([str(exe)], capture_output=True, text=True,
+                         env=dict(os.environ, ASAN_OPTIONS="detect_leaks=1",
+                                  UBSAN_OPTIONS="print_stacktrace=1"))
+    assert run.returncode == 0 and "runtime error" not in run.stderr \
+        and "Sanitizer" not in run.stderr, run.stderr
+    got = [float.fromhex(line) for line in run.stdout.split()]
+    assert repr(got) == repr(want)
+    assert want.count(-1.0) == 3 and math.inf in want
 
 
 # -- the surface kernels: grid_csv against '%.17g', grid_stats ---------------

@@ -360,23 +360,30 @@ def _same_label(a, b):
 
 
 @pytest.fixture(scope="session")
-def fs_scorers(request):
-    """Each backend's F_s scorer by name; the compiled one when cc is on
-    PATH (the ckern fixture)."""
-    scorers = {"python": _pycore.fs_scorer}
+def backends(request):
+    """Each backend by name; the compiled one when cc is on PATH (the
+    ckern fixture)."""
+    mods = {"python": _pycore}
     if shutil.which("cc") is not None:
-        scorers["c"] = request.getfixturevalue("ckern").fs_scorer
-    return scorers
+        mods["c"] = request.getfixturevalue("ckern")
+    return mods
+
+
+@pytest.fixture(scope="session")
+def fs_scorers(backends):
+    """Each backend's F_s scorer by name."""
+    return {name: mod.fs_scorer for name, mod in backends.items()}
 
 
 @contextlib.contextmanager
-def _fit_on(scorer):
-    """classify's F_s fit on one backend's scorer; yields the list of the
-    fits started meanwhile (one entry per fs_scorer call)."""
+def _fit_on(mod):
+    """classify on one backend's fixed scorer and F_s scorer; yields the
+    list of the fits started meanwhile (one entry per fs_scorer call)."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "fixed_scorer", mod.fixed_scorer)
         mp.setattr(kernels, "fs_scorer",
-                   lambda *args: calls.append(args) or scorer(*args))
+                   lambda *args: calls.append(args) or mod.fs_scorer(*args))
         yield calls
 
 
@@ -586,12 +593,12 @@ def _hostile_lattices(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_hostile_lattices(), st.sampled_from([0.05, 0.1]))
-def test_classify_matches_full_fit_on_drawn_lattices(fs_scorers, case, tol):
+def test_classify_matches_full_fit_on_drawn_lattices(backends, case, tol):
     grid, outs = case
     lat = trainer._Lattice(grid, outs)
     want = repr(classify_reference.classify(lat, tol=tol, grid=grid))
-    for scorer in fs_scorers.values():
-        with _fit_on(scorer):
+    for mod in backends.values():
+        with _fit_on(mod):
             assert repr(classify(lat, tol=tol, grid=grid)) == want
 
 
@@ -610,7 +617,7 @@ def test_envelope_check_matches_pointwise_bounds_on_drawn_lattices(case,
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.2])
-def test_classify_matches_full_fit_on_a_65_point_grid(noise, fs_scorers):
+def test_classify_matches_full_fit_on_a_65_point_grid(noise, backends):
     grid = 65
     axis = trainer._axis(grid)
     rng = random.Random(11)
@@ -620,8 +627,8 @@ def test_classify_matches_full_fit_on_a_65_point_grid(noise, fs_scorers):
         outs[i * grid] = outs[i] = x        # exact edges: the fit runs
     lat = trainer._Lattice(grid, outs)
     want = repr(classify_reference.classify(lat, tol=0.05, grid=grid))
-    for scorer in fs_scorers.values():
-        with _fit_on(scorer) as fits:
+    for mod in backends.values():
+        with _fit_on(mod) as fits:
             label = classify(lat, tol=0.05, grid=grid)
         assert len(fits) == 1
         assert label.kind == ("Fs" if noise == 0.0 else "Unclassified")
@@ -629,13 +636,13 @@ def test_classify_matches_full_fit_on_a_65_point_grid(noise, fs_scorers):
 
 
 @pytest.fixture
-def fit_calls(fs_scorers):
+def fit_calls(backends):
     """Iterate fit_calls() to run a loop body once per backend: it yields
     each backend's name and the list of the F_s fits classify starts (one
     entry per fs_scorer call) while the body runs on that backend."""
     def each():
-        for name, scorer in fs_scorers.items():
-            with _fit_on(scorer) as calls:
+        for name, mod in backends.items():
+            with _fit_on(mod) as calls:
                 yield name, calls
     return each
 
