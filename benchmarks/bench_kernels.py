@@ -3,7 +3,8 @@
 Kernel section: every available backend is driven through the same raw
 entry points with identical arguments, results are checked for bitwise
 equality (of their repr) first, then each workload is timed.  train_run
-is timed on a tanh run and on two sets of relu runs (lr 0.1): seeds
+is timed on a tanh run of --iters epochs (tol 0) in each mode, per sample
+and full batch, and on two sets of per-sample relu runs (lr 0.1): seeds
 whose weights are at rest after epoch 1 (every unit dead at the initial
 weights), where train_run stops at the first check, and seeds whose
 weights move for all --iters epochs.  The backends are timed call by
@@ -143,9 +144,10 @@ def _show(item, note=""):
 
 
 def _workloads(args):
-    def train(mod):
-        return mod.train_run(SIZES, ACTS, XOR_XS, XOR_TS, 0.5,
-                             args.iters, 0.0, 1, args.seed, 1.0, 0)
+    def train(per_sample):
+        return lambda mod: mod.train_run(SIZES, ACTS, XOR_XS, XOR_TS, 0.5,
+                                         args.iters, 0.0, per_sample,
+                                         args.seed, 1.0, 0)
 
     def relu(seeds):
         return lambda mod: [mod.train_run(SIZES, [3, 3], XOR_XS, XOR_TS, 0.1,
@@ -194,7 +196,8 @@ def _workloads(args):
     cells = _pycore.project_grid(SIZES, ACTS, base, XOR_XS, XOR_TS, 0, 4,
                                  axis, axis)
 
-    return [(f"train_run {args.iters} iters per-sample", train),
+    return [(f"train_run {args.iters} iters per-sample", train(1)),
+            (f"train_run {args.iters} iters full-batch", train(0)),
             (f"train_run relu {args.iters} iters at rest",
              relu(RELU_AT_REST)),
             (f"train_run relu {args.iters} iters moving",

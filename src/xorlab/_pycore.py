@@ -38,11 +38,15 @@ and every other float operation of the one Python forward and backward
 pass, as in the loop reference kept in tests/loop_kernels.py, which
 kern.c (bound through ctypes by _cbackend) also mirrors, so every
 backend produces bit-identical floats; keep them in lockstep when
-editing any of them.  (Both backends' project_grid hoist each unit out
-of the grid loops by one rule, written once in grid_levels: the
-generated kernel is laid out from its list, and _cbackend hands the same
-list to kern.c.  Hoisting changes how often a unit is computed, not its
-operands or their order.)
+editing any of them.  The backends differ only in which forward passes
+they recompute.  Both backends' project_grid hoist each unit out of the
+grid loops by one rule, written once in grid_levels: the generated
+kernel is laid out from its list, and _cbackend hands the same list to
+kern.c.  kern.c's train_run runs its SSE pass with the next epoch's
+first sample last and that epoch reuses its forward values, where the
+generated train_run computes them again (a Python twin that carried them
+was slower).  Neither changes a unit's operands or their order, only
+how often it is computed.
 Each activation and its slope are written once in Python, in _ACT and
 _SLOPE.  SSE_BLOWUP, _REST_EVERY and _PLATEAU_TOL are kern.c's values
 too: xorlab.kernels passes each to its build as a -D flag.

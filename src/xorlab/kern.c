@@ -37,7 +37,11 @@
  * run gives.  The check, at_rest, runs train_run's own epoch function
  * on a copy of the weights and compares the bits, so the update rule is
  * written once.  The reference runs every epoch; the exit only saves
- * time.
+ * time.  train_run also runs one forward pass fewer an epoch than the
+ * reference: its SSE pass visits the next epoch's first sample last, at
+ * the weights that epoch starts from, and the epoch reuses those forward
+ * values (epoch's warm).  The reference, and the Python backend, run
+ * that forward pass again; the floats are the same.
  *
  * project_grid computes each unit once per grid, once per row or once
  * per cell, at the level _pycore.grid_levels gives it, the one copy of
@@ -216,15 +220,28 @@ int forward_lattice(int nlayers, const int *sizes, const int *acts,
     return 0;
 }
 
+/* The SSE at w, summed in sample order, with order[0]'s forward pass run
+ * last: the other samples' in sample order, then order[0]'s, each squared
+ * error kept in errs (scratch of n_samples).  The net's pre/post then hold
+ * order[0]'s forward values at w, which the next epoch, visiting order[0]
+ * first at these same weights, reuses (epoch's warm). */
 static double sse(const Net *n, const double *w, const double *xs,
-                  const double *ts, int n_samples)
+                  const double *ts, const int *order, int n_samples,
+                  double *errs)
 {
     int n_in = n->sizes[0];
-    double total = 0.0;
-    for (int k = 0; k < n_samples; k++) {
-        double d = forward(n, w, xs + (size_t)k * n_in) - ts[k];
-        total += d * d;
-    }
+    double total = 0.0, d;
+    if (n_samples == 0)
+        return total;
+    for (int k = 0; k < n_samples; k++)
+        if (k != order[0]) {
+            d = forward(n, w, xs + (size_t)k * n_in) - ts[k];
+            errs[k] = d * d;
+        }
+    d = forward(n, w, xs + (size_t)order[0] * n_in) - ts[order[0]];
+    errs[order[0]] = d * d;
+    for (int k = 0; k < n_samples; k++)
+        total += errs[k];
     return total;
 }
 
@@ -253,13 +270,15 @@ static void backward(const Net *n, const double *w, double target)
  * w at once; full batch, the partials summed over the samples into gsum
  * (scratch of n_weights), then w -= lr * gsum.  The one copy of the
  * update rule: train_run runs it on the weights, at_rest on a copy.
+ * When warm is set, the net's pre/post already hold order[0]'s forward
+ * values at w (sse leaves them so), and the first sample skips forward().
  * Applying the partials as they are computed is faster than writing them
  * to a buffer first: with gcc 12.2 on x86-64, a buffered variant made
  * train_run 1.015x slower on per-sample tanh runs, 1.06x on relu runs and
  * 1.02x on full-batch tanh runs (medians of 80 interleaved rounds). */
 static void epoch(const Net *n, double *w, const double *xs,
                   const double *ts, const int *order, int count, double lr,
-                  int per_sample, double *gsum)
+                  int per_sample, int warm, double *gsum)
 {
     int n_weights = n->offs[n->nlayers];
     if (!per_sample)
@@ -268,7 +287,8 @@ static void epoch(const Net *n, double *w, const double *xs,
     for (int s = 0; s < count; s++) {
         int k = order[s];
         const double *x = xs + (size_t)k * n->sizes[0];
-        forward(n, w, x);
+        if (s > 0 || !warm)
+            forward(n, w, x);
         backward(n, w, ts[k]);
         for (int l = 0; l < n->nlayers; l++) {
             const double *below = l > 0 ? n->post + n->uoffs[l - 1] : x;
@@ -296,9 +316,13 @@ static void epoch(const Net *n, double *w, const double *xs,
 /* Whether an epoch would leave w bit for bit as it is, found by running
  * epoch on copy, a copy of w: per sample, each sample of order run alone
  * must leave it so; full batch, the whole epoch in order (the identity,
- * which full-batch runs never shuffle) must.  The weights are finite
- * here, so equal bits are equal weights, the sign of zero included.
- * copy and gsum are scratch of n_weights each. */
+ * which full-batch runs never shuffle) must.  The verdict does not depend
+ * on the order passed: per sample, each sample runs alone at w, and it is
+ * the same set of samples in any order; full batch, order is always the
+ * identity.  The weights are finite here, so equal bits are equal
+ * weights, the sign of zero included.  copy and gsum are scratch of
+ * n_weights each.  Each run overwrites the net's pre/post, so the caller's
+ * next epoch must not be warm. */
 static int at_rest(const Net *n, const double *w, const double *xs,
                    const double *ts, const int *order, int n_samples,
                    double lr, int per_sample, double *copy, double *gsum)
@@ -307,11 +331,23 @@ static int at_rest(const Net *n, const double *w, const double *xs,
     int runs = per_sample ? n_samples : 1, count = per_sample ? 1 : n_samples;
     memcpy(copy, w, bytes);
     for (int s = 0; s < runs; s++) {
-        epoch(n, copy, xs, ts, order + s, count, lr, per_sample, gsum);
+        epoch(n, copy, xs, ts, order + s, count, lr, per_sample, 0, gsum);
         if (memcmp(copy, w, bytes) != 0)
             return 0;
     }
     return 1;
+}
+
+/* Draws a new permutation of order[0..n-1] in place, Fisher-Yates from
+ * the top, one draw for each i from n - 1 down to 1. */
+static void shuffle(int *order, int n, uint64_t *seed)
+{
+    for (int i = n - 1; i > 0; i--) {
+        int j = (int)(sm_next(seed) % (uint64_t)(i + 1));
+        int k = order[i];
+        order[i] = order[j];
+        order[j] = k;
+    }
 }
 
 /* Gradient-descent run from the seed's initial weights, written to w.
@@ -319,7 +355,17 @@ static int at_rest(const Net *n, const double *w, const double *xs,
  * is 0 or no iteration ran); the caller releases it with kern_free.
  * After the status checks of epoch 1 and of every REST_EVERY-th epoch,
  * a run whose weights are at rest stops: every later epoch would end
- * with the same weights and SSE, so the SSE fills the rest of *traj. */
+ * with the same weights and SSE, so the SSE fills the rest of *traj.
+ *
+ * The schedule saves one forward pass an epoch.  Per sample, order is
+ * shuffled once before epoch 1 and then right after each epoch, before
+ * its SSE pass: the same draws and permutations as shuffling at the top
+ * of each epoch, one epoch earlier.  The SSE pass, knowing the next
+ * epoch's first sample order[0], runs its forward pass last, and that
+ * epoch reuses it (warm); full batch, order stays the identity and
+ * sample 0 is reused the same way.  Epoch 1 and every epoch after an
+ * at_rest call start cold, at_rest having overwritten the net's scratch;
+ * its verdict does not depend on the order it is given (see at_rest). */
 int train_run(int nlayers, const int *sizes, const int *acts,
               const double *xs, const double *ts, int n_samples,
               double lr, int max_iters, double tol, int per_sample,
@@ -327,36 +373,36 @@ int train_run(int nlayers, const int *sizes, const int *acts,
               double *w, int *iters_out, double *sse_out, double **traj)
 {
     Net n;
-    int n_weights, status = 1, iters = max_iters;
+    int n_weights, status = 1, iters = max_iters, warm = 0;
     size_t cap = 0;                    /* trajectory slots allocated */
-    double err = INFINITY, *gsum = NULL, *copy, *grown;
-    int *order = NULL;
+    double err = INFINITY, *gsum, *copy, *errs, *grown;
+    int *order;
 
     *traj = NULL;
     if (net_init(&n, nlayers, sizes, acts) < 0)
         return -1;
     n_weights = n.offs[nlayers];
-    gsum = malloc(2 * (size_t)n_weights * sizeof(double));
-    copy = gsum + n_weights;           /* at_rest's copy of w */
+    /* gsum and at_rest's copy of w, n_weights each, then sse's errors:
+     * never empty, every layer having weights */
+    gsum = malloc((2 * (size_t)n_weights + (size_t)n_samples)
+                  * sizeof(double));
     order = malloc((size_t)n_samples * sizeof(int));
-    if ((gsum == NULL && n_weights > 0) || (order == NULL && n_samples > 0))
+    if (gsum == NULL || (order == NULL && n_samples > 0))
         goto nomem;
+    copy = gsum + n_weights;
+    errs = copy + n_weights;
     for (int k = 0; k < n_weights; k++)
         w[k] = (2.0 * sm_unit(&seed) - 1.0) * init_range;
     for (int k = 0; k < n_samples; k++)
         order[k] = k;
+    if (per_sample)
+        shuffle(order, n_samples, &seed);
 
     for (int it = 0; it < max_iters; it++) {   /* iteration it + 1 */
+        epoch(&n, w, xs, ts, order, n_samples, lr, per_sample, warm, gsum);
         if (per_sample)
-            for (int i = n_samples - 1; i > 0; i--) {
-                int j = (int)(sm_next(&seed) % (uint64_t)(i + 1));
-                int k = order[i];
-                order[i] = order[j];
-                order[j] = k;
-            }
-        epoch(&n, w, xs, ts, order, n_samples, lr, per_sample, gsum);
-
-        err = sse(&n, w, xs, ts, n_samples);
+            shuffle(order, n_samples, &seed);   /* the next epoch's */
+        err = sse(&n, w, xs, ts, order, n_samples, errs);
         if (record) {
             if ((size_t)it == cap) {
                 cap = cap ? 2 * cap : 64;
@@ -377,9 +423,9 @@ int train_run(int nlayers, const int *sizes, const int *acts,
             iters = it + 1;
             break;
         }
-        if ((it == 0 || (it + 1) % REST_EVERY == 0)
-            && at_rest(&n, w, xs, ts, order, n_samples, lr, per_sample,
-                       copy, gsum)) {
+        int check = it == 0 || (it + 1) % REST_EVERY == 0;
+        if (check && at_rest(&n, w, xs, ts, order, n_samples, lr, per_sample,
+                             copy, gsum)) {
             if (record) {
                 grown = realloc(*traj, (size_t)max_iters * sizeof(double));
                 if (grown == NULL)
@@ -390,6 +436,7 @@ int train_run(int nlayers, const int *sizes, const int *acts,
             }
             break;
         }
+        warm = !check;       /* at_rest overwrote sse's forward values */
     }
 
     *iters_out = iters;

@@ -373,7 +373,9 @@ def _n_weights(sizes):
 
 
 def _same_train_run(mod, *args):
-    assert repr(mod.train_run(*args)) == repr(loop_kernels.train_run(*args))
+    got = mod.train_run(*args)
+    assert repr(got) == repr(loop_kernels.train_run(*args))
+    return got
 
 
 @pytest.mark.parametrize("per_sample", [1, 0])
@@ -776,8 +778,8 @@ def test_at_rest_tells_the_sign_of_zero():
 
 
 # kern.c's static at_rest, exported by a probe that includes kern.c: on
-# chosen weights, with train_run's scratch and its order of the samples
-# before any shuffle
+# chosen weights, with train_run's scratch and the samples in their own
+# order (train_run passes the next epoch's; the verdict is the same)
 _AT_REST_PROBE = """#include "{kern_c}"
 
 int probe_at_rest(int nlayers, const int *sizes, const int *acts,
@@ -844,6 +846,65 @@ def test_c_at_rest_agrees_with_python(c_at_rest):
             verdicts.append(want)
     assert verdicts == [False, True, True, True, False, False, True, True,
                         False, True]
+
+
+# -- train_run's schedule edges -----------------------------------------------
+# kern.c's SSE pass runs the next epoch's first sample last, and that epoch
+# reuses its forward values; each run below is recorded, in both modes
+
+@pytest.mark.parametrize("per_sample", [1, 0])
+@pytest.mark.parametrize("n", [0, 1])
+def test_tiny_datasets_match_loop_reference(n, per_sample, kern):
+    # no sample: the SSE pass has no first sample to leave (at rest after
+    # epoch 1 at tol 0, converged at epoch 1 otherwise); one sample: its
+    # forward pass is carried into every epoch
+    xs, ts = XOR_XS[2:2 + 2 * n], XOR_TS[1:1 + n]
+    for acts in ([1, 1], [3, 3]):
+        for tol in (0.0, 1e-3):
+            for seed in (0, 7):
+                _, iters, sse, _, traj = _same_train_run(
+                    kern, [2, 2, 1], acts, xs, ts, 0.5, 300, tol, per_sample,
+                    seed, 1.0, 1)
+                assert len(traj) == iters
+                if n == 0:
+                    assert sse == 0.0 and iters == (300 if tol == 0.0 else 1)
+
+
+# (acts, per_sample, lr, seed, tol, epoch, status): 2-2-1 runs on the xor
+# data that stop by status at epoch 1 (which starts cold) or 2 (which
+# follows the at-rest check after epoch 1, so starts cold too)
+STATUS_STOPS = [
+    ([1, 1], 1, 0.5, 0, 2.0, 1, 0),
+    ([1, 1], 0, 0.5, 0, 2.0, 1, 0),
+    ([1, 1], 1, 0.5, 0, 1.45, 2, 0),
+    ([1, 1], 0, 0.5, 1, 1.3, 2, 0),
+    ([0, 0], 1, 3.0, 3, 1e-3, 1, 2),
+    ([0, 0], 0, 3.0, 3, 1e-3, 2, 2),
+    ([0, 0], 1, 100.0, 3, 1e-3, 1, 3),
+    ([0, 0], 1, 10 ** 0.25, 3, 1e-3, 2, 3),
+]
+
+
+@pytest.mark.parametrize("acts, per_sample, lr, seed, tol, stop, status",
+                         STATUS_STOPS)
+def test_status_stops_at_epochs_1_and_2_match_loop_reference(
+        acts, per_sample, lr, seed, tol, stop, status, kern):
+    got = _same_train_run(kern, [2, 2, 1], acts, XOR_XS, XOR_TS, lr, 10, tol,
+                          per_sample, seed, 1.0, 1)
+    assert (got[1], got[3], len(got[4])) == (stop, status, stop)
+
+
+@pytest.mark.parametrize("per_sample", [1, 0])
+def test_tanh_trains_past_failed_at_rest_checks(per_sample, kern):
+    # the checks after epochs 1, 256 and 512 fail, and the epoch after each
+    # must run its first forward pass again: the check ran epochs of its own
+    for seed in (5, 11):
+        _, iters, _, status, traj = _same_train_run(
+            kern, [2, 2, 1], [1, 1], XOR_XS, XOR_TS, 0.5, 520, 1e-12,
+            per_sample, seed, 1.0, 1)
+        assert (iters, status) == (520, 1)
+        # not padded after the epoch-512 check: the run went on training
+        assert len(set(traj[511:])) > 1
 
 
 # -- the F_s fit's scorer: the fs_deviation kernel against the Python twin --
@@ -1203,6 +1264,26 @@ _PROBE_CASE = """    {{
     }}
 """
 
+# one train_run on n_samples of the xor data, recording: w, iters, sse,
+# status and the trajectory, which has iters entries
+_TRAIN_CASE = """    {{
+        static const int sizes[] = {{2, 3, 2, 1}}, acts[] = {{1, 3, 2}};
+        static const double xs0[] = {{{xs}}}, ts0[] = {{{ts}}};
+        const double *xs = heap(xs0, {nx}), *ts = heap(ts0, {n});
+        double *w = malloc({nw} * sizeof(double)), sse, *traj;
+        int iters, status = train_run(3, sizes, acts, xs, ts, {n}, 0.5,
+                                      {max_iters}, 0.0, {per_sample},
+                                      {seed}ULL, 1.0, 1, w, &iters, &sse,
+                                      &traj);
+        if (status < 0)
+            return 1;
+        show(w, {nw});
+        printf("%a\\n%a\\n%a\\n", (double)iters, sse, (double)status);
+        show(traj, iters);
+        free((void *)xs); free((void *)ts); free(w); kern_free(traj);
+    }}
+"""
+
 _SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 
 
@@ -1243,6 +1324,20 @@ def test_new_kernels_run_clean_under_sanitizers(tmp_path):
             except DomainError:
                 want.append(-1.0)
         want += py.fixed_scorer(rows)(outs)
+    # train_run on no sample, one and four, per sample and full batch, past
+    # the at-rest checks after epochs 1 and 256
+    trained = []
+    for n in (0, 1, 4):
+        xs, ts = XOR_XS[:2 * n], XOR_TS[:n]
+        for per_sample in (1, 0):
+            seed = 40 + n + per_sample
+            body.append(_TRAIN_CASE.format(
+                xs=_c_doubles(xs) or "0", ts=_c_doubles(ts) or "0",
+                nx=len(xs), n=n, nw=len(w), max_iters=300,
+                per_sample=per_sample, seed=seed))
+            rw, iters, sse, status, traj = py.train_run(
+                sizes, acts, xs, ts, 0.5, 300, 0.0, per_sample, seed, 1.0, 1)
+            trained += [*rw, float(iters), sse, float(status), *traj]
     src, exe = tmp_path / "probe.c", tmp_path / "probe"
     src.write_text(_SANITIZED_PROBE.format(
         kern_c=Path(kernels.__file__).parent / "kern.c",
@@ -1258,7 +1353,7 @@ def test_new_kernels_run_clean_under_sanitizers(tmp_path):
     assert run.returncode == 0 and "runtime error" not in run.stderr \
         and "Sanitizer" not in run.stderr, run.stderr
     got = [float.fromhex(line) for line in run.stdout.split()]
-    assert repr(got) == repr(want)
+    assert repr(got) == repr(want + trained)
     assert want.count(-1.0) == 3 and math.inf in want
 
 
