@@ -11,10 +11,12 @@ weights move for all --iters epochs.  The backends are timed call by
 call in turn, in one process, so that drift in the host's speed hits
 them alike.  Have `cc` on PATH to time the compiled backend too;
 without a library that loads, only the Python backend is timed.
-project_grid is timed once per pair class of the 2-2-1 net: two
+project_grid is timed once per pair class of the 2-2-1 net, for both
+activations the surface workload projects, tanh and relu: two
 first-layer weights (L1xL1), a first-layer and an output weight
 (L1xL2), and two output weights (L2xL2).  forward_lattice is timed on
-the 2-2-1 tanh net at those weights over classify's 21x21 lattice.
+the 2-2-1 tanh and relu nets at those weights over classify's 21x21
+lattice.
 fixed_scorer is timed as one score, by the scorer classify caches
 (trainer._fixed_scorer), of 21x21 outputs drawn from --seed against
 classify's rows at grid 21: its five fixed candidates and its edge row.
@@ -98,6 +100,9 @@ XOR_TS = [0.0, 1.0, 1.0, 0.0]
 
 SIZES = [2, 2, 1]
 ACTS = [1, 1]           # tanh, tanh
+RELU_ACTS = [3, 3]      # relu, relu
+# the activations of the surface workload's two nets
+NET_ACTS = (("tanh", ACTS), ("relu", RELU_ACTS))
 N_WEIGHTS = 9           # 2*(2+1) + 1*(2+1)
 
 # 2-2-1 relu seeds at lr 0.1, per sample: at rest after epoch 1, and
@@ -150,17 +155,21 @@ def _workloads(args):
                                          args.seed, 1.0, 0)
 
     def relu(seeds):
-        return lambda mod: [mod.train_run(SIZES, [3, 3], XOR_XS, XOR_TS, 0.1,
-                                          args.iters, 1e-3, 1, seed, 1.0, 0)
+        return lambda mod: [mod.train_run(SIZES, RELU_ACTS, XOR_XS, XOR_TS,
+                                          0.1, args.iters, 1e-3, 1, seed,
+                                          1.0, 0)
                             for seed in seeds]
 
     unit = _pycore._SplitMix(args.seed).next_unit
     base = [unit() for _ in range(N_WEIGHTS)]
     axis = [-5.0 + 10.0 * k / (args.steps - 1) for k in range(args.steps)]
 
-    def grid(ia, ib):
-        return lambda mod: mod.project_grid(SIZES, ACTS, base, XOR_XS,
+    def grid(acts, ia, ib):
+        return lambda mod: mod.project_grid(SIZES, acts, base, XOR_XS,
                                             XOR_TS, ia, ib, axis, axis)
+
+    def lattice(acts):
+        return lambda mod: mod.forward_lattice(SIZES, acts, base, fs_axis)
 
     # F_s steps as classify's fit takes them: one scorer per fit, then one
     # score per s, at FS_STEPS values of t spread over the search's range
@@ -202,10 +211,11 @@ def _workloads(args):
              relu(RELU_AT_REST)),
             (f"train_run relu {args.iters} iters moving",
              relu(RELU_MOVING))] + [
-        (f"project_grid {args.steps}x{args.steps} {cls}", grid(ia, ib))
-        for cls, ia, ib in PAIR_CLASSES] + [
-        ("forward_lattice 21x21",
-         lambda mod: mod.forward_lattice(SIZES, ACTS, base, fs_axis)),
+        (f"project_grid {args.steps}x{args.steps} {cls} {tag}",
+         grid(acts, ia, ib))
+        for tag, acts in NET_ACTS for cls, ia, ib in PAIR_CLASSES] + [
+        (f"forward_lattice 21x21 {tag}", lattice(acts))
+        for tag, acts in NET_ACTS] + [
         ("fixed_scorer 21x21, one score", fixed_score),
         (f"fs_scorer 21x21, {FS_STEPS} F_s steps", fs_steps),
         (f"solve_t, {len(solves):,} bisections", solve_steps),

@@ -8,16 +8,16 @@ returning the same Python types.  The library has eight kernels,
 train_run, project_grid (which runs each unit at the loop level
 _pycore.grid_levels gives it and writes each cell straight into the
 buffer of the array('d') it returns), forward_lattice (kern.c's
-forward() at every lattice point), fixed_scores (behind fixed_scorer,
-which packs its rows into C arrays once, so each score copies the
-outputs once and is one call), fs_deviation (behind fs_scorer, which
-scores every s in C and leaves the error of an s the kernel refuses to
-the Python scorer), solve_t, grid_stats and grid_csv (which formats each
-number by an exact integer path or snprintf into a buffer the library
-allocates, copied here into bytes); sse_dataset is _pycore's, the one
-cell of project_grid that leaves the weights as they are, run on this
-project_grid.  A grid handed back to grid_stats or grid_csv as that
-array('d') reaches C by one buffer copy (_doubles).
+forward pass, units_at, over each lattice row at once), fixed_scores
+(behind fixed_scorer, which packs its rows into C arrays once, so each
+score copies the outputs once and is one call), fs_deviation (behind
+fs_scorer, which scores every s in C and leaves the error of an s the
+kernel refuses to the Python scorer), solve_t, grid_stats and grid_csv
+(which formats each number by an exact integer path or snprintf into a
+buffer the library allocates, copied here into bytes); sse_dataset is
+_pycore's, the one cell of project_grid that leaves the weights as they
+are, run on this project_grid.  A grid handed back to grid_stats or
+grid_csv as that array('d') reaches C by one buffer copy (_doubles).
 
 The C side trusts its buffers, so shapes are checked here.  ctypes would
 wrap an int too large for a C int silently; such a value (a size, a

@@ -38,10 +38,21 @@
  * on a copy of the weights and compares the bits, so the update rule is
  * written once.  The reference runs every epoch; the exit only saves
  * time.  train_run also runs one forward pass fewer an epoch than the
- * reference: its SSE pass visits the next epoch's first sample last, at
- * the weights that epoch starts from, and the epoch reuses those forward
+ * reference: its SSE pass computes the next epoch's first sample at the
+ * weights that epoch starts from, and the epoch reuses those forward
  * values (epoch's warm).  The reference, and the Python backend, run
  * that forward pass again; the floats are the same.
+ *
+ * Every forward pass in C is one function, units_at: it computes the
+ * units of a batch of inputs layer by layer, and within each unit loops
+ * over the inputs, so that the independent tanh calls of one unit
+ * overlap instead of waiting on each other (see units_at).  A training
+ * sample is a batch of one (forward), the SSE pass a batch of every
+ * sample, a lattice row a batch of its points, and a project_grid level
+ * a batch of every sample.  Each unit is pre_act then act on the same
+ * operands as in the reference, which runs one input at a time; only the
+ * order in which independent units are computed differs, so the floats
+ * are the same.
  *
  * project_grid computes each unit once per grid, once per row or once
  * per cell, at the level _pycore.grid_levels gives it, the one copy of
@@ -49,10 +60,9 @@
  * reference runs a full forward pass per cell.  Hoisting changes how
  * often each float is computed, not its operands or their order.
  *
- * forward_lattice runs forward() at every point of a lattice, so the
- * forward pass has one C copy.  fixed_scores is _pycore._max_abs_diff
- * over several rows of (points, reference) at once: classify's fixed
- * candidates and its edge bound.
+ * forward_lattice runs units_at on each row of a lattice.  fixed_scores
+ * is _pycore._max_abs_diff over several rows of (points, reference) at
+ * once: classify's fixed candidates and its edge bound.
  *
  * fs_deviation mirrors copula.xor_f_lattice at CopulaParam.finite(s)
  * and _unit instead, for every s, over the upper triangle of the
@@ -184,64 +194,112 @@ static double pre_act(const double *row, const double *a, int n_prev)
     return z + row[n_prev];
 }
 
-/* Fills pre/post; returns the scalar output. */
-static double forward(const Net *n, const double *w, const double *x)
+/* The units of the count inputs x (row-major, sizes[0] values each),
+ * into pre and post: count rows of one slot per unit, in layer order.
+ * With level NULL it computes every unit; otherwise only the units u
+ * with level[u] == lev, and of the top layer only the first unit, the one
+ * that feeds the error, reading the others from pre/post as an earlier
+ * call left them.  Each unit is pre_act then act, so its floats do not
+ * depend on the order units are computed in.
+ *
+ * The inputs are the innermost loop, so the count evaluations of one
+ * unit, which do not depend on each other, are issued back to back: a
+ * glibc tanh that waits on the one before costs about 40 ns on x86-64
+ * (gcc 12.2), and four to eight independent ones overlap to about 9 to
+ * 11 ns each.  One input at a time, every pass is a chain of dependent
+ * tanh calls. */
+static void units_at(const Net *n, const double *w, const double *x,
+                     int count, const int *level, int lev, double *pre,
+                     double *post)
 {
-    const double *a = x;
+    int units = n->uoffs[n->nlayers], n_in = n->sizes[0];
     for (int l = 0; l < n->nlayers; l++) {
-        int n_prev = n->sizes[l], width = n->sizes[l + 1], code = n->acts[l];
-        const double *block = w + n->offs[l];
-        double *zs = n->pre + n->uoffs[l], *avs = n->post + n->uoffs[l];
+        int n_prev = n->sizes[l], code = n->acts[l];
+        int width = level != NULL && l == n->nlayers - 1 ? 1
+                                                         : n->sizes[l + 1];
         for (int i = 0; i < width; i++) {
-            double z = pre_act(block + i * (n_prev + 1), a, n_prev);
-            zs[i] = z;
-            avs[i] = act(code, z);
+            int u = n->uoffs[l] + i;
+            const double *row = w + n->offs[l] + i * (n_prev + 1);
+            if (level != NULL && level[u] != lev)
+                continue;
+            for (int k = 0; k < count; k++) {
+                size_t at = (size_t)k * units;
+                const double *a = l > 0 ? post + at + n->uoffs[l - 1]
+                                        : x + (size_t)k * n_in;
+                double z = pre_act(row, a, n_prev);
+                pre[at + u] = z;
+                post[at + u] = act(code, z);
+            }
         }
-        a = avs;
     }
-    return a[0];
+}
+
+/* One input's forward pass, into the net's pre/post: units_at with count
+ * 1. */
+static void forward(const Net *n, const double *w, const double *x)
+{
+    units_at(n, w, x, 1, NULL, 0, n->pre, n->post);
 }
 
 /* The first output of a network of two inputs at every (axis[i],
- * axis[j]), into out[i * n + j]: forward() at each point, so every float
- * is the one a pointwise forward pass gives. */
+ * axis[j]), into out[i * n + j]: one units_at call per lattice row i, over
+ * its n points, so every float is the one a pointwise forward pass
+ * gives. */
 int forward_lattice(int nlayers, const int *sizes, const int *acts,
                     const double *w, const double *axis, int n, double *out)
 {
     Net net;
+    int units, top;
+    double *x, *pre, *post;
     if (net_init(&net, nlayers, sizes, acts) < 0)
         return -1;
-    for (int i = 0; i < n; i++)
+    units = net.uoffs[nlayers];
+    top = net.uoffs[nlayers - 1];
+    /* a row's inputs, then its pre and post; one spare slot: with n 0,
+     * malloc(0) may return NULL */
+    x = malloc(((size_t)n * (2 + 2 * (size_t)units) + 1) * sizeof(double));
+    if (x == NULL) {
+        net_free(&net);
+        return -1;
+    }
+    pre = x + 2 * (size_t)n;
+    post = pre + (size_t)n * units;
+    for (int i = 0; i < n; i++) {
         for (int j = 0; j < n; j++) {
-            double x[2] = {axis[i], axis[j]};
-            out[(size_t)i * n + j] = forward(&net, w, x);
+            x[2 * j] = axis[i];
+            x[2 * j + 1] = axis[j];
         }
+        units_at(&net, w, x, n, NULL, 0, pre, post);
+        for (int j = 0; j < n; j++)
+            out[(size_t)i * n + j] = post[(size_t)j * units + top];
+    }
+    free(x);
     net_free(&net);
     return 0;
 }
 
-/* The SSE at w, summed in sample order, with order[0]'s forward pass run
- * last: the other samples' in sample order, then order[0]'s, each squared
- * error kept in errs (scratch of n_samples).  The net's pre/post then hold
- * order[0]'s forward values at w, which the next epoch, visiting order[0]
- * first at these same weights, reuses (epoch's warm). */
+/* The SSE at w, summed in sample order, from one units_at call over every
+ * sample into pre and post (scratch of n_samples rows of units each).
+ * order[0]'s row is then copied into the net's pre/post: the next epoch,
+ * visiting order[0] first at these same weights, reuses it (epoch's
+ * warm). */
 static double sse(const Net *n, const double *w, const double *xs,
                   const double *ts, const int *order, int n_samples,
-                  double *errs)
+                  double *pre, double *post)
 {
-    int n_in = n->sizes[0];
+    int units = n->uoffs[n->nlayers], top = n->uoffs[n->nlayers - 1];
+    size_t first;
     double total = 0.0, d;
     if (n_samples == 0)
         return total;
-    for (int k = 0; k < n_samples; k++)
-        if (k != order[0]) {
-            d = forward(n, w, xs + (size_t)k * n_in) - ts[k];
-            errs[k] = d * d;
-        }
-    d = forward(n, w, xs + (size_t)order[0] * n_in) - ts[order[0]];
-    errs[order[0]] = d * d;
-    for (int k = 0; k < n_samples; k++)
-        total += errs[k];
+    units_at(n, w, xs, n_samples, NULL, 0, pre, post);
+    for (int k = 0; k < n_samples; k++) {
+        d = post[(size_t)k * units + top] - ts[k];
+        total += d * d;
+    }
+    first = (size_t)order[0] * units;
+    memcpy(n->pre, pre + first, (size_t)units * sizeof(double));
+    memcpy(n->post, post + first, (size_t)units * sizeof(double));
     return total;
 }
 
@@ -361,11 +419,12 @@ static void shuffle(int *order, int n, uint64_t *seed)
  * shuffled once before epoch 1 and then right after each epoch, before
  * its SSE pass: the same draws and permutations as shuffling at the top
  * of each epoch, one epoch earlier.  The SSE pass, knowing the next
- * epoch's first sample order[0], runs its forward pass last, and that
- * epoch reuses it (warm); full batch, order stays the identity and
- * sample 0 is reused the same way.  Epoch 1 and every epoch after an
- * at_rest call start cold, at_rest having overwritten the net's scratch;
- * its verdict does not depend on the order it is given (see at_rest). */
+ * epoch's first sample order[0], leaves its forward values in the net's
+ * scratch, and that epoch reuses them (warm); full batch, order stays the
+ * identity and sample 0 is reused the same way.  Epoch 1 and every epoch
+ * after an at_rest call start cold, at_rest having overwritten the net's
+ * scratch; its verdict does not depend on the order it is given (see
+ * at_rest). */
 int train_run(int nlayers, const int *sizes, const int *acts,
               const double *xs, const double *ts, int n_samples,
               double lr, int max_iters, double tol, int per_sample,
@@ -374,23 +433,25 @@ int train_run(int nlayers, const int *sizes, const int *acts,
 {
     Net n;
     int n_weights, status = 1, iters = max_iters, warm = 0;
-    size_t cap = 0;                    /* trajectory slots allocated */
-    double err = INFINITY, *gsum, *copy, *errs, *grown;
+    size_t cap = 0, rows;              /* trajectory slots allocated */
+    double err = INFINITY, *gsum, *copy, *pre, *post, *grown;
     int *order;
 
     *traj = NULL;
     if (net_init(&n, nlayers, sizes, acts) < 0)
         return -1;
     n_weights = n.offs[nlayers];
-    /* gsum and at_rest's copy of w, n_weights each, then sse's errors:
-     * never empty, every layer having weights */
-    gsum = malloc((2 * (size_t)n_weights + (size_t)n_samples)
-                  * sizeof(double));
+    rows = (size_t)n_samples * n.uoffs[nlayers];
+    /* gsum and at_rest's copy of w, n_weights each, then sse's pre and
+     * post, a row of units per sample: never empty, every layer having
+     * weights */
+    gsum = malloc((2 * (size_t)n_weights + 2 * rows) * sizeof(double));
     order = malloc((size_t)n_samples * sizeof(int));
     if (gsum == NULL || (order == NULL && n_samples > 0))
         goto nomem;
     copy = gsum + n_weights;
-    errs = copy + n_weights;
+    pre = copy + n_weights;
+    post = pre + rows;
     for (int k = 0; k < n_weights; k++)
         w[k] = (2.0 * sm_unit(&seed) - 1.0) * init_range;
     for (int k = 0; k < n_samples; k++)
@@ -402,7 +463,7 @@ int train_run(int nlayers, const int *sizes, const int *acts,
         epoch(&n, w, xs, ts, order, n_samples, lr, per_sample, warm, gsum);
         if (per_sample)
             shuffle(order, n_samples, &seed);   /* the next epoch's */
-        err = sse(&n, w, xs, ts, order, n_samples, errs);
+        err = sse(&n, w, xs, ts, order, n_samples, pre, post);
         if (record) {
             if ((size_t)it == cap) {
                 cap = cap ? 2 * cap : 64;
@@ -460,38 +521,16 @@ void kern_free(void *p)
     free(p);
 }
 
-/* The outputs of the units of level lev, per sample, in layer order, into
- * vals (n_samples rows of one slot per unit); of the top layer only the
- * first unit, the one that feeds the error. */
-static void grid_units(const Net *n, const double *w, const double *xs,
-                       int n_samples, const int *level, int lev,
-                       double *vals)
-{
-    int units = n->uoffs[n->nlayers], n_in = n->sizes[0];
-    for (int k = 0; k < n_samples; k++) {
-        double *v = vals + (size_t)k * units;
-        for (int l = 0; l < n->nlayers; l++) {
-            int n_prev = n->sizes[l];
-            int width = l == n->nlayers - 1 ? 1 : n->sizes[l + 1];
-            const double *a = l > 0 ? v + n->uoffs[l - 1]
-                                    : xs + (size_t)k * n_in;
-            for (int i = 0; i < width; i++) {
-                int u = n->uoffs[l] + i;
-                if (level[u] == lev)
-                    v[u] = act(n->acts[l], pre_act(
-                        w + n->offs[l] + i * (n_prev + 1), a, n_prev));
-            }
-        }
-    }
-}
-
 /* SSE at every (avals[i], bvals[j]) written into slots ia/ib of w, which
  * is overwritten there (when ia == ib, b wins); out is row-major,
- * a-major.  Each unit is computed per sample at its level in level, the
- * list _pycore.grid_levels gives: before both loops (0), once per avals
- * entry (1) or once per cell (2).  Each unit is forward()'s pre_act and
- * act, and each cell's SSE is summed in sample order, so every float is
- * the one a full forward pass per cell gives. */
+ * a-major.  Each unit is computed for every sample at once, by units_at,
+ * at its level in level, the list _pycore.grid_levels gives: before both
+ * loops (0), once per avals entry (1) or once per cell (2).  pre and post
+ * hold a row of units per sample, and each level's call reads the lower
+ * levels' units from there.  Each unit is pre_act then act, and each
+ * cell's SSE is summed in sample order, so every float is the one a full
+ * forward pass per cell gives.  A cell's samples are the batch: batching
+ * the cells of a row as well read no faster. */
 int project_grid(int nlayers, const int *sizes, const int *acts, double *w,
                  const double *xs, const double *ts, int n_samples,
                  int ia, int ib, const int *level, const double *avals,
@@ -499,33 +538,36 @@ int project_grid(int nlayers, const int *sizes, const int *acts, double *w,
 {
     Net n;
     int units, top;
-    double *vals;
+    size_t rows;
+    double *pre, *post;
     if (net_init(&n, nlayers, sizes, acts) < 0)
         return -1;
     units = n.uoffs[nlayers];
     top = n.uoffs[nlayers - 1];
+    rows = (size_t)n_samples * units;
     /* one spare slot: with no samples, malloc(0) may return NULL */
-    vals = malloc(((size_t)n_samples * units + 1) * sizeof(double));
-    if (vals == NULL) {
+    pre = malloc((2 * rows + 1) * sizeof(double));
+    if (pre == NULL) {
         net_free(&n);
         return -1;
     }
-    grid_units(&n, w, xs, n_samples, level, 0, vals);
+    post = pre + rows;
+    units_at(&n, w, xs, n_samples, level, 0, pre, post);
     for (int i = 0; i < na; i++) {
         w[ia] = avals[i];
-        grid_units(&n, w, xs, n_samples, level, 1, vals);
+        units_at(&n, w, xs, n_samples, level, 1, pre, post);
         for (int j = 0; j < nb; j++) {
             double total = 0.0;
             w[ib] = bvals[j];
-            grid_units(&n, w, xs, n_samples, level, 2, vals);
+            units_at(&n, w, xs, n_samples, level, 2, pre, post);
             for (int k = 0; k < n_samples; k++) {
-                double d = vals[(size_t)k * units + top] - ts[k];
+                double d = post[(size_t)k * units + top] - ts[k];
                 total += d * d;
             }
             out[(size_t)i * nb + j] = total;
         }
     }
-    free(vals);
+    free(pre);
     net_free(&n);
     return 0;
 }

@@ -462,14 +462,20 @@ def test_grid_and_sse_match_loop_reference(case, kern):
 @given(st.lists(st.integers(1, 5), min_size=2, max_size=4),
        st.lists(st.integers(0, 3), min_size=3, max_size=3),
        st.integers(0, 2**64 - 1), st.booleans(),
-       st.integers(0, 2**16), st.integers(0, 2**16))
+       st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 9))
+@example(sizes=[2, 3, 1], codes=[1, 3, 0], seed=5, per_sample=True,
+         draw_a=0, draw_b=11, n_samples=1)
 def test_random_shapes_match_loop_reference(kern, sizes, codes, seed,
-                                            per_sample, draw_a, draw_b):
-    # depth 1-3, every width (input and output too) 1-5, codes 0-3
+                                            per_sample, draw_a, draw_b,
+                                            n_samples):
+    # depth 1-3, every width (input and output too) 1-5, codes 0-3, and
+    # 0-9 samples: the batched SSE pass, its order[0] carry into the next
+    # epoch and project_grid's per-sample rows on datasets of every size;
+    # the example pins a single sample, which a draw can miss
     acts = codes[:len(sizes) - 1]
     rng = random.Random(seed)
-    xs = [rng.uniform(-1.5, 1.5) for _ in range(3 * sizes[0])]
-    ts = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+    xs = [rng.uniform(-1.5, 1.5) for _ in range(n_samples * sizes[0])]
+    ts = [rng.uniform(-1.0, 1.0) for _ in range(n_samples)]
     n = _n_weights(sizes)
     w = [rng.uniform(-2.0, 2.0) for _ in range(n + 1)]
     axis = [-1.0, 0.25, 2.0]
@@ -1284,6 +1290,38 @@ _TRAIN_CASE = """    {{
     }}
 """
 
+# one project_grid over slots ia and ib of w (one scratch slot past the
+# network) on n_samples of the xor data: the grid's cells
+_GRID_CASE = """    {{
+        static const int sizes0[] = {{{sizes}}}, acts0[] = {{{acts}}},
+            level0[] = {{{level}}};
+        static const double w0[] = {{{w}}}, xs0[] = {{{xs}}},
+            ts0[] = {{{ts}}}, a0[] = {{{avals}}}, b0[] = {{{bvals}}};
+        const int *sizes = iheap(sizes0, {nsizes}),
+            *acts = iheap(acts0, {nlayers}), *level = iheap(level0, {units});
+        const double *xs = heap(xs0, {nx}), *ts = heap(ts0, {n}),
+            *a = heap(a0, {na}), *b = heap(b0, {nb});
+        double *w = (double *)heap(w0, {nw}),
+            *out = malloc({cells} * sizeof(double));
+        if (project_grid({nlayers}, sizes, acts, w, xs, ts, {n}, {ia}, {ib},
+                         level, a, {na}, b, {nb}, out) != 0)
+            return 1;
+        show(out, {cells});
+        free((void *)sizes); free((void *)acts); free((void *)level);
+        free((void *)xs); free((void *)ts); free((void *)a);
+        free((void *)b); free(w); free(out);
+    }}
+"""
+
+# project_grid's nets and slot pairs for the sanitized probe: each net
+# gets units at levels 0, 1 and 2, ia == ib and a scratch slot for b; the
+# 2-2-2 net's top layer has a second unit, which project_grid never
+# computes, and its (10, 10) lies in that unit's row
+_GRID_NETS = (
+    ([2, 3, 2, 1], [1, 3, 2], ((0, 19), (10, 10), (14, 20))),
+    ([2, 2, 2], [1, 3], ((0, 7), (10, 10), (3, 12))),
+)
+
 _SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 
 
@@ -1338,6 +1376,30 @@ def test_new_kernels_run_clean_under_sanitizers(tmp_path):
             rw, iters, sse, status, traj = py.train_run(
                 sizes, acts, xs, ts, 0.5, 300, 0.0, per_sample, seed, 1.0, 1)
             trained += [*rw, float(iters), sse, float(status), *traj]
+    # project_grid on no sample, one and four, on both nets
+    grids, avals, bvals = [], [-1.5, 0.25, 2.0], [-0.0, 0.5, -0.75]
+    for grid_sizes, grid_acts, pairs in _GRID_NETS:
+        grid_w = [rng.uniform(-2.0, 2.0)
+                  for _ in range(_n_weights(grid_sizes) + 1)]
+        assert {level for pair in pairs
+                for level in _pycore.grid_levels(grid_sizes, *pair)} \
+            == {0, 1, 2}
+        for n in (0, 1, 4):
+            xs, ts = XOR_XS[:2 * n], XOR_TS[:n]
+            for ia, ib in pairs:
+                level = _pycore.grid_levels(grid_sizes, ia, ib)
+                body.append(_GRID_CASE.format(
+                    sizes=", ".join(map(str, grid_sizes)),
+                    acts=", ".join(map(str, grid_acts)),
+                    level=", ".join(map(str, level)), w=_c_doubles(grid_w),
+                    xs=_c_doubles(xs) or "0", ts=_c_doubles(ts) or "0",
+                    avals=_c_doubles(avals), bvals=_c_doubles(bvals),
+                    nsizes=len(grid_sizes), nlayers=len(grid_acts),
+                    units=len(level), nx=len(xs), n=n, na=len(avals),
+                    nb=len(bvals), nw=len(grid_w),
+                    cells=len(avals) * len(bvals), ia=ia, ib=ib))
+                grids += py.project_grid(grid_sizes, grid_acts, grid_w, xs,
+                                         ts, ia, ib, avals, bvals)
     src, exe = tmp_path / "probe.c", tmp_path / "probe"
     src.write_text(_SANITIZED_PROBE.format(
         kern_c=Path(kernels.__file__).parent / "kern.c",
@@ -1353,7 +1415,7 @@ def test_new_kernels_run_clean_under_sanitizers(tmp_path):
     assert run.returncode == 0 and "runtime error" not in run.stderr \
         and "Sanitizer" not in run.stderr, run.stderr
     got = [float.fromhex(line) for line in run.stdout.split()]
-    assert repr(got) == repr(want + trained)
+    assert repr(got) == repr(want + trained + grids)
     assert want.count(-1.0) == 3 and math.inf in want
 
 
