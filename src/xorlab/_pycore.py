@@ -42,8 +42,8 @@ editing any of them.  The backends differ only in which forward passes
 they recompute.  Both backends' project_grid hoist each unit out of the
 grid loops by one rule, written once in grid_levels: the generated
 kernel is laid out from its list, and _cbackend hands the same list to
-kern.c.  kern.c's train_run runs its SSE pass with the next epoch's
-first sample last and that epoch reuses its forward values, where the
+kern.c.  kern.c's train_run keeps every sample's forward values from its
+SSE pass, and the next epoch's first sample reuses its own, where the
 generated train_run computes them again (a Python twin that carried them
 was slower).  Neither changes a unit's operands or their order, only
 how often it is computed.

@@ -38,21 +38,22 @@
  * on a copy of the weights and compares the bits, so the update rule is
  * written once.  The reference runs every epoch; the exit only saves
  * time.  train_run also runs one forward pass fewer an epoch than the
- * reference: its SSE pass computes the next epoch's first sample at the
- * weights that epoch starts from, and the epoch reuses those forward
- * values (epoch's warm).  The reference, and the Python backend, run
- * that forward pass again; the floats are the same.
+ * reference: the SSE pass leaves every sample's forward values at w, the
+ * weights the next epoch starts from, and that epoch's first sample
+ * reuses its own (epoch's warm).  The reference, and the Python backend,
+ * run that forward pass again; the floats are the same.
  *
  * Every forward pass in C is one function, units_at: it computes the
  * units of a batch of inputs layer by layer, and within each unit loops
  * over the inputs, so that the independent tanh calls of one unit
  * overlap instead of waiting on each other (see units_at).  A training
- * sample is a batch of one (forward), the SSE pass a batch of every
- * sample, a lattice row a batch of its points, and a project_grid level
- * a batch of every sample.  Each unit is pre_act then act on the same
- * operands as in the reference, which runs one input at a time; only the
- * order in which independent units are computed differs, so the floats
- * are the same.
+ * sample is a batch of one, the SSE pass a batch of every sample, a
+ * lattice row a batch of its points, and a project_grid level a batch of
+ * every sample.  Each unit is pre_act then act on the same operands as in
+ * the reference, which runs one input at a time; only the order in which
+ * independent units are computed differs, so the floats are the same.
+ * The values go to the Net's rows, one per input of the call (net_init
+ * sizes them): input k's are always in row k.
  *
  * project_grid computes each unit once per grid, once per row or once
  * per cell, at the level _pycore.grid_levels gives it, the one copy of
@@ -141,7 +142,9 @@ static double slope(int code, double z, double a)
     return z > 0.0 ? 1.0 : 0.0;
 }
 
-/* A network's shape plus its per-unit scratch buffers. */
+/* A network's shape plus every forward value of a call: pre and post
+ * hold rows rows of one slot per unit, row k input k's latest values, and
+ * delta one row. */
 typedef struct {
     int nlayers;
     const int *sizes, *acts;
@@ -149,9 +152,10 @@ typedef struct {
     double *pre, *post, *delta;
 } Net;
 
-static int net_init(Net *n, int nlayers, const int *sizes, const int *acts)
+static int net_init(Net *n, int nlayers, const int *sizes, const int *acts,
+                    int rows)
 {
-    int units;
+    size_t units, cells;
     n->nlayers = nlayers;
     n->sizes = sizes;
     n->acts = acts;
@@ -164,16 +168,18 @@ static int net_init(Net *n, int nlayers, const int *sizes, const int *acts)
         n->offs[l + 1] = n->offs[l] + sizes[l + 1] * (sizes[l] + 1);
         n->uoffs[l + 1] = n->uoffs[l] + sizes[l + 1];
     }
-    units = n->uoffs[nlayers];
+    units = (size_t)n->uoffs[nlayers];
+    cells = (size_t)rows * units;
     /* zeroed: backward writes only the first output unit's delta, and
-     * the updates read the others as 0.0 */
-    n->pre = calloc(3 * (size_t)units, sizeof(double));
+     * the updates read the others as 0.0; never empty, delta having a
+     * slot per unit */
+    n->pre = calloc(2 * cells + units, sizeof(double));
     if (n->pre == NULL) {
         free(n->offs);
         return -1;
     }
-    n->post = n->pre + units;
-    n->delta = n->post + units;
+    n->post = n->pre + cells;
+    n->delta = n->post + cells;
     return 0;
 }
 
@@ -234,44 +240,35 @@ static void units_at(const Net *n, const double *w, const double *x,
     }
 }
 
-/* One input's forward pass, into the net's pre/post: units_at with count
- * 1. */
-static void forward(const Net *n, const double *w, const double *x)
-{
-    units_at(n, w, x, 1, NULL, 0, n->pre, n->post);
-}
-
 /* The first output of a network of two inputs at every (axis[i],
  * axis[j]), into out[i * n + j]: one units_at call per lattice row i, over
- * its n points, so every float is the one a pointwise forward pass
- * gives. */
+ * its n points, into the net's n rows, so every float is the one a
+ * pointwise forward pass gives. */
 int forward_lattice(int nlayers, const int *sizes, const int *acts,
                     const double *w, const double *axis, int n, double *out)
 {
     Net net;
     int units, top;
-    double *x, *pre, *post;
-    if (net_init(&net, nlayers, sizes, acts) < 0)
+    double *x;
+    if (net_init(&net, nlayers, sizes, acts, n) < 0)
         return -1;
     units = net.uoffs[nlayers];
     top = net.uoffs[nlayers - 1];
-    /* a row's inputs, then its pre and post; one spare slot: with n 0,
-     * malloc(0) may return NULL */
-    x = malloc(((size_t)n * (2 + 2 * (size_t)units) + 1) * sizeof(double));
+    /* a row's inputs; one spare slot: with n 0, malloc(0) may return
+     * NULL */
+    x = malloc((2 * (size_t)n + 1) * sizeof(double));
     if (x == NULL) {
         net_free(&net);
         return -1;
     }
-    pre = x + 2 * (size_t)n;
-    post = pre + (size_t)n * units;
     for (int i = 0; i < n; i++) {
         for (int j = 0; j < n; j++) {
             x[2 * j] = axis[i];
             x[2 * j + 1] = axis[j];
         }
-        units_at(&net, w, x, n, NULL, 0, pre, post);
+        units_at(&net, w, x, n, NULL, 0, net.pre, net.post);
         for (int j = 0; j < n; j++)
-            out[(size_t)i * n + j] = post[(size_t)j * units + top];
+            out[(size_t)i * n + j] = net.post[(size_t)j * units + top];
     }
     free(x);
     net_free(&net);
@@ -279,36 +276,29 @@ int forward_lattice(int nlayers, const int *sizes, const int *acts,
 }
 
 /* The SSE at w, summed in sample order, from one units_at call over every
- * sample into pre and post (scratch of n_samples rows of units each).
- * order[0]'s row is then copied into the net's pre/post: the next epoch,
- * visiting order[0] first at these same weights, reuses it (epoch's
- * warm). */
+ * sample into the net's rows, which it leaves at w: the next epoch's
+ * first sample, whichever it is, reuses its row (epoch's warm). */
 static double sse(const Net *n, const double *w, const double *xs,
-                  const double *ts, const int *order, int n_samples,
-                  double *pre, double *post)
+                  const double *ts, int n_samples)
 {
     int units = n->uoffs[n->nlayers], top = n->uoffs[n->nlayers - 1];
-    size_t first;
     double total = 0.0, d;
-    if (n_samples == 0)
-        return total;
-    units_at(n, w, xs, n_samples, NULL, 0, pre, post);
+    units_at(n, w, xs, n_samples, NULL, 0, n->pre, n->post);
     for (int k = 0; k < n_samples; k++) {
-        d = post[(size_t)k * units + top] - ts[k];
+        d = n->post[(size_t)k * units + top] - ts[k];
         total += d * d;
     }
-    first = (size_t)order[0] * units;
-    memcpy(n->pre, pre + first, (size_t)units * sizeof(double));
-    memcpy(n->post, post + first, (size_t)units * sizeof(double));
     return total;
 }
 
-/* Deltas dE/dz for every unit, E = (out - target)^2 / 2. */
-static void backward(const Net *n, const double *w, double target)
+/* Deltas dE/dz for every unit, E = (out - target)^2 / 2, from one
+ * input's forward values pre and post. */
+static void backward(const Net *n, const double *w, double target,
+                     const double *pre, const double *post)
 {
     int last = n->nlayers - 1, top = n->uoffs[last];
-    n->delta[top] = (n->post[top] - target)
-                    * slope(n->acts[last], n->pre[top], n->post[top]);
+    n->delta[top] = (post[top] - target)
+                    * slope(n->acts[last], pre[top], post[top]);
     for (int l = last - 1; l >= 0; l--) {
         int base = n->offs[l + 1], width = n->sizes[l + 1];
         int n_next = n->sizes[l + 2], code = n->acts[l];
@@ -318,18 +308,19 @@ static void backward(const Net *n, const double *w, double target)
             double acc = 0.0;
             for (int i = 0; i < n_next; i++)
                 acc += above[i] * w[base + i * (width + 1) + j];
-            n->delta[u] = acc * slope(code, n->pre[u], n->post[u]);
+            n->delta[u] = acc * slope(code, pre[u], post[u]);
         }
     }
 }
 
 /* One epoch at w: the count samples order[0..count-1] in turn, each
- * with its forward and backward pass; per sample, each sample's update of
- * w at once; full batch, the partials summed over the samples into gsum
- * (scratch of n_weights), then w -= lr * gsum.  The one copy of the
- * update rule: train_run runs it on the weights, at_rest on a copy.
- * When warm is set, the net's pre/post already hold order[0]'s forward
- * values at w (sse leaves them so), and the first sample skips forward().
+ * with its forward pass into its own row of the net and its backward
+ * pass; per sample, each sample's update of w at once; full batch, the
+ * partials summed over the samples into gsum (scratch of n_weights), then
+ * w -= lr * gsum.  The one copy of the update rule: train_run runs it on
+ * the weights, at_rest on a copy.  When warm is set, order[0]'s row
+ * already holds its forward values at w (sse leaves every row so), and
+ * the first sample skips its forward pass.
  * Applying the partials as they are computed is faster than writing them
  * to a buffer first: with gcc 12.2 on x86-64, a buffered variant made
  * train_run 1.015x slower on per-sample tanh runs, 1.06x on relu runs and
@@ -338,18 +329,20 @@ static void epoch(const Net *n, double *w, const double *xs,
                   const double *ts, const int *order, int count, double lr,
                   int per_sample, int warm, double *gsum)
 {
-    int n_weights = n->offs[n->nlayers];
+    int n_weights = n->offs[n->nlayers], units = n->uoffs[n->nlayers];
     if (!per_sample)
         for (int k = 0; k < n_weights; k++)
             gsum[k] = 0.0;
     for (int s = 0; s < count; s++) {
         int k = order[s];
         const double *x = xs + (size_t)k * n->sizes[0];
+        double *pre = n->pre + (size_t)k * units;
+        double *post = n->post + (size_t)k * units;
         if (s > 0 || !warm)
-            forward(n, w, x);
-        backward(n, w, ts[k]);
+            units_at(n, w, x, 1, NULL, 0, pre, post);
+        backward(n, w, ts[k], pre, post);
         for (int l = 0; l < n->nlayers; l++) {
-            const double *below = l > 0 ? n->post + n->uoffs[l - 1] : x;
+            const double *below = l > 0 ? post + n->uoffs[l - 1] : x;
             int n_prev = n->sizes[l];
             for (int i = 0; i < n->sizes[l + 1]; i++) {
                 int row = n->offs[l] + i * (n_prev + 1);
@@ -379,8 +372,7 @@ static void epoch(const Net *n, double *w, const double *xs,
  * the same set of samples in any order; full batch, order is always the
  * identity.  The weights are finite here, so equal bits are equal
  * weights, the sign of zero included.  copy and gsum are scratch of
- * n_weights each.  Each run overwrites the net's pre/post, so the caller's
- * next epoch must not be warm. */
+ * n_weights each.  Each run writes its samples' rows, at copy. */
 static int at_rest(const Net *n, const double *w, const double *xs,
                    const double *ts, const int *order, int n_samples,
                    double lr, int per_sample, double *copy, double *gsum)
@@ -415,16 +407,11 @@ static void shuffle(int *order, int n, uint64_t *seed)
  * a run whose weights are at rest stops: every later epoch would end
  * with the same weights and SSE, so the SSE fills the rest of *traj.
  *
- * The schedule saves one forward pass an epoch.  Per sample, order is
- * shuffled once before epoch 1 and then right after each epoch, before
- * its SSE pass: the same draws and permutations as shuffling at the top
- * of each epoch, one epoch earlier.  The SSE pass, knowing the next
- * epoch's first sample order[0], leaves its forward values in the net's
- * scratch, and that epoch reuses them (warm); full batch, order stays the
- * identity and sample 0 is reused the same way.  Epoch 1 and every epoch
- * after an at_rest call start cold, at_rest having overwritten the net's
- * scratch; its verdict does not depend on the order it is given (see
- * at_rest). */
+ * Per sample, order is shuffled at the top of each epoch, as in the
+ * reference; full batch, it stays the identity.  The SSE pass leaves
+ * every sample's row at w, so the next epoch's first sample reuses its
+ * own (warm), one forward pass fewer an epoch.  Epoch 1 and every epoch
+ * after an at_rest call start cold. */
 int train_run(int nlayers, const int *sizes, const int *acts,
               const double *xs, const double *ts, int n_samples,
               double lr, int max_iters, double tol, int per_sample,
@@ -433,37 +420,31 @@ int train_run(int nlayers, const int *sizes, const int *acts,
 {
     Net n;
     int n_weights, status = 1, iters = max_iters, warm = 0;
-    size_t cap = 0, rows;              /* trajectory slots allocated */
-    double err = INFINITY, *gsum, *copy, *pre, *post, *grown;
+    size_t cap = 0;                    /* trajectory slots allocated */
+    double err = INFINITY, *gsum, *copy, *grown;
     int *order;
 
     *traj = NULL;
-    if (net_init(&n, nlayers, sizes, acts) < 0)
+    if (net_init(&n, nlayers, sizes, acts, n_samples) < 0)
         return -1;
     n_weights = n.offs[nlayers];
-    rows = (size_t)n_samples * n.uoffs[nlayers];
-    /* gsum and at_rest's copy of w, n_weights each, then sse's pre and
-     * post, a row of units per sample: never empty, every layer having
+    /* gsum and at_rest's copy of w: never empty, every layer having
      * weights */
-    gsum = malloc((2 * (size_t)n_weights + 2 * rows) * sizeof(double));
+    gsum = malloc(2 * (size_t)n_weights * sizeof(double));
     order = malloc((size_t)n_samples * sizeof(int));
     if (gsum == NULL || (order == NULL && n_samples > 0))
         goto nomem;
     copy = gsum + n_weights;
-    pre = copy + n_weights;
-    post = pre + rows;
     for (int k = 0; k < n_weights; k++)
         w[k] = (2.0 * sm_unit(&seed) - 1.0) * init_range;
     for (int k = 0; k < n_samples; k++)
         order[k] = k;
-    if (per_sample)
-        shuffle(order, n_samples, &seed);
 
     for (int it = 0; it < max_iters; it++) {   /* iteration it + 1 */
-        epoch(&n, w, xs, ts, order, n_samples, lr, per_sample, warm, gsum);
         if (per_sample)
-            shuffle(order, n_samples, &seed);   /* the next epoch's */
-        err = sse(&n, w, xs, ts, order, n_samples, pre, post);
+            shuffle(order, n_samples, &seed);
+        epoch(&n, w, xs, ts, order, n_samples, lr, per_sample, warm, gsum);
+        err = sse(&n, w, xs, ts, n_samples);
         if (record) {
             if ((size_t)it == cap) {
                 cap = cap ? 2 * cap : 64;
@@ -497,7 +478,7 @@ int train_run(int nlayers, const int *sizes, const int *acts,
             }
             break;
         }
-        warm = !check;       /* at_rest overwrote sse's forward values */
+        warm = !check;
     }
 
     *iters_out = iters;
@@ -525,12 +506,12 @@ void kern_free(void *p)
  * is overwritten there (when ia == ib, b wins); out is row-major,
  * a-major.  Each unit is computed for every sample at once, by units_at,
  * at its level in level, the list _pycore.grid_levels gives: before both
- * loops (0), once per avals entry (1) or once per cell (2).  pre and post
- * hold a row of units per sample, and each level's call reads the lower
- * levels' units from there.  Each unit is pre_act then act, and each
- * cell's SSE is summed in sample order, so every float is the one a full
- * forward pass per cell gives.  A cell's samples are the batch: batching
- * the cells of a row as well read no faster. */
+ * loops (0), once per avals entry (1) or once per cell (2).  Each level's
+ * call reads the lower levels' units from the net's row per sample.  Each
+ * unit is pre_act then act, and each cell's SSE is summed in sample
+ * order, so every float is the one a full forward pass per cell gives.
+ * A cell's samples are the batch: batching the cells of a row as well
+ * read no faster. */
 int project_grid(int nlayers, const int *sizes, const int *acts, double *w,
                  const double *xs, const double *ts, int n_samples,
                  int ia, int ib, const int *level, const double *avals,
@@ -538,36 +519,25 @@ int project_grid(int nlayers, const int *sizes, const int *acts, double *w,
 {
     Net n;
     int units, top;
-    size_t rows;
-    double *pre, *post;
-    if (net_init(&n, nlayers, sizes, acts) < 0)
+    if (net_init(&n, nlayers, sizes, acts, n_samples) < 0)
         return -1;
     units = n.uoffs[nlayers];
     top = n.uoffs[nlayers - 1];
-    rows = (size_t)n_samples * units;
-    /* one spare slot: with no samples, malloc(0) may return NULL */
-    pre = malloc((2 * rows + 1) * sizeof(double));
-    if (pre == NULL) {
-        net_free(&n);
-        return -1;
-    }
-    post = pre + rows;
-    units_at(&n, w, xs, n_samples, level, 0, pre, post);
+    units_at(&n, w, xs, n_samples, level, 0, n.pre, n.post);
     for (int i = 0; i < na; i++) {
         w[ia] = avals[i];
-        units_at(&n, w, xs, n_samples, level, 1, pre, post);
+        units_at(&n, w, xs, n_samples, level, 1, n.pre, n.post);
         for (int j = 0; j < nb; j++) {
             double total = 0.0;
             w[ib] = bvals[j];
-            units_at(&n, w, xs, n_samples, level, 2, pre, post);
+            units_at(&n, w, xs, n_samples, level, 2, n.pre, n.post);
             for (int k = 0; k < n_samples; k++) {
-                double d = post[(size_t)k * units + top] - ts[k];
+                double d = n.post[(size_t)k * units + top] - ts[k];
                 total += d * d;
             }
             out[(size_t)i * nb + j] = total;
         }
     }
-    free(pre);
     net_free(&n);
     return 0;
 }

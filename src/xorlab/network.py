@@ -10,9 +10,9 @@ accumulation order (ascending input index, bias last) is pinned there and
 mirrored in kern.c.  forward_lattice is a kernel of the default backend,
 kernels.forward_lattice: the Python one runs forward's unit lines in a
 loop over a lattice (also cached in _net_pass), the compiled one kern.c's
-forward() at each point.  The flat weight layout is worked out once, by
-_pycore._offsets; from_flat, flat_weights (computed once per network)
-and count_weights follow it.
+forward pass (units_at) over each lattice row at once.  The flat weight
+layout is worked out once, by _pycore._offsets; from_flat, flat_weights
+(computed once per network) and count_weights follow it.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ trainer owns validation, Network packing, and divergence reporting.
 
 Classification evaluates a Network once over the lattice, through
 network.forward_lattice: the backend's forward_lattice kernel, kern.c's
-forward() at each point, or one generated pass per shape, cached in
-_pycore._net_pass as "<xorlab forward_lattice 2-2-1 tanh-tanh>".  Every
+forward pass (units_at) over each lattice row at once, or one generated
+pass per shape, cached in _pycore._net_pass as
+"<xorlab forward_lattice 2-2-1 tanh-tanh>".  Every
 fixed candidate is a reference lattice scored by the largest
 |out - ref| (_max_abs_diff), from one table per grid (_candidates), and
 the edge bound below is scored the same way, in the same call: the

@@ -229,6 +229,23 @@ def test_kern_c_builds_without_warnings(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
+@needs_cc
+@pytest.mark.skipif(shutil.which("nm") is None,
+                    reason="no symbol lister: `nm` is not on PATH")
+def test_kern_c_exports_exactly_what_cbackend_binds(tmp_path):
+    # a helper left non-static builds without a warning, so the library's
+    # defined text symbols are checked against the bound names instead
+    from xorlab import _cbackend
+    lib = tmp_path / "kern.so"
+    kernels.build(str(Path(kernels.__file__).parent / "kern.c"), str(lib))
+    listed = subprocess.run(["nm", "-D", "--defined-only", str(lib)],
+                            check=True, capture_output=True, text=True)
+    exported = {fields[2] for fields in map(str.split,
+                                             listed.stdout.splitlines())
+                if len(fields) == 3 and fields[1] == "T"}
+    assert exported == set(_cbackend._SIGNATURES)
+
+
 def test_cache_name_keys_on_the_defines(monkeypatch):
     # a value changed in Python names another library, so a stale build
     # of the old value is never loaded
@@ -469,8 +486,8 @@ def test_random_shapes_match_loop_reference(kern, sizes, codes, seed,
                                             per_sample, draw_a, draw_b,
                                             n_samples):
     # depth 1-3, every width (input and output too) 1-5, codes 0-3, and
-    # 0-9 samples: the batched SSE pass, its order[0] carry into the next
-    # epoch and project_grid's per-sample rows on datasets of every size;
+    # 0-9 samples: the batched SSE pass, the next epoch's warm first
+    # sample and the per-sample rows on datasets of every size;
     # the example pins a single sample, which a draw can miss
     acts = codes[:len(sizes) - 1]
     rng = random.Random(seed)
@@ -785,7 +802,7 @@ def test_at_rest_tells_the_sign_of_zero():
 
 # kern.c's static at_rest, exported by a probe that includes kern.c: on
 # chosen weights, with train_run's scratch and the samples in their own
-# order (train_run passes the next epoch's; the verdict is the same)
+# order (train_run passes the epoch's shuffle; the verdict is the same)
 _AT_REST_PROBE = """#include "{kern_c}"
 
 int probe_at_rest(int nlayers, const int *sizes, const int *acts,
@@ -795,7 +812,8 @@ int probe_at_rest(int nlayers, const int *sizes, const int *acts,
     Net n;
     int order[16], rest = -1;
     double scratch[2 * 64];
-    if (n_samples > 16 || net_init(&n, nlayers, sizes, acts) < 0)
+    if (n_samples > 16
+        || net_init(&n, nlayers, sizes, acts, n_samples) < 0)
         return -1;
     for (int k = 0; k < n_samples; k++)
         order[k] = k;
@@ -855,8 +873,9 @@ def test_c_at_rest_agrees_with_python(c_at_rest):
 
 
 # -- train_run's schedule edges -----------------------------------------------
-# kern.c's SSE pass runs the next epoch's first sample last, and that epoch
-# reuses its forward values; each run below is recorded, in both modes
+# kern.c's SSE pass leaves every sample's forward values at the next
+# epoch's weights, and that epoch's first sample reuses its own; each run
+# below is recorded, in both modes
 
 @pytest.mark.parametrize("per_sample", [1, 0])
 @pytest.mark.parametrize("n", [0, 1])
@@ -1270,6 +1289,20 @@ _PROBE_CASE = """    {{
     }}
 """
 
+# forward_lattice alone on a 2-3-2-1 net, for the axes of 0 and 1 points
+# that classify never uses: the lattice's cells
+_LATTICE_CASE = """    {{
+        static const int sizes[] = {{2, 3, 2, 1}}, acts[] = {{1, 3, 2}};
+        static const double w0[] = {{{w}}}, axis0[] = {{{axis}}};
+        const double *w = heap(w0, {nw}), *axis = heap(axis0, {n});
+        double *lattice = malloc({cells} * sizeof(double));
+        if (forward_lattice(3, sizes, acts, w, axis, {n}, lattice) != 0)
+            return 1;
+        show(lattice, {cells});
+        free((void *)w); free((void *)axis); free(lattice);
+    }}
+"""
+
 # one train_run on n_samples of the xor data, recording: w, iters, sse,
 # status and the trajectory, which has iters entries
 _TRAIN_CASE = """    {{
@@ -1338,6 +1371,13 @@ def test_new_kernels_run_clean_under_sanitizers(tmp_path):
     ss = [0.5, 1.0, 3.0, 1e-9, 1e9, math.inf, 0.0]
     body, want = [], []
     py = kernels.get_backend("python")
+    # trainer._axis refuses fewer than 2 steps, so these axes get no
+    # fs_deviation or fixed_scores
+    for axis in ([], [0.5]):
+        body.append(_LATTICE_CASE.format(
+            w=_c_doubles(w), axis=_c_doubles(axis) or "0", nw=len(w),
+            n=len(axis), cells=len(axis) ** 2))
+        want += py.forward_lattice(sizes, acts, w, axis)
     for n in (2, 3, 21):
         axis = trainer._axis(n)
         outs = [rng.uniform(-0.2, 1.2) for _ in range(n * n)]
