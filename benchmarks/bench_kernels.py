@@ -50,8 +50,22 @@ call over the 21x21 lattice take in a new interpreter, at 2-2-1 and
 2-9-1, so that any per-shape set-up those calls do is counted; one
 interpreter per repeat and shape.
 
+Surface split section, on the default backend: perfbench's surface
+workload at --seed, in process and untraced, one op per weight pair of
+both its nets (72 ops a round, perfbench's order), --repeats rounds
+after one warm-up round, each op's files removed after it as perfbench
+does.  Each op is cut into kernels.project_grid, kernels.grid_stats,
+the CSV (from its open to its close: kernels.grid_csv and the writes),
+the .meta.json (from its open to its close) and the rest (argument
+parsing, loading the model and the data, the JSON reply), each timed by
+a perf_counter wrapper; the whole op also gets its minor page faults
+(ru_minflt).  The wrappers replace only kernels.project_grid,
+kernels.grid_stats and surface's open, so the section runs unchanged
+against an older xorlab on PYTHONPATH.
+
 Every item reports the best of --repeats timings and their spread (the
-median and the worst).  --json PATH also writes them, with the Python
+median and the worst).  --section runs only the sections named (all of
+them by default).  --json PATH also writes the items, with the Python
 version and the backends, as one JSON document.
 
 Run from a checkout with the package installed (the logic queries come
@@ -60,14 +74,18 @@ from the checkout's perfbench/, whose oracles need numpy):
     python benchmarks/bench_kernels.py
     python benchmarks/bench_kernels.py --iters 5000 --steps 161
     python benchmarks/bench_kernels.py --json bench.json
+    python benchmarks/bench_kernels.py --section split --repeats 12
 """
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import platform
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -76,7 +94,8 @@ import time
 from pathlib import Path
 
 import xorlab
-from xorlab import _pycore, copula, network, problogic, surface, trainer
+from xorlab import (_pycore, copula, kernels, network, problogic, surface,
+                    trainer)
 from xorlab.copula import (SOLVE_TOL, CopulaParam, frechet_bounds, solve_s,
                            xor_f_lattice)
 from xorlab.datasets import builtin
@@ -205,6 +224,11 @@ def _workloads(args):
     cells = _pycore.project_grid(SIZES, ACTS, base, XOR_XS, XOR_TS, 0, 4,
                                  axis, axis)
 
+    def csv_bytes(mod):
+        buf = io.BytesIO()
+        mod.grid_csv(buf.write, b"wa,wb,err\n", axis, axis, cells)
+        return buf.getvalue()
+
     return [(f"train_run {args.iters} iters per-sample", train(1)),
             (f"train_run {args.iters} iters full-batch", train(0)),
             (f"train_run relu {args.iters} iters at rest",
@@ -221,8 +245,7 @@ def _workloads(args):
         (f"solve_t, {len(solves):,} bisections", solve_steps),
         (f"grid_stats {args.steps}x{args.steps}",
          lambda mod: mod.grid_stats(cells, args.steps)),
-        (f"grid_csv {args.steps}x{args.steps}",
-         lambda mod: mod.grid_csv(b"wa,wb,err\n", axis, axis, cells))]
+        (f"grid_csv {args.steps}x{args.steps}, into BytesIO", csv_bytes)]
 
 
 # converged boolean-xor nets (trainer seeds 0 at lr 0.5, and 29), both
@@ -397,6 +420,85 @@ def _first_call_section(args, items):
             _show(items[-1])
 
 
+# the parts of a surface op, in the order they run
+SPLIT_PARTS = ("kernels.project_grid", "kernels.grid_stats",
+               "CSV, open to close", ".meta.json, open to close", "the rest")
+
+
+def _surface_split_section(args, items):
+    print(f"surface split: backend {BACKEND}")
+    parts = dict.fromkeys(SPLIT_PARTS, 0.0)
+
+    def timed(part, fn):
+        def wrapper(*a, **kw):
+            t0 = time.perf_counter()
+            try:
+                return fn(*a, **kw)
+            finally:
+                parts[part] += time.perf_counter() - t0
+        return wrapper
+
+    @contextlib.contextmanager
+    def timed_open(path, *a, **kw):
+        part = SPLIT_PARTS[3 if str(path).endswith(".meta.json") else 2]
+        t0 = time.perf_counter()
+        try:
+            with open(path, *a, **kw) as fh:
+                yield fh
+        finally:
+            parts[part] += time.perf_counter() - t0
+
+    saved = kernels.project_grid, kernels.grid_stats
+    kernels.project_grid = timed(SPLIT_PARTS[0], kernels.project_grid)
+    kernels.grid_stats = timed(SPLIT_PARTS[1], kernels.grid_stats)
+    surface.open = timed_open   # shadows the builtin in surface alone
+    rounds = {part: [] for part in ("whole op",) + SPLIT_PARTS}
+    faults = 0
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            work = workloads.Surface()
+            work.setup(args.seed, tmp)
+            for r in range(args.repeats + 1):
+                for part in parts:
+                    parts[part] = 0.0
+                whole = 0.0
+                for op in work.pairs:
+                    out = work.request(op)["out"]
+                    before = resource.getrusage(resource.RUSAGE_SELF)
+                    t0 = time.perf_counter()
+                    code, _ = work.run(op)
+                    whole += time.perf_counter() - t0
+                    after = resource.getrusage(resource.RUSAGE_SELF)
+                    if code != 0:
+                        raise RuntimeError(f"surface op {op} exited {code}")
+                    os.remove(out)
+                    os.remove(out + ".meta.json")
+                    if r:
+                        faults += after.ru_minflt - before.ru_minflt
+                if r:       # round 0 warms up
+                    parts["the rest"] = whole - sum(parts.values())
+                    rounds["whole op"].append(whole)
+                    for part, seconds in parts.items():
+                        rounds[part].append(seconds)
+    finally:
+        kernels.project_grid, kernels.grid_stats = saved
+        del surface.open
+    ops = args.repeats * len(work.pairs)
+    for part, seconds in rounds.items():
+        items.append(_item(f"surface op: {part}, per op", BACKEND, seconds,
+                           per=len(work.pairs)))
+        note = ""
+        if part == "whole op":
+            items[-1]["minor_faults_per_op"] = faults / ops
+            note = f"   {faults / ops:.1f} minor faults per op"
+        _show(items[-1], note)
+
+
+SECTIONS = {"kernels": _kernel_section, "library": _library_section,
+            "first-calls": _first_call_section,
+            "split": _surface_split_section}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         description="compare kernel backends on training and projection, "
@@ -409,15 +511,18 @@ def main(argv=None):
     ap.add_argument("--repeats", type=int, default=5,
                     help="timing repeats, best is reported (default 5)")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--section", action="append", choices=list(SECTIONS),
+                    help="run only this section; repeat to run several "
+                         "(default: all, in the order listed)")
     ap.add_argument("--json", metavar="PATH", default=None,
                     help="also write the results as JSON to PATH")
     args = ap.parse_args(argv)
 
     items = []
-    if _kernel_section(args, items):
-        return 1
-    _library_section(args, items)
-    _first_call_section(args, items)
+    for name, section in SECTIONS.items():
+        if (args.section is None or name in args.section) \
+                and section(args, items):
+            return 1
     if args.json:
         doc = {"python": platform.python_version(),
                "implementation": platform.python_implementation(),
@@ -425,7 +530,8 @@ def main(argv=None):
                "default_backend": BACKEND,
                "available_backends": list(available_backends()),
                "iters": args.iters, "steps": args.steps,
-               "repeats": args.repeats, "seed": args.seed, "items": items}
+               "repeats": args.repeats, "seed": args.seed,
+               "sections": args.section or list(SECTIONS), "items": items}
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")

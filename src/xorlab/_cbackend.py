@@ -13,8 +13,9 @@ forward pass, units_at, over each lattice row at once), fixed_scores
 score copies the outputs once and is one call), fs_deviation (behind
 fs_scorer, which scores every s in C and leaves the error of an s the
 kernel refuses to the Python scorer), solve_t, grid_stats and grid_csv
-(which formats each number by an exact integer path or snprintf into a
-buffer the library allocates, copied here into bytes); sse_dataset is
+(which formats each number by an exact integer path or snprintf into
+one 64 kB chunk of a work space allocated here, call after call, each
+chunk handed to the caller's write as it fills); sse_dataset is
 _pycore's, the one cell of project_grid that leaves the weights as they
 are, run on this project_grid.  A grid handed back to grid_stats or
 grid_csv as that array('d') reaches C by one buffer copy (_doubles).
@@ -32,7 +33,7 @@ import ctypes
 import functools
 import operator
 from array import array
-from ctypes import (POINTER, byref, c_char_p, c_double, c_int, c_longlong,
+from ctypes import (POINTER, byref, c_char, c_double, c_int, c_longlong,
                     c_size_t, c_uint64, c_void_p)
 from types import SimpleNamespace
 
@@ -58,8 +59,9 @@ _SIGNATURES = {
     "fs_deviation": (c_double, [c_int, _DP, _DP, c_double, _DP]),
     "solve_t": (c_double, [c_double, c_double, c_double, c_int]),
     "grid_stats": (None, [c_int, _DP, _DP, _IP]),
-    "grid_csv": (c_longlong, [c_char_p, c_size_t, _DP, c_int, _DP, c_int,
-                              _DP, POINTER(c_void_p)]),
+    "grid_csv_work": (c_size_t, [c_int, c_int]),
+    "grid_csv": (c_int, [_DP, c_int, _DP, c_int, _DP, POINTER(c_char),
+                         POINTER(c_longlong)]),
     "kern_free": (None, [c_void_p]),
 }
 
@@ -230,19 +232,23 @@ def load(path: str) -> SimpleNamespace:
         lib.grid_stats(n, _doubles(values), lohi, counts)
         return lohi[0], counts[0], lohi[1], counts[1], counts[2]
 
-    def grid_csv(header, axis_a, axis_b, values):
-        """The CSV text as bytes; semantics identical to
-        _pycore.grid_csv."""
+    def grid_csv(write, header, axis_a, axis_b, values):
+        """header, then the grid's CSV lines, through write; semantics
+        identical to _pycore.grid_csv.  Every check and allocation comes
+        before the first write.  Each call of kern.c's grid_csv fills one
+        chunk of work, which write gets as a memoryview slice that is
+        valid only during that call: the next chunk overwrites it."""
         na, nb = _cint(len(axis_a)), _cint(len(axis_b))
-        check_cells(values, na * nb)
-        text = c_void_p()
-        try:
-            size = _ok(lib.grid_csv(header, len(header), _doubles(axis_a),
-                                    na, _doubles(axis_b), nb,
-                                    _doubles(values), byref(text)))
-            return ctypes.string_at(text, size)
-        finally:
-            lib.kern_free(text)
+        cells = na * nb
+        check_cells(values, cells)
+        args = (_doubles(axis_a), na, _doubles(axis_b), nb, _doubles(values))
+        work = bytearray(lib.grid_csv_work(na, nb))
+        chunk, cell = memoryview(work), c_longlong(0)
+        args += ((c_char * len(work)).from_buffer(work), byref(cell))
+        if header:
+            write(header)
+        while cell.value < cells:
+            write(chunk[:lib.grid_csv(*args)])
 
     return SimpleNamespace(BACKEND="c",
                            sse_dataset=functools.partial(

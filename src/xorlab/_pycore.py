@@ -8,13 +8,14 @@ fixed_scorer scores a lattice of outputs against classify's fixed
 candidates, fs_scorer scores the s that classify's F_s fit tries against
 it, solve_t runs copula.solve_s's bisection, grid_stats scans a surface
 grid for its minimum, maximum, strict minima and plateau cells, and
-grid_csv writes a grid's CSV text.  sse_dataset is the one cell of
-project_grid that leaves the weights as they are.  fixed_scorer returns
-score(outs), _max_abs_diff for each of its rows, the deviation rule
-classify uses for every candidate; fs_scorer returns score(s),
-copula.xor_f_lattice at CopulaParam.finite(s) scored by _max_abs_diff.
-Those two, solve_t (a loop over copula._frank_raw), grid_stats (a
-row-wise scan) and grid_csv (a row template) generate no code.
+grid_csv writes a grid's CSV text through a write function, a row at a
+time.  sse_dataset is the one cell of project_grid that leaves the
+weights as they are.  fixed_scorer returns score(outs), _max_abs_diff
+for each of its rows, the deviation rule classify uses for every
+candidate; fs_scorer returns score(s), copula.xor_f_lattice at
+CopulaParam.finite(s) scored by _max_abs_diff.  Those two, solve_t (a
+loop over copula._frank_raw), grid_stats (a row-wise scan) and grid_csv
+(a row template) generate no code.
 
 Each kernel runs straight-line Python generated once per network shape:
 every weight lives in a local w0..wN, each unit's dot product, backward
@@ -771,25 +772,26 @@ def grid_stats(values, n: int) -> tuple:
     return min_val, min_idx, max_val, strict, plateau
 
 
-def grid_csv(header: bytes, axis_a, axis_b, values) -> bytes:
-    """header, then one line "a,b,value" per cell of the a-major grid
-    values over axis_a x axis_b, every number as '%.17g' writes it.
+def grid_csv(write, header: bytes, axis_a, axis_b, values) -> None:
+    """header (when not empty), then one line "a,b,value" per cell of the
+    a-major grid values over axis_a x axis_b, every number as '%.17g'
+    writes it, through write: the header, then each row's lines as one
+    bytes object.
 
     axis_b is formatted once into a row template, so each row is one
     '%' operation; '%.17g' % x is format(x, '.17g') for every float, inf
     and NaN included (NaN is "nan", whatever its sign).  Each row is
-    encoded on its own and the rows are joined once: one large block,
-    where joining the text and then encoding it would allocate two, and
-    glibc would return both to the system (and fault them in again) on
-    every grid.
+    encoded and written on its own, so the text of a grid is never whole
+    in memory: one large block would be returned to the system, and
+    faulted in again, on every grid.
     """
     na, nb = len(axis_a), len(axis_b)
     check_cells(values, na * nb)
     row_format = "".join(f"%s,{format(b, '.17g')},%.17g\n" for b in axis_b)
     cells = [None] * (2 * nb)
-    rows = [header]
-    for i in range(na):
+    if header:
+        write(header)
+    for i in range(na if nb else 0):    # an empty row is not written
         cells[0::2] = [format(axis_a[i], ".17g")] * nb
         cells[1::2] = values[i * nb:(i + 1) * nb]
-        rows.append((row_format % tuple(cells)).encode())
-    return b"".join(rows)
+        write((row_format % tuple(cells)).encode())

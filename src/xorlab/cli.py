@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -145,8 +146,11 @@ def _cmd_copula_grid(args):
     if args.format == "json" and not args.out:
         _emit(args, {**summary, "rows": list(points)}, [])
         return 0
-    text = kernels.grid_csv(b"x,y,value\n", axis, axis,
-                            [v for _, _, v in points]).decode()
+    # the whole text first: a failed command leaves no partial file
+    buf = io.BytesIO()
+    kernels.grid_csv(buf.write, b"x,y,value\n", axis, axis,
+                     [v for _, _, v in points])
+    text = buf.getvalue().decode()
     if args.out:
         _write_text(args.out, text)
         _emit(args, {**summary, "out": args.out}, [f"wrote {args.out}"])

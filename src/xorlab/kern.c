@@ -1,9 +1,10 @@
 /* Compiled training, projection, lattice, scoring, copula-solve and
  * surface kernels, bound through ctypes by xorlab._cbackend: the eight
  * kernels train_run, project_grid, forward_lattice, fixed_scores,
- * fs_deviation, solve_t, grid_stats and grid_csv.  The SSE at a
- * network's own weights is the one cell of project_grid that leaves them
- * as they are, so it has no kernel of its own.
+ * fs_deviation, solve_t, grid_stats and grid_csv (with grid_csv_work,
+ * the size of its work space).  The SSE at a network's own weights is the
+ * one cell of project_grid that leaves them as they are, so it has no
+ * kernel of its own.
  *
  * Mirrors the loop reference in tests/loop_kernels.py operation for
  * operation: the same splitmix64 stream as _pycore.py, the same
@@ -76,17 +77,21 @@
  * Python it is written in _frank_raw and xor_f_lattice.
  *
  * grid_stats is _pycore.grid_stats's scan as one loop.  grid_csv writes
- * a grid's CSV text as Python's '%.17g' writes each number: a normal
+ * a grid's CSV lines as Python's '%.17g' writes each number: a normal
  * double from 1e-6 up to 2^53 by an exact integer path (digits17: its
  * 17 digits m 10^p / 2^-e, rounded half to even in 128-bit integers,
- * then layout17: laid out as "%g" lays them out), everything else by
- * snprintf("%.17g"), as is every value where the compiler has no 128-bit
- * integers; NaN as "nan" whatever its sign, as Python writes it.
+ * then layout17: laid out as "%g" lays them out, two digits at a time),
+ * everything else by snprintf("%.17g"), as is every value where the
+ * compiler has no 128-bit integers; NaN as "nan" whatever its sign, as
+ * Python writes it.  It streams: each call fills one CSV_CHUNK-byte chunk
+ * of the caller's work space (grid_csv_work sizes it) from the cell where
+ * the last call stopped, so the caller hands the chunk on and calls again,
+ * and the text of a grid is never whole in memory.
  *
  * The caller checks shapes and passes buffers of the right lengths.
  * Functions that allocate return -1 when an allocation fails, 0 otherwise;
- * train_run returns its status code 0..3 instead of 0, and grid_csv the
- * length of its text.
+ * train_run returns its status code 0..3 instead of 0.  grid_csv
+ * allocates nothing and returns the length of the chunk it filled.
  */
 
 #include <math.h>
@@ -723,6 +728,17 @@ void grid_stats(int n, const double *v, double *lohi, int *counts)
 
 /* The longest "%.17g" text: -d.dddddddddddddddde-308. */
 #define CELL_MAX 24
+/* The bytes fmt17 may write at out: its text, and past it what the
+ * fixed-size copies of layout17 spill (42 bytes at most). */
+#define FMT17_ROOM 48
+/* The bytes grid_csv fills on one call at most, and reuses on the next. */
+#define CSV_CHUNK 65536
+/* The room a line of a grid's CSV needs in the chunk: a and b, each
+ * copied as CELL_MAX bytes, with their commas, then fmt17's room for the
+ * value, in which its newline lands. */
+#define CSV_LINE_ROOM 98
+_Static_assert(CSV_LINE_ROOM == 2 * (CELL_MAX + 1) + FMT17_ROOM,
+               "CSV_LINE_ROOM is a line's room");
 
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
@@ -763,8 +779,9 @@ static int digits17(uint64_t m, int e, uint64_t *d, int *k)
         q = (uint64_t)(num >> s);
         rem = num - ((u128)q << s);
         half = (u128)1 << (s - 1);
-        if (rem > half || (rem == half && (q & 1)))
-            q++;
+        /* half to even, with no branch: rounding up is a coin toss that
+         * a branch predictor loses half the time */
+        q += (rem > half) | ((rem == half) & q);
         if (q < POW10[16]) {
             dk--;
         } else if (q > POW10[17]) {
@@ -781,17 +798,40 @@ static int digits17(uint64_t m, int e, uint64_t *d, int *k)
     }
 }
 
+/* "00" to "99", the two digits of each of 0..99 in turn. */
+static const char DIGITS2[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The 8 digits of x < 10^8 at out, two at a time: its two halves of 4
+ * digits are independent, and so are their pairs. */
+static void put8(uint32_t x, char *out)
+{
+    uint32_t hi = x / 10000, lo = x % 10000;
+    memcpy(out, DIGITS2 + 2 * (hi / 100), 2);
+    memcpy(out + 2, DIGITS2 + 2 * (hi % 100), 2);
+    memcpy(out + 4, DIGITS2 + 2 * (lo / 100), 2);
+    memcpy(out + 6, DIGITS2 + 2 * (lo % 100), 2);
+}
+
 /* The 17 digits D at decimal exponent k laid out as "%g" lays them out:
  * trailing zeros stripped, fixed notation for -4 <= k < 17, otherwise
- * d.ddde+XX. */
+ * d.ddde+XX.  D's first digit, then its next 8 and its last 8, each 8
+ * by put8, so no digit waits on the division that gives the next.  It
+ * may write up to 41 bytes at out, past the end of its text. */
 static int layout17(uint64_t d, int k, char *out)
 {
-    char dig[17], *o = out;
-    int nd = 17;
-    for (int i = 16; i >= 0; i--) {
-        dig[i] = (char)('0' + d % 10);
-        d /= 10;
-    }
+    /* "0000", D's 17 digits, then zeros that the fixed-size copies below
+     * may read past the digits */
+    char z[4 + 17 + 24] = "0000", *dig = z + 4, *o = out;
+    uint32_t hi = (uint32_t)(d / 100000000), lo = (uint32_t)(d % 100000000);
+    int nd = 17, ilen, flen;
+    dig[0] = (char)('0' + hi / 100000000);
+    put8(hi % 100000000, dig + 1);
+    put8(lo, dig + 9);
     while (dig[nd - 1] == '0')
         nd--;
     if (k >= 17 || k < -4) {
@@ -808,27 +848,24 @@ static int layout17(uint64_t d, int k, char *out)
             *o++ = (char)('0' + ak / 100);
         *o++ = (char)('0' + ak / 10 % 10);
         *o++ = (char)('0' + ak % 10);
-    } else if (k >= 0) {
-        memcpy(o, dig, k + 1);
-        o += k + 1;
-        if (nd > k + 1) {
-            *o++ = '.';
-            memcpy(o, dig + k + 1, nd - k - 1);
-            o += nd - k - 1;
-        }
-    } else {
-        *o++ = '0';
-        *o++ = '.';
-        for (int z = -1; z > k; z--)
-            *o++ = '0';
-        memcpy(o, dig, nd);
-        o += nd;
+        return (int)(o - out);
     }
-    return (int)(o - out);
+    /* digits 0..k, or the one '0' before the zeros for k < 0, then the
+     * point and the rest, which start at z[5 + k] either way; each part
+     * is one copy of fixed length, 17 and 24 bytes (the parts are at most
+     * 17 and 20), so no copy's length depends on k or nd */
+    ilen = k < 0 ? 1 : k + 1;
+    flen = nd - k - 1;
+    memcpy(out, k < 0 ? z + 3 : dig, 17);
+    if (flen <= 0)
+        return ilen;
+    out[ilen] = '.';
+    memcpy(out + ilen + 1, z + 5 + k, 24);
+    return ilen + 1 + flen;
 }
 #endif
 
-/* x as "%.17g" writes it, at out, which has room for CELL_MAX + 1 bytes;
+/* x as "%.17g" writes it, at out, which has room for FMT17_ROOM bytes;
  * NaN as "nan", whatever its sign, as Python writes it (glibc writes
  * -nan for a negative one).  Returns the length, without a NUL. */
 static int fmt17(double x, char *out)
@@ -854,71 +891,61 @@ static int fmt17(double x, char *out)
     return snprintf(out, CELL_MAX + 1, "%.17g", x);
 }
 
-/* Each of the n values x as fmt17 writes it, one after the other at
- * text (room for n (CELL_MAX + 1) bytes), and its length in len; returns
- * the total length. */
-static size_t fmt_axis(const double *x, int n, char *text, int *len)
+/* The bytes of work space grid_csv needs for an na x nb grid: the
+ * chunk, the offset of each axis value's text and the end of the last,
+ * then the texts, each at most CELL_MAX bytes, with fmt17's room for the
+ * last. */
+size_t grid_csv_work(int na, int nb)
 {
-    size_t total = 0;
-    for (int i = 0; i < n; i++) {
-        len[i] = fmt17(x[i], text + total);
-        total += len[i];
-    }
-    return total;
+    size_t n = (size_t)na + nb;
+    return CSV_CHUNK + (n + 1) * sizeof(size_t) + n * CELL_MAX + FMT17_ROOM;
 }
 
-/* The CSV text header, then one line "a,b,value" per cell of the na x nb
- * a-major grid v, each number as fmt17 writes it, into a malloc'd
- * buffer at *out that the caller releases with kern_free.  Each axis
- * value and each cell is formatted once, and the buffer is sized from
- * the axis texts plus CELL_MAX bytes per cell.  Returns the length of
- * the text, or -1 (with *out NULL) when an allocation fails. */
-long long grid_csv(const char *header, size_t hlen, const double *a, int na,
-                   const double *b, int nb, const double *v, char **out)
+/* The CSV lines "a,b,value" of the na x nb a-major grid v from cell
+ * *cell on, each number as fmt17 writes it, into the first CSV_CHUNK
+ * bytes of work (grid_csv_work(na, nb) bytes).  The call at cell 0 first
+ * writes the text of every axis value, a's then b's, past the chunk,
+ * where the later calls of the same grid read them: each axis value and
+ * each cell is formatted once.  A call stops after the last cell, or
+ * when the chunk has less than CSV_LINE_ROOM bytes left; it moves *cell
+ * past the cells it wrote and returns the length of the chunk's text, 0
+ * once *cell is na nb.  An axis text is copied as CELL_MAX bytes, whatever
+ * its length: a text starts at most CELL_MAX bytes after the one before,
+ * so the copy stays in work, and the line's room holds it. */
+int grid_csv(const double *a, int na, const double *b, int nb,
+             const double *v, char *work, long long *cell)
 {
-    char *atext = malloc(((size_t)na + nb) * (CELL_MAX + 1) + 1);
-    int *alen = malloc(((size_t)na + nb + 1) * sizeof(int));
-    char *btext, *buf = NULL, *o = NULL;
-    const char *at;
-    int *blen;
-    size_t asum, bsum, cap;
+    size_t *off = (size_t *)(work + CSV_CHUNK);
+    char *text = (char *)(off + (size_t)na + nb + 1), *o = work;
+    const char *last = work + CSV_CHUNK - CSV_LINE_ROOM;
+    long long k = *cell, cells = (long long)na * nb;
+    int i, j;
 
-    *out = NULL;
-    if (atext == NULL || alen == NULL)
-        goto done;
-    asum = fmt_axis(a, na, atext, alen);
-    btext = atext + asum;
-    blen = alen + na;
-    bsum = fmt_axis(b, nb, btext, blen);
-    /* a, two commas, b, the value (at most CELL_MAX) and a newline per
-     * cell, and room for snprintf's NUL after the last */
-    cap = hlen + asum * nb + bsum * na + (size_t)na * nb * (CELL_MAX + 3)
-          + 1;
-    buf = malloc(cap);
-    if (buf == NULL)
-        goto done;
-    memcpy(buf, header, hlen);
-    o = buf + hlen;
-    at = atext;
-    for (int i = 0; i < na; i++) {
-        const double *row = v + (size_t)i * nb;
-        const char *bt = btext;
-        for (int j = 0; j < nb; j++) {
-            memcpy(o, at, alen[i]);
-            o += alen[i];
-            *o++ = ',';
-            memcpy(o, bt, blen[j]);
-            o += blen[j];
-            bt += blen[j];
-            *o++ = ',';
-            o += fmt17(row[j], o);
-            *o++ = '\n';
-        }
-        at += alen[i];
+    if (k >= cells)
+        return 0;
+    if (k == 0) {
+        off[0] = 0;
+        for (size_t m = 0; m < (size_t)na + nb; m++)
+            off[m + 1] = off[m] + fmt17(m < (size_t)na ? a[m] : b[m - na],
+                                        text + off[m]);
     }
-    *out = buf;
-done:
-    free(atext);
-    free(alen);
-    return buf == NULL ? -1 : (long long)(o - buf);
+    i = (int)(k / nb);
+    j = (int)(k % nb);
+    for (; k < cells && o <= last; k++) {
+        size_t la = off[i + 1] - off[i], lb = off[na + j + 1] - off[na + j];
+        memcpy(o, text + off[i], CELL_MAX);
+        o += la;
+        *o++ = ',';
+        memcpy(o, text + off[na + j], CELL_MAX);
+        o += lb;
+        *o++ = ',';
+        o += fmt17(v[k], o);
+        *o++ = '\n';
+        if (++j == nb) {
+            j = 0;
+            i++;
+        }
+    }
+    *cell = k;
+    return (int)(o - work);
 }

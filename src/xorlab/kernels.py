@@ -14,9 +14,11 @@ candidates and edge bound), fs_scorer (one function, score(s), per F_s
 fit: the score of each s that classify's fit tries, s snapped onto the
 One window by the scorer), solve_t (copula.solve_s's bisection),
 grid_stats (a surface grid's minimum and its index, maximum, strict
-minima and plateau cells) and grid_csv (a grid's CSV text as bytes, each
+minima and plateau cells) and grid_csv(write, header, axis_a, axis_b,
+values) (a grid's CSV text handed to write a piece at a time, each
 number as '%.17g' writes it, NaN as "nan" whatever its sign; the C one
-by an exact integer path for most doubles and snprintf for the rest).
+by an exact integer path for most doubles and snprintf for the rest,
+in chunks of one reused 64 kB buffer, the Python one a row at a time).
 Both produce results bit-identical to the loop reference in
 tests/loop_kernels.py (forward_lattice: to network.forward at each
 point; fixed_scorer: to _max_abs_diff row by row; fs_scorer: to the

@@ -194,16 +194,17 @@ def emit_grid_csv(grid: SurfaceGrid, path: "str | Path",
     """CSV (wa,wb,err; wa-major; 17 significant digits) plus a companion
     metadata document at <path>.meta.json.
 
-    The text is kernels.grid_csv's bytes: every number as '%.17g' writes
-    it, NaN as "nan" whatever its sign.  The compiled kernel formats each
-    axis value once and each cell once, by an exact integer path for
-    most doubles and snprintf for the rest; the Python one by a row
-    template.
+    The text is what kernels.grid_csv writes to the file: every number
+    as '%.17g' writes it, NaN as "nan" whatever its sign.  The compiled
+    kernel formats each axis value once and each cell once, by an exact
+    integer path for most doubles and snprintf for the rest, and hands
+    the file one reused 64 kB chunk at a time; the Python one writes
+    each row from a row template.  Neither holds the whole text.
     """
     path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(kernels.grid_csv(b"wa,wb,err\n", grid.axis_a, grid.axis_b,
-                                  grid.values))
+        kernels.grid_csv(fh.write, b"wa,wb,err\n", grid.axis_a, grid.axis_b,
+                         grid.values)
     meta = {
         "coord_a": grid.coord_a.render(),
         "coord_b": grid.coord_b.render(),

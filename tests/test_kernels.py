@@ -8,9 +8,11 @@ tests import copies of the package in new interpreters: the first import
 builds kern.c into the package's __pycache__, later ones reuse it, and
 anything that stops the build or the load selects python silently."""
 
+import io
 import math
 import os
 import random
+import re
 import shutil
 import struct
 import subprocess
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 
 import loop_kernels
 from xorlab import _pycore, copula, kernels, trainer
-from xorlab.datasets import builtin
+from xorlab.datasets import MAX_STEPS, builtin
 from xorlab.errors import DomainError
 from xorlab.trainer import TrainConfig, sweep
 
@@ -1346,6 +1348,28 @@ _GRID_CASE = """    {{
     }}
 """
 
+# grid_csv, chunk after chunk, on exact-length axes, grid and work space,
+# its text appended to the file at {path}; a chunk that is empty or longer
+# than CSV_CHUNK, or a call that does not end at the last cell, exits 2
+_CSV_CASE = """    {{
+        static const double a0[] = {{{a}}}, b0[] = {{{b}}}, v0[] = {{{v}}};
+        const double *a = heap(a0, {na}), *b = heap(b0, {nb}),
+            *v = heap(v0, {cells});
+        char *work = malloc(grid_csv_work({na}, {nb}));
+        long long cell = 0;
+        FILE *fh = fopen("{path}", "ab");
+        for (int n; (n = grid_csv(a, {na}, b, {nb}, v, work, &cell)) != 0;) {{
+            if (n < 0 || n > CSV_CHUNK)
+                return 2;
+            fwrite(work, 1, (size_t)n, fh);
+        }}
+        if (cell != {cells})
+            return 2;
+        fclose(fh);
+        free((void *)a); free((void *)b); free((void *)v); free(work);
+    }}
+"""
+
 # project_grid's nets and slot pairs for the sanitized probe: each net
 # gets units at levels 0, 1 and 2, ia == ib and a scratch slot for b; the
 # 2-2-2 net's top layer has a second unit, which project_grid never
@@ -1440,6 +1464,18 @@ def test_new_kernels_run_clean_under_sanitizers(tmp_path):
                     cells=len(avals) * len(bvals), ia=ia, ib=ib))
                 grids += py.project_grid(grid_sizes, grid_acts, grid_w, xs,
                                          ts, ia, ib, avals, bvals)
+    # grid_csv on the chunk-edge shapes: 0 x n, n x 0, one cell, text
+    # that ends on a chunk edge, and rows longer than a chunk
+    csv_path, csv_want = tmp_path / "grid.csv", io.BytesIO()
+    for na, nb in ((0, 3), (3, 0), (0, 0), (1, 1), (1, _EDGE_LINES),
+                   (2, MAX_STEPS)):
+        axis_a, axis_b = _WIDE[:na], _WIDE[-nb:] if nb else []
+        values = _WIDE[:na * nb]
+        body.append(_CSV_CASE.format(
+            a=_c_doubles(axis_a) or "0", b=_c_doubles(axis_b) or "0",
+            v=_c_doubles(values) or "0", na=na, nb=nb, cells=na * nb,
+            path=csv_path))
+        py.grid_csv(csv_want.write, b"", axis_a, axis_b, values)
     src, exe = tmp_path / "probe.c", tmp_path / "probe"
     src.write_text(_SANITIZED_PROBE.format(
         kern_c=Path(kernels.__file__).parent / "kern.c",
@@ -1457,6 +1493,7 @@ def test_new_kernels_run_clean_under_sanitizers(tmp_path):
     got = [float.fromhex(line) for line in run.stdout.split()]
     assert repr(got) == repr(want + trained + grids)
     assert want.count(-1.0) == 3 and math.inf in want
+    assert csv_path.read_bytes() == csv_want.getvalue()
 
 
 # -- the surface kernels: grid_csv against '%.17g', grid_stats ---------------
@@ -1547,10 +1584,17 @@ def csv_kern(request):
     return _cbackend.load(_variant_library(c_package, tmp, _NO_INT128))
 
 
+def _csv_bytes(kern, header, axis_a, axis_b, values):
+    """What kern's grid_csv writes, gathered in a BytesIO."""
+    buf = io.BytesIO()
+    kern.grid_csv(buf.write, header, axis_a, axis_b, values)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("draw", [_drawn_doubles, _edge_doubles])
 def test_grid_csv_writes_percent_17g(csv_kern, draw):
     values = draw()
-    got = csv_kern.grid_csv(b"h\n", [0.1], values, values)
+    got = _csv_bytes(csv_kern, b"h\n", [0.1], values, values)
     want = _csv_17g(b"h\n", [0.1], values, values)
     assert got == want, _first_difference(got, want)
 
@@ -1583,13 +1627,79 @@ def test_grid_csv_covers_the_digit_carries():
 def test_grid_csv_lays_out_an_a_major_grid(kern):
     axis_a, axis_b = (-1.5, 0.0, 2.0), (0.25, -0.0)
     values = [1.0, math.nan, -math.inf, 1e-7, 123456.789, -0.0]
-    got = kern.grid_csv(b"wa,wb,err\n", axis_a, axis_b, values + [9.0])
+    got = _csv_bytes(kern, b"wa,wb,err\n", axis_a, axis_b, values + [9.0])
     assert got == _csv_17g(b"wa,wb,err\n", axis_a, axis_b, values)
     assert got.split(b"\n")[1:3] == [b"-1.5,0.25,1", b"-1.5,-0,nan"]
-    assert kern.grid_csv(b"h\n", (), axis_b, []) == b"h\n"
-    assert kern.grid_csv(b"", axis_a, (), []) == b""
+    assert _csv_bytes(kern, b"h\n", (), axis_b, []) == b"h\n"
+    assert _csv_bytes(kern, b"", axis_a, (), []) == b""
     with pytest.raises(IndexError):
-        kern.grid_csv(b"h\n", axis_a, axis_b, values[:5])
+        _csv_bytes(kern, b"h\n", axis_a, axis_b, values[:5])
+
+
+# kern.c's chunk, the most bytes one write of the compiled grid_csv gets,
+# and the room a line needs in it: a chunk ends when less is left
+_CSV_CHUNK, _CSV_LINE_ROOM = (int(re.search(
+    rf"#define {name} (\d+)",
+    (Path(kernels.__file__).parent / "kern.c").read_text()).group(1))
+    for name in ("CSV_CHUNK", "CSV_LINE_ROOM"))
+
+
+def _wide_cells(n, seed=38):
+    """n doubles that '%.17g' writes in 24 bytes, its longest text, such
+    as -1.2345678901234567e-300."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        x = -rng.uniform(1.0, 10.0) * 1e-300
+        if len("%.17g" % x) == 24:
+            out.append(x)
+    return out
+
+
+# a MAX_STEPS-wide row of 24-byte numbers: every line is 75 bytes, the
+# longest a line can be, so kern.c's first chunk ends after _EDGE_LINES
+# lines, the first to leave less than a line's room
+_WIDE = _wide_cells(2 * MAX_STEPS)
+_EDGE_LINES = (_CSV_CHUNK - _CSV_LINE_ROOM) // 75 + 1
+
+
+def _chunks(kern, header, axis_a, axis_b, values):
+    """Each piece kern's grid_csv writes, copied when it is written (the
+    compiled one reuses its buffer)."""
+    chunks = []
+    kern.grid_csv(lambda chunk: chunks.append(bytes(chunk)), header,
+                  axis_a, axis_b, values)
+    return chunks
+
+
+@pytest.mark.parametrize("header, na, nb", [
+    (b"h\n", 0, 3), (b"h\n", 3, 0), (b"h\n", 0, 0), (b"", 0, 0),
+    (b"h\n", 1, 1), (b"", 1, 1), (b"", 1, _EDGE_LINES),
+    (b"", 1, _EDGE_LINES + 1), (b"wa,wb,err\n", 1, MAX_STEPS),
+    (b"wa,wb,err\n", 2, MAX_STEPS)])
+def test_grid_csv_streams_in_chunks(csv_kern, header, na, nb):
+    # 0 x n, n x 0 and the header alone; one cell; text that ends on a
+    # chunk edge and one line past it; a row longer than a chunk
+    axis_a, axis_b = _WIDE[:na], _WIDE[-nb:] if nb else []
+    values = _WIDE[:na * nb]
+    chunks = _chunks(csv_kern, header, axis_a, axis_b, values)
+    assert b"".join(chunks) == _csv_17g(header, axis_a, axis_b, values)
+    assert all(chunks)
+    if csv_kern.BACKEND == "python":
+        # the header, then one piece per row
+        assert len(chunks) == bool(header) + (na if nb else 0)
+        return
+    assert all(len(chunk) <= _CSV_CHUNK for chunk in chunks)
+    lines = [chunk.count(b"\n") for chunk in chunks[bool(header):]]
+    assert lines == [_EDGE_LINES] * (na * nb // _EDGE_LINES) + (
+        [na * nb % _EDGE_LINES] if na * nb % _EDGE_LINES else [])
+
+
+def test_grid_csv_checks_the_shape_before_any_write(csv_kern):
+    chunks = []
+    with pytest.raises(IndexError):
+        csv_kern.grid_csv(chunks.append, b"h\n", [1.0, 2.0], [3.0], [4.0])
+    assert chunks == []
 
 
 def test_grid_stats_matches_across_backends(kern):
